@@ -45,9 +45,11 @@ from .connectivity import (
     check_bounds,
     compatibility_offset,
     component_stats,
+    components,
     count_components,
     far_left_slot,
     local_cc,
+    local_count,
 )
 
 __version__ = "0.1.0"

@@ -13,7 +13,7 @@ import numpy as np
 
 from .geometry import Box, centered_box, unit_ball_volume
 from .model_core import Configuration, RadiusLaw
-from .connectivity import ClusterLabeling, far_left_slot, local_cc
+from .connectivity import component_members, far_left_slot, local_cc
 from ._stats import batch_means_se
 
 
@@ -54,29 +54,6 @@ def event_Aij(cfg: Configuration, i: float, j: float) -> bool:
     return True
 
 
-def _restricted_components(cfg: Configuration, keep: list[int]) -> list[list[int]]:
-    """Connected components of the balls in `keep` (pairwise intersection)."""
-    keep_set = set(keep)
-    parent = {s: s for s in keep}
-
-    def find(s):
-        while parent[s] != s:
-            parent[s] = parent[parent[s]]
-            s = parent[s]
-        return s
-
-    for s in keep:
-        for t in cfg.intersectors(cfg.centers[s], float(cfg.radii[s])):
-            if t in keep_set and t != s:
-                rs, rt = find(s), find(t)
-                if rs != rt:
-                    parent[rt] = rs
-    groups: dict[int, list[int]] = {}
-    for s in keep:
-        groups.setdefault(find(s), []).append(s)
-    return list(groups.values())
-
-
 def event_Wij(cfg: Configuration, box: Box, r0: float, i: float, j: float) -> bool:
     """True when the balls centered in [-j,j]^d minus `box` form at most one
     component that both comes within r0 of `box` and leaves [-i,i]^d."""
@@ -91,7 +68,7 @@ def event_Wij(cfg: Configuration, box: Box, r0: float, i: float, j: float) -> bo
         if outer.contains_point(cfg.centers[s]) and not box.contains_point(cfg.centers[s])
     ]
     crossing = 0
-    for comp in _restricted_components(cfg, keep):
+    for comp in component_members(cfg, keep):
         touches = any(
             box.distance_to_point(cfg.centers[s]) <= r0 + cfg.radii[s] for s in comp
         )
@@ -400,12 +377,8 @@ def estimate_NP(
     for s, cfg in enumerate(samples):
         if cfg.n == 0:
             continue
-        lab = ClusterLabeling(cfg)
-        groups: dict[int, list[int]] = {}
-        for i in cfg.active_ids():
-            groups.setdefault(lab.find(i), []).append(i)
         far_left = []
-        for comp in groups.values():
+        for comp in component_members(cfg):
             inside = all(
                 eroded.contains_ball(cfg.centers[i], float(cfg.radii[i])) for i in comp
             )

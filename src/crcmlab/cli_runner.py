@@ -38,8 +38,9 @@ from .connectivity import (
 from .crcm import (
     ChainState,
     bd_step,
-    conditional_resample,
     gnz_residual_crcm,
+    heat_bath_sweep,
+    largest_component_size,
     new_chain,
     run_chain,
     sweep_size,
@@ -307,24 +308,28 @@ def config_to_json(cfg: Configuration) -> dict:
 
 def config_from_json(doc: dict) -> Configuration:
     window = Box(np.array(doc["lo"]), np.array(doc["hi"]))
+    capacity = int(doc["capacity"])
+    slots = [int(row[0]) for row in doc["active"]]
+    if sorted(slots + [int(s) for s in doc["free"]]) != list(range(capacity)):
+        raise ValueError(
+            "checkpoint slot lists are inconsistent: active and free slots must "
+            f"be distinct and together cover 0..{capacity - 1}"
+        )
     cfg = Configuration(
         window,
         cell_size=doc["cell_size"],
         colored=doc["colored"],
-        capacity=doc["capacity"],
+        capacity=capacity,
     )
     d = window.dimension
-    for row in doc["active"]:
-        slot = int(row[0])
-        center = np.array(row[1 : 1 + d], dtype=float)
-        radius = float(row[1 + d])
-        cfg.centers[slot] = center
-        cfg.radii[slot] = radius
-        if doc["colored"]:
-            cfg.colors[slot] = int(row[2 + d])
-        cfg._slot_pos[slot] = len(cfg._active)
-        cfg._active.append(slot)
-        cfg.index.insert(slot, cfg.centers[slot], radius)
+    rows = np.array(doc["active"], dtype=float).reshape(len(slots), d + 2 + bool(doc["colored"]))
+    cfg.centers[slots] = rows[:, 1 : 1 + d]
+    cfg.radii[slots] = rows[:, 1 + d]
+    if doc["colored"]:
+        cfg.colors[slots] = rows[:, 2 + d]
+    cfg._active = slots
+    cfg._slot_pos[slots] = np.arange(len(slots))
+    cfg.index.insert_many(slots, cfg.centers[slots], cfg.radii[slots])
     cfg._free = [int(s) for s in doc["free"]]
     return cfg
 
@@ -359,15 +364,13 @@ TRACE_COLUMNS = ["sweep", "count", "n_cc", "largest_component", "accept_birth", 
 
 
 def _trace_row(state: ChainState, sweep: int):
-    sizes = state.labeling.component_sizes(state.config)
-    largest = max(sizes.values()) if sizes else 0
     pb, ab = state.proposed["birth"], state.accepted["birth"]
     pd_, ad = state.proposed["death"], state.accepted["death"]
     return (
         sweep,
         state.config.n,
         state.labeling.n_components,
-        largest,
+        largest_component_size(state),
         (ab / pb) if pb else 0.0,
         (ad / pd_) if pd_ else 0.0,
     )
@@ -417,14 +420,11 @@ def run_traced_chain(
 
 def cmd_sample_poisson(spec: ExperimentSpec, out: Path) -> int:
     params = spec.model_params()
-    outputs = []
     rows = []
     for s in range(spec.samples):
         rng = chain_rng(spec.seed, s)
         cfg = sample_poisson_boolean(params, rng)
-        name = f"config_{s:04d}.csv"
-        save_configuration(cfg, out / name, law_descriptor=spec.law, seed=spec.seed)
-        outputs.append(name)
+        save_configuration(cfg, out / f"config_{s:04d}.csv", law_descriptor=spec.law, seed=spec.seed)
         rows.append((s, cfg.n, count_components(cfg)))
     write_csv(
         out / "summary.csv",
@@ -432,7 +432,6 @@ def cmd_sample_poisson(spec: ExperimentSpec, out: Path) -> int:
         ["sample", "count", "n_cc"],
         rows,
     )
-    outputs.append("summary.csv")
     return EXIT_OK
 
 
@@ -632,17 +631,15 @@ def cmd_dlr_check(spec: ExperimentSpec, out: Path) -> int:
     params = spec.model_params()
     w = params.window
     mid = 0.5 * (w.lo + w.hi)
-    quads = [
-        Box(w.lo, mid),
-        Box([mid[0], w.lo[1]], [w.hi[0], mid[1]]),
-        Box([w.lo[0], mid[1]], [mid[0], w.hi[1]]),
-        Box(mid, w.hi),
-    ]
+    # the 2^d orthants of the window; the first axis halves fastest
+    quads = []
+    for k in range(2 ** w.dimension):
+        upper = (k >> np.arange(w.dimension)) & 1 == 1
+        quads.append(Box(np.where(upper, mid, w.lo), np.where(upper, w.hi, mid)))
     state = new_chain(params, chain_rng(spec.seed, 0))
     hb_counts, hb_ncc = [], []
     for sweep in range(spec.burn_in + spec.sweeps):
-        for box in quads:
-            conditional_resample(state, box, params)
+        heat_bath_sweep(state, quads, params)
         if sweep >= spec.burn_in and (sweep - spec.burn_in) % spec.thinning == 0:
             hb_counts.append(state.config.n)
             hb_ncc.append(state.n_cc)

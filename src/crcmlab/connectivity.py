@@ -1,12 +1,16 @@
-"""Connected components of ball configurations: union-find labeling with
-cheap local repair after deletions, the stabilized local component count,
-single-ball increments, and the explicit upper/lower bounds on it."""
+"""Connected components of ball configurations: one array kernel for every
+from-scratch count, union-find labeling with cheap local repair after
+deletions for chain moves, the stabilized local component count, single-ball
+increments, and the explicit upper/lower bounds on it."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
+from scipy.spatial import cKDTree
 
 from .geometry import Box, MarkedBall, dilate, unit_ball_volume
 from .model_core import Configuration
@@ -18,6 +22,130 @@ class LambdaNotInWindow(ValueError):
 
 class NestingViolation(ValueError):
     pass
+
+
+# ---------------------------------------------------------------------------
+# Array kernel: intersecting pairs and component labels
+# ---------------------------------------------------------------------------
+
+_DENSE_MAX = 96  # balls: one n x n pass up to here, a k-d tree beyond
+_UNION_FIND_MAX = 256  # nodes + pairs: Python union-find up to here, csgraph beyond
+_OVERSIZE = 4.0  # balls wider than this many median radii skip the k-d tree
+
+
+def intersecting_pairs(
+    centers: np.ndarray, radii: np.ndarray, groups: Optional[np.ndarray] = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs (i < j, sorted by i then j) of closed balls that meet:
+    |c_i - c_j|^2 <= (r_i + r_j)^2, so tangency counts.  With `groups` (a
+    nondecreasing group id per ball) only pairs inside one group count.
+
+    Small inputs take one dense pass.  Large ones get candidates from a k-d
+    tree at twice the largest ordinary radius, with balls above `_OVERSIZE`
+    median radii checked against their whole group; the exact test above
+    decides every candidate."""
+    centers = np.asarray(centers, dtype=float)
+    radii = np.asarray(radii, dtype=float)
+    n = radii.size
+    if groups is not None:
+        groups = np.asarray(groups)
+        if np.any(groups[1:] < groups[:-1]):
+            raise ValueError("group ids must be nondecreasing")
+    if n < 2:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    if n <= _DENSE_MAX:
+        diff = centers[:, None, :] - centers[None, :, :]
+        d2 = np.einsum("ijx,ijx->ij", diff, diff)
+        rsum = radii[:, None] + radii[None, :]
+        hit = d2 <= rsum * rsum
+        if groups is not None:
+            hit &= groups[:, None] == groups[None, :]
+        i, j = np.nonzero(hit)
+        upper = i < j
+        return i[upper], j[upper]
+    big = radii > _OVERSIZE * float(np.median(radii))
+    small = np.flatnonzero(~big)
+    pts = centers[small]
+    reach = 2.0 * float(radii[small].max())
+    reach += 1e-9 * (reach + float(np.abs(pts).max()))  # rounding slack only
+    if groups is not None:  # groups sit farther apart than the reach
+        pts = np.column_stack([pts, groups[small] * (2.0 * reach + 1.0)])
+    found = cKDTree(pts).query_pairs(reach, output_type="ndarray")
+    ii, jj = [small[found[:, 0]]], [small[found[:, 1]]]
+    wide = np.flatnonzero(big)
+    if wide.size:
+        if groups is None:
+            lo, hi = np.zeros_like(wide), np.full_like(wide, n)
+        else:
+            lo = np.searchsorted(groups, groups[wide], "left")
+            hi = np.searchsorted(groups, groups[wide], "right")
+        rows = np.repeat(wide, hi - lo)
+        cols = np.arange(rows.size) + np.repeat(lo - np.cumsum(hi - lo) + (hi - lo), hi - lo)
+        keep = (cols != rows) & ~(big[cols] & (cols < rows))  # each pair once
+        ii.append(np.minimum(rows, cols)[keep])
+        jj.append(np.maximum(rows, cols)[keep])
+    i, j = np.concatenate(ii), np.concatenate(jj)
+    diff = centers[i] - centers[j]
+    rsum = radii[i] + radii[j]
+    hit = np.einsum("ij,ij->i", diff, diff) <= rsum * rsum
+    i, j = i[hit], j[hit]
+    order = np.lexsort((j, i))
+    return i[order], j[order]
+
+
+def label_components(n: int, i: np.ndarray, j: np.ndarray) -> tuple[int, np.ndarray]:
+    """Components of the graph on n nodes with edges (i, j): their number and
+    a label per node, numbered 0, 1, ... in order of first appearance."""
+    if not i.size:
+        return n, np.arange(n)
+    if n + i.size > _UNION_FIND_MAX:
+        graph = csr_matrix((np.ones(i.size, dtype=np.int8), (i, j)), shape=(n, n))
+        count, labels = connected_components(graph, directed=False)
+        return int(count), labels
+    parent = list(range(n))
+    for a, b in zip(i.tolist(), j.tolist()):
+        while parent[a] != a:
+            a = parent[a]
+        while parent[b] != b:
+            b = parent[b]
+        if a != b:
+            parent[b] = a
+    labels = np.empty(n, dtype=np.int64)
+    seen: dict[int, int] = {}
+    for v in range(n):
+        root = v
+        while parent[root] != root:
+            root = parent[root]
+        parent[v] = root
+        labels[v] = seen.setdefault(root, len(seen))
+    return len(seen), labels
+
+
+def components(
+    centers: np.ndarray, radii: np.ndarray, groups: Optional[np.ndarray] = None
+) -> tuple[int, np.ndarray]:
+    """Connected components of the closed balls B(centers[k], radii[k]):
+    their number and a label per ball (see `label_components`).  With
+    `groups`, balls of different groups never connect."""
+    radii = np.asarray(radii, dtype=float)
+    return label_components(radii.size, *intersecting_pairs(centers, radii, groups))
+
+
+def _arrays(cfg: Configuration) -> tuple[np.ndarray, np.ndarray]:
+    ids = np.asarray(cfg.active_ids(), dtype=np.intp)
+    return cfg.centers[ids], cfg.radii[ids]
+
+
+def component_members(cfg: Configuration, slots: Optional[list[int]] = None) -> list[list[int]]:
+    """Slots of each component of the balls in `slots` (default: all), in
+    order of first appearance; members keep the order of `slots`."""
+    slots = cfg.active_ids() if slots is None else slots
+    arr = np.asarray(slots, dtype=np.intp)
+    count, labels = components(cfg.centers[arr], cfg.radii[arr])
+    groups: list[list[int]] = [[] for _ in range(count)]
+    for s, c in zip(slots, labels.tolist()):
+        groups[c].append(s)
+    return groups
 
 
 # ---------------------------------------------------------------------------
@@ -69,17 +197,16 @@ class ClusterLabeling:
         for i in ids:
             self.parent[i] = i
         self.n_components = len(ids)
-        self.adj = _adjacency(cfg)
-        for i, nbrs in self.adj.items():
-            for j in nbrs:
-                self.union(i, j)
+        self.adj = {i: [] for i in ids}
+        arr = np.asarray(ids, dtype=np.intp)
+        a, b = intersecting_pairs(cfg.centers[arr], cfg.radii[arr])
+        for i, j in zip(arr[a].tolist(), arr[b].tolist()):
+            self.adj[i].append(j)
+            self.adj[j].append(i)
+            self.union(i, j)
 
     def roots(self, cfg: Configuration) -> set[int]:
         return {self.find(i) for i in cfg.active_ids()}
-
-    def members(self, cfg: Configuration, root: int) -> list[int]:
-        root = self.find(root)
-        return [i for i in cfg.active_ids() if self.find(i) == root]
 
     def component_sizes(self, cfg: Configuration) -> dict[int, int]:
         sizes: dict[int, int] = {}
@@ -155,51 +282,19 @@ class ClusterLabeling:
 
 def count_components(cfg: Configuration) -> int:
     """Number of connected components of the ball intersection graph."""
-    if cfg.n == 0:
-        return 0
-    return ClusterLabeling(cfg).n_components
+    return components(*_arrays(cfg))[0]
 
 
-def _adjacency(cfg: Configuration) -> dict[int, list[int]]:
-    ids = cfg.active_ids()
-    adj: dict[int, list[int]] = {i: [] for i in ids}
-    if len(ids) <= 48:  # one vectorized pairwise pass beats per-ball queries
-        arr = np.asarray(ids, dtype=np.intp)
-        c = cfg.centers[arr]
-        r = cfg.radii[arr]
-        diff = c[:, None, :] - c[None, :, :]
-        d2 = np.einsum("ijx,ijx->ij", diff, diff)
-        rsum = r[:, None] + r[None, :]
-        hit = d2 <= rsum * rsum
-        for a, b in zip(*np.nonzero(np.triu(hit, k=1))):
-            i, j = int(arr[a]), int(arr[b])
-            adj[i].append(j)
-            adj[j].append(i)
-        return adj
-    for i in ids:
-        for j in cfg.intersectors(cfg.centers[i], float(cfg.radii[i])):
-            if j > i:
-                adj[i].append(j)
-                adj[j].append(i)
-    return adj
+def _ncc_outside(centers: np.ndarray, radii: np.ndarray, box: Box) -> int:
+    """Component count of the balls whose centers lie outside `box`."""
+    keep = ~box.contains_points(centers)
+    return components(centers[keep], radii[keep])[0]
 
 
-def _count_on_subset(adj: dict[int, list[int]], subset: set[int]) -> int:
-    seen: set[int] = set()
-    comps = 0
-    for start in subset:
-        if start in seen:
-            continue
-        comps += 1
-        stack = [start]
-        seen.add(start)
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w in subset and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-    return comps
+def local_count(centers: np.ndarray, radii: np.ndarray, box: Box) -> int:
+    """Limit of the local component count of `box`: ncc(all balls) minus
+    ncc(balls centered outside the box)."""
+    return components(centers, radii)[0] - _ncc_outside(centers, radii, box)
 
 
 @dataclass
@@ -210,53 +305,73 @@ class LocalCCResult:
     stabilization_box: Box
 
 
-def local_cc(
-    cfg: Configuration,
-    box: Box,
-    step: Optional[float] = None,
-    adjacency: Optional[dict] = None,
-) -> LocalCCResult:
+def _probe_levels(centers: np.ndarray, box: Box, step: float) -> np.ndarray:
+    """Smallest k with each center in dilate(box, k * step), decided by the
+    same floating-point comparisons as Box.contains_points on that probe."""
+
+    def inside(k):
+        r = (k * step)[:, None]
+        return np.all(centers >= box.lo - r, axis=1) & np.all(centers <= box.hi + r, axis=1)
+
+    gap = np.maximum(np.maximum(box.lo - centers, centers - box.hi), 0.0)
+    # start one below the estimate (rounding may push it one too high) and
+    # step up to the first level that passes the exact test
+    k = np.maximum(np.ceil(np.max(gap, axis=1) / step) - 1, 0).astype(np.int64)
+    while True:
+        short = ~inside(k)
+        if not short.any():
+            return k
+        k += short
+
+
+def _counts_by_level(levels: np.ndarray, i: np.ndarray, j: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """Component count of the balls with level <= k, for each k of the sorted
+    array ks, from one union-find pass adding pairs as both ends appear.
+    Balls with a level above ks[-1] never appear."""
+    nk = ks.size
+    ball_at = np.searchsorted(ks, levels)
+    edge_at = np.maximum(ball_at[i], ball_at[j])
+    merged = np.zeros(nk + 1, dtype=np.int64)
+    parent = list(range(levels.size))
+    order = np.argsort(edge_at, kind="stable")
+    for a, b, at in zip(i[order].tolist(), j[order].tolist(), edge_at[order].tolist()):
+        while parent[a] != a:
+            a = parent[a]
+        while parent[b] != b:
+            b = parent[b]
+        if a != b:
+            parent[b] = a
+            merged[at] += 1
+    added = np.bincount(ball_at, minlength=nk + 1)
+    return np.cumsum(added[:nk]) - np.cumsum(merged[:nk])
+
+
+def local_cc(cfg: Configuration, box: Box, step: Optional[float] = None) -> LocalCCResult:
     """Local number of connected components attached to `box`.
 
-    Evaluates c(D) = ncc(balls in D) - ncc(balls in D minus box) along a
-    growing box sequence until D swallows the whole stored configuration;
-    returns the final (limiting) value and the first probe box from which
-    c stayed constant.
+    c(D) = ncc(balls in D) - ncc(balls in D minus box) along the probe boxes
+    D_k = dilate(box, k * step), k = 0, 1, ...; returns the limiting value
+    and the first probe box from which c stays constant.  Every ball enters
+    the probes at one level, so one union-find pass per sequence (all balls,
+    balls centered outside the box) in order of entry gives every c(D_k).
     """
     if not cfg.window.contains_box(box):
         raise LambdaNotInWindow("probe box must sit inside the window")
-    ids = cfg.active_ids()
-    if not ids:
+    if not cfg.n:
         return LocalCCResult(0, box)
-    arr = np.asarray(ids, dtype=np.intp)
-    centers = cfg.centers[arr]
-    radii = cfg.radii[arr]
+    centers, radii = _arrays(cfg)
     if step is None:
         step = max(1.0, float(np.max(radii)))
-    adj = _adjacency(cfg) if adjacency is None else adjacency
-    target = Box(
-        np.minimum(np.min(centers - radii[:, None], axis=0), box.lo),
-        np.maximum(np.max(centers + radii[:, None], axis=0), box.hi),
-    )
-    in_box = box.contains_points(centers)
-    values: list[int] = []
-    probes: list[Box] = []
-    k = 0
-    while True:
-        probe = dilate(box, k * step)
-        in_probe = probe.contains_points(centers)
-        whole = {int(arr[t]) for t in np.flatnonzero(in_probe)}
-        outer = {int(arr[t]) for t in np.flatnonzero(in_probe & ~in_box)}
-        values.append(_count_on_subset(adj, whole) - _count_on_subset(adj, outer))
-        probes.append(probe)
-        if probe.contains_box(target):
-            break
-        k += 1
-    final = values[-1]
-    first = len(values) - 1
-    while first > 0 and values[first - 1] == final:
-        first -= 1
-    return LocalCCResult(final, probes[first])
+    elif not step > 0:
+        raise ValueError("probe step must be positive")
+    levels = _probe_levels(centers, box, step)
+    i, j = intersecting_pairs(centers, radii)
+    ks = np.unique(np.append(levels, 0))
+    outside = np.where(levels > 0, levels, ks[-1] + 1)
+    values = _counts_by_level(levels, i, j, ks) - _counts_by_level(outside, i, j, ks)
+    moved = np.flatnonzero(values != values[-1])
+    first = int(ks[moved[-1] + 1]) if moved.size else 0
+    return LocalCCResult(int(values[-1]), dilate(box, first * step))
 
 
 def cc_increment(
@@ -275,17 +390,16 @@ def cc_increment(
 
 
 def compatibility_offset(cfg: Configuration, inner: Box, outer: Box) -> int:
-    """Difference of local component counts for nested boxes; depends only on
-    the balls outside the inner box."""
+    """Difference of local component counts for nested boxes,
+    local(outer) - local(inner) = ncc(balls centered outside inner) -
+    ncc(balls centered outside outer); depends only on the balls outside the
+    inner box."""
     if not outer.contains_box(inner):
         raise NestingViolation("inner box must sit inside outer box")
     if not cfg.window.contains_box(outer):
         raise NestingViolation("outer box must sit inside the window")
-    adj = _adjacency(cfg)
-    return (
-        local_cc(cfg, outer, adjacency=adj).value
-        - local_cc(cfg, inner, adjacency=adj).value
-    )
+    centers, radii = _arrays(cfg)
+    return _ncc_outside(centers, radii, inner) - _ncc_outside(centers, radii, outer)
 
 
 @dataclass
@@ -306,22 +420,15 @@ def check_bounds(cfg: Configuration, box: Box, r0: float) -> BoundsReport:
     lower check is vacuous and flagged).
     """
     value = local_cc(cfg, box).value
-    n_in = cfg.count_in(box)
-    upper_ok = value <= n_in
+    centers, radii = _arrays(cfg)
+    inside = box.contains_points(centers)
+    n_in = int(np.count_nonzero(inside))
     big = dilate(box, r0 + 2.0)
-    d = cfg.window.dimension
-    k_const = 1.0 - big.volume / unit_ball_volume(d)
-    vacuous = False
-    for slot in cfg.active_ids():
-        if box.contains_point(cfg.centers[slot]) and cfg.radii[slot] > r0:
-            vacuous = True
-            break
-    if vacuous:
-        lower_ok = True
-    else:
-        annulus = cfg.count_in(big) - n_in
-        lower_ok = value >= k_const - annulus
-    return BoundsReport(upper_ok, lower_ok, k_const, vacuous, value)
+    k_const = 1.0 - big.volume / unit_ball_volume(cfg.window.dimension)
+    vacuous = bool(np.any(radii[inside] > r0))
+    annulus = int(np.count_nonzero(big.contains_points(centers))) - n_in
+    lower_ok = vacuous or value >= k_const - annulus
+    return BoundsReport(value <= n_in, lower_ok, k_const, vacuous, value)
 
 
 # ---------------------------------------------------------------------------
@@ -352,11 +459,7 @@ def component_stats(cfg: Configuration, grid_per_axis: int = 48) -> ComponentSta
     indicator, and the far-left ball of each component."""
     if cfg.n == 0:
         return ComponentStats([], 0, 0.0, False, [])
-    lab = ClusterLabeling(cfg)
-    groups: dict[int, list[int]] = {}
-    for i in cfg.active_ids():
-        groups.setdefault(lab.find(i), []).append(i)
-    comps = sorted(groups.values(), key=len, reverse=True)
+    comps = sorted(component_members(cfg), key=len, reverse=True)
     sizes = [len(c) for c in comps]
     leftmost = [far_left_slot(cfg, c) for c in comps]
 

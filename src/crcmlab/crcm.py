@@ -14,7 +14,9 @@ import numpy as np
 
 from .geometry import Box, MarkedBall, default_cell_size, dilate, unit_ball_volume
 from .model_core import Configuration, ModelParams, sample_poisson_boolean
-from .connectivity import ClusterLabeling, count_components, local_cc
+from .connectivity import ClusterLabeling, components, count_components, local_count
+# local_cc stays importable from this module: the tracer self-test in benchmarks/ relies on it
+from .connectivity import local_cc  # noqa: F401
 from .analysis import tilted_law
 from ._stats import (
     batch_means_se,
@@ -194,7 +196,7 @@ class SamplerReport:
             )
 
 
-def _largest_component_size(state: ChainState) -> int:
+def largest_component_size(state: ChainState) -> int:
     sizes = state.labeling.component_sizes(state.config)
     return max(sizes.values()) if sizes else 0
 
@@ -236,7 +238,7 @@ def run_chain(
                     sweep,
                     state.config.n,
                     state.n_cc,
-                    _largest_component_size(state),
+                    largest_component_size(state),
                     state.config.copy() if keep_configs else None,
                 )
             )
@@ -267,82 +269,33 @@ def run_chain(
 # ---------------------------------------------------------------------------
 
 
-def _single_component_count(centers: np.ndarray, radii: np.ndarray) -> int:
-    k = len(radii)
-    parent = list(range(k))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    n = k
-    diff = centers[:, None, :] - centers[None, :, :]
-    d2 = np.einsum("ijx,ijx->ij", diff, diff)
-    rsum = radii[:, None] + radii[None, :]
-    adj = d2 <= rsum * rsum
-    for i in range(k):
-        for j in range(i + 1, k):
-            if adj[i, j]:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-                    n -= 1
-    return n
-
-
-def _batch_component_counts(
-    counts: np.ndarray, centers: np.ndarray, radii: np.ndarray
-) -> np.ndarray:
-    """Component counts for many small configurations at once.
-
-    Configurations are grouped by point count; adjacency closure is taken by
-    repeated boolean matrix squaring, and the component count is the sum of
-    reciprocal reachability-row sums."""
-    n_cc = np.zeros(counts.size, dtype=np.int64)
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    for k in np.unique(counts):
-        if k == 0:
-            continue
-        which = np.flatnonzero(counts == k)
-        if k == 1:
-            n_cc[which] = 1
-            continue
-        if k > 64:  # rare giant draws: plain union-find per sample
-            for s in which:
-                lo = offsets[s]
-                n_cc[s] = _single_component_count(
-                    centers[lo : lo + k], radii[lo : lo + k]
-                )
-            continue
-        take = offsets[which][:, None] + np.arange(k)
-        c = centers[take]  # (m, k, d)
-        r = radii[take]  # (m, k)
-        diff = c[:, :, None, :] - c[:, None, :, :]
-        d2 = np.einsum("mijx,mijx->mij", diff, diff)
-        rsum = r[:, :, None] + r[:, None, :]
-        adj = (d2 <= rsum * rsum).astype(np.float32)
-        reach = adj
-        hops = 1
-        while hops < k:
-            reach = np.matmul(reach, reach)
-            np.minimum(reach, 1.0, out=reach)
-            hops *= 2
-        rows = reach.sum(axis=2)  # reachability class sizes per ball
-        n_cc[which] = np.rint((1.0 / rows).sum(axis=1)).astype(np.int64)
-    return n_cc
-
-
 def _reference_draws(params: ModelParams, n_samples: int, rng: np.random.Generator):
     """Vectorized Poisson reference draws: per-sample counts and component
-    counts."""
+    counts, all draws labeled in one kernel call (one group per draw)."""
     counts = rng.poisson(params.total_intensity, size=n_samples)
     total = int(counts.sum())
     centers = params.window.sample_points(rng, total)
     radii = np.asarray(params.law.sample(rng, total), dtype=float)
-    n_cc = _batch_component_counts(counts, centers, radii)
-    return counts.astype(np.int64), n_cc
+    draw = np.repeat(np.arange(n_samples), counts)
+    n_comp, labels = components(centers, radii, draw)
+    owner = np.zeros(n_comp, dtype=np.int64)
+    owner[labels] = draw
+    n_cc = np.bincount(owner, minlength=n_samples)
+    return counts.astype(np.int64), n_cc.astype(np.int64)
+
+
+def _log_weight_summary(logw: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Weights rescaled by exp(-max log weight), the log of their raw mean
+    (ln z_hat) and the relative standard error z_hat_se / z_hat; nothing is
+    exponentiated unscaled, so huge q^n_cc cannot overflow."""
+    top = float(logw.max())
+    w = np.exp(logw - top)
+    mean = float(w.mean())
+    rel_se = float(w.std(ddof=1)) / (mean * math.sqrt(w.size))
+    return w, top + math.log(mean), rel_se
+
+
+_LN_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 @dataclass
@@ -353,6 +306,7 @@ class OracleResult:
     z_hat_se: float
     ess: float
     n_samples: int
+    ln_z_hat: float
 
 
 def importance_oracle(
@@ -367,35 +321,27 @@ def importance_oracle(
     q^(component count).  `f` maps (counts, n_cc) arrays to per-sample values.
 
     Also returns the raw mean of the weights, an unbiased estimate of the
-    normalizing constant."""
+    normalizing constant, and its logarithm (z_hat is inf beyond the float
+    range; ln_z_hat stays finite)."""
     if not params.assumption_a:
         raise AssumptionAViolated("q < 1 requires a bounded-support law")
     if n_samples < 1000:
         raise ValueError("need at least 10^3 reference draws")
     counts, n_cc = _reference_draws(params, n_samples, rng)
-    logw = n_cc.astype(float) * math.log(params.q)
-    w = np.exp(logw - logw.max())
+    w, ln_z, rel_se = _log_weight_summary(n_cc.astype(float) * math.log(params.q))
     ess = float(w.sum() ** 2 / (w @ w))
     if ess < min_ess:
         raise DegenerateWeights(f"effective sample size {ess:.1f} < {min_ess}")
     vals = np.asarray(f(counts, n_cc), dtype=float)
     est, se = weighted_ratio_estimate(w, vals)
-    raw = np.exp(logw)
-    z_hat = float(raw.mean())
-    z_se = float(raw.std(ddof=1) / math.sqrt(n_samples))
-    return OracleResult(est, se, z_hat, z_se, ess, n_samples)
+    z_hat = math.exp(ln_z) if ln_z < _LN_FLOAT_MAX else math.inf
+    z_se = z_hat * rel_se if rel_se > 0 else 0.0
+    return OracleResult(est, se, z_hat, z_se, ess, n_samples, ln_z)
 
 
 # ---------------------------------------------------------------------------
 # Conditional resampling (the Gibbs kernel of a sub-box)
 # ---------------------------------------------------------------------------
-
-
-def _combined_local_count(
-    exterior: list[MarkedBall], interior: list[MarkedBall], window: Box, box: Box
-) -> int:
-    cfg = Configuration.from_balls(window, exterior + interior, colored=False)
-    return local_cc(cfg, box).value
 
 
 def conditional_resample(
@@ -422,56 +368,39 @@ def conditional_resample(
         raise ValueError("box must sit inside the window")
     rng = state.rng
     cfg = state.config
-    exterior = [
-        cfg.ball(s) for s in cfg.active_ids() if not box.contains_point(cfg.centers[s])
-    ]
+    ids = np.asarray(cfg.active_ids(), dtype=np.intp)
+    inside = box.contains_points(cfg.centers[ids])
+    ext_c, ext_r = cfg.centers[ids[~inside]], cfg.radii[ids[~inside]]
     vol = box.volume
     q = p.q
 
-    def commit(new_inner: list[MarkedBall]) -> ChainState:
-        for s in [s for s in cfg.active_ids() if box.contains_point(cfg.centers[s])]:
+    def propose(mean: float) -> list:
+        n = int(rng.poisson(mean))
+        return [(box.sample_point(rng), p.law.sample_scalar(rng)) for _ in range(n)]
+
+    def commit(new_inner: list) -> ChainState:
+        for s in ids[inside].tolist():
             cfg.remove(s)
-        for b in new_inner:
-            cfg.add(b.center, b.radius)
+        for center, radius in new_inner:
+            cfg.add(center, radius)
         state.labeling.rebuild(cfg)
         return state
 
     if q == 1.0:
-        n = int(rng.poisson(p.z * vol))
-        inner = [
-            MarkedBall(box.sample_point(rng), p.law.sample_scalar(rng)) for _ in range(n)
-        ]
-        return commit(inner)
-
+        return commit(propose(p.z * vol))
     if q > 1.0:
-        for _ in range(max_attempts):
-            n = int(rng.poisson(p.z * q * vol))
-            inner = [
-                MarkedBall(box.sample_point(rng), p.law.sample_scalar(rng))
-                for _ in range(n)
-            ]
-            local = _combined_local_count(exterior, inner, cfg.window, box)
-            if rng.random() < q ** (local - n):
-                return commit(inner)
+        mean, floor_exp = p.z * q * vol, None
     else:
-        r0 = p.law.max_radius
-        big = dilate(box, r0 + 2.0)
+        big = dilate(box, p.law.max_radius + 2.0)
         k_const = 1.0 - big.volume / unit_ball_volume(cfg.window.dimension)
-        n_annulus = sum(
-            1
-            for b in exterior
-            if big.contains_point(b.center) and not box.contains_point(b.center)
-        )
-        floor_exp = k_const - n_annulus
-        for _ in range(max_attempts):
-            n = int(rng.poisson(p.z * vol))
-            inner = [
-                MarkedBall(box.sample_point(rng), p.law.sample_scalar(rng))
-                for _ in range(n)
-            ]
-            local = _combined_local_count(exterior, inner, cfg.window, box)
-            if rng.random() < q ** (local - floor_exp):
-                return commit(inner)
+        mean, floor_exp = p.z * vol, k_const - np.count_nonzero(big.contains_points(ext_c))
+    for _ in range(max_attempts):
+        inner = propose(mean)
+        centers = np.vstack([ext_c] + [c for c, _ in inner])
+        radii = np.concatenate([ext_r, [r for _, r in inner]])
+        exponent = local_count(centers, radii, box) - (len(inner) if floor_exp is None else floor_exp)
+        if rng.random() < q**exponent:
+            return commit(inner)
 
     warnings.warn(
         "conditional rejection budget exceeded; running nested restricted chain",
@@ -554,42 +483,35 @@ def default_test_functions(window: Box):
     return [("one", f_one), ("exp_neg_count", f_exp), ("left_half", f_left)]
 
 
-def gnz_residual_crcm(
+def gnz_residuals(
     samples: Sequence[Configuration],
     params: ModelParams,
+    weigh: Callable,
     f_family=None,
     rng: Optional[np.random.Generator] = None,
     inner_points: int = 96,
-    rhs_q: Optional[float] = None,
 ) -> list[GnzRow]:
-    """Balance-equation residuals: removal sum versus insertion integral
-    weighted by z q^(component increment), Monte Carlo over insertions.
-    `rhs_q` deliberately mis-weights the insertion side for negative controls.
-    """
+    """Balance-equation residuals: removal sums against the insertion
+    integral lam * E[f(n, x, r) w(x, r)], Monte Carlo over `inner_points`
+    insertions per sample shared by every test function.
+    `weigh(cfg, xs, rs, rng)` returns the insertion weights w."""
     if len(samples) < 100:
         raise ValueError("need at least 100 decorrelated samples")
     if rng is None:
         rng = np.random.default_rng(0)
     if f_family is None:
         f_family = default_test_functions(params.window)
-    q_rhs = params.q if rhs_q is None else rhs_q
     lam = params.total_intensity
     lhs_all = {name: [] for name, _ in f_family}
     rhs_all = {name: [] for name, _ in f_family}
     for cfg in samples:
-        lab = ClusterLabeling(cfg)
         n = cfg.n
-        ids = cfg.active_ids()
-        # insertion Monte Carlo shared across test functions
         xs = params.window.sample_points(rng, inner_points)
         rs = np.asarray(params.law.sample(rng, inner_points), dtype=float)
-        weights = np.empty(inner_points)
-        for j in range(inner_points):
-            delta, _ = lab.insertion_increment(cfg, xs[j], float(rs[j]))
-            weights[j] = q_rhs**delta
+        weights = weigh(cfg, xs, rs, rng)
         for name, f in f_family:
             lhs_all[name].append(
-                sum(f(n - 1, cfg.centers[s], float(cfg.radii[s])) for s in ids)
+                sum(f(n - 1, cfg.centers[s], float(cfg.radii[s])) for s in cfg.active_ids())
             )
             fvals = np.array([f(n, xs[j], float(rs[j])) for j in range(inner_points)])
             rhs_all[name].append(lam * float(np.mean(fvals * weights)))
@@ -603,6 +525,27 @@ def gnz_residual_crcm(
         resid = abs(mean) / se if se > 0 else (0.0 if mean == 0 else math.inf)
         rows.append(GnzRow(name, float(lhs.mean()), float(rhs.mean()), se, resid))
     return rows
+
+
+def gnz_residual_crcm(
+    samples: Sequence[Configuration],
+    params: ModelParams,
+    f_family=None,
+    rng: Optional[np.random.Generator] = None,
+    inner_points: int = 96,
+    rhs_q: Optional[float] = None,
+) -> list[GnzRow]:
+    """Balance-equation residuals with insertions weighted by
+    q^(component increment).  `rhs_q` deliberately mis-weights the insertion
+    side for negative controls."""
+    q_rhs = params.q if rhs_q is None else rhs_q
+
+    def weigh(cfg, xs, rs, rng):
+        lab = ClusterLabeling(cfg)
+        deltas = [lab.insertion_increment(cfg, x, float(r))[0] for x, r in zip(xs, rs)]
+        return np.array([q_rhs**delta for delta in deltas])
+
+    return gnz_residuals(samples, params, weigh, f_family, rng, inner_points)
 
 
 @dataclass
@@ -669,19 +612,17 @@ def entropy_report(
     if not params.assumption_a:
         raise AssumptionAViolated("q < 1 requires a bounded-support law")
     counts, n_cc = _reference_draws(params, n_oracle, rng)
-    w = params.q ** n_cc.astype(float)
-    z_hat = float(w.mean())
-    z_se = float(w.std(ddof=1) / math.sqrt(n_oracle))
+    lnq = math.log(params.q)
+    w, ln_z_hat, rel_se = _log_weight_summary(n_cc.astype(float) * lnq)
     e_ncc, se_ncc = weighted_ratio_estimate(w, n_cc.astype(float))
     e_count, se_count = weighted_ratio_estimate(w, counts.astype(float))
     vol = params.window.volume
-    lnq = math.log(params.q)
-    rate = (-math.log(z_hat) + lnq * e_ncc) / vol
-    rate_se = (z_se / z_hat + abs(lnq) * se_ncc) / vol
+    rate = (-ln_z_hat + lnq * e_ncc) / vol
+    rate_se = (rel_se + abs(lnq) * se_ncc) / vol
     bound = params.z + max(lnq, 0.0) * e_count / vol
     bound_se = max(lnq, 0.0) * se_count / vol
     ok = rate <= bound + 3.0 * (rate_se + bound_se)
-    floor_ok = math.log(z_hat) >= -params.total_intensity - 3.0 * z_se / z_hat
+    floor_ok = ln_z_hat >= -params.total_intensity - 3.0 * rel_se
     return EntropyReport(
-        rate, rate_se, bound, bound_se, ok, math.log(z_hat), e_ncc, e_count, floor_ok
+        rate, rate_se, bound, bound_se, ok, ln_z_hat, e_ncc, e_count, floor_ok
     )

@@ -48,14 +48,14 @@ class Box:
 
     def contains_point(self, x: np.ndarray) -> bool:
         x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lo) and np.all(x <= self.hi))
+        return bool((x >= self.lo).all() and (x <= self.hi).all())
 
     def contains_points(self, xs: np.ndarray) -> np.ndarray:
         """Vectorized membership for an (n, d) array of points."""
         xs = np.asarray(xs, dtype=float)
         if xs.size == 0:
             return np.zeros(0, dtype=bool)
-        return np.all(xs >= self.lo, axis=1) & np.all(xs <= self.hi, axis=1)
+        return (xs >= self.lo).all(axis=1) & (xs <= self.hi).all(axis=1)
 
     def contains_ball(self, center: np.ndarray, radius: float) -> bool:
         center = np.asarray(center, dtype=float)
@@ -64,7 +64,7 @@ class Box:
         )
 
     def contains_box(self, other: "Box") -> bool:
-        return bool(np.all(other.lo >= self.lo) and np.all(other.hi <= self.hi))
+        return bool((other.lo >= self.lo).all() and (other.hi <= self.hi).all())
 
     def distance_to_point(self, x: np.ndarray) -> float:
         """Euclidean distance from x to the box (0 inside)."""
@@ -167,6 +167,23 @@ class SpatialIndex:
             key = self._key(center)
             self.cells.setdefault(key, []).append(ball_id)
             self._where[ball_id] = key
+
+    def insert_many(self, ids, centers: np.ndarray, radii: np.ndarray) -> None:
+        """Insert several balls; the same buckets, in the same order, as
+        calling `insert` for each in turn."""
+        where, cells = self._where, self.cells
+        keys = np.floor(centers / self.cell_size).astype(np.int64).tolist()
+        wide = (radii > self.oversize_threshold).tolist()
+        for ball_id, key, is_wide in zip(ids, keys, wide):
+            if ball_id in where:
+                raise ValueError(f"id {ball_id} already stored")
+            if is_wide:
+                self.oversized.append(ball_id)
+                where[ball_id] = None
+            else:
+                key = tuple(key)
+                cells.setdefault(key, []).append(ball_id)
+                where[ball_id] = key
 
     def remove(self, ball_id: int) -> None:
         key = self._where.pop(ball_id)

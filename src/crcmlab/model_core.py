@@ -354,12 +354,12 @@ class Configuration:
         balls = list(balls)
         if colored is None:
             colored = bool(balls) and balls[0].color is not None
+        radii = np.array([b.radius for b in balls], dtype=float)
         if cell_size is None and balls:
-            med = float(np.median([b.radius for b in balls]))
-            cell_size = default_cell_size(window, med)
+            cell_size = default_cell_size(window, float(np.median(radii)))
         cfg = cls(window, cell_size=cell_size, colored=colored, capacity=max(8, len(balls)))
-        for b in balls:
-            cfg.add(b.center, b.radius, b.color)
+        centers = np.array([b.center for b in balls], dtype=float)
+        cfg._fill(centers.reshape(-1, window.dimension), radii, [b.color for b in balls])
         return cfg
 
     @classmethod
@@ -382,9 +382,28 @@ class Configuration:
             colored=colors is not None,
             capacity=max(8, len(radii)),
         )
-        for i in range(len(radii)):
-            cfg.add(centers[i], radii[i], None if colors is None else int(colors[i]))
+        cfg._fill(centers, radii, colors)
         return cfg
+
+    def _fill(self, centers: np.ndarray, radii: np.ndarray, colors=None) -> None:
+        """Bulk `add` into a new, empty configuration: slots 0..n-1 in input
+        order, with the free list, slot positions and grid buckets the
+        ball-by-ball build would leave."""
+        n = radii.size
+        if n == 0:
+            return
+        if not np.all(self.window.contains_points(centers)):
+            raise ValueError("ball center outside window")
+        if self.colored:
+            if colors is None or any(c is None for c in colors):
+                raise ValueError("colored configuration needs a color")
+            self.colors[:n] = colors
+        self.centers[:n] = centers
+        self.radii[:n] = radii
+        del self._free[-n:]
+        self._active = list(range(n))
+        self._slot_pos[:n] = np.arange(n)
+        self.index.insert_many(range(n), self.centers[:n], self.radii[:n])
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -472,24 +491,25 @@ class Configuration:
         ids = np.asarray(self._active, dtype=np.intp)
         return int(np.count_nonzero(box.contains_points(self.centers[ids])))
 
+    def _subset(self, slots, window: Box, shift=None, colored: bool = True) -> "Configuration":
+        """New configuration of the given slots, in order, on `window`, with
+        centers moved by `shift` if given."""
+        ids = np.asarray(slots, dtype=np.intp)
+        return Configuration.from_arrays(
+            window,
+            self.centers[ids] if shift is None else self.centers[ids] + shift,
+            self.radii[ids],
+            self.colors[ids] if self.colored and colored else None,
+            cell_size=self.index.cell_size,
+        )
+
     def restrict(self, box: Box) -> "Configuration":
         """New configuration keeping only balls with centers in `box`."""
-        kept = [self.ball(s) for s in self._active if box.contains_point(self.centers[s])]
-        out = Configuration.from_balls(
-            self.window, kept, cell_size=self.index.cell_size, colored=self.colored
-        )
-        return out
+        ids = np.asarray(self._active, dtype=np.intp)
+        return self._subset(ids[box.contains_points(self.centers[ids])], self.window)
 
     def copy(self, drop_colors: bool = False) -> "Configuration":
-        out = Configuration(
-            self.window,
-            cell_size=self.index.cell_size,
-            colored=self.colored and not drop_colors,
-            capacity=max(8, self.n),
-        )
-        for slot in self._active:
-            color = None if (drop_colors or not self.colored) else int(self.colors[slot])
-            out.add(self.centers[slot].copy(), float(self.radii[slot]), color)
+        out = self._subset(self._active, self.window, colored=not drop_colors)
         out.tags = dict(self.tags)
         return out
 
@@ -507,16 +527,7 @@ class Configuration:
 
     def translate(self, v: np.ndarray) -> "Configuration":
         v = np.asarray(v, dtype=float)
-        out = Configuration(
-            self.window.translate(v),
-            cell_size=self.index.cell_size,
-            colored=self.colored,
-            capacity=max(8, self.n),
-        )
-        for slot in self._active:
-            color = int(self.colors[slot]) if self.colored else None
-            out.add(self.centers[slot] + v, float(self.radii[slot]), color)
-        return out
+        return self._subset(self._active, self.window.translate(v), shift=v)
 
 
 # ---------------------------------------------------------------------------
@@ -531,16 +542,7 @@ def sample_poisson_boolean(params: ModelParams, rng: np.random.Generator) -> Con
     centers = params.window.sample_points(rng, n)
     radii = params.law.sample(rng, n)
     cell = default_cell_size(params.window, params.law.median())
-    cfg = Configuration(params.window, cell_size=cell, capacity=max(8, n))
-    for i in range(n):
-        cfg.add(centers[i], float(radii[i]))
-    return cfg
-
-
-def _sample_poisson_arrays(params: ModelParams, rng: np.random.Generator):
-    """Fast path: (centers, radii) arrays without Configuration overhead."""
-    n = int(rng.poisson(params.total_intensity))
-    return params.window.sample_points(rng, n), np.asarray(params.law.sample(rng, n))
+    return Configuration.from_arrays(params.window, centers, radii, cell_size=cell)
 
 
 def steiner_volume(box: Box, r: float) -> float:
@@ -624,9 +626,7 @@ def sample_boolean_with_halo(
     centers = sim_box.sample_points(rng, n)
     radii = law.sample(rng, n)
     cell = default_cell_size(sim_box, law.median())
-    cfg = Configuration(sim_box, cell_size=cell, capacity=max(8, n))
-    for i in range(n):
-        cfg.add(centers[i], float(radii[i]))
+    cfg = Configuration.from_arrays(sim_box, centers, radii, cell_size=cell)
     cfg.tags.update(
         {"halo": h, "omitted_bound": bound, "observe": observe, "biased": biased}
     )
@@ -688,9 +688,9 @@ def coverage_escalation(
             if not done:
                 sub = dilate(box, h)
                 keep = sub.contains_points(centers) if n else np.zeros(0, dtype=bool)
-                cfg = Configuration(big, cell_size=max(h, 1e-3), capacity=max(8, n))
-                for i in np.flatnonzero(keep):
-                    cfg.add(centers[i], float(radii[i]))
+                cfg = Configuration.from_arrays(
+                    big, centers[keep], radii[keep], cell_size=max(h, 1e-3)
+                )
                 done = box_covered(cfg, box, grid_per_axis)
             if done:
                 hits[hi] += 1
@@ -747,7 +747,8 @@ def load_configuration(path) -> Configuration:
     colored = bool(int(meta.get("colored", "0")))
     window = Box(lo, hi)
     header = lines[1].split(",")
-    assert header[:d] == [f"x{k + 1}" for k in range(d)]
+    if header[:d] != [f"x{k + 1}" for k in range(d)]:
+        raise ValueError(f"{path}: column header {lines[1]!r} does not start with x1..x{d}")
     balls = []
     for ln in lines[2:]:
         if not ln:

@@ -14,14 +14,8 @@ from scipy import stats
 
 from .geometry import Box, default_cell_size
 from .model_core import Configuration, ModelParams
-from .connectivity import ClusterLabeling
-from .crcm import (
-    ChainState,
-    GnzRow,
-    SamplerReport,
-    default_test_functions,
-    run_chain,
-)
+from .connectivity import ClusterLabeling, intersecting_pairs
+from .crcm import ChainState, GnzRow, SamplerReport, gnz_residuals, run_chain
 
 @dataclass
 class WrParams(ModelParams):
@@ -55,12 +49,9 @@ def is_allowed(cfg: Configuration) -> bool:
     """No two balls of different colors overlap or touch."""
     if not cfg.colored:
         raise ValueError("allowed-set test needs a colored configuration")
-    for i in cfg.active_ids():
-        ci = int(cfg.colors[i])
-        for j in cfg.intersectors(cfg.centers[i], float(cfg.radii[i])):
-            if j != i and int(cfg.colors[j]) != ci:
-                return False
-    return True
+    ids = np.asarray(cfg.active_ids(), dtype=np.intp)
+    i, j = intersecting_pairs(cfg.centers[ids], cfg.radii[ids])
+    return not np.any(cfg.colors[ids[i]] != cfg.colors[ids[j]])
 
 
 def col_event(cfg: Configuration) -> bool:
@@ -184,16 +175,13 @@ def fk_colorize(cfg: Configuration, q: int, rng: np.random.Generator) -> Configu
     The result is always allowed: distinct components never touch."""
     if q < 2 or int(q) != q:
         raise ValueError("need an integer q >= 2")
-    out = Configuration(
-        cfg.window, cell_size=cfg.index.cell_size, colored=True, capacity=max(8, cfg.n)
-    )
     lab = ClusterLabeling(cfg)
-    color_of: dict[int, int] = {}
-    for root in sorted(lab.roots(cfg)):
-        color_of[root] = int(rng.integers(1, int(q) + 1))
-    for s in cfg.active_ids():
-        out.add(cfg.centers[s].copy(), float(cfg.radii[s]), color_of[lab.find(s)])
-    return out
+    color_of = {root: int(rng.integers(1, int(q) + 1)) for root in sorted(lab.roots(cfg))}
+    ids = cfg.active_ids()
+    colors = np.array([color_of[lab.find(s)] for s in ids], dtype=np.int64)
+    return Configuration.from_arrays(
+        cfg.window, cfg.centers[ids], cfg.radii[ids], colors, cell_size=cfg.index.cell_size
+    )
 
 
 def color_blind(cfg: Configuration) -> Configuration:
@@ -270,41 +258,15 @@ def gnz_residual_wr(
 ) -> list[GnzRow]:
     """Residuals of the balance equation for the hard-core-color model:
     removal sums against insertion integrals weighted by the allowed-set
-    indicator.  `drop_constraint` omits the indicator (negative control)."""
-    if len(samples) < 100:
-        raise ValueError("need at least 100 decorrelated samples")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    if f_family is None:
-        f_family = default_test_functions(params.window)
-    lam = params.total_intensity
+    indicator for a uniform color.  `drop_constraint` omits the indicator
+    (negative control)."""
     n_colors = int(params.q)
-    lhs_all = {name: [] for name, _ in f_family}
-    rhs_all = {name: [] for name, _ in f_family}
-    for cfg in samples:
-        n = cfg.n
-        ids = cfg.active_ids()
-        xs = params.window.sample_points(rng, inner_points)
-        rs = np.asarray(params.law.sample(rng, inner_points), dtype=float)
+
+    def weigh(cfg, xs, rs, rng):
         ks = rng.integers(1, n_colors + 1, size=inner_points)
-        weights = np.ones(inner_points)
-        if not drop_constraint:
-            for j in range(inner_points):
-                if not insertion_allowed(cfg, xs[j], float(rs[j]), int(ks[j])):
-                    weights[j] = 0.0
-        for name, f in f_family:
-            lhs_all[name].append(
-                sum(f(n - 1, cfg.centers[s], float(cfg.radii[s])) for s in ids)
-            )
-            fvals = np.array([f(n, xs[j], float(rs[j])) for j in range(inner_points)])
-            rhs_all[name].append(lam * float(np.mean(fvals * weights)))
-    rows = []
-    for name, _ in f_family:
-        lhs = np.asarray(lhs_all[name])
-        rhs = np.asarray(rhs_all[name])
-        d = lhs - rhs
-        se = float(d.std(ddof=1) / math.sqrt(d.size))
-        mean = float(d.mean())
-        resid = abs(mean) / se if se > 0 else (0.0 if mean == 0 else math.inf)
-        rows.append(GnzRow(name, float(lhs.mean()), float(rhs.mean()), se, resid))
-    return rows
+        if drop_constraint:
+            return np.ones(inner_points)
+        allowed = [insertion_allowed(cfg, x, float(r), int(k)) for x, r, k in zip(xs, rs, ks)]
+        return np.array(allowed, dtype=float)
+
+    return gnz_residuals(samples, params, weigh, f_family, rng, inner_points)

@@ -238,3 +238,49 @@ def test_manifest_written_for_checks(tmp_path):
     assert manifest["spec"]["law"] == "dirac:0.1"
     assert "fk.csv" in manifest["outputs"]
     assert manifest["versions"]["crcmlab"]
+
+
+def test_dlr_check_runs_on_a_3d_window(tmp_path):
+    out = tmp_path / "dlr3"
+    code = cli.main([
+        "dlr-check", "--seed", "2", "--out", str(out),
+        "--set", "z=2", "--set", "q=2", "--set", "law=dirac:0.1",
+        "--set", "window=0,0,0:1,1,1", "--set", "sweeps=30", "--set", "burn_in=5",
+        "--set", "thinning=1",
+    ])
+    assert code in (EXIT_OK, cli.EXIT_TEST)
+    rows = (out / "dlr.csv").read_text().splitlines()[2:]
+    assert [r.split(",")[0] for r in rows] == ["count", "n_cc"]
+
+
+def _checkpoint_config():
+    from crcmlab.geometry import Box
+    from crcmlab.model_core import Configuration
+
+    cfg = Configuration(Box([0, 0], [1, 1]), cell_size=0.25, capacity=8)
+    for x in (0.1, 0.4, 0.7):
+        cfg.add(np.array([x, 0.5]), 0.1)
+    cfg.remove(1)
+    return cli.config_to_json(cfg)
+
+
+def test_config_from_json_round_trip_keeps_slots():
+    doc = _checkpoint_config()
+    back = cli.config_from_json(doc)
+    assert cli.config_to_json(back) == doc
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda d: d["active"][0].__setitem__(0, 8),  # slot out of range
+        lambda d: d["active"][1].__setitem__(0, d["active"][0][0]),  # duplicate slot
+        lambda d: d["free"].append(d["active"][0][0]),  # active slot also free
+        lambda d: d["free"].pop(),  # a slot neither active nor free
+    ],
+)
+def test_config_from_json_rejects_inconsistent_slots(corrupt):
+    doc = _checkpoint_config()
+    corrupt(doc)
+    with pytest.raises(ValueError, match="slot"):
+        cli.config_from_json(doc)

@@ -345,3 +345,40 @@ def test_report_traces_and_rates():
     rows = list(rep.trace_rows())
     assert rows[0][0] == 10 and len(rows[0]) == 6
     assert rep.ess_count > 0
+
+
+def test_entropy_report_survives_overflowing_weights():
+    # q^n_cc = 1e300^n_cc overflows a float; ln z_hat must stay finite and
+    # equal the log-mean-exp of the log weights of the same draws
+    from scipy.special import logsumexp
+
+    from crcmlab.crcm import _reference_draws
+
+    params = ModelParams(5.0, 1e300, DiracRadius(0.01), UNIT)
+    rep = entropy_report(params, 2000, seeded(40))
+    _, n_cc = _reference_draws(params, 2000, seeded(40))
+    logw = n_cc * math.log(params.q)
+    assert math.isfinite(rep.ln_z_hat) and math.isfinite(rep.rate)
+    assert rep.ln_z_hat == pytest.approx(logsumexp(logw) - math.log(2000), rel=1e-12)
+    assert rep.ok and rep.empty_floor_ok
+
+
+def test_entropy_report_large_dense_draws():
+    # z=1200, q=2, tiny balls: about 1200 balls and 2^1100 weight per draw
+    from scipy.special import logsumexp
+
+    from crcmlab.crcm import _reference_draws
+
+    params = ModelParams(1200.0, 2.0, DiracRadius(0.001), UNIT)
+    rep = entropy_report(params, 300, seeded(41))
+    counts, n_cc = _reference_draws(params, 300, seeded(41))
+    assert counts.mean() > 1000 and n_cc.min() > 900
+    assert rep.ln_z_hat == pytest.approx(logsumexp(n_cc * math.log(2.0)) - math.log(300), rel=1e-12)
+    assert math.isfinite(rep.rate) and rep.ok
+
+
+def test_oracle_log_normalizer_with_overflowing_weights():
+    params = ModelParams(1200.0, 2.0, DiracRadius(0.001), UNIT)
+    res = importance_oracle(params, lambda c, n: n, 1000, seeded(42), min_ess=0.0)
+    assert res.z_hat == math.inf and math.isfinite(res.ln_z_hat)
+    assert math.isfinite(res.estimate) and res.ln_z_hat > 700

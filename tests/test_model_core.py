@@ -304,3 +304,60 @@ def test_add_remove_slots_reused():
     assert sorted(cfg.active_ids()) == sorted([s2, s3])
     with pytest.raises(ValueError):
         cfg.add(np.array([2.0, 2.0]), 0.1)
+
+
+def test_load_configuration_rejects_bad_header(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("# d=2 lo=0.0,0.0 hi=1.0,1.0 law= seed= colored=0\ny,x,radius\n0.5,0.5,0.1\n")
+    with pytest.raises(ValueError, match="header"):
+        load_configuration(path)
+
+
+def _ball_by_ball(window, centers, radii, colors, cell_size):
+    cfg = Configuration(
+        window, cell_size=cell_size, colored=colors is not None, capacity=max(8, len(radii))
+    )
+    for k in range(len(radii)):
+        cfg.add(centers[k], float(radii[k]), None if colors is None else int(colors[k]))
+    return cfg
+
+
+@pytest.mark.parametrize("n", [0, 1, 8, 9, 150])
+@pytest.mark.parametrize("colored", [False, True])
+def test_bulk_build_equals_ball_by_ball(rng, n, colored):
+    w = Box([-20, -20], [20, 20])
+    centers = w.sample_points(rng, n)
+    radii = TruncatedParetoRadius(2, 20.0).sample(rng, n)  # fills the overflow list
+    colors = rng.integers(1, 4, size=n) if colored else None
+    cell = 2.0
+    want = _ball_by_ball(w, centers, radii, colors, cell)
+    balls = [
+        MarkedBall(centers[k], radii[k], None if colors is None else int(colors[k]))
+        for k in range(n)
+    ]
+    for got in (
+        Configuration.from_arrays(w, centers, radii, colors, cell_size=cell),
+        Configuration.from_balls(w, balls, cell_size=cell, colored=colored),
+    ):
+        assert got.active_ids() == want.active_ids() == list(range(n))
+        assert got._free == want._free
+        assert np.array_equal(got._slot_pos, want._slot_pos)
+        assert np.array_equal(got.centers, want.centers)
+        assert np.array_equal(got.radii, want.radii)
+        if colored:
+            assert np.array_equal(got.colors, want.colors)
+        assert list(got.index.cells.items()) == list(want.index.cells.items())
+        assert got.index.oversized == want.index.oversized
+        assert list(got.index._where.items()) == list(want.index._where.items())
+    if n:
+        assert want.index.oversized  # the heavy tail reached the overflow list
+
+
+def test_bulk_build_checks_window_and_colors():
+    with pytest.raises(ValueError, match="outside window"):
+        Configuration.from_arrays(UNIT, [[0.5, 0.5], [1.5, 0.5]], [0.1, 0.1])
+    with pytest.raises(ValueError, match="needs a color"):
+        Configuration.from_balls(
+            UNIT,
+            [MarkedBall(np.array([0.5, 0.5]), 0.1, 1), MarkedBall(np.array([0.2, 0.2]), 0.1)],
+        )
