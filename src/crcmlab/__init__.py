@@ -11,7 +11,6 @@ from .geometry import (
     centered_box,
     default_cell_size,
     dilate,
-    neighbor_candidates,
     unit_ball_volume,
 )
 from .model_core import (
@@ -24,13 +23,11 @@ from .model_core import (
     RadiusLaw,
     TruncatedParetoRadius,
     UniformRadius,
-    d_moment,
     expected_hits,
     load_configuration,
     parse_law,
     sample_boolean_with_halo,
     sample_poisson_boolean,
-    sample_radius,
     save_configuration,
     steiner_volume,
 )

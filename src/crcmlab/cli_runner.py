@@ -19,7 +19,7 @@ import numpy as np
 from scipy import stats
 
 from . import __version__
-from .geometry import Box, MarkedBall
+from .geometry import Box
 from .model_core import (
     Configuration,
     ModelParams,
@@ -36,13 +36,15 @@ from .connectivity import (
     count_components,
 )
 from .crcm import (
+    TRACE_COLUMNS,
     ChainState,
     bd_step,
     gnz_residual_crcm,
     heat_bath_sweep,
-    largest_component_size,
     new_chain,
+    poisson_balls,
     run_chain,
+    sweep_loop,
     sweep_size,
 )
 from .widom_rowlinson import (
@@ -216,17 +218,24 @@ def chain_rng(seed: int, chain_index: int) -> np.random.Generator:
     )
 
 
-def rng_state_to_json(rng: np.random.Generator) -> dict:
-    def conv(v):
-        if isinstance(v, np.ndarray):
-            return {"__array__": v.tolist()}
-        if isinstance(v, dict):
-            return {k: conv(x) for k, x in v.items()}
-        if isinstance(v, (np.integer,)):
-            return int(v)
-        return v
+def tmp_doc_default(doc):
+    """JSON-serializable view: numpy arrays become {"__array__": [...]},
+    tuples lists, numpy scalars plain numbers."""
+    if isinstance(doc, np.ndarray):
+        return {"__array__": doc.tolist()}
+    if isinstance(doc, dict):
+        return {k: tmp_doc_default(x) for k, x in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [tmp_doc_default(x) for x in doc]
+    if isinstance(doc, np.integer):
+        return int(doc)
+    if isinstance(doc, np.floating):
+        return float(doc)
+    return doc
 
-    return conv(rng.bit_generator.state)
+
+def rng_state_to_json(rng: np.random.Generator) -> dict:
+    return tmp_doc_default(rng.bit_generator.state)
 
 
 def rng_from_json(state: dict) -> np.random.Generator:
@@ -360,22 +369,6 @@ def chain_from_json(doc: dict, params: ModelParams) -> tuple[ChainState, int, li
     return state, doc["sweep"], [tuple(r) for r in doc["trace"]]
 
 
-TRACE_COLUMNS = ["sweep", "count", "n_cc", "largest_component", "accept_birth", "accept_death"]
-
-
-def _trace_row(state: ChainState, sweep: int):
-    pb, ab = state.proposed["birth"], state.accepted["birth"]
-    pd_, ad = state.proposed["death"], state.accepted["death"]
-    return (
-        sweep,
-        state.config.n,
-        state.labeling.n_components,
-        largest_component_size(state),
-        (ab / pb) if pb else 0.0,
-        (ad / pd_) if pd_ else 0.0,
-    )
-
-
 def run_traced_chain(
     spec: ExperimentSpec,
     chain_index: int,
@@ -386,10 +379,6 @@ def run_traced_chain(
     """Burn-in + recorded sweeps with optional mid-run checkpoints; the
     recorded trace is identical whether or not the run was interrupted."""
     params = spec.wr_params() if colored else spec.model_params()
-    step = wr_step if colored else bd_step
-    per_sweep = (
-        max(1, math.ceil(params.total_intensity)) if colored else sweep_size(params)
-    )
     if resume_doc is not None:
         state, start_sweep, trace = chain_from_json(resume_doc, params)
     else:
@@ -397,19 +386,22 @@ def run_traced_chain(
         state = new_wr_chain(params, rng) if colored else new_chain(params, rng)
         start_sweep, trace = 0, []
     total = spec.burn_in + spec.sweeps
-    for sweep in range(start_sweep, total):
-        for _ in range(per_sweep):
-            step(state)
-        if sweep >= spec.burn_in and (sweep - spec.burn_in) % spec.thinning == 0:
-            trace.append(_trace_row(state, sweep))
-        done = sweep + 1
-        if (
-            checkpoint_cb is not None
-            and spec.checkpoint_every > 0
-            and done % spec.checkpoint_every == 0
-            and done < total
-        ):
+
+    def checkpoint(done: int, recorded: bool) -> None:
+        if spec.checkpoint_every > 0 and done % spec.checkpoint_every == 0 and done < total:
             checkpoint_cb(chain_to_json(state, done, trace))
+
+    sweep_loop(
+        state,
+        wr_step if colored else bd_step,
+        sweep_size(params),
+        spec.burn_in,
+        spec.sweeps,
+        spec.thinning,
+        trace,
+        start=start_sweep,
+        on_sweep=checkpoint if checkpoint_cb is not None else None,
+    )
     return state, trace
 
 
@@ -437,10 +429,10 @@ def cmd_sample_poisson(spec: ExperimentSpec, out: Path) -> int:
 
 def _chain_worker(spec: ExperimentSpec, chain_index: int, colored: bool):
     state, trace = run_traced_chain(spec, chain_index, colored)
-    return config_to_json(state.config), trace
+    return state.config, trace
 
 
-def _write_chain_outputs(spec: ExperimentSpec, out: Path, c: int, config_doc, trace):
+def _write_chain_outputs(spec: ExperimentSpec, out: Path, c: int, cfg: Configuration, trace):
     write_csv(
         out / f"trace_{c:03d}.csv",
         {"subcommand": spec.subcommand, "chain": c, "seed": spec.seed,
@@ -449,7 +441,7 @@ def _write_chain_outputs(spec: ExperimentSpec, out: Path, c: int, config_doc, tr
         trace,
     )
     save_configuration(
-        config_from_json(config_doc),
+        cfg,
         out / f"final_config_{c:03d}.csv",
         law_descriptor=spec.law,
         seed=spec.seed,
@@ -471,8 +463,8 @@ def cmd_sample_chain(spec: ExperimentSpec, out: Path, colored: bool) -> int:
                     [colored] * spec.chains,
                 )
             )
-        for c, (config_doc, trace) in enumerate(results):
-            _write_chain_outputs(spec, out, c, config_doc, trace)
+        for c, (cfg, trace) in enumerate(results):
+            _write_chain_outputs(spec, out, c, cfg, trace)
         return EXIT_OK
 
     resume_doc = None
@@ -520,67 +512,36 @@ def cmd_sample_chain(spec: ExperimentSpec, out: Path, colored: bool) -> int:
             ),
         )
         finished_traces[c] = trace
-        _write_chain_outputs(spec, out, c, config_to_json(state.config), trace)
+        _write_chain_outputs(spec, out, c, state.config, trace)
         if spec.checkpoint_every:
             save_checkpoint(None, None, c + 1)
     return EXIT_OK
 
 
-def tmp_doc_default(doc):
-    """JSON-serializable view (numpy scalars in traces become plain ints)."""
-
-    def conv(v):
-        if isinstance(v, dict):
-            return {k: conv(x) for k, x in v.items()}
-        if isinstance(v, (list, tuple)):
-            return [conv(x) for x in v]
-        if isinstance(v, (np.integer,)):
-            return int(v)
-        if isinstance(v, (np.floating,)):
-            return float(v)
-        return v
-
-    return conv(doc)
-
-
 def cmd_gnz_check(spec: ExperimentSpec, out: Path) -> int:
+    if spec.model not in ("crcm", "wr"):
+        raise SpecInvalid(f"gnz-check model must be crcm or wr, got {spec.model!r}")
     rng = chain_rng(spec.seed, 10_000)
-    if spec.model == "crcm":
-        params = spec.model_params()
-        rep = run_chain(
-            params,
-            chain_rng(spec.seed, 0),
-            sweeps=spec.sweeps,
-            burn_in=spec.burn_in,
-            thin=spec.thinning,
-            keep_configs=True,
-        )
+    crcm_model = spec.model == "crcm"
+    params = spec.model_params() if crcm_model else spec.wr_params()
+    rep = (run_chain if crcm_model else run_wr_chain)(
+        params,
+        chain_rng(spec.seed, 0),
+        sweeps=spec.sweeps,
+        burn_in=spec.burn_in,
+        thin=spec.thinning,
+        keep_configs=True,
+    )
+    if crcm_model:
+        rhs_q = (params.q + 1.0) if spec.control == "wrong-q" else None
         rows = gnz_residual_crcm(
-            rep.samples,
-            params,
-            rng=rng,
-            inner_points=spec.inner_points,
-            rhs_q=(params.q + 1.0) if spec.control == "wrong-q" else None,
-        )
-    elif spec.model == "wr":
-        params = spec.wr_params()
-        rep = run_wr_chain(
-            params,
-            chain_rng(spec.seed, 0),
-            sweeps=spec.sweeps,
-            burn_in=spec.burn_in,
-            thin=spec.thinning,
-            keep_configs=True,
-        )
-        rows = gnz_residual_wr(
-            rep.samples,
-            params,
-            rng=rng,
-            inner_points=spec.inner_points,
-            drop_constraint=spec.control == "drop-constraint",
+            rep.samples, params, rng=rng, inner_points=spec.inner_points, rhs_q=rhs_q
         )
     else:
-        raise SpecInvalid(f"gnz-check model must be crcm or wr, got {spec.model!r}")
+        drop = spec.control == "drop-constraint"
+        rows = gnz_residual_wr(
+            rep.samples, params, rng=rng, inner_points=spec.inner_points, drop_constraint=drop
+        )
     control = spec.control != "none"
     if control:
         passed = max(r.residual for r in rows) > 4.0  # the corruption must be detected
@@ -636,13 +597,15 @@ def cmd_dlr_check(spec: ExperimentSpec, out: Path) -> int:
     for k in range(2 ** w.dimension):
         upper = (k >> np.arange(w.dimension)) & 1 == 1
         quads.append(Box(np.where(upper, mid, w.lo), np.where(upper, w.hi, mid)))
-    state = new_chain(params, chain_rng(spec.seed, 0))
-    hb_counts, hb_ncc = [], []
-    for sweep in range(spec.burn_in + spec.sweeps):
-        heat_bath_sweep(state, quads, params)
-        if sweep >= spec.burn_in and (sweep - spec.burn_in) % spec.thinning == 0:
-            hb_counts.append(state.config.n)
-            hb_ncc.append(state.n_cc)
+    hb = run_chain(
+        params,
+        chain_rng(spec.seed, 0),
+        sweeps=spec.sweeps,
+        burn_in=spec.burn_in,
+        thin=spec.thinning,
+        step=lambda state: heat_bath_sweep(state, quads),
+        per_sweep=1,
+    )
     rep = run_chain(
         params,
         chain_rng(spec.seed, 1),
@@ -650,16 +613,16 @@ def cmd_dlr_check(spec: ExperimentSpec, out: Path) -> int:
         burn_in=spec.burn_in,
         thin=spec.thinning,
     )
-    p_count = stats.ks_2samp(hb_counts, rep.counts, method="asymp").pvalue
-    p_ncc = stats.ks_2samp(hb_ncc, rep.n_cc, method="asymp").pvalue
+    p_count = stats.ks_2samp(hb.counts, rep.counts, method="asymp").pvalue
+    p_ncc = stats.ks_2samp(hb.n_cc, rep.n_cc, method="asymp").pvalue
     passed = min(p_count, p_ncc) > 0.01 / 2
     write_csv(
         out / "dlr.csv",
         {"subcommand": spec.subcommand, "spec_hash": spec.digest(), "pass": int(passed)},
         ["statistic", "p_value", "heat_bath_mean", "bd_mean"],
         [
-            ("count", p_count, float(np.mean(hb_counts)), float(rep.counts.mean())),
-            ("n_cc", p_ncc, float(np.mean(hb_ncc)), float(rep.n_cc.mean())),
+            ("count", p_count, float(hb.counts.mean()), float(rep.counts.mean())),
+            ("n_cc", p_ncc, float(hb.n_cc.mean()), float(rep.n_cc.mean())),
         ],
     )
     return EXIT_OK if passed else EXIT_TEST
@@ -731,16 +694,15 @@ def cmd_bounds_audit(spec: ExperimentSpec, out: Path) -> int:
             _, hits2 = lab.insertion_increment(cfg, ball.center, ball.radius)
             lab.apply_insertion(slot2, [h for h in hits2 if h != slot2])
         # compatibility offset invariance under interior resampling
-        ref = compatibility_offset(cfg, lam_box, outer)
-        keepers = [b for b in cfg.iter_balls() if not lam_box.contains_point(b.center)]
+        ids = np.asarray(cfg.active_ids(), dtype=np.intp)
+        centers, radii = cfg.centers[ids], cfg.radii[ids]
+        ref = compatibility_offset(centers, radii, lam_box, outer, w)
+        outside = ~lam_box.contains_points(centers)
         for _ in range(20):
-            n_new = int(rng.poisson(params.z * lam_box.volume))
-            inner = [
-                MarkedBall(lam_box.sample_point(rng), params.law.sample_scalar(rng))
-                for _ in range(n_new)
-            ]
-            redone = Configuration.from_balls(w, keepers + inner, cell_size=cfg.index.cell_size)
-            if compatibility_offset(redone, lam_box, outer) != ref:
+            new_c, new_r = poisson_balls(lam_box, params.law, params.z * lam_box.volume, rng)
+            redone_c = np.vstack([centers[outside], new_c])
+            redone_r = np.concatenate([radii[outside], new_r])
+            if compatibility_offset(redone_c, redone_r, lam_box, outer, w) != ref:
                 viol["compatibility"] += 1
     total_viol = sum(viol.values())
     write_csv(

@@ -389,16 +389,17 @@ def cc_increment(
     return delta
 
 
-def compatibility_offset(cfg: Configuration, inner: Box, outer: Box) -> int:
-    """Difference of local component counts for nested boxes,
+def compatibility_offset(
+    centers: np.ndarray, radii: np.ndarray, inner: Box, outer: Box, window: Box
+) -> int:
+    """Difference of local component counts for nested boxes in `window`,
     local(outer) - local(inner) = ncc(balls centered outside inner) -
     ncc(balls centered outside outer); depends only on the balls outside the
     inner box."""
     if not outer.contains_box(inner):
         raise NestingViolation("inner box must sit inside outer box")
-    if not cfg.window.contains_box(outer):
+    if not window.contains_box(outer):
         raise NestingViolation("outer box must sit inside the window")
-    centers, radii = _arrays(cfg)
     return _ncc_outside(centers, radii, inner) - _ncc_outside(centers, radii, outer)
 
 

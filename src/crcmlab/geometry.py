@@ -226,11 +226,6 @@ class SpatialIndex:
         return out
 
 
-def neighbor_candidates(index: SpatialIndex, ball: MarkedBall) -> list[int]:
-    """Superset of the ids of stored balls intersecting `ball`."""
-    return index.candidates(ball.center, ball.radius)
-
-
 def default_cell_size(window: Box, median_radius: float) -> float:
     """2 x median radius, clamped below by (shortest window side)/64."""
     floor = float(np.min(window.sides)) / 64.0

@@ -163,10 +163,6 @@ class ParetoRadius(RadiusLaw):
         u = rng.random(size)
         return (1.0 - u) ** (-1.0 / (self.dim - 1))
 
-    def cdf(self, r):
-        r = np.asarray(r, dtype=float)
-        return np.where(r < 1.0, 0.0, 1.0 - r ** (1.0 - self.dim))
-
     def moment(self, k):
         # (dim-1) * int_1^inf R^{k-dim} dR
         if k >= self.dim - 1:
@@ -263,16 +259,6 @@ def parse_law(text: str) -> RadiusLaw:
     raise ValueError(f"unknown radius law {text!r}")
 
 
-def sample_radius(law: RadiusLaw, rng: np.random.Generator) -> float:
-    """One draw from the radius law."""
-    return law.sample_scalar(rng)
-
-
-def d_moment(law: RadiusLaw, d: int) -> float:
-    """Integral of R^d against the law; INFINITE for the Pareto tail."""
-    return law.moment(d)
-
-
 # ---------------------------------------------------------------------------
 # Model parameters
 # ---------------------------------------------------------------------------
@@ -301,6 +287,12 @@ class ModelParams:
     def total_intensity(self) -> float:
         """Expected number of reference points in the window: z * |window|."""
         return self.z * self.window.volume
+
+    @property
+    def dominating_intensity(self) -> float:
+        """Mean count of the Poisson process that stochastically dominates
+        the model: the q-thickened reference process when q > 1."""
+        return max(self.q, 1.0) * self.total_intensity
 
     @property
     def assumption_a(self) -> bool:
@@ -512,18 +504,6 @@ class Configuration:
         out = self._subset(self._active, self.window, colored=not drop_colors)
         out.tags = dict(self.tags)
         return out
-
-    def bounding_box(self) -> Box:
-        """Smallest box containing every ball (centers +- radii); the window
-        is returned for an empty configuration."""
-        if not self._active:
-            return self.window
-        ids = np.asarray(self._active, dtype=np.intp)
-        r = self.radii[ids][:, None]
-        return Box(
-            np.min(self.centers[ids] - r, axis=0),
-            np.max(self.centers[ids] + r, axis=0),
-        )
 
     def translate(self, v: np.ndarray) -> "Configuration":
         v = np.asarray(v, dtype=float)

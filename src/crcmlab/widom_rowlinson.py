@@ -5,7 +5,6 @@ projection, and the coupling consistency test tying the color-blind model at
 intensity z to the cluster-weighted model at intensity z/q."""
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -15,7 +14,16 @@ from scipy import stats
 from .geometry import Box, default_cell_size
 from .model_core import Configuration, ModelParams
 from .connectivity import ClusterLabeling, intersecting_pairs
-from .crcm import ChainState, GnzRow, SamplerReport, gnz_residuals, run_chain
+from .crcm import (
+    ChainState,
+    GnzRow,
+    SamplerReport,
+    birth_ratio,
+    death_ratio,
+    gnz_residuals,
+    metropolis,
+    run_chain,
+)
 
 @dataclass
 class WrParams(ModelParams):
@@ -29,6 +37,12 @@ class WrParams(ModelParams):
     @property
     def n_colors(self) -> int:
         return int(self.q)
+
+    @property
+    def dominating_intensity(self) -> float:
+        """The color-blind model at z is the cluster-weighted one at z/q,
+        dominated by the q-thickened process: intensity z."""
+        return self.total_intensity
 
 
 # ---------------------------------------------------------------------------
@@ -85,59 +99,47 @@ def new_wr_chain(
     )
 
 
-def wr_step(state: ChainState, params: Optional[WrParams] = None) -> ChainState:
+def wr_step(state: ChainState) -> ChainState:
     """One move of the hard-core-color chain: birth (uniform center, law
-    radius, uniform color; rejected outright on any cross-color contact),
-    death (uniform ball), or whole-component recolor (always accepted:
-    distinct components never touch, so cross-component colors are free)."""
-    p = params if params is not None else state.params
+    radius, uniform color; insertion factor 1, or 0 on any cross-color
+    contact), death (uniform ball), or a uniform new color for the component
+    of a uniform ball (always accepted: distinct components never touch, so
+    cross-component colors are free)."""
+    p = state.params
     rng = state.rng
     cfg = state.config
     lab = state.labeling
     lam = p.total_intensity
-    n_colors = int(p.q)
     state.step_count += 1
     u = rng.random()
     if u < 0.4:
         state.proposed["birth"] += 1
         center = cfg.window.sample_point(rng)
         radius = p.law.sample_scalar(rng)
-        color = int(rng.integers(1, n_colors + 1))
+        color = int(rng.integers(1, p.n_colors + 1))
         hits = cfg.intersectors(center, radius)
-        if all(int(cfg.colors[j]) == color for j in hits):
-            ratio = lam / (cfg.n + 1)
-            if ratio >= 1.0 or rng.random() < ratio:
-                slot = cfg.add(center, radius, color)
-                lab.apply_insertion(slot, hits)
-                state.accepted["birth"] += 1
+        allowed = all(int(cfg.colors[j]) == color for j in hits)
+        if metropolis(birth_ratio(lam, cfg.n, float(allowed)), rng):
+            lab.apply_insertion(cfg.add(center, radius, color), hits)
+            state.accepted["birth"] += 1
     elif u < 0.8:
         state.proposed["death"] += 1
         if cfg.n > 0:
             slot = cfg.random_active(rng)
-            ratio = cfg.n / lam
-            if ratio >= 1.0 or rng.random() < ratio:
+            if metropolis(death_ratio(lam, cfg.n, 1.0), rng):
                 groups = lab.removal_split(cfg, slot)
                 cfg.remove(slot)
                 lab.apply_removal(slot, groups)
                 state.accepted["death"] += 1
-    else:
-        if cfg.n > 0:
-            state.proposed["recolor"] += 1
-            # canonical member lists keyed by each component's smallest slot:
-            # stable across checkpoint restores, unlike union-find root ids
-            comps: dict[int, list[int]] = {}
-            for s in cfg.active_ids():
-                r = lab.find(s)
-                comps.setdefault(r, []).append(s)
-            reps = sorted(min(members) for members in comps.values())
-            pick = reps[int(rng.integers(len(reps)))]
-            color = int(rng.integers(1, n_colors + 1))
-            for members in comps.values():
-                if min(members) == pick:
-                    for s in members:
-                        cfg.colors[s] = color
-                    break
-            state.accepted["recolor"] += 1
+    elif cfg.n > 0:
+        state.proposed["recolor"] += 1
+        # the pick reads only the color-blind configuration and the slot
+        # order, which checkpoints keep, so this is a Gibbs update of one
+        # component's color and resumed runs repeat it exactly
+        slot = cfg.random_active(rng)
+        color = int(rng.integers(1, p.n_colors + 1))
+        cfg.colors[[slot, *(s for g in lab.removal_split(cfg, slot) for s in g)]] = color
+        state.accepted["recolor"] += 1
     state.maybe_audit()
     return state
 
@@ -161,7 +163,6 @@ def run_wr_chain(
         step=wr_step,
         state=state,
         keep_configs=keep_configs,
-        per_sweep=max(1, math.ceil(params.total_intensity)),
     )
 
 

@@ -26,10 +26,13 @@ def run_cli(*args):
     )
 
 
-FAST_CHAIN = [
-    "--set", "z=15", "--set", "q=1.5", "--set", "law=dirac:0.08",
-    "--set", "sweeps=40", "--set", "burn_in=10", "--set", "thinning=2",
-]
+def set_flags(settings: dict) -> list[str]:
+    return [x for k, v in settings.items() for x in ("--set", f"{k}={v}")]
+
+
+FAST = {"z": "15", "q": "1.5", "law": "dirac:0.08", "sweeps": "40", "burn_in": "10", "thinning": "2"}
+FAST_CHAIN = set_flags(FAST)
+FAST_WR = {"z": "60", "q": "3", "law": "dirac:0.05", "sweeps": "40", "burn_in": "10", "thinning": "2"}
 
 
 # -- spec parsing ----------------------------------------------------------------
@@ -132,19 +135,18 @@ def test_sample_crcm_trace_format(tmp_path):
     assert (tmp_path / "final_config_000.csv").exists()
 
 
-def test_checkpoint_resume_bitwise(tmp_path):
+def check_resume_bitwise(tmp_path, subcommand: str, colored: bool, settings: dict) -> None:
     straight = tmp_path / "straight"
     resumed = tmp_path / "resumed"
-    r = run_cli("sample-crcm", "--seed", "11", "--chains", "2", "--out", str(straight), *FAST_CHAIN)
+    flags = set_flags(settings)
+    r = run_cli(subcommand, "--seed", "11", "--chains", "2", "--out", str(straight), *flags)
     assert r.returncode == EXIT_OK
 
     # interrupt chain 0 at its mid-run checkpoint, then resume
     spec = load_spec(
-        "sample-crcm",
+        subcommand,
         None,
-        {"seed": "11", "chains": "2", "out": str(resumed), "z": "15", "q": "1.5",
-         "law": "dirac:0.08", "sweeps": "40", "burn_in": "10", "thinning": "2",
-         "checkpoint_every": "20"},
+        {"seed": "11", "chains": "2", "out": str(resumed), **settings, "checkpoint_every": "20"},
     )
     resumed.mkdir()
 
@@ -153,23 +155,32 @@ def test_checkpoint_resume_bitwise(tmp_path):
 
     def cb(chain_doc):
         if chain_doc["sweep"] == 40:
-            doc = {"spec_hash": spec.digest(), "colored": False, "chain": chain_doc,
+            doc = {"spec_hash": spec.digest(), "colored": colored, "chain": chain_doc,
                    "chain_index": 0, "next_chain": 0, "finished": {}}
             (resumed / "checkpoint.json").write_text(json.dumps(cli.tmp_doc_default(doc)))
             raise Interrupt
 
     with pytest.raises(Interrupt):
-        cli.run_traced_chain(spec, 0, False, checkpoint_cb=cb)
+        cli.run_traced_chain(spec, 0, colored, checkpoint_cb=cb)
     r = run_cli(
-        "sample-crcm", "--seed", "11", "--chains", "2", "--out", str(resumed),
-        *FAST_CHAIN, "--set", "checkpoint_every=20",
+        subcommand, "--seed", "11", "--chains", "2", "--out", str(resumed),
+        *flags, "--set", "checkpoint_every=20",
         "--resume", str(resumed / "checkpoint.json"),
     )
     assert r.returncode == EXIT_OK
     for c in range(2):
-        assert (straight / f"trace_{c:03d}.csv").read_bytes() == (
-            resumed / f"trace_{c:03d}.csv"
-        ).read_bytes()
+        for name in (f"trace_{c:03d}.csv", f"final_config_{c:03d}.csv"):
+            assert (straight / name).read_bytes() == (resumed / name).read_bytes()
+
+
+def test_checkpoint_resume_bitwise(tmp_path):
+    check_resume_bitwise(tmp_path, "sample-crcm", False, FAST)
+
+
+def test_checkpoint_resume_bitwise_wr(tmp_path):
+    # the recolor move picks a component through the slot order, which the
+    # checkpoint keeps; the restored labeling's internal roots play no part
+    check_resume_bitwise(tmp_path, "sample-wr", True, FAST_WR)
 
 
 def test_checkpoint_spec_mismatch_rejected(tmp_path):

@@ -185,14 +185,21 @@ def test_incremental_removal_matches_full_rebuild(rng):
 # -- compatibility offsets -------------------------------------------------------
 
 
+def offset(cfg, inner, outer):
+    ids = cfg.active_ids()
+    return compatibility_offset(cfg.centers[ids], cfg.radii[ids], inner, outer, cfg.window)
+
+
 def test_offset_trivial_cases(rng):
     lam = Box([-1, -1], [1, 1])
     cfg = mk(BIG, [((0.2, 0.3), 0.4)])
-    assert compatibility_offset(cfg, lam, lam) == 0
+    assert offset(cfg, lam, lam) == 0
     empty_outside = mk(BIG, [((0, 0), 0.2)])
-    assert compatibility_offset(empty_outside, lam, Box([-2, -2], [2, 2])) == 0
+    assert offset(empty_outside, lam, Box([-2, -2], [2, 2])) == 0
     with pytest.raises(NestingViolation):
-        compatibility_offset(cfg, Box([-2, -2], [2, 2]), lam)
+        offset(cfg, Box([-2, -2], [2, 2]), lam)
+    with pytest.raises(NestingViolation):
+        offset(cfg, lam, Box([-20, -20], [20, 20]))
 
 
 def test_offset_independent_of_interior(rng):
@@ -202,7 +209,7 @@ def test_offset_independent_of_interior(rng):
     params = ModelParams(0.05, 1.0, UniformRadius(0.2, 0.8), BIG)
     for _ in range(5):
         cfg = sample_poisson_boolean(params, rng)
-        ref = compatibility_offset(cfg, lam, lam2)
+        ref = offset(cfg, lam, lam2)
         outside = [b for b in cfg.iter_balls() if not lam.contains_point(b.center)]
         for _ in range(20):
             n_new = int(rng.poisson(2.0))
@@ -211,7 +218,7 @@ def test_offset_independent_of_interior(rng):
                 for _ in range(n_new)
             ]
             redone = Configuration.from_balls(BIG, outside + inner)
-            assert compatibility_offset(redone, lam, lam2) == ref
+            assert offset(redone, lam, lam2) == ref
 
 
 # -- explicit bounds --------------------------------------------------------------

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from crcmlab.geometry import Box, MarkedBall
+from crcmlab import crcm
+from crcmlab import widom_rowlinson as wr
+from crcmlab.geometry import Box
 from crcmlab.model_core import (
     DiracRadius,
     ModelParams,
@@ -27,9 +29,9 @@ from crcmlab.crcm import (
     gnz_residual_crcm,
     importance_oracle,
     new_chain,
-    papangelou_weight,
     run_chain,
 )
+from crcmlab._stats import batch_means_se
 
 UNIT = Box([0, 0], [1, 1])
 TINY = ModelParams(2.0, 2.0, DiracRadius(0.3), UNIT)
@@ -39,29 +41,39 @@ def seeded(k):
     return np.random.default_rng(np.random.SeedSequence(k))
 
 
-# -- papangelou weights ---------------------------------------------------------
+# -- the move kernel -------------------------------------------------------------
+
+
+def cluster_factor(state, center, radius):
+    """The cluster model's insertion factor q^(component increment)."""
+    delta, _ = state.labeling.insertion_increment(state.config, center, radius)
+    return state.params.q**delta
 
 
 def test_papangelou_isolated_merge_and_q1():
+    # the birth ratio carries the conditional intensity z q^(increment)
     state = new_chain(TINY, seeded(0), init="empty")
     # two far components
     for c in ([0.1, 0.1], [0.9, 0.9]):
         slot = state.config.add(np.array(c), 0.1)
         state.labeling.apply_insertion(slot, [])
-    far = MarkedBall(np.array([0.9, 0.1]), 0.05)
-    assert papangelou_weight(state, far) == pytest.approx(2.0 * 2.0)  # z q^{+1}
-    bridge = MarkedBall(np.array([0.5, 0.5]), 0.6)
-    assert papangelou_weight(state, bridge) == pytest.approx(2.0 / 2.0)  # z q^{-1}
+    lam = TINY.total_intensity
+    far = cluster_factor(state, np.array([0.9, 0.1]), 0.05)
+    assert birth_ratio(lam, 2, far) * 3 == pytest.approx(2.0 * 2.0)  # z q^{+1}
+    bridge = cluster_factor(state, np.array([0.5, 0.5]), 0.6)
+    assert birth_ratio(lam, 2, bridge) * 3 == pytest.approx(2.0 / 2.0)  # z q^{-1}
     state1 = new_chain(ModelParams(3.0, 1.0, DiracRadius(0.3), UNIT), seeded(1))
-    ball = MarkedBall(np.array([0.4, 0.4]), 0.3)
-    assert papangelou_weight(state1, ball) == pytest.approx(3.0)
+    n = state1.config.n
+    factor = cluster_factor(state1, np.array([0.4, 0.4]), 0.3)
+    assert birth_ratio(3.0, n, factor) * (n + 1) == pytest.approx(3.0)
 
 
 def test_birth_acceptance_from_empty_state():
     params = ModelParams(0.3, 2.0, DiracRadius(0.1), UNIT)
     state = new_chain(params, seeded(2), init="empty")
-    ratio, delta, hits = birth_ratio(state, np.array([0.5, 0.5]), 0.1)
+    delta, hits = state.labeling.insertion_increment(state.config, np.array([0.5, 0.5]), 0.1)
     assert delta == 1 and hits == []
+    ratio = birth_ratio(params.total_intensity, 0, params.q**delta)
     assert ratio == pytest.approx(params.total_intensity * params.q)
 
 
@@ -69,22 +81,76 @@ def test_detailed_balance_product_is_one():
     # birth ratio times the death ratio of the same ball is exactly 1
     rng = seeded(3)
     params = ModelParams(4.0, 2.0, UniformRadius(0.05, 0.4), UNIT)
+    lam = params.total_intensity
     state = new_chain(params, rng)
     for _ in range(100):
         bd_step(state)
     for _ in range(50):
         center = UNIT.sample_point(rng)
         radius = params.law.sample_scalar(rng)
-        r_birth, delta, hits = birth_ratio(state, center, radius)
+        n = state.config.n
+        delta, hits = state.labeling.insertion_increment(state.config, center, radius)
+        r_birth = birth_ratio(lam, n, params.q**delta)
         slot = state.config.add(center, radius)
         state.labeling.apply_insertion(slot, hits)
-        r_death, groups = death_ratio(state, slot)
-        assert r_birth * r_death * (state.config.n) == pytest.approx(
-            state.config.n, rel=1e-12
-        )
+        groups = state.labeling.removal_split(state.config, slot)
+        r_death = death_ratio(lam, n + 1, params.q ** (len(groups) - 1))
+        assert r_birth * r_death == pytest.approx(1.0, rel=1e-12)
         assert 1 - len(groups) == delta
         state.config.remove(slot)
         state.labeling.apply_removal(slot, groups)
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Counts calls of birth_ratio and death_ratio through every crcmlab
+    module that binds them."""
+    calls = {"birth": 0, "death": 0}
+    for kind, fn in (("birth", crcm.birth_ratio), ("death", crcm.death_ratio)):
+
+        def counting(*args, _fn=fn, _kind=kind):
+            calls[_kind] += 1
+            return _fn(*args)
+
+        for mod in (crcm, wr):
+            assert getattr(mod, fn.__name__) is fn
+            monkeypatch.setattr(mod, fn.__name__, counting)
+    return calls
+
+
+def test_every_chain_move_goes_through_the_kernel(kernel_calls):
+    def check(state, moves):
+        proposed, calls = dict(state.proposed), dict(kernel_calls)
+        moves()
+        for kind in ("birth", "death"):
+            made = state.proposed[kind] - proposed[kind]
+            assert kernel_calls[kind] - calls[kind] == made > 0
+
+    params = ModelParams(30.0, 2.0, DiracRadius(0.05), UNIT)
+    state = new_chain(params, seeded(50))
+    check(state, lambda: [bd_step(state) for _ in range(300)])
+    # the nested fallback of conditional resampling, on the whole window
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RejectionBudgetExceeded)
+        check(state, lambda: conditional_resample(state, UNIT, max_attempts=0, nested_sweeps=3))
+    wr_params = wr.WrParams(30.0, 2, DiracRadius(0.05), UNIT)
+    wr_state = wr.new_wr_chain(wr_params, seeded(51))
+    for _ in range(2000):
+        wr.wr_step(wr_state)
+    check(wr_state, lambda: [wr.wr_step(wr_state) for _ in range(300)])
+
+
+def test_nested_chain_q1_count_is_poisson_mean():
+    # q = 1, box = window, empty exterior: the nested chain targets Poisson(z |box|)
+    params = ModelParams(8.0, 1.0, DiracRadius(0.05), UNIT)
+    state = new_chain(params, seeded(52), init="empty")
+    counts = []
+    for _ in range(3100):
+        crcm._nested_box_chain(state, UNIT, 1)
+        counts.append(state.config.n)
+    counts = np.asarray(counts[100:], dtype=float)
+    assert abs(counts.mean() - params.total_intensity) < 4 * batch_means_se(counts)
+    state.audit()
 
 
 def test_cached_component_count_audited(rng):
@@ -188,7 +254,7 @@ def test_conditional_resample_q1_is_fresh_poisson():
     box = Box([0.1, 0.1], [0.9, 0.9])
     counts = []
     for _ in range(800):
-        conditional_resample(state, box, params)
+        conditional_resample(state, box)
         counts.append(state.config.count_in(box))
     lam = 10.0 * box.volume
     direct = seeded(20).poisson(lam, size=len(counts))
@@ -200,7 +266,7 @@ def test_conditional_resample_full_window():
     state = new_chain(TINY, seeded(21))
     counts = []
     for _ in range(1200):
-        conditional_resample(state, UNIT, TINY)
+        conditional_resample(state, UNIT)
         counts.append(state.config.n)
     res = importance_oracle(TINY, lambda c, n: c, 200_000, seeded(22))
     se = float(np.std(counts) / math.sqrt(len(counts)))
@@ -215,7 +281,7 @@ def test_conditional_resample_keeps_exterior_fixed():
         for s in state.config.active_ids()
         if not box.contains_point(state.config.centers[s])
     )
-    conditional_resample(state, box, TINY)
+    conditional_resample(state, box)
     after = sorted(
         tuple(np.round(state.config.centers[s], 12))
         for s in state.config.active_ids()
@@ -230,7 +296,7 @@ def test_conditional_resample_q_below_one():
     state = new_chain(params, seeded(24))
     box = Box([0.25, 0.25], [0.75, 0.75])
     for _ in range(40):
-        conditional_resample(state, box, params)
+        conditional_resample(state, box)
     state.audit()
 
 
@@ -239,7 +305,7 @@ def test_conditional_resample_budget_fallback_warns():
     state = new_chain(params, seeded(25))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        conditional_resample(state, UNIT, params, max_attempts=0, nested_sweeps=5)
+        conditional_resample(state, UNIT, max_attempts=0, nested_sweeps=5)
     assert any(issubclass(w.category, RejectionBudgetExceeded) for w in caught)
     state.audit()
 
@@ -342,8 +408,7 @@ def test_report_traces_and_rates():
     rep = run_chain(TINY, seeded(34), sweeps=50, burn_in=10, thin=5)
     assert len(rep.counts) == len(rep.n_cc) == len(rep.largest) == 10
     assert all(0.0 <= v <= 1.0 for v in rep.accept_rates.values())
-    rows = list(rep.trace_rows())
-    assert rows[0][0] == 10 and len(rows[0]) == 6
+    assert list(rep.sweeps) == list(range(10, 60, 5))
     assert rep.ess_count > 0
 
 
@@ -355,7 +420,7 @@ def test_entropy_report_survives_overflowing_weights():
     from crcmlab.crcm import _reference_draws
 
     params = ModelParams(5.0, 1e300, DiracRadius(0.01), UNIT)
-    rep = entropy_report(params, 2000, seeded(40))
+    rep = entropy_report(params, 2000, seeded(40), min_ess=0.0)
     _, n_cc = _reference_draws(params, 2000, seeded(40))
     logw = n_cc * math.log(params.q)
     assert math.isfinite(rep.ln_z_hat) and math.isfinite(rep.rate)
@@ -370,11 +435,18 @@ def test_entropy_report_large_dense_draws():
     from crcmlab.crcm import _reference_draws
 
     params = ModelParams(1200.0, 2.0, DiracRadius(0.001), UNIT)
-    rep = entropy_report(params, 300, seeded(41))
+    rep = entropy_report(params, 300, seeded(41), min_ess=0.0)
     counts, n_cc = _reference_draws(params, 300, seeded(41))
     assert counts.mean() > 1000 and n_cc.min() > 900
     assert rep.ln_z_hat == pytest.approx(logsumexp(n_cc * math.log(2.0)) - math.log(300), rel=1e-12)
     assert math.isfinite(rep.rate) and rep.ok
+
+
+def test_entropy_report_rejects_degenerate_weights():
+    # the same draws carry an effective sample size of about 1
+    params = ModelParams(1200.0, 2.0, DiracRadius(0.001), UNIT)
+    with pytest.raises(DegenerateWeights):
+        entropy_report(params, 300, seeded(41))
 
 
 def test_oracle_log_normalizer_with_overflowing_weights():

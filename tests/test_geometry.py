@@ -10,7 +10,6 @@ from crcmlab.geometry import (
     balls_intersect,
     default_cell_size,
     dilate,
-    neighbor_candidates,
     unit_ball_volume,
 )
 
@@ -98,7 +97,7 @@ def test_index_empty_query():
 def test_index_finds_single_intersector():
     idx = SpatialIndex(cell_size=0.5)
     idx.insert(7, np.array([0.3, 0.3]), 0.2)
-    got = neighbor_candidates(idx, ball(0.0, 0.0, r=0.3))
+    got = idx.candidates(np.zeros(2), 0.3)
     assert 7 in got
 
 

@@ -234,4 +234,5 @@ def test_compatibility_offset_is_difference_of_local_counts():
     for _ in range(200):
         cfg = sample_poisson_boolean(ModelParams(0.3, 1.0, UniformRadius(0.1, 1.0), w), rng)
         want = local_cc(cfg, outer).value - local_cc(cfg, inner).value
-        assert compatibility_offset(cfg, inner, outer) == want
+        ids = cfg.active_ids()
+        assert compatibility_offset(cfg.centers[ids], cfg.radii[ids], inner, outer, w) == want

@@ -1,5 +1,7 @@
 """Random add/remove sequences on a configuration and its incremental
-labeling, checked after every step against two from-scratch counts."""
+labeling, checked after every step against two from-scratch counts, and
+every ball's removal split against its brute-force component (the members
+the hard-core-color chain recolors)."""
 import itertools
 
 import numpy as np
@@ -27,7 +29,8 @@ radius = st.one_of(
 )
 
 
-def brute_count(cfg: Configuration) -> int:
+def brute_roots(cfg: Configuration) -> dict[int, int]:
+    """Union-find root of every active slot over all tested pairs."""
     ids = cfg.active_ids()
     parent = {i: i for i in ids}
 
@@ -41,7 +44,11 @@ def brute_count(cfg: Configuration) -> int:
         rsum = cfg.radii[a] + cfg.radii[b]
         if float(diff @ diff) <= rsum * rsum:
             parent[find(b)] = find(a)
-    return len({find(i) for i in ids})
+    return {i: find(i) for i in ids}
+
+
+def brute_count(cfg: Configuration) -> int:
+    return len(set(brute_roots(cfg).values()))
 
 
 class IncrementalLabeling(RuleBasedStateMachine):
@@ -79,6 +86,14 @@ class IncrementalLabeling(RuleBasedStateMachine):
     def counts_agree(self):
         assert self.lab.n_components == count_components(self.cfg) == brute_count(self.cfg)
         assert len(self.lab.roots(self.cfg)) == self.lab.n_components
+
+    @invariant()
+    def removal_split_spans_the_component(self):
+        root = brute_roots(self.cfg)
+        for slot in self.cfg.active_ids():
+            members = [slot] + [s for g in self.lab.removal_split(self.cfg, slot) for s in g]
+            assert len(members) == len(set(members))
+            assert set(members) == {s for s, r in root.items() if r == root[slot]}
 
 
 IncrementalLabeling.TestCase.settings = settings(

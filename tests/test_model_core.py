@@ -16,13 +16,11 @@ from crcmlab.model_core import (
     UniformRadius,
     box_covered,
     coverage_escalation,
-    d_moment,
     expected_hits,
     load_configuration,
     parse_law,
     sample_boolean_with_halo,
     sample_poisson_boolean,
-    sample_radius,
     save_configuration,
     steiner_volume,
 )
@@ -35,7 +33,7 @@ UNIT = Box([0, 0], [1, 1])
 
 def test_dirac_sampling_is_constant(rng):
     law = DiracRadius(0.5)
-    assert sample_radius(law, rng) == 0.5
+    assert law.sample_scalar(rng) == 0.5
     assert np.all(law.sample(rng, 100) == 0.5)
 
 
@@ -56,17 +54,17 @@ def test_pareto_empirical_cdf_matches_analytic(rng):
 
 
 def test_d_moments():
-    assert d_moment(DiracRadius(2.0), 2) == 4.0
-    assert d_moment(ParetoRadius(2), 2) == INFINITE
-    assert d_moment(ParetoRadius(3), 3) == INFINITE
+    assert DiracRadius(2.0).moment(2) == 4.0
+    assert ParetoRadius(2).moment(2) == INFINITE
+    assert ParetoRadius(3).moment(3) == INFINITE
     # quadrature oracle for the uniform law
     oracle, _ = integrate.quad(lambda r: r**2, 0, 1)
-    assert d_moment(UniformRadius(0, 1), 2) == pytest.approx(oracle)
-    assert d_moment(UniformRadius(0, 1), 2) == pytest.approx(1 / 3)
+    assert UniformRadius(0, 1).moment(2) == pytest.approx(oracle)
+    assert UniformRadius(0, 1).moment(2) == pytest.approx(1 / 3)
 
 
 def test_truncated_pareto_moment_grows_without_bound():
-    vals = [d_moment(TruncatedParetoRadius(2, rm), 2) for rm in (2, 8, 32, 128, 1024)]
+    vals = [TruncatedParetoRadius(2, rm).moment(2) for rm in (2, 8, 32, 128, 1024)]
     assert all(math.isfinite(v) for v in vals)
     assert all(b > a for a, b in zip(vals, vals[1:]))
     assert vals[-1] > 100

@@ -13,6 +13,7 @@ from crcmlab.model_core import (
     sample_poisson_boolean,
 )
 from crcmlab.connectivity import component_stats, count_components
+from crcmlab.crcm import birth_ratio, death_ratio
 from crcmlab.widom_rowlinson import (
     WrParams,
     col_event,
@@ -114,11 +115,13 @@ def test_wr_detailed_balance_product():
         c = UNIT.sample_point(rng)
         r = params.law.sample_scalar(rng)
         k = int(rng.integers(1, 3))
-        if not insertion_allowed(state.config, c, r, k):
-            continue
+        allowed = insertion_allowed(state.config, c, r, k)
         n = state.config.n
-        forward = lam / (n + 1)
-        backward = (n + 1) / lam
+        forward = birth_ratio(lam, n, float(allowed))
+        if not allowed:
+            assert forward == 0.0
+            continue
+        backward = death_ratio(lam, n + 1, 1.0)
         assert forward * backward == pytest.approx(1.0, rel=1e-12)
 
 
