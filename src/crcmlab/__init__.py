@@ -44,7 +44,6 @@ from .connectivity import (
     component_stats,
     components,
     count_components,
-    far_left_slot,
     local_cc,
     local_count,
 )

@@ -6,15 +6,14 @@ import math
 import numpy as np
 
 
-def batch_means_se(x: np.ndarray, n_batches: int = 0) -> float:
+def batch_means_se(x: np.ndarray) -> float:
     """Standard error of the mean of a (possibly autocorrelated) trace,
-    estimated from means of consecutive batches."""
+    estimated from means of min(32, sqrt(n)) consecutive batches."""
     x = np.asarray(x, dtype=float)
     n = x.size
     if n < 2:
         return math.inf
-    if n_batches <= 0:
-        n_batches = max(2, min(32, int(math.sqrt(n))))
+    n_batches = max(2, min(32, int(math.sqrt(n))))
     usable = (n // n_batches) * n_batches
     if usable < 2 * n_batches:
         return float(x.std(ddof=1) / math.sqrt(n))

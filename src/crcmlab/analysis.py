@@ -1,8 +1,9 @@
 """Explicit events, geometric constructions, and bound calculators: isolation
 and screening events for localizing the component count, the colored corner
 shield, entropy-rate bound calculators with their critical intensity, the
-tilted radius measure, and the far-left cluster-density estimator with its
-exponential decay bound."""
+tilted radius measure, and the cluster-density estimator with its exponential
+decay bound.  Every check reads a configuration's (centers, radii) arrays and
+the component labels of `connectivity.components`."""
 from __future__ import annotations
 
 import math
@@ -13,7 +14,7 @@ import numpy as np
 
 from .geometry import Box, centered_box, unit_ball_volume
 from .model_core import Configuration, RadiusLaw
-from .connectivity import component_members, far_left_slot, local_cc
+from .connectivity import active_arrays, components, label_any, local_cc
 from ._stats import batch_means_se
 
 
@@ -43,15 +44,9 @@ def event_Aij(cfg: Configuration, i: float, j: float) -> bool:
     if not i < j:
         raise ValueError("need i < j")
     d = cfg.window.dimension
-    inner = centered_box(i, d)
-    outer = centered_box(j, d)
-    for slot in cfg.active_ids():
-        c = cfg.centers[slot]
-        if outer.contains_point(c):
-            continue
-        if inner.distance_to_point(c) <= cfg.radii[slot]:
-            return False
-    return True
+    centers, radii = active_arrays(cfg)
+    far = ~centered_box(j, d).contains_points(centers)
+    return not np.any(centered_box(i, d).distance_to_point(centers[far]) <= radii[far])
 
 
 def event_Wij(cfg: Configuration, box: Box, r0: float, i: float, j: float) -> bool:
@@ -60,28 +55,19 @@ def event_Wij(cfg: Configuration, box: Box, r0: float, i: float, j: float) -> bo
     if not i < j:
         raise ValueError("need i < j")
     d = cfg.window.dimension
-    inner = centered_box(i, d)
-    outer = centered_box(j, d)
-    keep = [
-        s
-        for s in cfg.active_ids()
-        if outer.contains_point(cfg.centers[s]) and not box.contains_point(cfg.centers[s])
-    ]
-    crossing = 0
-    for comp in component_members(cfg, keep):
-        touches = any(
-            box.distance_to_point(cfg.centers[s]) <= r0 + cfg.radii[s] for s in comp
-        )
-        if not touches:
-            continue
-        exits = any(
-            not inner.contains_ball(cfg.centers[s], float(cfg.radii[s])) for s in comp
-        )
-        if exits:
-            crossing += 1
-            if crossing > 1:
-                return False
-    return True
+    centers, radii = active_arrays(cfg)
+    keep = centered_box(j, d).contains_points(centers) & ~box.contains_points(centers)
+    centers, radii = centers[keep], radii[keep]
+    count, labels = components(centers, radii)
+    touches = label_any(labels, box.distance_to_point(centers) <= r0 + radii, count)
+    exits = label_any(labels, ~centered_box(i, d).contains_ball(centers, radii), count)
+    return np.count_nonzero(touches & exits) <= 1
+
+
+def radius_cap_holds(cfg: Configuration, box: Box, r0: float) -> bool:
+    """True when every ball centered in `box` has radius at most r0."""
+    centers, radii = active_arrays(cfg)
+    return not np.any(radii[box.contains_points(centers)] > r0)
 
 
 def localization_check(
@@ -89,9 +75,8 @@ def localization_check(
 ) -> bool:
     """On the isolation-and-screening event, the local component count must
     agree with its evaluation on the configuration truncated to [-j,j]^d."""
-    for s in cfg.active_ids():
-        if box.contains_point(cfg.centers[s]) and cfg.radii[s] > r0:
-            raise PreconditionEventFailed("a ball centered in the box exceeds r0")
+    if not radius_cap_holds(cfg, box, r0):
+        raise PreconditionEventFailed("a ball centered in the box exceeds r0")
     if not (event_Aij(cfg, i, j) and event_Wij(cfg, box, r0, i, j)):
         raise PreconditionEventFailed("configuration outside the required events")
     truncated = cfg.restrict(centered_box(j, cfg.window.dimension))
@@ -202,13 +187,16 @@ def build_shield(alpha: int, k: int, d: int) -> ShieldGeometry:
     )
 
 
-def max_distance_to_box(c: np.ndarray, box: Box) -> float:
-    far = np.maximum(np.abs(box.lo - c), np.abs(box.hi - c))
-    return float(np.sqrt(far @ far))
+def _covers_a_cube(centers: np.ndarray, radii: np.ndarray, cubes: list[Box]) -> np.ndarray:
+    """Per ball: whether it contains one of the cubes, i.e. reaches the
+    farthest corner of that cube."""
+    lo = np.array([cube.lo for cube in cubes])
+    hi = np.array([cube.hi for cube in cubes])
+    far = np.maximum(np.abs(lo - centers[:, None]), np.abs(hi - centers[:, None]))
+    return np.any(np.sqrt(np.einsum("nkd,nkd->nk", far, far)) <= radii[:, None], axis=1)
 
 
-def ball_covers_box(c: np.ndarray, radius: float, box: Box) -> bool:
-    return max_distance_to_box(c, box) <= radius
+_TRIAL_BLOCK = 1 << 15  # trials drawn per array pass, bounding memory
 
 
 def shield_covering_trials(
@@ -218,29 +206,29 @@ def shield_covering_trials(
 
     Inner: balls centered in the central box whose reach exits the guard box
     must cover a corner cube.  Outer: balls centered beyond the outer box
-    whose reach touches the guard box must cover an outer cube.
+    whose reach touches the guard box must cover an outer cube.  Radii run
+    from the threshold distance up to three times it.
     """
     d = geom.dim
-    central = geom.central_box
-    inner_bad = 0
-    outer_bad = 0
     t_out = geom.outer_box.hi[0]
-    for _ in range(n_trials):
+
+    def stretch(n):
+        return 1.0 + rng.random(n) * rng.choice([0.0, 0.5, 2.0], size=n)
+
+    bad_in = bad_out = 0
+    for start in range(0, n_trials, _TRIAL_BLOCK):
+        n = min(_TRIAL_BLOCK, n_trials - start)
         # inner contract
-        c = central.sample_point(rng)
-        min_exit = float(np.min(geom.guard_box.hi - np.abs(c)))
-        r = min_exit * (1.0 + rng.random() * rng.choice([0.0, 0.5, 2.0]))
-        if not any(ball_covers_box(c, r, cube) for cube in geom.inner_cubes):
-            inner_bad += 1
-        # outer contract: center pushed beyond the outer box
-        c2 = rng.uniform(-3.0 * t_out, 3.0 * t_out, size=d)
-        axis = int(rng.integers(d))
-        c2[axis] = (t_out + rng.exponential(t_out)) * rng.choice([-1.0, 1.0])
-        dist = geom.guard_box.distance_to_point(c2)
-        r2 = dist * (1.0 + rng.random() * rng.choice([0.0, 0.5, 2.0]))
-        if not any(ball_covers_box(c2, r2, cube) for cube in geom.outer_cubes):
-            outer_bad += 1
-    return inner_bad, outer_bad
+        c = geom.central_box.sample_points(rng, n)
+        r = np.min(geom.guard_box.hi - np.abs(c), axis=1) * stretch(n)
+        bad_in += int(np.count_nonzero(~_covers_a_cube(c, r, geom.inner_cubes)))
+        # outer contract: one coordinate pushed beyond the outer box
+        c = rng.uniform(-3.0 * t_out, 3.0 * t_out, size=(n, d))
+        axis = rng.integers(d, size=n)
+        c[np.arange(n), axis] = (t_out + rng.exponential(t_out, n)) * rng.choice([-1.0, 1.0], size=n)
+        r = geom.guard_box.distance_to_point(c) * stretch(n)
+        bad_out += int(np.count_nonzero(~_covers_a_cube(c, r, geom.outer_cubes)))
+    return bad_in, bad_out
 
 
 def shield_event_Wk(cfg: Configuration, geom: ShieldGeometry) -> bool:
@@ -367,24 +355,18 @@ class ClusterDensityEstimate:
 def estimate_NP(
     samples: Sequence[Configuration], window: Box, border: float
 ) -> ClusterDensityEstimate:
-    """Mean number of components per unit volume via far-left balls of the
-    components lying entirely inside the border-eroded window."""
+    """Mean number of components per unit volume of the border-eroded window,
+    counting the components that lie wholly inside it (minus sampling): a
+    component with any ball reaching outside the eroded window is dropped."""
     eroded = Box(window.lo + border, window.hi - border)
     if np.any(eroded.hi <= eroded.lo) or eroded.volume <= 0:
         raise ErodedWindowEmpty("border leaves no observation window")
-    vol = eroded.volume
     per = np.zeros(len(samples))
     for s, cfg in enumerate(samples):
-        if cfg.n == 0:
-            continue
-        far_left = []
-        for comp in component_members(cfg):
-            inside = all(
-                eroded.contains_ball(cfg.centers[i], float(cfg.radii[i])) for i in comp
-            )
-            if inside:
-                far_left.append(far_left_slot(cfg, comp))
-        per[s] = len(far_left) / vol
+        centers, radii = active_arrays(cfg)
+        count, labels = components(centers, radii)
+        cut = label_any(labels, ~eroded.contains_ball(centers, radii), count)
+        per[s] = np.count_nonzero(~cut) / eroded.volume
     se = batch_means_se(per)
     return ClusterDensityEstimate(float(per.mean()), se, per, eroded)
 

@@ -23,7 +23,8 @@ from .geometry import Box
 from .model_core import (
     Configuration,
     ModelParams,
-    ParetoRadius,
+    config_from_json,
+    config_to_json,
     coverage_escalation,
     parse_law,
     sample_poisson_boolean,
@@ -31,6 +32,7 @@ from .model_core import (
 )
 from .connectivity import (
     ClusterLabeling,
+    active_arrays,
     check_bounds,
     compatibility_offset,
     count_components,
@@ -113,7 +115,6 @@ class ExperimentSpec:
     n_pack: int = 40
     lam_box: str = ""
     h_grid: str = "0.25,1,4,12"
-    workers: int = 1
     checkpoint_every: int = 0
     resume: str = ""
 
@@ -160,12 +161,11 @@ class ExperimentSpec:
 
     def canonical(self) -> str:
         d = dataclasses.asdict(self)
-        # identity of the trajectory only: where it runs, whether it pauses,
-        # how many workers carry it, and where artifacts land are not part
+        # identity of the trajectory only: where it runs, whether it pauses
+        # and where artifacts land are not part
         d.pop("resume")
         d.pop("out")
         d.pop("checkpoint_every")
-        d.pop("workers")
         return json.dumps(d, sort_keys=True)
 
     def digest(self) -> str:
@@ -297,52 +297,6 @@ def write_manifest(out: Path, spec: ExperimentSpec, wall: float, outputs: list[s
 # ---------------------------------------------------------------------------
 
 
-def config_to_json(cfg: Configuration) -> dict:
-    rows = []
-    for slot in cfg.active_ids():
-        row = [int(slot)] + [float(v) for v in cfg.centers[slot]] + [float(cfg.radii[slot])]
-        if cfg.colored:
-            row.append(int(cfg.colors[slot]))
-        rows.append(row)
-    return {
-        "capacity": int(cfg.radii.size),
-        "colored": cfg.colored,
-        "cell_size": cfg.index.cell_size,
-        "lo": [float(v) for v in cfg.window.lo],
-        "hi": [float(v) for v in cfg.window.hi],
-        "active": rows,
-        "free": [int(s) for s in cfg._free],
-    }
-
-
-def config_from_json(doc: dict) -> Configuration:
-    window = Box(np.array(doc["lo"]), np.array(doc["hi"]))
-    capacity = int(doc["capacity"])
-    slots = [int(row[0]) for row in doc["active"]]
-    if sorted(slots + [int(s) for s in doc["free"]]) != list(range(capacity)):
-        raise ValueError(
-            "checkpoint slot lists are inconsistent: active and free slots must "
-            f"be distinct and together cover 0..{capacity - 1}"
-        )
-    cfg = Configuration(
-        window,
-        cell_size=doc["cell_size"],
-        colored=doc["colored"],
-        capacity=capacity,
-    )
-    d = window.dimension
-    rows = np.array(doc["active"], dtype=float).reshape(len(slots), d + 2 + bool(doc["colored"]))
-    cfg.centers[slots] = rows[:, 1 : 1 + d]
-    cfg.radii[slots] = rows[:, 1 + d]
-    if doc["colored"]:
-        cfg.colors[slots] = rows[:, 2 + d]
-    cfg._active = slots
-    cfg._slot_pos[slots] = np.arange(len(slots))
-    cfg.index.insert_many(slots, cfg.centers[slots], cfg.radii[slots])
-    cfg._free = [int(s) for s in doc["free"]]
-    return cfg
-
-
 def chain_to_json(state: ChainState, sweep: int, trace: list) -> dict:
     return {
         "sweep": sweep,
@@ -427,11 +381,6 @@ def cmd_sample_poisson(spec: ExperimentSpec, out: Path) -> int:
     return EXIT_OK
 
 
-def _chain_worker(spec: ExperimentSpec, chain_index: int, colored: bool):
-    state, trace = run_traced_chain(spec, chain_index, colored)
-    return state.config, trace
-
-
 def _write_chain_outputs(spec: ExperimentSpec, out: Path, c: int, cfg: Configuration, trace):
     write_csv(
         out / f"trace_{c:03d}.csv",
@@ -449,51 +398,19 @@ def _write_chain_outputs(spec: ExperimentSpec, out: Path, c: int, cfg: Configura
 
 
 def cmd_sample_chain(spec: ExperimentSpec, out: Path, colored: bool) -> int:
-    if spec.workers > 1:
-        if spec.checkpoint_every or spec.resume:
-            raise SpecInvalid("checkpoint/resume runs are single-worker")
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            results = list(
-                pool.map(
-                    _chain_worker,
-                    [spec] * spec.chains,
-                    range(spec.chains),
-                    [colored] * spec.chains,
-                )
-            )
-        for c, (cfg, trace) in enumerate(results):
-            _write_chain_outputs(spec, out, c, cfg, trace)
-        return EXIT_OK
-
     resume_doc = None
     start_chain = 0
-    finished_traces: dict[int, list] = {}
     if spec.resume:
         with open(spec.resume) as fh:
             doc = json.load(fh)
         if doc["spec_hash"] != spec.digest():
             raise SpecInvalid("checkpoint belongs to a different experiment spec")
-        finished_traces = {
-            int(k): [tuple(r) for r in v] for k, v in doc.get("finished", {}).items()
-        }
-        if doc.get("chain") is not None:
-            resume_doc = doc["chain"]
-            start_chain = doc["chain_index"]
-        else:
-            start_chain = doc.get("next_chain", 0)
+        resume_doc = doc.get("chain")  # None between chains
+        start_chain = doc["next_chain"]
     ckpt = out / "checkpoint.json"
 
-    def save_checkpoint(chain_doc, chain_index, next_chain):
-        doc = {
-            "spec_hash": spec.digest(),
-            "colored": colored,
-            "chain": chain_doc,
-            "chain_index": chain_index,
-            "next_chain": next_chain,
-            "finished": {str(k): v for k, v in finished_traces.items()},
-        }
+    def save_checkpoint(chain_doc, next_chain):
+        doc = {"spec_hash": spec.digest(), "chain": chain_doc, "next_chain": next_chain}
         tmp = ckpt.with_suffix(".tmp")
         with open(tmp, "w") as fh:
             json.dump(tmp_doc_default(doc), fh)
@@ -506,15 +423,14 @@ def cmd_sample_chain(spec: ExperimentSpec, out: Path, colored: bool) -> int:
             colored,
             resume_doc=resume_doc if c == start_chain else None,
             checkpoint_cb=(
-                (lambda chain_doc, _c=c: save_checkpoint(chain_doc, _c, _c))
+                (lambda chain_doc, _c=c: save_checkpoint(chain_doc, _c))
                 if spec.checkpoint_every
                 else None
             ),
         )
-        finished_traces[c] = trace
         _write_chain_outputs(spec, out, c, state.config, trace)
         if spec.checkpoint_every:
-            save_checkpoint(None, None, c + 1)
+            save_checkpoint(None, c + 1)
     return EXIT_OK
 
 
@@ -694,8 +610,7 @@ def cmd_bounds_audit(spec: ExperimentSpec, out: Path) -> int:
             _, hits2 = lab.insertion_increment(cfg, ball.center, ball.radius)
             lab.apply_insertion(slot2, [h for h in hits2 if h != slot2])
         # compatibility offset invariance under interior resampling
-        ids = np.asarray(cfg.active_ids(), dtype=np.intp)
-        centers, radii = cfg.centers[ids], cfg.radii[ids]
+        centers, radii = active_arrays(cfg)
         ref = compatibility_offset(centers, radii, lam_box, outer, w)
         outside = ~lam_box.contains_points(centers)
         for _ in range(20):
@@ -729,12 +644,7 @@ def cmd_localization(spec: ExperimentSpec, out: Path) -> int:
         while ok + fails < target and tried < 400 * target:
             tried += 1
             cfg = sample_poisson_boolean(params, rng)
-            radii_ok = all(
-                cfg.radii[s] <= spec.r0
-                for s in cfg.active_ids()
-                if lam_box.contains_point(cfg.centers[s])
-            )
-            if not radii_ok:
+            if not analysis.radius_cap_holds(cfg, lam_box, spec.r0):
                 continue
             if not (
                 analysis.event_Aij(cfg, i, j)
@@ -841,7 +751,7 @@ def cmd_np_decay(spec: ExperimentSpec, out: Path) -> int:
 
 def cmd_coverage_probe(spec: ExperimentSpec, out: Path) -> int:
     law = spec.radius_law()
-    if not isinstance(law, ParetoRadius):
+    if law.bounded_support:
         raise SpecInvalid("coverage-probe expects the heavy-tail law (pareto:d)")
     w = spec.window_box()
     halos = spec.floats(spec.h_grid)

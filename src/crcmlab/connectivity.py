@@ -131,21 +131,15 @@ def components(
     return label_components(radii.size, *intersecting_pairs(centers, radii, groups))
 
 
-def _arrays(cfg: Configuration) -> tuple[np.ndarray, np.ndarray]:
+def label_any(labels: np.ndarray, flags: np.ndarray, count: int) -> np.ndarray:
+    """Per component label 0..count-1: whether any of its balls is flagged."""
+    return np.bincount(labels, weights=flags, minlength=count) > 0
+
+
+def active_arrays(cfg: Configuration) -> tuple[np.ndarray, np.ndarray]:
+    """Centers and radii of the active balls, in slot order of `active_ids`."""
     ids = np.asarray(cfg.active_ids(), dtype=np.intp)
     return cfg.centers[ids], cfg.radii[ids]
-
-
-def component_members(cfg: Configuration, slots: Optional[list[int]] = None) -> list[list[int]]:
-    """Slots of each component of the balls in `slots` (default: all), in
-    order of first appearance; members keep the order of `slots`."""
-    slots = cfg.active_ids() if slots is None else slots
-    arr = np.asarray(slots, dtype=np.intp)
-    count, labels = components(cfg.centers[arr], cfg.radii[arr])
-    groups: list[list[int]] = [[] for _ in range(count)]
-    for s, c in zip(slots, labels.tolist()):
-        groups[c].append(s)
-    return groups
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +276,7 @@ class ClusterLabeling:
 
 def count_components(cfg: Configuration) -> int:
     """Number of connected components of the ball intersection graph."""
-    return components(*_arrays(cfg))[0]
+    return components(*active_arrays(cfg))[0]
 
 
 def _ncc_outside(centers: np.ndarray, radii: np.ndarray, box: Box) -> int:
@@ -359,7 +353,7 @@ def local_cc(cfg: Configuration, box: Box, step: Optional[float] = None) -> Loca
         raise LambdaNotInWindow("probe box must sit inside the window")
     if not cfg.n:
         return LocalCCResult(0, box)
-    centers, radii = _arrays(cfg)
+    centers, radii = active_arrays(cfg)
     if step is None:
         step = max(1.0, float(np.max(radii)))
     elif not step > 0:
@@ -374,19 +368,12 @@ def local_cc(cfg: Configuration, box: Box, step: Optional[float] = None) -> Loca
     return LocalCCResult(int(values[-1]), dilate(box, first * step))
 
 
-def cc_increment(
-    cfg: Configuration,
-    ball: MarkedBall,
-    labeling: Optional[ClusterLabeling] = None,
-) -> int:
+def cc_increment(cfg: Configuration, ball: MarkedBall) -> int:
     """Change in component count if `ball` were inserted: one minus the
     number of distinct components it touches.  At most +1 always."""
     if not cfg.window.contains_point(ball.center):
         raise ValueError("ball center outside window")
-    if labeling is None:
-        labeling = ClusterLabeling(cfg)
-    delta, _ = labeling.insertion_increment(cfg, ball.center, ball.radius)
-    return delta
+    return ClusterLabeling(cfg).insertion_increment(cfg, ball.center, ball.radius)[0]
 
 
 def compatibility_offset(
@@ -421,7 +408,7 @@ def check_bounds(cfg: Configuration, box: Box, r0: float) -> BoundsReport:
     lower check is vacuous and flagged).
     """
     value = local_cc(cfg, box).value
-    centers, radii = _arrays(cfg)
+    centers, radii = active_arrays(cfg)
     inside = box.contains_points(centers)
     n_in = int(np.count_nonzero(inside))
     big = dilate(box, r0 + 2.0)
@@ -437,15 +424,6 @@ def check_bounds(cfg: Configuration, box: Box, r0: float) -> BoundsReport:
 # ---------------------------------------------------------------------------
 
 
-def far_left_slot(cfg: Configuration, members: list[int]) -> int:
-    """Ball of a component with minimal first coordinate; ties broken by the
-    remaining coordinates, then radius, then slot id."""
-    def key(slot):
-        return (*[float(v) for v in cfg.centers[slot]], float(cfg.radii[slot]), slot)
-
-    return min(members, key=key)
-
-
 @dataclass
 class ComponentStats:
     sizes: list[int]
@@ -456,32 +434,37 @@ class ComponentStats:
 
 
 def component_stats(cfg: Configuration, grid_per_axis: int = 48) -> ComponentStats:
-    """Sizes, largest-component volume fraction (grid probe), spanning
-    indicator, and the far-left ball of each component."""
+    """Sizes (largest first, ties in order of first appearance),
+    largest-component volume fraction (grid probe), spanning indicator, and
+    the far-left ball of each component: minimal first coordinate, ties
+    broken by the remaining coordinates, then radius, then slot id."""
     if cfg.n == 0:
         return ComponentStats([], 0, 0.0, False, [])
-    comps = sorted(component_members(cfg), key=len, reverse=True)
-    sizes = [len(c) for c in comps]
-    leftmost = [far_left_slot(cfg, c) for c in comps]
+    slots = np.asarray(cfg.active_ids(), dtype=np.intp)
+    centers, radii = cfg.centers[slots], cfg.radii[slots]
+    count, labels = components(centers, radii)
+    size = np.bincount(labels)
+    order = np.argsort(-size, kind="stable")
+    sizes = size[order].tolist()
+    by_key = np.lexsort((slots, radii, *centers.T[::-1]))
+    _, first = np.unique(labels[by_key], return_index=True)
+    leftmost = slots[by_key[first]][order].tolist()
 
-    largest = comps[0]
     w = cfg.window
     d = w.dimension
     axes = [np.linspace(w.lo[k], w.hi[k], grid_per_axis) for k in range(d)]
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
     covered = np.zeros(len(pts), dtype=bool)
-    for slot in largest:
-        diff = pts - cfg.centers[slot]
-        r = cfg.radii[slot]
+    largest = labels == order[0]
+    for c, r in zip(centers[largest], radii[largest]):
+        diff = pts - c
         covered |= np.einsum("ij,ij->i", diff, diff) <= r * r
     frac = float(np.mean(covered))
 
-    spanning = False
-    for comp in comps:
-        ids = np.asarray(comp, dtype=np.intp)
-        lo_touch = cfg.centers[ids] - cfg.radii[ids][:, None] <= w.lo
-        hi_touch = cfg.centers[ids] + cfg.radii[ids][:, None] >= w.hi
-        if np.any(np.any(lo_touch, axis=0) & np.any(hi_touch, axis=0)):
-            spanning = True
-            break
+    lo_touch = centers - radii[:, None] <= w.lo
+    hi_touch = centers + radii[:, None] >= w.hi
+    spanning = any(
+        np.any(label_any(labels, lo_touch[:, k], count) & label_any(labels, hi_touch[:, k], count))
+        for k in range(d)
+    )
     return ComponentStats(sizes, sizes[0], frac, spanning, leftmost)

@@ -477,7 +477,8 @@ class GnzRow:
 
 def default_test_functions(params: ModelParams):
     """Bounded statistics probing the balance equation: a constant, a count
-    contraction, and a half-window indicator.
+    contraction, and a half-window indicator, each mapping (count, centers,
+    radii) to one value per ball.
 
     The contraction is exp(-count / (z |W|)), on the scale of typical
     counts.  exp(-count) would put its mean on rare near-empty states when
@@ -487,14 +488,14 @@ def default_test_functions(params: ModelParams):
     lam = params.total_intensity
     mid = 0.5 * (window.lo[0] + window.hi[0])
 
-    def f_one(count, center, radius):
-        return 1.0
+    def f_one(count, centers, radii):
+        return np.ones(radii.size)
 
-    def f_exp(count, center, radius):
-        return math.exp(-float(count) / lam)
+    def f_exp(count, centers, radii):
+        return np.full(radii.size, math.exp(-float(count) / lam))
 
-    def f_left(count, center, radius):
-        return 1.0 if center[0] <= mid else 0.0
+    def f_left(count, centers, radii):
+        return (centers[:, 0] <= mid).astype(float)
 
     return [("one", f_one), ("exp_neg_relative_count", f_exp), ("left_half", f_left)]
 
@@ -503,65 +504,65 @@ def gnz_residuals(
     samples: Sequence[Configuration],
     params: ModelParams,
     weigh: Callable,
-    f_family=None,
     rng: Optional[np.random.Generator] = None,
     inner_points: int = 96,
 ) -> list[GnzRow]:
     """Balance-equation residuals: removal sums against the insertion
     integral lam * E[f(n, x, r) w(x, r)], Monte Carlo over `inner_points`
     insertions per sample shared by every test function.
-    `weigh(cfg, xs, rs, rng)` returns the insertion weights w."""
+    `weigh(cfg, ids, hits, rng)` returns the insertion weights w, where
+    hits[m, k] says whether insertion m meets the ball in slot ids[k]."""
     if len(samples) < 100:
         raise ValueError("need at least 100 decorrelated samples")
     if rng is None:
         rng = np.random.default_rng(0)
-    if f_family is None:
-        f_family = default_test_functions(params)
+    tests = default_test_functions(params)
     lam = params.total_intensity
-    lhs_all = {name: [] for name, _ in f_family}
-    rhs_all = {name: [] for name, _ in f_family}
-    for cfg in samples:
-        n = cfg.n
+    lhs = np.zeros((len(tests), len(samples)))
+    rhs = np.zeros((len(tests), len(samples)))
+    for s, cfg in enumerate(samples):
+        ids = np.asarray(cfg.active_ids(), dtype=np.intp)
+        centers, radii = cfg.centers[ids], cfg.radii[ids]
         xs = params.window.sample_points(rng, inner_points)
         rs = np.asarray(params.law.sample(rng, inner_points), dtype=float)
-        weights = weigh(cfg, xs, rs, rng)
-        for name, f in f_family:
-            lhs_all[name].append(
-                sum(f(n - 1, cfg.centers[s], float(cfg.radii[s])) for s in cfg.active_ids())
-            )
-            fvals = np.array([f(n, xs[j], float(rs[j])) for j in range(inner_points)])
-            rhs_all[name].append(lam * float(np.mean(fvals * weights)))
+        diff = centers[None, :, :] - xs[:, None, :]
+        rsum = radii[None, :] + rs[:, None]
+        hits = np.einsum("mkd,mkd->mk", diff, diff) <= rsum * rsum
+        weights = weigh(cfg, ids, hits, rng)
+        for t, (_, f) in enumerate(tests):
+            lhs[t, s] = f(ids.size - 1, centers, radii).sum()
+            rhs[t, s] = lam * float(np.mean(f(ids.size, xs, rs) * weights))
     rows = []
-    for name, _ in f_family:
-        lhs = np.asarray(lhs_all[name])
-        rhs = np.asarray(rhs_all[name])
-        d = lhs - rhs
+    for (name, _), lhs_t, rhs_t in zip(tests, lhs, rhs):
+        d = lhs_t - rhs_t
         se = float(d.std(ddof=1) / math.sqrt(d.size))
         mean = float(d.mean())
         resid = abs(mean) / se if se > 0 else (0.0 if mean == 0 else math.inf)
-        rows.append(GnzRow(name, float(lhs.mean()), float(rhs.mean()), se, resid))
+        rows.append(GnzRow(name, float(lhs_t.mean()), float(rhs_t.mean()), se, resid))
     return rows
 
 
 def gnz_residual_crcm(
     samples: Sequence[Configuration],
     params: ModelParams,
-    f_family=None,
     rng: Optional[np.random.Generator] = None,
     inner_points: int = 96,
     rhs_q: Optional[float] = None,
 ) -> list[GnzRow]:
     """Balance-equation residuals with insertions weighted by
-    q^(component increment).  `rhs_q` deliberately mis-weights the insertion
-    side for negative controls."""
-    q_rhs = params.q if rhs_q is None else rhs_q
+    q^(component increment), the increment being one minus the number of
+    distinct component labels an insertion meets.  `rhs_q` deliberately
+    mis-weights the insertion side for negative controls."""
+    q_rhs = float(params.q if rhs_q is None else rhs_q)
 
-    def weigh(cfg, xs, rs, rng):
-        lab = ClusterLabeling(cfg)
-        deltas = [lab.insertion_increment(cfg, x, float(r))[0] for x, r in zip(xs, rs)]
-        return np.array([q_rhs**delta for delta in deltas])
+    def weigh(cfg, ids, hits, rng):
+        count, labels = components(cfg.centers[ids], cfg.radii[ids])
+        met = np.zeros((hits.shape[0], count), dtype=bool)
+        m, k = np.nonzero(hits)
+        met[m, labels[k]] = True
+        return q_rhs ** (1 - met.sum(axis=1))
 
-    return gnz_residuals(samples, params, weigh, f_family, rng, inner_points)
+    return gnz_residuals(samples, params, weigh, rng, inner_points)
 
 
 @dataclass
@@ -575,17 +576,15 @@ class DominationRow:
 
 
 def domination_check(
-    samples: Sequence[Configuration],
-    params: ModelParams,
-    probe: Optional[Box] = None,
+    samples: Sequence[Configuration], params: ModelParams
 ) -> list[DominationRow]:
-    """Sandwich checks on increasing statistics: the q-thickened Poisson
-    process from above (q >= 1) and the tilted-law Poisson process from below
-    (radii bounded away from 0, q > 1).  Flags violations beyond 3 SE."""
+    """Sandwich checks on increasing statistics, over the whole window and a
+    central probe box of half its side: the q-thickened Poisson process from
+    above (q >= 1) and the tilted-law Poisson process from below (radii
+    bounded away from 0, q > 1).  Flags violations beyond 3 SE."""
     w = params.window
     d = w.dimension
-    if probe is None:
-        probe = Box(w.lo + 0.25 * w.sides, w.lo + 0.75 * w.sides)
+    probe = Box(w.lo + 0.25 * w.sides, w.lo + 0.75 * w.sides)
     counts = np.array([c.n for c in samples], dtype=float)
     probe_counts = np.array([c.count_in(probe) for c in samples], dtype=float)
     rows: list[DominationRow] = []

@@ -57,20 +57,24 @@ class Box:
             return np.zeros(0, dtype=bool)
         return (xs >= self.lo).all(axis=1) & (xs <= self.hi).all(axis=1)
 
-    def contains_ball(self, center: np.ndarray, radius: float) -> bool:
+    def contains_ball(self, center: np.ndarray, radius):
+        """Whether B(center, radius) lies in the box; an (n, d) array of
+        centers with n radii gives a boolean array."""
         center = np.asarray(center, dtype=float)
-        return bool(
-            np.all(center - radius >= self.lo) and np.all(center + radius <= self.hi)
-        )
+        r = np.asarray(radius, dtype=float)[..., None]
+        inside = np.all((center - r >= self.lo) & (center + r <= self.hi), axis=-1)
+        return bool(inside) if inside.ndim == 0 else inside
 
     def contains_box(self, other: "Box") -> bool:
         return bool((other.lo >= self.lo).all() and (other.hi <= self.hi).all())
 
-    def distance_to_point(self, x: np.ndarray) -> float:
-        """Euclidean distance from x to the box (0 inside)."""
+    def distance_to_point(self, x: np.ndarray):
+        """Euclidean distance from x to the box (0 inside); an (n, d) array of
+        points gives an array of n distances."""
         x = np.asarray(x, dtype=float)
         gaps = np.maximum(np.maximum(self.lo - x, x - self.hi), 0.0)
-        return float(np.sqrt(np.sum(gaps * gaps)))
+        dist = np.sqrt(np.sum(gaps * gaps, axis=-1))
+        return float(dist) if x.ndim == 1 else dist
 
     def sample_point(self, rng: np.random.Generator) -> np.ndarray:
         return self.lo + rng.random(self.dimension) * self.sides
@@ -134,18 +138,15 @@ class SpatialIndex:
     """Uniform grid over ball centers with an overflow list for oversized balls.
 
     Every ball is stored either in the grid cell containing its center
-    (radius <= oversize threshold) or in a flat overflow list scanned on every
-    query.  Queries return a superset of the true intersectors of the query
-    ball, with no duplicates.
+    (radius <= cell size) or in a flat overflow list scanned on every query.
+    Queries return a superset of the true intersectors of the query ball,
+    with no duplicates.
     """
 
-    def __init__(self, cell_size: float, oversize_threshold: Optional[float] = None):
+    def __init__(self, cell_size: float):
         if cell_size <= 0:
             raise ValueError("cell size must be positive")
         self.cell_size = float(cell_size)
-        self.oversize_threshold = (
-            self.cell_size if oversize_threshold is None else float(oversize_threshold)
-        )
         self.cells: dict[tuple, list[int]] = {}
         self.oversized: list[int] = []
         self._where: dict[int, Optional[tuple]] = {}  # id -> cell key, None if oversized
@@ -160,7 +161,7 @@ class SpatialIndex:
     def insert(self, ball_id: int, center: np.ndarray, radius: float) -> None:
         if ball_id in self._where:
             raise ValueError(f"id {ball_id} already stored")
-        if radius > self.oversize_threshold:
+        if radius > self.cell_size:
             self.oversized.append(ball_id)
             self._where[ball_id] = None
         else:
@@ -173,7 +174,7 @@ class SpatialIndex:
         calling `insert` for each in turn."""
         where, cells = self._where, self.cells
         keys = np.floor(centers / self.cell_size).astype(np.int64).tolist()
-        wide = (radii > self.oversize_threshold).tolist()
+        wide = (radii > self.cell_size).tolist()
         for ball_id, key, is_wide in zip(ids, keys, wide):
             if ball_id in where:
                 raise ValueError(f"id {ball_id} already stored")
@@ -201,12 +202,12 @@ class SpatialIndex:
     def candidates(self, center: np.ndarray, radius: float) -> list[int]:
         """Ids of stored balls that may intersect B(center, radius).
 
-        Sound because grid-stored balls have radius <= oversize threshold:
-        their centers lie within radius + threshold of the query center.
+        Sound because grid-stored balls have radius <= cell size: their
+        centers lie within radius + cell size of the query center.
         """
         if not self._where:
             return []
-        reach = radius + self.oversize_threshold
+        reach = radius + self.cell_size
         cs = self.cell_size
         ranges = []
         n_cells = 1

@@ -145,58 +145,17 @@ class UniformRadius(RadiusLaw):
 
 @dataclass(frozen=True, eq=False)
 class ParetoRadius(RadiusLaw):
-    """Density (d-1) R^{-d} on [1, inf): the non-integrable tail, whose
-    d-moment diverges in dimension d."""
+    """Density (d-1) R^{-d} on [1, inf), conditioned on R <= r_max
+    (renormalized) when r_max is finite.  Untruncated, its d-moment diverges
+    in dimension d; its normalizer 1 - r_max^(1-d) is then exactly 1."""
 
     dim: int
-
-    def __post_init__(self):
-        if self.dim < 2:
-            raise ValueError("dimension must be >= 2")
-        object.__setattr__(self, "bounded_support", False)
-        object.__setattr__(self, "min_radius", 1.0)
-        object.__setattr__(self, "max_radius", INFINITE)
-
-    def sample(self, rng, size=None):
-        if size is None:
-            size = ()
-        u = rng.random(size)
-        return (1.0 - u) ** (-1.0 / (self.dim - 1))
-
-    def moment(self, k):
-        # (dim-1) * int_1^inf R^{k-dim} dR
-        if k >= self.dim - 1:
-            return INFINITE
-        return (self.dim - 1.0) / (self.dim - 1.0 - k)
-
-    def integrate_tail(self, f, lower):
-        lo = max(1.0, lower)
-        dm = self.dim
-
-        def integrand(r):
-            return f(r) * (dm - 1.0) * r ** (-dm)
-
-        val, _ = integrate.quad(integrand, lo, np.inf, limit=300)
-        return val
-
-    def quantile(self, p):
-        return float((1.0 - p) ** (-1.0 / (self.dim - 1)))
-
-    def descriptor(self):
-        return f"pareto:{self.dim}"
-
-
-@dataclass(frozen=True, eq=False)
-class TruncatedParetoRadius(RadiusLaw):
-    """The Pareto law conditioned on R <= r_max (renormalized)."""
-
-    dim: int
-    r_max: float
+    r_max: float = INFINITE
 
     def __post_init__(self):
         if self.dim < 2 or self.r_max <= 1.0:
             raise ValueError("need dimension >= 2 and r_max > 1")
-        object.__setattr__(self, "bounded_support", True)
+        object.__setattr__(self, "bounded_support", math.isfinite(self.r_max))
         object.__setattr__(self, "min_radius", 1.0)
         object.__setattr__(self, "max_radius", float(self.r_max))
 
@@ -211,12 +170,13 @@ class TruncatedParetoRadius(RadiusLaw):
         return (1.0 - u) ** (-1.0 / (self.dim - 1))
 
     def moment(self, k):
+        # (dim-1) * int_1^r_max R^{k-dim} dR / norm, INFINITE untruncated
+        # once k >= dim - 1
         dm, rm = self.dim, self.r_max
         if abs(k - (dm - 1.0)) < 1e-12:
             raw = (dm - 1.0) * math.log(rm)
         else:
-            p = k - dm + 1.0
-            raw = (dm - 1.0) * (rm**p - 1.0) / p
+            raw = (dm - 1.0) * (1.0 - rm ** (k - dm + 1.0)) / (dm - 1.0 - k)
         return raw / self._norm
 
     def integrate_tail(self, f, lower):
@@ -236,7 +196,13 @@ class TruncatedParetoRadius(RadiusLaw):
         return float((1.0 - u) ** (-1.0 / (self.dim - 1)))
 
     def descriptor(self):
-        return f"tpareto:{self.dim},{self.r_max!r}"
+        if self.bounded_support:
+            return f"tpareto:{self.dim},{self.r_max!r}"
+        return f"pareto:{self.dim}"
+
+
+# the truncated case keeps its name: TruncatedParetoRadius(dim, r_max)
+TruncatedParetoRadius = ParetoRadius
 
 
 def parse_law(text: str) -> RadiusLaw:
@@ -253,7 +219,7 @@ def parse_law(text: str) -> RadiusLaw:
             return ParetoRadius(int(args))
         if name == "tpareto":
             dim, rmax = args.split(",")
-            return TruncatedParetoRadius(int(dim), float(rmax))
+            return ParetoRadius(int(dim), float(rmax))
     except (ValueError, TypeError) as exc:
         raise ValueError(f"bad radius law {text!r}") from exc
     raise ValueError(f"unknown radius law {text!r}")
@@ -588,7 +554,7 @@ def sample_boolean_with_halo(
         # intensity and the conditioned radius law.
         keep = 1.0 - law.tail_mass(truncation_radius)
         z = z * keep
-        law = TruncatedParetoRadius(law.dim, truncation_radius)  # type: ignore[attr-defined]
+        law = ParetoRadius(law.dim, truncation_radius)  # type: ignore[attr-defined]
         biased = True
 
     if law.bounded_support:
@@ -678,8 +644,54 @@ def coverage_escalation(
 
 
 # ---------------------------------------------------------------------------
-# Serialization: one ball per record, delimited text
+# Serialization: checkpoint JSON with the slot layout; one ball per record
 # ---------------------------------------------------------------------------
+
+
+def config_to_json(cfg: Configuration) -> dict:
+    """The configuration with its slot layout: active slots in order, each
+    with its ball, and the free list, so a restored chain repeats its moves."""
+    rows = []
+    for slot in cfg.active_ids():
+        row = [int(slot)] + [float(v) for v in cfg.centers[slot]] + [float(cfg.radii[slot])]
+        if cfg.colored:
+            row.append(int(cfg.colors[slot]))
+        rows.append(row)
+    return {
+        "capacity": int(cfg.radii.size),
+        "colored": cfg.colored,
+        "cell_size": cfg.index.cell_size,
+        "lo": [float(v) for v in cfg.window.lo],
+        "hi": [float(v) for v in cfg.window.hi],
+        "active": rows,
+        "free": [int(s) for s in cfg._free],
+    }
+
+
+def config_from_json(doc: dict) -> Configuration:
+    """Inverse of config_to_json; raises ValueError unless the active and
+    free slots partition 0..capacity-1."""
+    window = Box(np.array(doc["lo"]), np.array(doc["hi"]))
+    capacity = int(doc["capacity"])
+    slots = [int(row[0]) for row in doc["active"]]
+    free = [int(s) for s in doc["free"]]
+    if sorted(slots + free) != list(range(capacity)):
+        raise ValueError(
+            "checkpoint slot lists are inconsistent: active and free slots must "
+            f"be distinct and together cover 0..{capacity - 1}"
+        )
+    cfg = Configuration(window, cell_size=doc["cell_size"], colored=doc["colored"], capacity=capacity)
+    d = window.dimension
+    rows = np.array(doc["active"], dtype=float).reshape(len(slots), d + 2 + bool(doc["colored"]))
+    cfg.centers[slots] = rows[:, 1 : 1 + d]
+    cfg.radii[slots] = rows[:, 1 + d]
+    if doc["colored"]:
+        cfg.colors[slots] = rows[:, 2 + d]
+    cfg._active = slots
+    cfg._slot_pos[slots] = np.arange(len(slots))
+    cfg.index.insert_many(slots, cfg.centers[slots], cfg.radii[slots])
+    cfg._free = free
+    return cfg
 
 
 def save_configuration(
@@ -687,7 +699,6 @@ def save_configuration(
     path,
     law_descriptor: str = "",
     seed: Optional[int] = None,
-    extra_meta: Optional[dict] = None,
 ) -> None:
     d = cfg.window.dimension
     meta = {
@@ -698,8 +709,6 @@ def save_configuration(
         "seed": "" if seed is None else seed,
         "colored": int(cfg.colored),
     }
-    if extra_meta:
-        meta.update(extra_meta)
     cols = [f"x{k + 1}" for k in range(d)] + ["radius"]
     if cfg.colored:
         cols.append("color")

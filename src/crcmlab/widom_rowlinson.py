@@ -252,7 +252,6 @@ def fk_consistency_test(
 def gnz_residual_wr(
     samples: Sequence[Configuration],
     params: WrParams,
-    f_family=None,
     rng: Optional[np.random.Generator] = None,
     inner_points: int = 96,
     drop_constraint: bool = False,
@@ -263,11 +262,11 @@ def gnz_residual_wr(
     (negative control)."""
     n_colors = int(params.q)
 
-    def weigh(cfg, xs, rs, rng):
+    def weigh(cfg, ids, hits, rng):
         ks = rng.integers(1, n_colors + 1, size=inner_points)
         if drop_constraint:
             return np.ones(inner_points)
-        allowed = [insertion_allowed(cfg, x, float(r), int(k)) for x, r, k in zip(xs, rs, ks)]
-        return np.array(allowed, dtype=float)
+        clash = hits & (cfg.colors[ids][None, :] != ks[:, None])
+        return (~clash.any(axis=1)).astype(float)
 
-    return gnz_residuals(samples, params, weigh, f_family, rng, inner_points)
+    return gnz_residuals(samples, params, weigh, rng, inner_points)

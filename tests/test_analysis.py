@@ -1,16 +1,18 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from scipy import optimize
 
-from crcmlab.geometry import Box, MarkedBall, centered_box
+from crcmlab.geometry import Box, MarkedBall, centered_box, dilate
 from crcmlab.model_core import (
     Configuration,
     DiracRadius,
     ModelParams,
     ParetoRadius,
     UniformRadius,
+    parse_law,
     sample_poisson_boolean,
 )
 from crcmlab.analysis import (
@@ -148,6 +150,113 @@ def test_localization_conditioned_sweep():
         done += 1
 
 
+# -- array events against per-ball references ------------------------------------------
+
+
+def ref_groups(cfg, slots):
+    """Components of the balls in `slots` by pairwise closed-ball tests."""
+    parent = {s: s for s in slots}
+
+    def find(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for x, a in enumerate(slots):
+        for b in slots[x + 1 :]:
+            diff = cfg.centers[a] - cfg.centers[b]
+            if diff @ diff <= (cfg.radii[a] + cfg.radii[b]) ** 2:
+                parent[find(b)] = find(a)
+    groups: dict = {}
+    for s in slots:
+        groups.setdefault(find(s), []).append(s)
+    return list(groups.values())
+
+
+def ref_event_Aij(cfg, i, j):
+    # the former ball-by-ball loop
+    inner, outer = centered_box(i, 2), centered_box(j, 2)
+    for slot in cfg.active_ids():
+        c = cfg.centers[slot]
+        if not outer.contains_point(c) and inner.distance_to_point(c) <= cfg.radii[slot]:
+            return False
+    return True
+
+
+def ref_event_Wij(cfg, box, r0, i, j):
+    inner, outer = centered_box(i, 2), centered_box(j, 2)
+    keep = [
+        s for s in cfg.active_ids()
+        if outer.contains_point(cfg.centers[s]) and not box.contains_point(cfg.centers[s])
+    ]
+    crossing = 0
+    for comp in ref_groups(cfg, keep):
+        touches = any(box.distance_to_point(cfg.centers[s]) <= r0 + cfg.radii[s] for s in comp)
+        exits = any(not inner.contains_ball(cfg.centers[s], float(cfg.radii[s])) for s in comp)
+        crossing += touches and exits
+    return crossing <= 1
+
+
+def ref_np_count(cfg, eroded):
+    """Components with every ball inside the eroded window."""
+
+    def inside(s):
+        c, r = cfg.centers[s], cfg.radii[s]
+        return all(lo <= x - r and x + r <= hi for x, lo, hi in zip(c, eroded.lo, eroded.hi))
+
+    return sum(all(inside(s) for s in comp) for comp in ref_groups(cfg, list(cfg.active_ids())))
+
+
+def tangent_config(rng, window, n=40):
+    """Balls on the integer lattice with radii in {0.5, 1, 2, 4}: ball-ball
+    and ball-box distances hit the radius sums exactly."""
+    lo, hi = int(window.lo[0]) + 1, int(window.hi[0]) - 1
+    centers = rng.integers(lo, hi + 1, size=(n, 2)).astype(float)
+    radii = rng.choice([0.5, 1.0, 2.0, 4.0], size=n)
+    return Configuration.from_arrays(window, centers, radii)
+
+
+def test_array_events_match_per_ball_references():
+    # the localization spec of the benchmark's cli_suite, plus tangent lattices
+    w = Box([-20, -20], [20, 20])
+    params = ModelParams(0.02, 1.0, parse_law("tpareto:2,30"), w)
+    lam_box = Box(w.lo + 0.45 * w.sides, w.lo + 0.55 * w.sides)
+    rng = seeded(11)
+    cfgs = [sample_poisson_boolean(params, rng) for _ in range(300)]
+    cfgs += [tangent_config(rng, w) for _ in range(150)]
+    outcomes = set()
+    for cfg in cfgs:
+        for i, j in ((5, 14), (2, 6), (3, 4)):
+            a = event_Aij(cfg, i, j)
+            wij = event_Wij(cfg, lam_box, 2.0, i, j)
+            assert a == ref_event_Aij(cfg, i, j)
+            assert wij == ref_event_Wij(cfg, lam_box, 2.0, i, j)
+            outcomes.add((a, wij))
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_estimate_NP_counts_match_per_component_reference():
+    w = Box([-20, -20], [20, 20])
+    params = ModelParams(0.05, 1.0, parse_law("tpareto:2,30"), w)
+    rng = seeded(12)
+    cfgs = [sample_poisson_boolean(params, rng) for _ in range(60)]
+    cfgs += [tangent_config(rng, w, n=80) for _ in range(60)]
+    for border in (1.0, 3.0, 8.0):
+        est = estimate_NP(cfgs, w, border)
+        ref = [ref_np_count(cfg, est.eroded) / est.eroded.volume for cfg in cfgs]
+        assert est.per_sample.tolist() == ref
+
+
+def test_np_component_straddling_the_eroded_boundary_dropped():
+    # the far-left ball of the chain lies inside the eroded window [1, 9]^2,
+    # its last ball reaches past x = 9: the whole component is dropped
+    win = Box([0, 0], [10, 10])
+    chain = [MarkedBall(np.array([x, 5.0]), 0.6) for x in (3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 8.7)]
+    cfg = Configuration.from_balls(win, chain + [MarkedBall(np.array([5.0, 2.0]), 0.5)])
+    est = estimate_NP([cfg], win, 1.0)
+    assert est.value == pytest.approx(1 / 64.0)
+
+
 # -- corner-cube shield ----------------------------------------------------------------
 
 
@@ -173,6 +282,15 @@ def test_shield_covering_randomized(alpha, k, d):
     g = build_shield(alpha, k, d)
     bad_in, bad_out = shield_covering_trials(g, 20_000, seeded(4))
     assert bad_in == 0 and bad_out == 0
+
+
+def test_shield_negative_control_grown_guard_box():
+    # a guard box grown by 2 lets balls from beyond the outer box reach it
+    # without covering an outer cube
+    g = build_shield(1, 4, 2)
+    grown = dataclasses.replace(g, guard_box=dilate(g.guard_box, 2.0))
+    bad_in, bad_out = shield_covering_trials(grown, 5000, seeded(9))
+    assert bad_in == 0 and bad_out > 500
 
 
 def shield_with_pairs(geom, extra=()):

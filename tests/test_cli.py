@@ -183,6 +183,26 @@ def test_checkpoint_resume_bitwise_wr(tmp_path):
     check_resume_bitwise(tmp_path, "sample-wr", True, FAST_WR)
 
 
+def test_checkpoint_holds_only_what_resume_reads(tmp_path):
+    straight, resumed = tmp_path / "straight", tmp_path / "resumed"
+    flags = [*FAST_CHAIN, "--set", "checkpoint_every=20"]
+    r = run_cli("sample-crcm", "--seed", "11", "--chains", "2", "--out", str(straight), *flags)
+    assert r.returncode == EXIT_OK
+    doc = json.loads((straight / "checkpoint.json").read_text())
+    assert sorted(doc) == ["chain", "next_chain", "spec_hash"]
+    assert doc["chain"] is None and doc["next_chain"] == 2
+    # a run stopped between chains resumes at the next chain
+    resumed.mkdir()
+    doc["next_chain"] = 1
+    (resumed / "checkpoint.json").write_text(json.dumps(doc))
+    r = run_cli("sample-crcm", "--seed", "11", "--chains", "2", "--out", str(resumed), *flags,
+                "--resume", str(resumed / "checkpoint.json"))
+    assert r.returncode == EXIT_OK
+    assert not (resumed / "trace_000.csv").exists()
+    for name in ("trace_001.csv", "final_config_001.csv"):
+        assert (straight / name).read_bytes() == (resumed / name).read_bytes()
+
+
 def test_checkpoint_spec_mismatch_rejected(tmp_path):
     out = tmp_path / "o"
     r = run_cli("sample-crcm", "--seed", "11", "--chains", "1", "--out", str(out),
@@ -236,8 +256,9 @@ def test_coverage_probe_monotone(tmp_path):
 
 
 def test_coverage_probe_requires_heavy_tail(tmp_path):
-    r = run_cli("coverage-probe", "--out", str(tmp_path), "--set", "law=dirac:1")
-    assert r.returncode == EXIT_SPEC
+    for law in ("dirac:1", "tpareto:2,20"):  # bounded laws, the truncated tail included
+        r = run_cli("coverage-probe", "--out", str(tmp_path), "--set", f"law={law}")
+        assert r.returncode == EXIT_SPEC
 
 
 def test_manifest_written_for_checks(tmp_path):

@@ -17,7 +17,6 @@ from crcmlab.connectivity import (
     compatibility_offset,
     component_stats,
     count_components,
-    far_left_slot,
     local_cc,
 )
 
@@ -284,10 +283,47 @@ def test_sizes_partition_count(rng):
 def test_far_left_tie_breaking():
     w = Box([0, 0], [4, 4])
     balls = [
-        MarkedBall(np.array([1.0, 2.0]), 0.3),
-        MarkedBall(np.array([1.0, 1.0]), 0.3),  # same x, smaller y wins
-        MarkedBall(np.array([2.0, 1.0]), 0.3),
+        MarkedBall(np.array([1.0, 2.0]), 0.5),
+        MarkedBall(np.array([1.0, 1.0]), 0.5),  # same x, smaller y wins
+        MarkedBall(np.array([2.0, 1.0]), 0.5),
     ]
     cfg = Configuration.from_balls(w, balls)
-    slot = far_left_slot(cfg, list(cfg.active_ids()))
+    [slot] = component_stats(cfg).leftmost_slots  # one component of tangent balls
     assert np.allclose(cfg.centers[slot], [1.0, 1.0])
+
+
+def test_component_stats_match_brute_force_groups(rng):
+    # sizes largest first (ties in order of first appearance) and the
+    # far-left ball of each component, against groups found pair by pair
+    w = Box([0, 0], [6, 6])
+    for _ in range(40):
+        n = int(rng.integers(0, 30))
+        centers = np.round(w.sample_points(rng, n), 1)  # rounding makes ties
+        radii = np.round(rng.uniform(0.1, 0.8, n), 1)
+        cfg = Configuration.from_arrays(w, centers, radii)
+        ids = cfg.active_ids()
+        parent = list(range(n))
+        for a in range(n):
+            for b in range(a + 1, n):
+                diff = centers[a] - centers[b]
+                if diff @ diff <= (radii[a] + radii[b]) ** 2:
+                    ra, rb = a, b
+                    while parent[ra] != ra:
+                        ra = parent[ra]
+                    while parent[rb] != rb:
+                        rb = parent[rb]
+                    parent[max(ra, rb)] = min(ra, rb)
+        groups: dict = {}
+        for a in range(n):
+            root = a
+            while parent[root] != root:
+                root = parent[root]
+            groups.setdefault(root, []).append(ids[a])
+        comps = sorted(groups.values(), key=len, reverse=True)
+
+        def key(slot):
+            return (*cfg.centers[slot].tolist(), float(cfg.radii[slot]), slot)
+
+        st = component_stats(cfg)
+        assert st.sizes == [len(c) for c in comps]
+        assert st.leftmost_slots == [min(c, key=key) for c in comps]

@@ -15,7 +15,7 @@ from crcmlab.model_core import (
     UniformRadius,
     sample_poisson_boolean,
 )
-from crcmlab.connectivity import count_components
+from crcmlab.connectivity import ClusterLabeling, count_components
 from crcmlab.crcm import (
     AssumptionAViolated,
     DegenerateWeights,
@@ -343,6 +343,52 @@ def test_gnz_needs_enough_samples(crcm_samples):
     params, samples = crcm_samples
     with pytest.raises(ValueError):
         gnz_residual_crcm(samples[:50], params)
+
+
+def ref_gnz(samples, params, rng, inner_points, weigh):
+    """The former balance loop: scalar test functions called once per ball
+    and per insertion, `weigh(cfg, xs, rs, rng)` one weight per insertion."""
+    lam = params.total_intensity
+    mid = 0.5 * (params.window.lo[0] + params.window.hi[0])
+    tests = [lambda n, c, r: 1.0, lambda n, c, r: math.exp(-n / lam),
+             lambda n, c, r: 1.0 if c[0] <= mid else 0.0]
+    diffs = [[] for _ in tests]
+    for cfg in samples:
+        xs = params.window.sample_points(rng, inner_points)
+        rs = params.law.sample(rng, inner_points)
+        w = weigh(cfg, xs, rs, rng)
+        for t, f in enumerate(tests):
+            lhs = sum(f(cfg.n - 1, cfg.centers[s], cfg.radii[s]) for s in cfg.active_ids())
+            rhs = lam * np.mean([f(cfg.n, x, r) * wk for x, r, wk in zip(xs, rs, w)])
+            diffs[t].append(lhs - rhs)
+    return [(np.mean(d), np.std(d, ddof=1) / math.sqrt(len(d))) for d in map(np.array, diffs)]
+
+
+def test_gnz_array_statistics_match_ball_by_ball_loop():
+    params = ModelParams(30.0, 2.0, DiracRadius(0.08), UNIT)
+    rng = seeded(30)
+    samples = [sample_poisson_boolean(params, rng) for _ in range(100)]
+
+    def crcm_weigh(cfg, xs, rs, rng):
+        lab = ClusterLabeling(cfg)
+        return [2.0 ** lab.insertion_increment(cfg, x, r)[0] for x, r in zip(xs, rs)]
+
+    wp = wr.WrParams(30.0, 2, DiracRadius(0.08), UNIT)
+    colored = [wr.fk_colorize(cfg, 2, rng) for cfg in samples]
+
+    def wr_weigh(cfg, xs, rs, rng):
+        ks = rng.integers(1, 3, size=len(xs))
+        return [float(wr.insertion_allowed(cfg, x, r, int(k))) for x, r, k in zip(xs, rs, ks)]
+
+    for rows, ref in (
+        (gnz_residual_crcm(samples, params, rng=seeded(31)),
+         ref_gnz(samples, params, seeded(31), 96, crcm_weigh)),
+        (wr.gnz_residual_wr(colored, wp, rng=seeded(32)),
+         ref_gnz(colored, wp, seeded(32), 96, wr_weigh)),
+    ):
+        for row, (mean, se) in zip(rows, ref):
+            assert row.lhs - row.rhs == pytest.approx(mean, rel=1e-9, abs=1e-9)
+            assert row.se == pytest.approx(se, rel=1e-9)
 
 
 # -- domination and entropy ------------------------------------------------------------

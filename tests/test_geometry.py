@@ -74,6 +74,24 @@ def test_dilate_contains_minkowski_sum():
     assert not np.any(inside_sum & ~inside_box)
 
 
+def test_box_distance_and_ball_containment_on_arrays():
+    b = Box([0, -1], [2, 3])
+    rng = np.random.default_rng(6)
+    pts = np.round(rng.uniform(-3, 5, size=(500, 2)), 1)  # rounding puts balls on faces
+    rs = np.round(rng.uniform(0, 2, size=500), 1)
+    dist = b.distance_to_point(pts)
+    inside = b.contains_ball(pts, rs)
+    assert dist.shape == inside.shape == (500,)
+    assert dist.tolist() == [b.distance_to_point(p) for p in pts]
+    assert inside.tolist() == [b.contains_ball(p, r) for p, r in zip(pts, rs)]
+    gaps = np.clip(pts, b.lo, b.hi) - pts
+    assert np.allclose(dist, np.hypot(gaps[:, 0], gaps[:, 1]), rtol=0, atol=1e-12)
+    assert inside.tolist() == [
+        p[0] - r >= 0 and p[0] + r <= 2 and p[1] - r >= -1 and p[1] + r <= 3 for p, r in zip(pts, rs)
+    ]
+    assert type(b.distance_to_point(pts[0])) is float and type(b.contains_ball(pts[0], 0.1)) is bool
+
+
 def test_box_validation():
     with pytest.raises(ValueError):
         Box([1, 0], [0, 1])

@@ -92,6 +92,23 @@ def test_parse_law_round_trip():
         parse_law("cauchy:1")
 
 
+def test_untruncated_pareto_is_the_closed_form(rng):
+    # r_max = inf gives the normalizer 1.0 exactly: draws, quantiles and tail
+    # integrals are those of the plain law's closed forms
+    law = ParetoRadius(3)
+    assert law._norm == 1.0 and law.r_max == INFINITE and law.descriptor() == "pareto:3"
+    state = rng.bit_generator.state
+    draws = law.sample(rng, 1000)
+    rng.bit_generator.state = state
+    assert np.array_equal(draws, (1.0 - rng.random(1000)) ** (-1.0 / 2))
+    assert law.quantile(0.9) == (1.0 - 0.9) ** (-1.0 / 2)
+    val, _ = integrate.quad(lambda r: 1.0 * 2.0 * r**-3.0, 2.0, np.inf, limit=300)
+    assert law.tail_mass(2.0) == val
+    assert law.moment(1) == 2.0 and law.moment(2) == INFINITE
+    assert TruncatedParetoRadius is ParetoRadius
+    assert ParetoRadius(2, 50.0).descriptor() == "tpareto:2,50.0"
+
+
 def test_pareto_truncated_sampling_range(rng):
     law = TruncatedParetoRadius(2, 10.0)
     draws = law.sample(rng, 5000)
