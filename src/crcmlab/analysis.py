@@ -64,18 +64,15 @@ def event_Wij(cfg: Configuration, box: Box, r0: float, i: float, j: float) -> bo
     return np.count_nonzero(touches & exits) <= 1
 
 
-def radius_cap_holds(cfg: Configuration, box: Box, r0: float) -> bool:
-    """True when every ball centered in `box` has radius at most r0."""
-    centers, radii = active_arrays(cfg)
-    return not np.any(radii[box.contains_points(centers)] > r0)
-
-
 def localization_check(
     cfg: Configuration, box: Box, r0: float, i: float, j: float
 ) -> bool:
     """On the isolation-and-screening event, the local component count must
-    agree with its evaluation on the configuration truncated to [-j,j]^d."""
-    if not radius_cap_holds(cfg, box, r0):
+    agree with its evaluation on the configuration truncated to [-j,j]^d.
+    Raises PreconditionEventFailed off the event: when a ball centered in
+    `box` is larger than r0, or A_ij or W_ij fails."""
+    centers, radii = active_arrays(cfg)
+    if np.any(radii[box.contains_points(centers)] > r0):
         raise PreconditionEventFailed("a ball centered in the box exceeds r0")
     if not (event_Aij(cfg, i, j) and event_Wij(cfg, box, r0, i, j)):
         raise PreconditionEventFailed("configuration outside the required events")

@@ -23,8 +23,6 @@ from .geometry import Box
 from .model_core import (
     Configuration,
     ModelParams,
-    config_from_json,
-    config_to_json,
     coverage_escalation,
     parse_law,
     sample_poisson_boolean,
@@ -219,18 +217,14 @@ def chain_rng(seed: int, chain_index: int) -> np.random.Generator:
 
 
 def tmp_doc_default(doc):
-    """JSON-serializable view: numpy arrays become {"__array__": [...]},
-    tuples lists, numpy scalars plain numbers."""
-    if isinstance(doc, np.ndarray):
-        return {"__array__": doc.tolist()}
+    """Plain-JSON view: numpy arrays become lists, numpy scalars plain
+    numbers, tuples lists."""
+    if isinstance(doc, (np.ndarray, np.generic)):
+        return doc.tolist()
     if isinstance(doc, dict):
         return {k: tmp_doc_default(x) for k, x in doc.items()}
     if isinstance(doc, (list, tuple)):
         return [tmp_doc_default(x) for x in doc]
-    if isinstance(doc, np.integer):
-        return int(doc)
-    if isinstance(doc, np.floating):
-        return float(doc)
     return doc
 
 
@@ -239,15 +233,8 @@ def rng_state_to_json(rng: np.random.Generator) -> dict:
 
 
 def rng_from_json(state: dict) -> np.random.Generator:
-    def unconv(v):
-        if isinstance(v, dict) and "__array__" in v:
-            return np.array(v["__array__"], dtype=np.uint64)
-        if isinstance(v, dict):
-            return {k: unconv(x) for k, x in v.items()}
-        return v
-
     bg = np.random.Philox()
-    bg.state = unconv(state)
+    bg.state = state  # Philox takes its counter, key and buffer as lists
     return np.random.Generator(bg)
 
 
@@ -293,24 +280,41 @@ def write_manifest(out: Path, spec: ExperimentSpec, wall: float, outputs: list[s
 
 
 # ---------------------------------------------------------------------------
-# Chain serialization (checkpoint/resume)
+# Checkpoint format: one chain's state as plain JSON
 # ---------------------------------------------------------------------------
 
 
 def chain_to_json(state: ChainState, sweep: int, trace: list) -> dict:
-    return {
+    """What the next move reads and nothing more: the balls in move order
+    (`active_ids`, the order `random_active` draws from), their colors for
+    colored chains, the stream, the counters and the trace so far.  Slot
+    ids, the window and the grid are not stored: resume rebuilds them from
+    the chain's params, which the checkpoint's spec hash pins.  The document
+    shares no object with the running chain."""
+    cfg = state.config
+    centers, radii = active_arrays(cfg)
+    doc = {
         "sweep": sweep,
         "step_count": state.step_count,
-        "proposed": state.proposed,
-        "accepted": state.accepted,
+        "proposed": dict(state.proposed),
+        "accepted": dict(state.accepted),
         "rng": rng_state_to_json(state.rng),
-        "config": config_to_json(state.config),
-        "trace": trace,
+        "centers": centers.tolist(),
+        "radii": radii.tolist(),
+        "trace": list(trace),
     }
+    if cfg.colored:
+        doc["colors"] = cfg.colors[cfg.active_ids()].tolist()
+    return doc
 
 
 def chain_from_json(doc: dict, params: ModelParams) -> tuple[ChainState, int, list]:
-    cfg = config_from_json(doc["config"])
+    """Inverse of chain_to_json for a chain of `params`; raises ValueError
+    on a malformed ball list."""
+    colors = doc["colors"] if isinstance(params, WrParams) else None
+    cfg = Configuration.from_arrays(
+        params.window, doc["centers"], doc["radii"], colors, cell_size=params.cell_size
+    )
     state = ChainState(
         params=params,
         config=cfg,
@@ -584,30 +588,28 @@ def cmd_bounds_audit(spec: ExperimentSpec, out: Path) -> int:
         viol["increment_above"] += delta > 1
         if r_lo > 0:
             viol["increment_below"] += delta < -c0 * ball_r**w.dimension
-        # telescoping
-        balls = list(cfg.iter_balls())
-        rng.shuffle(balls)
+        # telescoping: increments summed over a uniform insertion order
+        centers, radii = active_arrays(cfg)
         probe = Configuration(w, cell_size=cfg.index.cell_size)
         plab = ClusterLabeling(probe)
         total = 0
-        for b in balls:
-            dlt, hits = plab.insertion_increment(probe, b.center, b.radius)
-            slot = probe.add(b.center, b.radius)
-            plab.apply_insertion(slot, hits)
+        for k in rng.permutation(cfg.n):
+            dlt, hits = plab.insertion_increment(probe, centers[k], radii[k])
+            plab.apply_insertion(probe.add(centers[k], radii[k]), hits)
             total += dlt
         viol["telescoping"] += total != lab.n_components
         # deletion inverse on one random ball
         if cfg.n:
             slot = cfg.random_active(rng)
             groups = lab.removal_split(cfg, slot)
-            ball = cfg.ball(slot)
+            center, radius = cfg.centers[slot].copy(), float(cfg.radii[slot])
             cfg.remove(slot)
             lab.apply_removal(slot, groups)
             viol["deletion_inverse"] += lab.n_components != count_components(cfg)
-            back, _ = lab.insertion_increment(cfg, ball.center, ball.radius)
+            back, _ = lab.insertion_increment(cfg, center, radius)
             viol["deletion_inverse"] += back != 1 - len(groups)
-            slot2 = cfg.add(ball.center, ball.radius)
-            _, hits2 = lab.insertion_increment(cfg, ball.center, ball.radius)
+            slot2 = cfg.add(center, radius)
+            _, hits2 = lab.insertion_increment(cfg, center, radius)
             lab.apply_insertion(slot2, [h for h in hits2 if h != slot2])
         # compatibility offset invariance under interior resampling
         centers, radii = active_arrays(cfg)
@@ -644,17 +646,12 @@ def cmd_localization(spec: ExperimentSpec, out: Path) -> int:
         while ok + fails < target and tried < 400 * target:
             tried += 1
             cfg = sample_poisson_boolean(params, rng)
-            if not analysis.radius_cap_holds(cfg, lam_box, spec.r0):
-                continue
-            if not (
-                analysis.event_Aij(cfg, i, j)
-                and analysis.event_Wij(cfg, lam_box, spec.r0, i, j)
-            ):
-                continue
-            if analysis.localization_check(cfg, lam_box, spec.r0, i, j):
-                ok += 1
-            else:
-                fails += 1
+            try:
+                held = analysis.localization_check(cfg, lam_box, spec.r0, i, j)
+            except analysis.PreconditionEventFailed:
+                continue  # outside the conditioning events: not a sample
+            ok += held
+            fails += not held
         failures_total += fails
         rows.append((i, j, ok + fails, fails))
     write_csv(

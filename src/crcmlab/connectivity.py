@@ -137,7 +137,7 @@ def label_any(labels: np.ndarray, flags: np.ndarray, count: int) -> np.ndarray:
 
 
 def active_arrays(cfg: Configuration) -> tuple[np.ndarray, np.ndarray]:
-    """Centers and radii of the active balls, in slot order of `active_ids`."""
+    """Centers and radii of the active balls, in move order (`active_ids`)."""
     ids = np.asarray(cfg.active_ids(), dtype=np.intp)
     return cfg.centers[ids], cfg.radii[ids]
 
@@ -433,11 +433,12 @@ class ComponentStats:
     leftmost_slots: list[int]
 
 
-def component_stats(cfg: Configuration, grid_per_axis: int = 48) -> ComponentStats:
+def component_stats(cfg: Configuration) -> ComponentStats:
     """Sizes (largest first, ties in order of first appearance),
-    largest-component volume fraction (grid probe), spanning indicator, and
-    the far-left ball of each component: minimal first coordinate, ties
-    broken by the remaining coordinates, then radius, then slot id."""
+    largest-component volume fraction (probe grid of 48 points per axis),
+    spanning indicator, and the far-left ball of each component: minimal
+    first coordinate, ties broken by the remaining coordinates, then radius,
+    then slot id."""
     if cfg.n == 0:
         return ComponentStats([], 0, 0.0, False, [])
     slots = np.asarray(cfg.active_ids(), dtype=np.intp)
@@ -452,7 +453,7 @@ def component_stats(cfg: Configuration, grid_per_axis: int = 48) -> ComponentSta
 
     w = cfg.window
     d = w.dimension
-    axes = [np.linspace(w.lo[k], w.hi[k], grid_per_axis) for k in range(d)]
+    axes = [np.linspace(w.lo[k], w.hi[k], 48) for k in range(d)]
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
     covered = np.zeros(len(pts), dtype=bool)
     largest = labels == order[0]

@@ -13,7 +13,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .geometry import Box, default_cell_size, dilate, unit_ball_volume
+from .geometry import Box, dilate, unit_ball_volume
 from .model_core import Configuration, ModelParams, sample_poisson_boolean
 from .connectivity import ClusterLabeling, components, count_components, local_count
 # local_cc stays importable from this module: the tracer self-test in benchmarks/ relies on it
@@ -74,30 +74,14 @@ class ChainState:
             self.audit()
 
 
-def new_chain(
-    params: ModelParams,
-    rng: np.random.Generator,
-    init: str = "poisson",
-    audit_interval: int = 10_000,
-) -> ChainState:
+def new_chain(params: ModelParams, rng: np.random.Generator) -> ChainState:
+    """Chain started from an exact draw of the Poisson reference process."""
     if not params.assumption_a:
         raise AssumptionAViolated(
             "q < 1 requires a radius law with bounded support"
         )
-    if init == "poisson":
-        cfg = sample_poisson_boolean(params, rng)
-    elif init == "empty":
-        cell = default_cell_size(params.window, params.law.median())
-        cfg = Configuration(params.window, cell_size=cell)
-    else:
-        raise ValueError(f"unknown init {init!r}")
-    return ChainState(
-        params=params,
-        config=cfg,
-        labeling=ClusterLabeling(cfg),
-        rng=rng,
-        audit_interval=audit_interval,
-    )
+    cfg = sample_poisson_boolean(params, rng)
+    return ChainState(params=params, config=cfg, labeling=ClusterLabeling(cfg), rng=rng)
 
 
 # ---------------------------------------------------------------------------
@@ -250,13 +234,12 @@ def run_chain(
     step: Callable[[ChainState], ChainState] = bd_step,
     state: Optional[ChainState] = None,
     keep_configs: bool = False,
-    audit_interval: int = 10_000,
     per_sweep: Optional[int] = None,
 ) -> SamplerReport:
     """Run a chain for `burn_in + sweeps` sweeps (one sweep = a fixed number
     of proposals, see sweep_size) recording every `thin`-th sweep."""
     if state is None:
-        state = new_chain(params, rng, audit_interval=audit_interval)
+        state = new_chain(params, rng)
     if per_sweep is None:
         per_sweep = sweep_size(params)
     samples: list = []

@@ -110,8 +110,8 @@ class MarkedBall:
         c = np.asarray(self.center, dtype=float)
         if not np.all(np.isfinite(c)):
             raise ValueError("center must be finite")
-        if self.radius < 0:
-            raise ValueError("radius must be nonnegative")
+        if not 0 <= self.radius < math.inf:
+            raise ValueError("radius must be finite and nonnegative")
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "radius", float(self.radius))
 

@@ -261,6 +261,11 @@ class ModelParams:
         return max(self.q, 1.0) * self.total_intensity
 
     @property
+    def cell_size(self) -> float:
+        """Grid cell of a chain's configuration, from the law's median radius."""
+        return default_cell_size(self.window, self.law.median())
+
+    @property
     def assumption_a(self) -> bool:
         """Partition function is finite: q >= 1 or the law has bounded support."""
         return self.q >= 1.0 or self.law.bounded_support
@@ -331,6 +336,8 @@ class Configuration:
     ) -> "Configuration":
         centers = np.asarray(centers, dtype=float).reshape(-1, window.dimension)
         radii = np.asarray(radii, dtype=float).reshape(-1)
+        if colors is not None:
+            colors = np.asarray(colors, dtype=np.int64).reshape(-1)
         if cell_size is None:
             med = float(np.median(radii)) if radii.size else 0.0
             cell_size = default_cell_size(window, med)
@@ -346,8 +353,15 @@ class Configuration:
     def _fill(self, centers: np.ndarray, radii: np.ndarray, colors=None) -> None:
         """Bulk `add` into a new, empty configuration: slots 0..n-1 in input
         order, with the free list, slot positions and grid buckets the
-        ball-by-ball build would leave."""
+        ball-by-ball build would leave.  Raises ValueError unless there is
+        one center (and one color, if given) per radius and every radius is
+        finite and nonnegative."""
         n = radii.size
+        lengths = [len(centers), n] + ([] if colors is None else [len(colors)])
+        if min(lengths) != max(lengths):
+            raise ValueError(f"ball arrays differ in length (centers, radii[, colors]): {lengths}")
+        if not np.all((radii >= 0) & (radii < math.inf)):
+            raise ValueError("radii must be finite and nonnegative")
         if n == 0:
             return
         if not np.all(self.window.contains_points(centers)):
@@ -414,14 +428,6 @@ class Configuration:
     def random_active(self, rng: np.random.Generator) -> int:
         return self._active[int(rng.integers(len(self._active)))]
 
-    def ball(self, slot: int) -> MarkedBall:
-        color = int(self.colors[slot]) if self.colored else None
-        return MarkedBall(self.centers[slot].copy(), float(self.radii[slot]), color)
-
-    def iter_balls(self) -> Iterable[MarkedBall]:
-        for slot in self._active:
-            yield self.ball(slot)
-
     def intersectors(self, center: np.ndarray, radius: float) -> list[int]:
         """Slots of stored balls whose closed ball meets B(center, radius)."""
         cand = self.index.candidates(center, radius)
@@ -487,8 +493,7 @@ def sample_poisson_boolean(params: ModelParams, rng: np.random.Generator) -> Con
     n = int(rng.poisson(params.total_intensity))
     centers = params.window.sample_points(rng, n)
     radii = params.law.sample(rng, n)
-    cell = default_cell_size(params.window, params.law.median())
-    return Configuration.from_arrays(params.window, centers, radii, cell_size=cell)
+    return Configuration.from_arrays(params.window, centers, radii, cell_size=params.cell_size)
 
 
 def steiner_volume(box: Box, r: float) -> float:
@@ -644,54 +649,8 @@ def coverage_escalation(
 
 
 # ---------------------------------------------------------------------------
-# Serialization: checkpoint JSON with the slot layout; one ball per record
+# Serialization: one ball per record
 # ---------------------------------------------------------------------------
-
-
-def config_to_json(cfg: Configuration) -> dict:
-    """The configuration with its slot layout: active slots in order, each
-    with its ball, and the free list, so a restored chain repeats its moves."""
-    rows = []
-    for slot in cfg.active_ids():
-        row = [int(slot)] + [float(v) for v in cfg.centers[slot]] + [float(cfg.radii[slot])]
-        if cfg.colored:
-            row.append(int(cfg.colors[slot]))
-        rows.append(row)
-    return {
-        "capacity": int(cfg.radii.size),
-        "colored": cfg.colored,
-        "cell_size": cfg.index.cell_size,
-        "lo": [float(v) for v in cfg.window.lo],
-        "hi": [float(v) for v in cfg.window.hi],
-        "active": rows,
-        "free": [int(s) for s in cfg._free],
-    }
-
-
-def config_from_json(doc: dict) -> Configuration:
-    """Inverse of config_to_json; raises ValueError unless the active and
-    free slots partition 0..capacity-1."""
-    window = Box(np.array(doc["lo"]), np.array(doc["hi"]))
-    capacity = int(doc["capacity"])
-    slots = [int(row[0]) for row in doc["active"]]
-    free = [int(s) for s in doc["free"]]
-    if sorted(slots + free) != list(range(capacity)):
-        raise ValueError(
-            "checkpoint slot lists are inconsistent: active and free slots must "
-            f"be distinct and together cover 0..{capacity - 1}"
-        )
-    cfg = Configuration(window, cell_size=doc["cell_size"], colored=doc["colored"], capacity=capacity)
-    d = window.dimension
-    rows = np.array(doc["active"], dtype=float).reshape(len(slots), d + 2 + bool(doc["colored"]))
-    cfg.centers[slots] = rows[:, 1 : 1 + d]
-    cfg.radii[slots] = rows[:, 1 + d]
-    if doc["colored"]:
-        cfg.colors[slots] = rows[:, 2 + d]
-    cfg._active = slots
-    cfg._slot_pos[slots] = np.arange(len(slots))
-    cfg.index.insert_many(slots, cfg.centers[slots], cfg.radii[slots])
-    cfg._free = free
-    return cfg
 
 
 def save_configuration(

@@ -11,7 +11,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy import stats
 
-from .geometry import Box, default_cell_size
+from .geometry import Box
 from .model_core import Configuration, ModelParams
 from .connectivity import ClusterLabeling, intersecting_pairs
 from .crcm import (
@@ -50,13 +50,11 @@ class WrParams(ModelParams):
 # ---------------------------------------------------------------------------
 
 
-def insertion_allowed(cfg: Configuration, center, radius: float, color: int) -> bool:
-    """May a ball of this color be added?  Forbidden when it comes within
-    touching distance (closed balls) of any differently colored ball."""
-    for j in cfg.intersectors(center, radius):
-        if int(cfg.colors[j]) != color:
-            return False
-    return True
+def insertion_allowed(cfg: Configuration, hits: list[int], color: int) -> bool:
+    """May a ball of this color be added, given `hits`, the slots of the
+    balls it meets (`cfg.intersectors`)?  Forbidden when any of them has
+    another color: closed balls, so touching counts."""
+    return all(int(cfg.colors[j]) == color for j in hits)
 
 
 def is_allowed(cfg: Configuration) -> bool:
@@ -84,19 +82,10 @@ def col_event(cfg: Configuration) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def new_wr_chain(
-    params: WrParams, rng: np.random.Generator, audit_interval: int = 10_000
-) -> ChainState:
+def new_wr_chain(params: WrParams, rng: np.random.Generator) -> ChainState:
     """Empty-start chain (the empty configuration is always allowed)."""
-    cell = default_cell_size(params.window, params.law.median())
-    cfg = Configuration(params.window, cell_size=cell, colored=True)
-    return ChainState(
-        params=params,
-        config=cfg,
-        labeling=ClusterLabeling(cfg),
-        rng=rng,
-        audit_interval=audit_interval,
-    )
+    cfg = Configuration(params.window, cell_size=params.cell_size, colored=True)
+    return ChainState(params=params, config=cfg, labeling=ClusterLabeling(cfg), rng=rng)
 
 
 def wr_step(state: ChainState) -> ChainState:
@@ -118,8 +107,7 @@ def wr_step(state: ChainState) -> ChainState:
         radius = p.law.sample_scalar(rng)
         color = int(rng.integers(1, p.n_colors + 1))
         hits = cfg.intersectors(center, radius)
-        allowed = all(int(cfg.colors[j]) == color for j in hits)
-        if metropolis(birth_ratio(lam, cfg.n, float(allowed)), rng):
+        if metropolis(birth_ratio(lam, cfg.n, float(insertion_allowed(cfg, hits, color))), rng):
             lab.apply_insertion(cfg.add(center, radius, color), hits)
             state.accepted["birth"] += 1
     elif u < 0.8:
@@ -133,7 +121,7 @@ def wr_step(state: ChainState) -> ChainState:
                 state.accepted["death"] += 1
     elif cfg.n > 0:
         state.proposed["recolor"] += 1
-        # the pick reads only the color-blind configuration and the slot
+        # the pick reads only the color-blind configuration and the move
         # order, which checkpoints keep, so this is a Gibbs update of one
         # component's color and resumed runs repeat it exactly
         slot = cfg.random_active(rng)
@@ -151,9 +139,8 @@ def run_wr_chain(
     burn_in: int = 200,
     thin: int = 2,
     keep_configs: bool = False,
-    audit_interval: int = 10_000,
 ) -> SamplerReport:
-    state = new_wr_chain(params, rng, audit_interval=audit_interval)
+    state = new_wr_chain(params, rng)
     return run_chain(
         params,
         rng,

@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 
 from crcmlab import cli_runner as cli
+from crcmlab.connectivity import count_components
+from crcmlab.crcm import bd_step, new_chain
+from crcmlab.widom_rowlinson import new_wr_chain, wr_step
 from crcmlab.cli_runner import (
     EXIT_OK,
     EXIT_SPEC,
@@ -103,6 +106,7 @@ def test_rng_state_round_trip():
     rng = chain_rng(3, 2)
     rng.random(17)
     doc = json.loads(json.dumps(rng_state_to_json(rng)))
+    assert all(isinstance(doc["state"][k], list) for k in ("counter", "key"))  # plain JSON
     clone = rng_from_json(doc)
     assert np.array_equal(rng.random(8), clone.random(8))
 
@@ -136,49 +140,48 @@ def test_sample_crcm_trace_format(tmp_path):
 
 
 def check_resume_bitwise(tmp_path, subcommand: str, colored: bool, settings: dict) -> None:
+    """Resuming from each of chain 0's checkpoints (every 10th sweep)
+    reproduces the uninterrupted run's traces and final configurations."""
     straight = tmp_path / "straight"
-    resumed = tmp_path / "resumed"
     flags = set_flags(settings)
     r = run_cli(subcommand, "--seed", "11", "--chains", "2", "--out", str(straight), *flags)
     assert r.returncode == EXIT_OK
 
-    # interrupt chain 0 at its mid-run checkpoint, then resume
-    spec = load_spec(
-        subcommand,
-        None,
-        {"seed": "11", "chains": "2", "out": str(resumed), **settings, "checkpoint_every": "20"},
-    )
-    resumed.mkdir()
-
-    class Interrupt(Exception):
-        pass
-
-    def cb(chain_doc):
-        if chain_doc["sweep"] == 40:
-            doc = {"spec_hash": spec.digest(), "colored": colored, "chain": chain_doc,
-                   "chain_index": 0, "next_chain": 0, "finished": {}}
-            (resumed / "checkpoint.json").write_text(json.dumps(cli.tmp_doc_default(doc)))
-            raise Interrupt
-
-    with pytest.raises(Interrupt):
-        cli.run_traced_chain(spec, 0, colored, checkpoint_cb=cb)
-    r = run_cli(
-        subcommand, "--seed", "11", "--chains", "2", "--out", str(resumed),
-        *flags, "--set", "checkpoint_every=20",
-        "--resume", str(resumed / "checkpoint.json"),
-    )
-    assert r.returncode == EXIT_OK
-    for c in range(2):
-        for name in (f"trace_{c:03d}.csv", f"final_config_{c:03d}.csv"):
-            assert (straight / name).read_bytes() == (resumed / name).read_bytes()
+    spec = load_spec(subcommand, None, {"seed": "11", "chains": "2", **settings,
+                                        "checkpoint_every": "10"})
+    docs = []  # kept, not serialized, until the chain has finished
+    cli.run_traced_chain(spec, 0, colored, checkpoint_cb=docs.append)
+    assert [d["sweep"] for d in docs] == [10, 20, 30, 40]
+    for d in docs:
+        resumed = tmp_path / f"resumed_{d['sweep']}"
+        resumed.mkdir()
+        doc = {"spec_hash": spec.digest(), "chain": d, "next_chain": 0}
+        (resumed / "checkpoint.json").write_text(json.dumps(cli.tmp_doc_default(doc)))
+        code = cli.main([
+            subcommand, "--seed", "11", "--chains", "2", "--out", str(resumed),
+            *flags, "--set", "checkpoint_every=10",
+            "--resume", str(resumed / "checkpoint.json"),
+        ])
+        assert code == EXIT_OK
+        for c in range(2):
+            for name in (f"trace_{c:03d}.csv", f"final_config_{c:03d}.csv"):
+                assert (straight / name).read_bytes() == (resumed / name).read_bytes()
 
 
 def test_checkpoint_resume_bitwise(tmp_path):
     check_resume_bitwise(tmp_path, "sample-crcm", False, FAST)
 
 
+def test_checkpoint_resume_bitwise_heavy_tail(tmp_path):
+    # tpareto radii fill the grid's overflow list; slot ids and bucket order
+    # change on resume, and the trajectory must not
+    settings = {**FAST, "z": "0.02", "q": "1.7", "law": "tpareto:2,20",
+                "window": "-20,-20:20,20"}
+    check_resume_bitwise(tmp_path, "sample-crcm", False, settings)
+
+
 def test_checkpoint_resume_bitwise_wr(tmp_path):
-    # the recolor move picks a component through the slot order, which the
+    # the recolor move picks a component through the move order, which the
     # checkpoint keeps; the restored labeling's internal roots play no part
     check_resume_bitwise(tmp_path, "sample-wr", True, FAST_WR)
 
@@ -285,34 +288,46 @@ def test_dlr_check_runs_on_a_3d_window(tmp_path):
     assert [r.split(",")[0] for r in rows] == ["count", "n_cc"]
 
 
-def _checkpoint_config():
-    from crcmlab.geometry import Box
-    from crcmlab.model_core import Configuration
-
-    cfg = Configuration(Box([0, 0], [1, 1]), cell_size=0.25, capacity=8)
-    for x in (0.1, 0.4, 0.7):
-        cfg.add(np.array([x, 0.5]), 0.1)
-    cfg.remove(1)
-    return cli.config_to_json(cfg)
+CHAIN_SPECS = {False: FAST, True: FAST_WR}
 
 
-def test_config_from_json_round_trip_keeps_slots():
-    doc = _checkpoint_config()
-    back = cli.config_from_json(doc)
-    assert cli.config_to_json(back) == doc
+def _chain_params(colored: bool):
+    spec = load_spec("sample-wr" if colored else "sample-crcm", None, CHAIN_SPECS[colored])
+    return spec.wr_params() if colored else spec.model_params()
+
+
+def _chain_doc(colored: bool) -> dict:
+    """A chain's checkpoint document, through JSON, after 300 moves."""
+    params = _chain_params(colored)
+    state = (new_wr_chain if colored else new_chain)(params, chain_rng(5, 0))
+    for _ in range(300):
+        (wr_step if colored else bd_step)(state)
+    return json.loads(json.dumps(cli.tmp_doc_default(cli.chain_to_json(state, 7, []))))
+
+
+@pytest.mark.parametrize("colored", [False, True])
+def test_chain_json_round_trip(colored):
+    doc = _chain_doc(colored)
+    keys = ["accepted", "centers", "proposed", "radii", "rng", "step_count", "sweep", "trace"]
+    assert sorted(doc) == sorted(keys + ["colors"] * colored)  # no slot layout
+    state, sweep, trace = cli.chain_from_json(doc, _chain_params(colored))
+    assert (sweep, trace) == (7, [])
+    assert state.config.active_ids() == list(range(len(doc["radii"])))
+    assert state.n_cc == count_components(state.config)
+    assert cli.chain_to_json(state, 7, []) == doc
 
 
 @pytest.mark.parametrize(
     "corrupt",
     [
-        lambda d: d["active"][0].__setitem__(0, 8),  # slot out of range
-        lambda d: d["active"][1].__setitem__(0, d["active"][0][0]),  # duplicate slot
-        lambda d: d["free"].append(d["active"][0][0]),  # active slot also free
-        lambda d: d["free"].pop(),  # a slot neither active nor free
+        lambda d: d["radii"].pop(),  # one radius short
+        lambda d: d["centers"].append(d["centers"][0]),  # one center too many
+        lambda d: d["radii"].__setitem__(0, -0.1),  # negative radius
+        lambda d: d["radii"].__setitem__(0, float("nan")),  # non-finite radius
     ],
 )
-def test_config_from_json_rejects_inconsistent_slots(corrupt):
-    doc = _checkpoint_config()
+def test_chain_from_json_rejects_malformed_balls(corrupt):
+    doc = _chain_doc(False)
     corrupt(doc)
-    with pytest.raises(ValueError, match="slot"):
-        cli.config_from_json(doc)
+    with pytest.raises(ValueError, match="radii"):
+        cli.chain_from_json(doc, _chain_params(False))

@@ -12,6 +12,7 @@ from crcmlab.connectivity import (
     ClusterLabeling,
     LambdaNotInWindow,
     NestingViolation,
+    active_arrays,
     cc_increment,
     check_bounds,
     compatibility_offset,
@@ -137,14 +138,13 @@ def test_telescoping_identity(rng):
     params = ModelParams(0.06, 1.0, UniformRadius(0.2, 1.0), BIG)
     for _ in range(20):
         target = sample_poisson_boolean(params, rng)
-        balls = list(target.iter_balls())
-        rng.shuffle(balls)
+        centers, radii = active_arrays(target)
         cfg = Configuration(BIG, cell_size=target.index.cell_size)
         lab = ClusterLabeling(cfg)
         total = 0
-        for b in balls:
-            delta, hits = lab.insertion_increment(cfg, b.center, b.radius)
-            slot = cfg.add(b.center, b.radius)
+        for k in rng.permutation(target.n):
+            delta, hits = lab.insertion_increment(cfg, centers[k], radii[k])
+            slot = cfg.add(centers[k], radii[k])
             lab.apply_insertion(slot, hits)
             total += delta
         assert total == count_components(target) == lab.n_components
@@ -159,7 +159,7 @@ def test_deletion_inverse(rng):
         n_cc = lab.n_components
         for slot in list(cfg.active_ids()):
             groups = lab.removal_split(cfg, slot)
-            ball = cfg.ball(slot)
+            ball = MarkedBall(cfg.centers[slot].copy(), cfg.radii[slot])
             without = cfg.copy()
             without.remove(slot)
             n_without = count_components(without)
@@ -209,7 +209,11 @@ def test_offset_independent_of_interior(rng):
     for _ in range(5):
         cfg = sample_poisson_boolean(params, rng)
         ref = offset(cfg, lam, lam2)
-        outside = [b for b in cfg.iter_balls() if not lam.contains_point(b.center)]
+        outside = [
+            MarkedBall(cfg.centers[s], cfg.radii[s])
+            for s in cfg.active_ids()
+            if not lam.contains_point(cfg.centers[s])
+        ]
         for _ in range(20):
             n_new = int(rng.poisson(2.0))
             inner = [

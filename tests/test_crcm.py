@@ -9,6 +9,7 @@ from crcmlab import crcm
 from crcmlab import widom_rowlinson as wr
 from crcmlab.geometry import Box
 from crcmlab.model_core import (
+    Configuration,
     DiracRadius,
     ModelParams,
     ParetoRadius,
@@ -18,6 +19,7 @@ from crcmlab.model_core import (
 from crcmlab.connectivity import ClusterLabeling, count_components
 from crcmlab.crcm import (
     AssumptionAViolated,
+    ChainState,
     DegenerateWeights,
     RejectionBudgetExceeded,
     bd_step,
@@ -41,6 +43,12 @@ def seeded(k):
     return np.random.default_rng(np.random.SeedSequence(k))
 
 
+def empty_chain(params, rng):
+    """A cluster chain started from the empty configuration."""
+    cfg = Configuration(params.window, cell_size=params.cell_size)
+    return ChainState(params=params, config=cfg, labeling=ClusterLabeling(cfg), rng=rng)
+
+
 # -- the move kernel -------------------------------------------------------------
 
 
@@ -52,7 +60,7 @@ def cluster_factor(state, center, radius):
 
 def test_papangelou_isolated_merge_and_q1():
     # the birth ratio carries the conditional intensity z q^(increment)
-    state = new_chain(TINY, seeded(0), init="empty")
+    state = empty_chain(TINY, seeded(0))
     # two far components
     for c in ([0.1, 0.1], [0.9, 0.9]):
         slot = state.config.add(np.array(c), 0.1)
@@ -70,7 +78,7 @@ def test_papangelou_isolated_merge_and_q1():
 
 def test_birth_acceptance_from_empty_state():
     params = ModelParams(0.3, 2.0, DiracRadius(0.1), UNIT)
-    state = new_chain(params, seeded(2), init="empty")
+    state = empty_chain(params, seeded(2))
     delta, hits = state.labeling.insertion_increment(state.config, np.array([0.5, 0.5]), 0.1)
     assert delta == 1 and hits == []
     ratio = birth_ratio(params.total_intensity, 0, params.q**delta)
@@ -104,27 +112,31 @@ def test_detailed_balance_product_is_one():
 @pytest.fixture
 def kernel_calls(monkeypatch):
     """Counts calls of birth_ratio and death_ratio through every crcmlab
-    module that binds them."""
-    calls = {"birth": 0, "death": 0}
-    for kind, fn in (("birth", crcm.birth_ratio), ("death", crcm.death_ratio)):
+    module that binds them, and of the color model's insertion factor."""
+    calls = {"birth": 0, "death": 0, "allowed": 0}
+    for kind, fn, mods in (
+        ("birth", crcm.birth_ratio, (crcm, wr)),
+        ("death", crcm.death_ratio, (crcm, wr)),
+        ("allowed", wr.insertion_allowed, (wr,)),
+    ):
 
         def counting(*args, _fn=fn, _kind=kind):
             calls[_kind] += 1
             return _fn(*args)
 
-        for mod in (crcm, wr):
+        for mod in mods:
             assert getattr(mod, fn.__name__) is fn
             monkeypatch.setattr(mod, fn.__name__, counting)
     return calls
 
 
 def test_every_chain_move_goes_through_the_kernel(kernel_calls):
-    def check(state, moves):
+    def check(state, moves, factor_kinds=()):
         proposed, calls = dict(state.proposed), dict(kernel_calls)
         moves()
-        for kind in ("birth", "death"):
+        for kind, counted in (("birth", "birth"), ("death", "death"), *factor_kinds):
             made = state.proposed[kind] - proposed[kind]
-            assert kernel_calls[kind] - calls[kind] == made > 0
+            assert kernel_calls[counted] - calls[counted] == made > 0
 
     params = ModelParams(30.0, 2.0, DiracRadius(0.05), UNIT)
     state = new_chain(params, seeded(50))
@@ -137,13 +149,14 @@ def test_every_chain_move_goes_through_the_kernel(kernel_calls):
     wr_state = wr.new_wr_chain(wr_params, seeded(51))
     for _ in range(2000):
         wr.wr_step(wr_state)
-    check(wr_state, lambda: [wr.wr_step(wr_state) for _ in range(300)])
+    # every color-model birth weighs its insertion by the tested factor
+    check(wr_state, lambda: [wr.wr_step(wr_state) for _ in range(300)], [("birth", "allowed")])
 
 
 def test_nested_chain_q1_count_is_poisson_mean():
     # q = 1, box = window, empty exterior: the nested chain targets Poisson(z |box|)
     params = ModelParams(8.0, 1.0, DiracRadius(0.05), UNIT)
-    state = new_chain(params, seeded(52), init="empty")
+    state = empty_chain(params, seeded(52))
     counts = []
     for _ in range(3100):
         crcm._nested_box_chain(state, UNIT, 1)
@@ -155,7 +168,8 @@ def test_nested_chain_q1_count_is_poisson_mean():
 
 def test_cached_component_count_audited(rng):
     params = ModelParams(20.0, 2.0, DiracRadius(0.08), UNIT)
-    state = new_chain(params, seeded(4), audit_interval=500)
+    state = new_chain(params, seeded(4))
+    state.audit_interval = 500
     for _ in range(5000):
         bd_step(state)  # audit raises on any cache drift
     assert state.n_cc == count_components(state.config)
@@ -378,7 +392,10 @@ def test_gnz_array_statistics_match_ball_by_ball_loop():
 
     def wr_weigh(cfg, xs, rs, rng):
         ks = rng.integers(1, 3, size=len(xs))
-        return [float(wr.insertion_allowed(cfg, x, r, int(k))) for x, r, k in zip(xs, rs, ks)]
+        return [
+            float(wr.insertion_allowed(cfg, cfg.intersectors(x, r), int(k)))
+            for x, r, k in zip(xs, rs, ks)
+        ]
 
     for rows, ref in (
         (gnz_residual_crcm(samples, params, rng=seeded(31)),

@@ -376,3 +376,18 @@ def test_bulk_build_checks_window_and_colors():
             UNIT,
             [MarkedBall(np.array([0.5, 0.5]), 0.1, 1), MarkedBall(np.array([0.2, 0.2]), 0.1)],
         )
+
+
+def test_bulk_build_rejects_mismatched_lengths_and_bad_radii():
+    # one center and one color per radius: no numpy broadcasting of a short list
+    with pytest.raises(ValueError, match=r"differ in length .*\[1, 3\]"):
+        Configuration.from_arrays(UNIT, [[0.5, 0.5]], [0.1, 0.2, 0.3])
+    with pytest.raises(ValueError, match=r"\[2, 2, 1\]"):
+        Configuration.from_arrays(UNIT, [[0.5, 0.5], [0.2, 0.2]], [0.1, 0.2], colors=[1])
+    for bad in (-0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            Configuration.from_arrays(UNIT, [[0.5, 0.5], [0.2, 0.2]], [0.1, bad])
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            MarkedBall(np.array([0.5, 0.5]), bad)
+    empty = Configuration.from_arrays(UNIT, np.zeros((0, 2)), [], colors=[])
+    assert empty.colored and empty.n == 0

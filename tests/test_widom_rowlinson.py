@@ -80,7 +80,7 @@ def test_insertion_allowed_matches_global_check():
         k = int(rng.integers(1, 3))
         trial = cfg.copy()
         trial.add(c, r, k)
-        assert insertion_allowed(cfg, c, r, k) == is_allowed(trial)
+        assert insertion_allowed(cfg, cfg.intersectors(c, r), k) == is_allowed(trial)
 
 
 def test_col_event():
@@ -115,7 +115,7 @@ def test_wr_detailed_balance_product():
         c = UNIT.sample_point(rng)
         r = params.law.sample_scalar(rng)
         k = int(rng.integers(1, 3))
-        allowed = insertion_allowed(state.config, c, r, k)
+        allowed = insertion_allowed(state.config, state.config.intersectors(c, r), k)
         n = state.config.n
         forward = birth_ratio(lam, n, float(allowed))
         if not allowed:
