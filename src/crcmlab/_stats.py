@@ -24,8 +24,8 @@ def batch_means_se(x: np.ndarray) -> float:
 def integrated_autocorr_time(x: np.ndarray) -> float:
     """IACT of a trace via batch means: n * Var(mean) / Var(x), floored at 1."""
     x = np.asarray(x, dtype=float)
-    v = x.var(ddof=1)
-    if v == 0 or x.size < 4:
+    v = x.var(ddof=1) if x.size >= 4 else 0.0
+    if v == 0:
         return 1.0
     se = batch_means_se(x)
     return max(1.0, x.size * se * se / v)

@@ -63,11 +63,18 @@ class ChainState:
         return self.labeling.n_components
 
     def audit(self) -> None:
-        fresh = count_components(self.config)
+        """Recount components, and compare the grid index's balls with the arrays."""
+        cfg = self.config
+        fresh = count_components(cfg)
         if fresh != self.labeling.n_components:
             raise RuntimeError(
                 f"cached component count {self.labeling.n_components} != {fresh}"
             )
+        stored = {
+            s: (tuple(cfg.centers[s].tolist()), float(cfg.radii[s])) for s in cfg.active_ids()
+        }
+        if cfg.index.balls != stored:
+            raise RuntimeError("grid index balls differ from the configuration's active balls")
 
     def maybe_audit(self) -> None:
         if self.audit_interval and self.step_count % self.audit_interval == 0:
@@ -113,10 +120,11 @@ def metropolis(ratio: float, rng: np.random.Generator) -> bool:
     return ratio > 0 and (ratio >= 1.0 or rng.random() < ratio)
 
 
-def _birth_death(state: ChainState, p: ModelParams, slots: list[int]) -> None:
+def _birth_death(state: ChainState, p: ModelParams, slots: list[int]) -> Optional[int]:
     """One cluster-weighted proposal in the window of `p`, whose balls are
     `slots`: with equal odds a birth (uniform center, law radius) or a death
-    (uniform ball of `slots`); increments count the whole configuration."""
+    (uniform ball of `slots`); increments count the whole configuration.
+    Returns the slot added or removed, None when the move is rejected."""
     rng = state.rng
     cfg = state.config
     lab = state.labeling
@@ -128,8 +136,10 @@ def _birth_death(state: ChainState, p: ModelParams, slots: list[int]) -> None:
         radius = p.law.sample_scalar(rng)
         delta, hits = lab.insertion_increment(cfg, center, radius)
         if metropolis(birth_ratio(lam, n, p.q**delta), rng):
-            lab.apply_insertion(cfg.add(center, radius), hits)
+            slot = cfg.add(center, radius)
+            lab.apply_insertion(slot, hits)
             state.accepted["birth"] += 1
+            return slot
     else:
         state.proposed["death"] += 1
         if n > 0:
@@ -139,6 +149,7 @@ def _birth_death(state: ChainState, p: ModelParams, slots: list[int]) -> None:
                 cfg.remove(slot)
                 lab.apply_removal(slot, groups)
                 state.accepted["death"] += 1
+                return slot
 
 
 def bd_step(state: ChainState) -> ChainState:
@@ -428,12 +439,28 @@ def conditional_resample(
 
 def _nested_box_chain(state: ChainState, box: Box, sweeps: int) -> ChainState:
     """Birth-death moves restricted to `box` with increments computed against
-    the full configuration; frozen exterior."""
+    the full configuration; frozen exterior.  The balls centered in `box`
+    are kept in move order (`cfg.active_ids()` filtered by the box) as moves
+    are accepted; `Configuration.remove` moves the last active ball into
+    the freed position."""
     cfg = state.config
     local = dataclasses.replace(state.params, window=box)
+    ids = np.asarray(cfg.active_ids(), dtype=np.intp)
+    inner = ids[box.contains_points(cfg.centers[ids])].tolist()
     for _ in range(sweeps * sweep_size(local)):
-        ids = np.asarray(cfg.active_ids(), dtype=np.intp)
-        _birth_death(state, local, ids[box.contains_points(cfg.centers[ids])].tolist())
+        n = cfg.n
+        last = cfg.active_ids()[-1] if n else None
+        slot = _birth_death(state, local, inner)
+        if slot is None:
+            continue
+        if cfg.n > n and box.contains_point(cfg.centers[slot]):
+            inner.append(slot)
+        elif cfg.n < n:
+            i = inner.index(slot)
+            if last != slot and inner[-1] == last:
+                inner[i] = inner.pop()
+            else:
+                del inner[i]
     return state
 
 

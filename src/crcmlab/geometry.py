@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -38,17 +39,24 @@ class Box:
     def dimension(self) -> int:
         return self.lo.size
 
-    @property
+    # cached on first use, so constructing a Box stays cheap
+    @cached_property
     def sides(self) -> np.ndarray:
-        return self.hi - self.lo
+        sides = self.hi - self.lo
+        sides.flags.writeable = False
+        return sides
 
-    @property
+    @cached_property
     def volume(self) -> float:
         return float(np.prod(self.sides))
 
-    def contains_point(self, x: np.ndarray) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool((x >= self.lo).all() and (x <= self.hi).all())
+    @cached_property
+    def _axes(self) -> list[tuple[float, float, float]]:
+        """(lo, hi, side) of each axis as Python floats, for one-point work."""
+        return list(zip(self.lo.tolist(), self.hi.tolist(), self.sides.tolist()))
+
+    def contains_point(self, x) -> bool:
+        return all(lo <= v <= hi for (lo, hi, _), v in zip(self._axes, x))
 
     def contains_points(self, xs: np.ndarray) -> np.ndarray:
         """Vectorized membership for an (n, d) array of points."""
@@ -76,8 +84,10 @@ class Box:
         dist = np.sqrt(np.sum(gaps * gaps, axis=-1))
         return float(dist) if x.ndim == 1 else dist
 
-    def sample_point(self, rng: np.random.Generator) -> np.ndarray:
-        return self.lo + rng.random(self.dimension) * self.sides
+    def sample_point(self, rng: np.random.Generator) -> tuple[float, ...]:
+        """Uniform point as a tuple of floats: the draws and values of
+        sample_points(rng, 1)[0]."""
+        return tuple(lo + rng.random() * side for lo, _, side in self._axes)
 
     def sample_points(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return self.lo + rng.random((n, self.dimension)) * self.sides
@@ -139,8 +149,9 @@ class SpatialIndex:
 
     Every ball is stored either in the grid cell containing its center
     (radius <= cell size) or in a flat overflow list scanned on every query.
-    Queries return a superset of the true intersectors of the query ball,
-    with no duplicates.
+    `balls` holds each stored ball's center and radius as Python floats, so
+    one-ball queries need no array arithmetic.  Queries return a superset of
+    the true intersectors of the query ball, with no duplicates.
     """
 
     def __init__(self, cell_size: float):
@@ -149,65 +160,46 @@ class SpatialIndex:
         self.cell_size = float(cell_size)
         self.cells: dict[tuple, list[int]] = {}
         self.oversized: list[int] = []
-        self._where: dict[int, Optional[tuple]] = {}  # id -> cell key, None if oversized
+        self.balls: dict[int, tuple[tuple[float, ...], float]] = {}
+        # largest radius ever stored in a cell; never lowered, so it bounds
+        # every grid radius after removals too
+        self.grid_radius = 0.0
 
-    def __len__(self) -> int:
-        return len(self._where)
-
-    def _key(self, center: np.ndarray) -> tuple:
+    def _key(self, center) -> tuple:
         cs = self.cell_size
-        return tuple(math.floor(c / cs) for c in center)
+        return tuple([math.floor(c / cs) for c in center])
 
-    def insert(self, ball_id: int, center: np.ndarray, radius: float) -> None:
-        if ball_id in self._where:
+    def insert(self, ball_id: int, center, radius: float) -> None:
+        if ball_id in self.balls:
             raise ValueError(f"id {ball_id} already stored")
+        center, radius = tuple(map(float, center)), float(radius)
+        self.balls[ball_id] = (center, radius)
         if radius > self.cell_size:
             self.oversized.append(ball_id)
-            self._where[ball_id] = None
         else:
-            key = self._key(center)
-            self.cells.setdefault(key, []).append(ball_id)
-            self._where[ball_id] = key
-
-    def insert_many(self, ids, centers: np.ndarray, radii: np.ndarray) -> None:
-        """Insert several balls; the same buckets, in the same order, as
-        calling `insert` for each in turn."""
-        where, cells = self._where, self.cells
-        keys = np.floor(centers / self.cell_size).astype(np.int64).tolist()
-        wide = (radii > self.cell_size).tolist()
-        for ball_id, key, is_wide in zip(ids, keys, wide):
-            if ball_id in where:
-                raise ValueError(f"id {ball_id} already stored")
-            if is_wide:
-                self.oversized.append(ball_id)
-                where[ball_id] = None
-            else:
-                key = tuple(key)
-                cells.setdefault(key, []).append(ball_id)
-                where[ball_id] = key
+            self.cells.setdefault(self._key(center), []).append(ball_id)
+            self.grid_radius = max(self.grid_radius, radius)
 
     def remove(self, ball_id: int) -> None:
-        key = self._where.pop(ball_id)
-        if key is None:
+        center, radius = self.balls.pop(ball_id)
+        if radius > self.cell_size:
             self.oversized.remove(ball_id)
         else:
+            key = self._key(center)
             bucket = self.cells[key]
             bucket.remove(ball_id)
             if not bucket:
                 del self.cells[key]
 
-    def all_ids(self) -> list[int]:
-        return list(self._where)
-
-    def candidates(self, center: np.ndarray, radius: float) -> list[int]:
+    def candidates(self, center, radius: float) -> list[int]:
         """Ids of stored balls that may intersect B(center, radius).
 
-        Sound because grid-stored balls have radius <= cell size: their
-        centers lie within radius + cell size of the query center.
+        Sound because grid-stored balls have radius <= grid_radius: their
+        centers lie within radius + grid_radius of the query center.
         """
-        if not self._where:
+        if not self.balls:
             return []
-        reach = radius + self.cell_size
+        reach = radius + self.grid_radius
         cs = self.cell_size
         ranges = []
         n_cells = 1
@@ -215,8 +207,8 @@ class SpatialIndex:
             a = math.floor((c - reach) / cs)
             b = math.floor((c + reach) / cs)
             n_cells *= b - a + 1
-            if n_cells >= len(self._where):
-                return self.all_ids()
+            if n_cells >= len(self.balls):  # fewer balls than cells: take them all
+                return list(self.balls)
             ranges.append(range(a, b + 1))
         out = list(self.oversized)
         cells = self.cells

@@ -94,6 +94,9 @@ class DiracRadius(RadiusLaw):
             size = ()
         return np.full(size, self.r0, dtype=float)
 
+    def sample_scalar(self, rng):
+        return float(self.r0)
+
     def moment(self, k):
         return float(self.r0**k)
 
@@ -375,7 +378,8 @@ class Configuration:
         del self._free[-n:]
         self._active = list(range(n))
         self._slot_pos[:n] = np.arange(n)
-        self.index.insert_many(range(n), self.centers[:n], self.radii[:n])
+        for slot, center, radius in zip(range(n), self.centers[:n].tolist(), radii.tolist()):
+            self.index.insert(slot, center, radius)
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -410,7 +414,7 @@ class Configuration:
             self.colors[slot] = color
         self._slot_pos[slot] = len(self._active)
         self._active.append(slot)
-        self.index.insert(slot, self.centers[slot], radius)
+        self.index.insert(slot, self.centers[slot].tolist(), radius)
         return slot
 
     def remove(self, slot: int) -> None:
@@ -428,25 +432,29 @@ class Configuration:
     def random_active(self, rng: np.random.Generator) -> int:
         return self._active[int(rng.integers(len(self._active)))]
 
-    def intersectors(self, center: np.ndarray, radius: float) -> list[int]:
-        """Slots of stored balls whose closed ball meets B(center, radius)."""
+    def intersectors(self, center, radius: float) -> list[int]:
+        """Slots of stored balls whose closed ball meets B(center, radius):
+        |c - center|^2 <= (r + radius)^2, coordinates summed in order."""
         cand = self.index.candidates(center, radius)
-        if not cand:
-            return []
-        if len(cand) <= 16:  # scalar loop beats array setup on tiny lists
-            cs, rs = self.centers, self.radii
-            out = []
-            for j in cand:
-                diff = cs[j] - center
-                rsum = rs[j] + radius
-                if diff @ diff <= rsum * rsum:
-                    out.append(j)
-            return out
-        ids = np.asarray(cand, dtype=np.intp)
-        diff = self.centers[ids] - center
-        rsum = self.radii[ids] + radius
-        mask = np.einsum("ij,ij->i", diff, diff) <= rsum * rsum
-        return [int(i) for i in ids[mask]]
+        if len(cand) > 64:  # array setup pays off on long lists
+            ids = np.asarray(cand, dtype=np.intp)
+            diff = self.centers[ids] - np.asarray(center, dtype=float)
+            rsum = self.radii[ids] + radius
+            mask = np.einsum("ij,ij->i", diff, diff) <= rsum * rsum
+            return [int(i) for i in ids[mask]]
+        x = tuple(map(float, center))
+        balls = self.index.balls
+        out = []
+        for j in cand:
+            c, r = balls[j]
+            d2 = 0.0
+            for a, b in zip(c, x):
+                a -= b
+                d2 += a * a
+            r += radius
+            if d2 <= r * r:
+                out.append(j)
+        return out
 
     def count_in(self, box: Box) -> int:
         """Number of ball centers in `box`."""

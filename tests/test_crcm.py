@@ -33,7 +33,7 @@ from crcmlab.crcm import (
     new_chain,
     run_chain,
 )
-from crcmlab._stats import batch_means_se
+from crcmlab._stats import batch_means_se, effective_sample_size, integrated_autocorr_time
 
 UNIT = Box([0, 0], [1, 1])
 TINY = ModelParams(2.0, 2.0, DiracRadius(0.3), UNIT)
@@ -166,6 +166,38 @@ def test_nested_chain_q1_count_is_poisson_mean():
     state.audit()
 
 
+@pytest.mark.parametrize(
+    "q, box",
+    [
+        (2.0, Box([0.2, 0.3], [0.7, 0.9])),
+        (2.0, UNIT),  # every ball inside: the last active ball is always inner
+        (0.5, Box([0.0, 0.5], [0.5, 1.0])),
+    ],
+)
+def test_nested_chain_keeps_inner_slots_in_move_order(monkeypatch, q, box):
+    # before every proposal the kept list equals the recomputation over all
+    # active balls, so the trajectory is the one that recomputation gives
+    params = ModelParams(60.0, q, DiracRadius(0.05), UNIT)
+    state = new_chain(params, seeded(53))
+    move = crcm._birth_death
+    seen = []
+
+    def recomputed(state, p, slots):
+        cfg = state.config
+        ids = np.asarray(cfg.active_ids(), dtype=np.intp)
+        assert slots == ids[box.contains_points(cfg.centers[ids])].tolist()
+        seen.append(len(slots))
+        return move(state, p, slots)
+
+    monkeypatch.setattr(crcm, "_birth_death", recomputed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RejectionBudgetExceeded)
+        conditional_resample(state, box, max_attempts=0, nested_sweeps=20)
+    assert len(seen) == 20 * crcm.sweep_size(ModelParams(60.0, q, DiracRadius(0.05), box))
+    assert state.accepted["birth"] > 50 and state.accepted["death"] > 50
+    state.audit()
+
+
 def test_cached_component_count_audited(rng):
     params = ModelParams(20.0, 2.0, DiracRadius(0.08), UNIT)
     state = new_chain(params, seeded(4))
@@ -173,6 +205,57 @@ def test_cached_component_count_audited(rng):
     for _ in range(5000):
         bd_step(state)  # audit raises on any cache drift
     assert state.n_cc == count_components(state.config)
+
+
+def test_audit_checks_the_grid_index_balls():
+    params = ModelParams(20.0, 2.0, DiracRadius(0.08), UNIT)
+    for corrupt in (
+        lambda idx, slot: idx.balls.pop(slot),
+        lambda idx, slot: idx.balls.__setitem__(slot, ((0.5, 0.5), 0.08)),
+        lambda idx, slot: idx.balls.__setitem__(10**6, idx.balls[slot]),
+    ):
+        state = new_chain(params, seeded(4))
+        state.audit()
+        corrupt(state.config.index, state.config.active_ids()[3])
+        with pytest.raises(RuntimeError, match="grid index"):
+            state.audit()
+
+
+def brute_intersectors(cfg, center, radius):
+    """Every active ball tested, hits in slot order (not the grid's order)."""
+    ids = np.asarray(cfg.active_ids(), dtype=np.intp)
+    diff = cfg.centers[ids] - np.asarray(center, dtype=float)
+    rsum = cfg.radii[ids] + radius
+    return sorted(ids[np.einsum("ij,ij->i", diff, diff) <= rsum * rsum].tolist())
+
+
+@pytest.mark.parametrize(
+    "model, law, window, z",
+    [
+        ("crcm", DiracRadius(0.03), UNIT, 150.0),
+        ("crcm", ParetoRadius(2, 20.0), Box([0, 0], [30, 30]), 0.15),
+        ("wr", DiracRadius(0.04), UNIT, 200.0),
+    ],
+)
+def test_chains_do_not_depend_on_the_grid_query(monkeypatch, model, law, window, z):
+    def run():
+        rng = seeded(55)
+        if model == "wr":
+            params = wr.WrParams(z, 2, law, window)
+            rep = wr.run_wr_chain(params, rng, sweeps=20, burn_in=5, thin=1)
+        else:
+            rep = run_chain(ModelParams(z, 2.0, law, window), rng, sweeps=20, burn_in=5, thin=1)
+        rep.state.audit()
+        cfg = rep.state.config
+        ids = cfg.active_ids()
+        rows = [a.tolist() for a in (rep.sweeps, rep.counts, rep.n_cc, rep.largest)]
+        colors = None if cfg.colors is None else cfg.colors[ids].tolist()
+        return rows, rep.accept_rates, cfg.centers[ids].tolist(), cfg.radii[ids].tolist(), colors
+
+    grid = run()
+    monkeypatch.setattr(Configuration, "intersectors", brute_intersectors)
+    assert run() == grid
+    assert max(grid[0][1]) > 20
 
 
 def test_assumption_violation_raises():
@@ -473,6 +556,16 @@ def test_report_traces_and_rates():
     assert all(0.0 <= v <= 1.0 for v in rep.accept_rates.values())
     assert list(rep.sweeps) == list(range(10, 60, 5))
     assert rep.ess_count > 0
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_short_traces_raise_no_warnings(n):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert integrated_autocorr_time(np.arange(n, dtype=float)) == 1.0
+        assert effective_sample_size(np.arange(n)) == n
+        if n == 1:
+            run_chain(TINY, seeded(35), sweeps=1, burn_in=0, thin=1)
 
 
 def test_entropy_report_survives_overflowing_weights():

@@ -1,14 +1,16 @@
 """Random add/remove sequences on a configuration and its incremental
 labeling, checked after every step against two from-scratch counts, and
 every ball's removal split against its brute-force component (the members
-the hard-core-color chain recolors)."""
+the hard-core-color chain recolors).  A second machine, in d = 2 and 3,
+checks after every add or remove that `intersectors` answers a probe ball
+exactly as `intersecting_pairs` does over all active balls."""
 import itertools
 
 import numpy as np
 from hypothesis import Phase, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
-from crcmlab.connectivity import ClusterLabeling, count_components
+from crcmlab.connectivity import ClusterLabeling, count_components, intersecting_pairs
 from crcmlab.geometry import Box
 from crcmlab.model_core import Configuration, TruncatedParetoRadius
 
@@ -105,3 +107,89 @@ IncrementalLabeling.TestCase.settings = settings(
     phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink],
 )
 TestIncrementalLabeling = IncrementalLabeling.TestCase
+
+
+def brute_hits(cfg: Configuration, center, r: float) -> list[int]:
+    """Slots meeting B(center, r), from the pair kernel over every active
+    ball plus the probe (the last index, so it is always j of a pair)."""
+    ids = np.asarray(cfg.active_ids(), dtype=np.intp)
+    i, j = intersecting_pairs(
+        np.vstack([cfg.centers[ids], [center]]), np.append(cfg.radii[ids], r)
+    )
+    return sorted(ids[i[j == ids.size]].tolist())
+
+
+def exact_hits_machine(d: int):
+    """Add, bulk-add and remove balls in [-10, 10]^d with grid cell 1,
+    probing after each change.  Lattice balls of radius 0.5 are exactly
+    tangent; tpareto radii (>= 1) go to the overflow list; bulk adds and
+    large probes reach the take-every-ball fallback and lists of more than 64
+    candidates; removing the largest grid ball leaves grid_radius above
+    every stored grid radius."""
+    window = Box([-10.0] * d, [10.0] * d)
+    point = st.one_of(
+        st.tuples(*[st.integers(-6, 6)] * d).map(lambda t: tuple(map(float, t))),
+        st.tuples(*[st.floats(-10, 10, allow_nan=False)] * d),
+    )
+
+    class ExactHits(RuleBasedStateMachine):
+        def __init__(self):
+            super().__init__()
+            self.cfg = Configuration(window, cell_size=1.0)
+
+        def probe(self, center, r):
+            got = self.cfg.intersectors(center, r)
+            assert len(got) == len(set(got))
+            assert sorted(got) == brute_hits(self.cfg, center, r)
+
+        @rule(center=point, r=radius, probe=point, probe_r=radius)
+        def add(self, center, r, probe, probe_r):
+            self.cfg.add(center, r)
+            self.probe(probe, probe_r)
+
+        @rule(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 80), probe=point, probe_r=radius)
+        def add_many(self, seed, k, probe, probe_r):
+            rng = np.random.default_rng(seed)
+            on_lattice = rng.random(k) < 0.5
+            centers = np.where(
+                on_lattice[:, None],
+                rng.integers(-6, 7, size=(k, d)).astype(float),
+                rng.uniform(-10, 10, size=(k, d)),
+            )
+            radii = np.where(
+                on_lattice,
+                0.5,
+                np.where(rng.random(k) < 0.3, TPARETO.sample(rng, k), rng.uniform(0.05, 1.0, k)),
+            )
+            for c, r in zip(centers, radii.tolist()):
+                self.cfg.add(c, r)
+            self.probe(probe, probe_r)
+
+        @precondition(lambda self: self.cfg.n > 0)
+        @rule(pick=st.integers(0, 10**6), probe=point, probe_r=radius)
+        def remove(self, pick, probe, probe_r):
+            self.cfg.remove(self.cfg.active_ids()[pick % self.cfg.n])
+            self.probe(probe, probe_r)
+
+        @precondition(lambda self: any(self.cfg.radii[s] <= 1.0 for s in self.cfg.active_ids()))
+        @rule(probe=point, probe_r=radius)
+        def remove_largest_grid_ball(self, probe, probe_r):
+            grid = [s for s in self.cfg.active_ids() if self.cfg.radii[s] <= 1.0]
+            biggest = max(grid, key=lambda s: self.cfg.radii[s])
+            reach = self.cfg.index.grid_radius
+            self.cfg.remove(biggest)
+            assert self.cfg.index.grid_radius == reach
+            self.probe(probe, probe_r)
+
+    ExactHits.TestCase.settings = settings(
+        max_examples=40,
+        stateful_step_count=30,
+        deadline=None,
+        derandomize=True,
+        phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink],
+    )
+    return ExactHits
+
+
+TestExactHits2 = exact_hits_machine(2).TestCase
+TestExactHits3 = exact_hits_machine(3).TestCase

@@ -363,7 +363,8 @@ def test_bulk_build_equals_ball_by_ball(rng, n, colored):
             assert np.array_equal(got.colors, want.colors)
         assert list(got.index.cells.items()) == list(want.index.cells.items())
         assert got.index.oversized == want.index.oversized
-        assert list(got.index._where.items()) == list(want.index._where.items())
+        assert list(got.index.balls.items()) == list(want.index.balls.items())
+        assert got.index.grid_radius == want.index.grid_radius
     if n:
         assert want.index.oversized  # the heavy tail reached the overflow list
 
