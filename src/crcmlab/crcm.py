@@ -120,11 +120,12 @@ def metropolis(ratio: float, rng: np.random.Generator) -> bool:
     return ratio > 0 and (ratio >= 1.0 or rng.random() < ratio)
 
 
-def _birth_death(state: ChainState, p: ModelParams, slots: list[int]) -> Optional[int]:
+def _birth_death(state: ChainState, p: ModelParams, slots: list[int]) -> Optional[tuple]:
     """One cluster-weighted proposal in the window of `p`, whose balls are
     `slots`: with equal odds a birth (uniform center, law radius) or a death
     (uniform ball of `slots`); increments count the whole configuration.
-    Returns the slot added or removed, None when the move is rejected."""
+    Returns None when the move is rejected, else ("birth", new slot, None)
+    or ("death", freed slot, what `Configuration.remove` returned)."""
     rng = state.rng
     cfg = state.config
     lab = state.labeling
@@ -139,17 +140,17 @@ def _birth_death(state: ChainState, p: ModelParams, slots: list[int]) -> Optiona
             slot = cfg.add(center, radius)
             lab.apply_insertion(slot, hits)
             state.accepted["birth"] += 1
-            return slot
+            return "birth", slot, None
     else:
         state.proposed["death"] += 1
         if n > 0:
             slot = slots[int(rng.integers(n))]
             groups = lab.removal_split(cfg, slot)
             if metropolis(death_ratio(lam, n, p.q ** (len(groups) - 1)), rng):
-                cfg.remove(slot)
+                moved = cfg.remove(slot)
                 lab.apply_removal(slot, groups)
                 state.accepted["death"] += 1
-                return slot
+                return "death", slot, moved
 
 
 def bd_step(state: ChainState) -> ChainState:
@@ -441,26 +442,26 @@ def _nested_box_chain(state: ChainState, box: Box, sweeps: int) -> ChainState:
     """Birth-death moves restricted to `box` with increments computed against
     the full configuration; frozen exterior.  The balls centered in `box`
     are kept in move order (`cfg.active_ids()` filtered by the box) as moves
-    are accepted; `Configuration.remove` moves the last active ball into
-    the freed position."""
+    are accepted."""
     cfg = state.config
     local = dataclasses.replace(state.params, window=box)
     ids = np.asarray(cfg.active_ids(), dtype=np.intp)
     inner = ids[box.contains_points(cfg.centers[ids])].tolist()
     for _ in range(sweeps * sweep_size(local)):
-        n = cfg.n
-        last = cfg.active_ids()[-1] if n else None
-        slot = _birth_death(state, local, inner)
-        if slot is None:
+        move = _birth_death(state, local, inner)
+        if move is None:
             continue
-        if cfg.n > n and box.contains_point(cfg.centers[slot]):
-            inner.append(slot)
-        elif cfg.n < n:
-            i = inner.index(slot)
-            if last != slot and inner[-1] == last:
-                inner[i] = inner.pop()
-            else:
-                del inner[i]
+        kind, slot, moved = move
+        if kind == "birth":
+            if box.contains_point(cfg.centers[slot]):
+                inner.append(slot)
+            continue
+        # `moved` was last in move order, so last in `inner` if it is there
+        i = inner.index(slot)
+        if moved is not None and inner[-1] == moved:
+            inner[i] = inner.pop()
+        else:
+            del inner[i]
     return state
 
 

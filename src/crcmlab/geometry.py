@@ -170,15 +170,25 @@ class SpatialIndex:
         return tuple([math.floor(c / cs) for c in center])
 
     def insert(self, ball_id: int, center, radius: float) -> None:
+        center = tuple(map(float, center))
+        self._store(ball_id, center, float(radius), self._key(center))
+
+    def insert_many(self, ids, centers: np.ndarray, radii: np.ndarray) -> None:
+        """`insert` of each ball in turn, with the cell keys from one array pass."""
+        keys = np.floor(centers / self.cell_size).astype(np.int64).tolist()
+        for ball_id, center, radius, key in zip(ids, centers.tolist(), radii.tolist(), keys):
+            self._store(ball_id, tuple(center), radius, tuple(key))
+
+    def _store(self, ball_id: int, center: tuple, radius: float, key: tuple) -> None:
         if ball_id in self.balls:
             raise ValueError(f"id {ball_id} already stored")
-        center, radius = tuple(map(float, center)), float(radius)
         self.balls[ball_id] = (center, radius)
         if radius > self.cell_size:
             self.oversized.append(ball_id)
         else:
-            self.cells.setdefault(self._key(center), []).append(ball_id)
-            self.grid_radius = max(self.grid_radius, radius)
+            self.cells.setdefault(key, []).append(ball_id)
+            if radius > self.grid_radius:
+                self.grid_radius = radius
 
     def remove(self, ball_id: int) -> None:
         center, radius = self.balls.pop(ball_id)
@@ -195,11 +205,14 @@ class SpatialIndex:
         """Ids of stored balls that may intersect B(center, radius).
 
         Sound because grid-stored balls have radius <= grid_radius: their
-        centers lie within radius + grid_radius of the query center.
+        centers lie within radius + grid_radius of the query center.  The
+        reach is widened by 1e-12 of the query's scale, since a float
+        distance test can count a ball a few ulps farther away.
         """
         if not self.balls:
             return []
         reach = radius + self.grid_radius
+        reach += 1e-12 * (reach + max(map(abs, center)))
         cs = self.cell_size
         ranges = []
         n_cells = 1

@@ -378,8 +378,7 @@ class Configuration:
         del self._free[-n:]
         self._active = list(range(n))
         self._slot_pos[:n] = np.arange(n)
-        for slot, center, radius in zip(range(n), self.centers[:n].tolist(), radii.tolist()):
-            self.index.insert(slot, center, radius)
+        self.index.insert_many(range(n), self.centers[:n], self.radii[:n])
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -417,17 +416,22 @@ class Configuration:
         self.index.insert(slot, self.centers[slot].tolist(), radius)
         return slot
 
-    def remove(self, slot: int) -> None:
+    def remove(self, slot: int) -> Optional[int]:
+        """Free `slot`.  The last ball in move order takes its position;
+        returns that ball's slot, None when `slot` was the last."""
         pos = int(self._slot_pos[slot])
         if pos < 0:
             raise KeyError(f"slot {slot} not active")
-        last = self._active[-1]
-        self._active[pos] = last
-        self._slot_pos[last] = pos
-        self._active.pop()
+        moved = self._active.pop()
+        if moved == slot:
+            moved = None
+        else:
+            self._active[pos] = moved
+            self._slot_pos[moved] = pos
         self._slot_pos[slot] = -1
         self.index.remove(slot)
         self._free.append(slot)
+        return moved
 
     def random_active(self, rng: np.random.Generator) -> int:
         return self._active[int(rng.integers(len(self._active)))]
@@ -435,17 +439,10 @@ class Configuration:
     def intersectors(self, center, radius: float) -> list[int]:
         """Slots of stored balls whose closed ball meets B(center, radius):
         |c - center|^2 <= (r + radius)^2, coordinates summed in order."""
-        cand = self.index.candidates(center, radius)
-        if len(cand) > 64:  # array setup pays off on long lists
-            ids = np.asarray(cand, dtype=np.intp)
-            diff = self.centers[ids] - np.asarray(center, dtype=float)
-            rsum = self.radii[ids] + radius
-            mask = np.einsum("ij,ij->i", diff, diff) <= rsum * rsum
-            return [int(i) for i in ids[mask]]
         x = tuple(map(float, center))
         balls = self.index.balls
         out = []
-        for j in cand:
+        for j in self.index.candidates(center, radius):
             c, r = balls[j]
             d2 = 0.0
             for a, b in zip(c, x):

@@ -123,9 +123,9 @@ def exact_hits_machine(d: int):
     """Add, bulk-add and remove balls in [-10, 10]^d with grid cell 1,
     probing after each change.  Lattice balls of radius 0.5 are exactly
     tangent; tpareto radii (>= 1) go to the overflow list; bulk adds and
-    large probes reach the take-every-ball fallback and lists of more than 64
-    candidates; removing the largest grid ball leaves grid_radius above
-    every stored grid radius."""
+    large probes reach the take-every-ball fallback and long candidate
+    lists; removing the largest grid ball leaves grid_radius above every
+    stored grid radius."""
     window = Box([-10.0] * d, [10.0] * d)
     point = st.one_of(
         st.tuples(*[st.integers(-6, 6)] * d).map(lambda t: tuple(map(float, t))),
@@ -193,3 +193,16 @@ def exact_hits_machine(d: int):
 
 TestExactHits2 = exact_hits_machine(2).TestCase
 TestExactHits3 = exact_hits_machine(3).TestCase
+
+
+def test_exact_hits_one_ulp_inside_a_cell_boundary():
+    # fl(1 - 2**-53 - 5.5) = -4.5, so the float test counts the ball at
+    # distance 4.5 + 2**-53 as touching the probe; it lies in cell 0, which
+    # an unwidened reach of exactly 4.5 starts one cell past
+    cfg = Configuration(Box([-20.0, -20.0], [20.0, 20.0]), cell_size=1.0)
+    for k in range(120):  # more balls than the query's cells: no fallback
+        cfg.add((-15.0 + k % 12, 10.0 + k // 12 * 0.5), 0.1)
+    slot = cfg.add((1.0 - 2.0**-53, 0.0), 0.5)
+    assert cfg.index.grid_radius == 0.5
+    assert brute_hits(cfg, (5.5, 0.0), 4.0) == [slot]
+    assert cfg.intersectors((5.5, 0.0), 4.0) == [slot]

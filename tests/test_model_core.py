@@ -321,6 +321,16 @@ def test_add_remove_slots_reused():
         cfg.add(np.array([2.0, 2.0]), 0.1)
 
 
+def test_remove_reports_the_ball_moved_into_the_freed_position():
+    cfg = Configuration(UNIT, cell_size=0.25)
+    a, b, c = (cfg.add(np.array([x, 0.5]), 0.1) for x in (0.2, 0.5, 0.8))
+    assert cfg.remove(a) == c
+    assert cfg.active_ids() == [c, b]
+    assert cfg.remove(b) is None  # b was last in move order
+    assert cfg.active_ids() == [c]
+    assert cfg.remove(c) is None and cfg.n == 0
+
+
 def test_load_configuration_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("# d=2 lo=0.0,0.0 hi=1.0,1.0 law= seed= colored=0\ny,x,radius\n0.5,0.5,0.1\n")
