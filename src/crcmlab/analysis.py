@@ -14,7 +14,9 @@ import numpy as np
 
 from .geometry import Box, centered_box, unit_ball_volume
 from .model_core import Configuration, RadiusLaw
-from .connectivity import active_arrays, components, label_any, local_cc
+from .connectivity import components, label_any, local_count
+# local_cc stays importable from this module: the tracer self-test in benchmarks/ relies on it
+from .connectivity import local_cc  # noqa: F401
 from ._stats import batch_means_se
 
 
@@ -44,7 +46,7 @@ def event_Aij(cfg: Configuration, i: float, j: float) -> bool:
     if not i < j:
         raise ValueError("need i < j")
     d = cfg.window.dimension
-    centers, radii = active_arrays(cfg)
+    centers, radii, _ = cfg.arrays()
     far = ~centered_box(j, d).contains_points(centers)
     return not np.any(centered_box(i, d).distance_to_point(centers[far]) <= radii[far])
 
@@ -55,7 +57,7 @@ def event_Wij(cfg: Configuration, box: Box, r0: float, i: float, j: float) -> bo
     if not i < j:
         raise ValueError("need i < j")
     d = cfg.window.dimension
-    centers, radii = active_arrays(cfg)
+    centers, radii, _ = cfg.arrays()
     keep = centered_box(j, d).contains_points(centers) & ~box.contains_points(centers)
     centers, radii = centers[keep], radii[keep]
     count, labels = components(centers, radii)
@@ -71,13 +73,13 @@ def localization_check(
     agree with its evaluation on the configuration truncated to [-j,j]^d.
     Raises PreconditionEventFailed off the event: when a ball centered in
     `box` is larger than r0, or A_ij or W_ij fails."""
-    centers, radii = active_arrays(cfg)
+    centers, radii, _ = cfg.arrays()
     if np.any(radii[box.contains_points(centers)] > r0):
         raise PreconditionEventFailed("a ball centered in the box exceeds r0")
     if not (event_Aij(cfg, i, j) and event_Wij(cfg, box, r0, i, j)):
         raise PreconditionEventFailed("configuration outside the required events")
-    truncated = cfg.restrict(centered_box(j, cfg.window.dimension))
-    return local_cc(cfg, box).value == local_cc(truncated, box).value
+    kept = centered_box(j, cfg.window.dimension).contains_points(centers)
+    return local_count(centers, radii, box) == local_count(centers[kept], radii[kept], box)
 
 
 def exterior_hit_mass(i: float, j: float, z: float, law: RadiusLaw) -> float:
@@ -233,11 +235,9 @@ def shield_event_Wk(cfg: Configuration, geom: ShieldGeometry) -> bool:
     two balls with distinct colors."""
     if not cfg.colored:
         raise ValueError("shield events are defined for colored configurations")
-    ids = np.asarray(cfg.active_ids(), dtype=np.intp)
-    if ids.size == 0:
+    centers, _, colors = cfg.arrays()
+    if colors.size == 0:
         return False
-    centers = cfg.centers[ids]
-    colors = cfg.colors[ids]
     for cube in geom.inner_cubes + geom.outer_cubes:
         inside = cube.contains_points(centers)
         if np.unique(colors[inside]).size < 2:
@@ -360,7 +360,7 @@ def estimate_NP(
         raise ErodedWindowEmpty("border leaves no observation window")
     per = np.zeros(len(samples))
     for s, cfg in enumerate(samples):
-        centers, radii = active_arrays(cfg)
+        centers, radii, _ = cfg.arrays()
         count, labels = components(centers, radii)
         cut = label_any(labels, ~eroded.contains_ball(centers, radii), count)
         per[s] = np.count_nonzero(~cut) / eroded.volume

@@ -25,12 +25,12 @@ from .model_core import (
     ModelParams,
     coverage_escalation,
     parse_law,
+    poisson_balls,
     sample_poisson_boolean,
     save_configuration,
 )
 from .connectivity import (
     ClusterLabeling,
-    active_arrays,
     check_bounds,
     compatibility_offset,
     count_components,
@@ -42,7 +42,6 @@ from .crcm import (
     gnz_residual_crcm,
     heat_bath_sweep,
     new_chain,
-    poisson_balls,
     run_chain,
     sweep_loop,
     sweep_size,
@@ -116,14 +115,28 @@ class ExperimentSpec:
     checkpoint_every: int = 0
     resume: str = ""
 
-    def window_box(self) -> Box:
+    def _box(self, key: str) -> Box:
+        text = getattr(self, key)
         try:
-            lo_s, hi_s = self.window.split(":")
+            lo_s, hi_s = text.split(":")
             lo = np.array([float(v) for v in lo_s.split(",")])
             hi = np.array([float(v) for v in hi_s.split(",")])
             return Box(lo, hi)
         except Exception as exc:
-            raise SpecInvalid(f"bad window {self.window!r} (want 'lo1,lo2:hi1,hi2')") from exc
+            raise SpecInvalid(f"bad {key} {text!r} (want 'lo1,lo2:hi1,hi2')") from exc
+
+    def window_box(self) -> Box:
+        return self._box("window")
+
+    def lam_box_in(self, w: Box) -> Box:
+        """The audited box: `lam_box`, which must lie in the window `w`, or
+        by default the middle half of `w`."""
+        if not self.lam_box:
+            return Box(w.lo + 0.25 * w.sides, w.lo + 0.75 * w.sides)
+        box = self._box("lam_box")
+        if box.dimension != w.dimension or not w.contains_box(box):
+            raise SpecInvalid(f"lam_box {self.lam_box!r} must lie inside the window {self.window!r}")
+        return box
 
     def radius_law(self):
         try:
@@ -140,21 +153,33 @@ class ExperimentSpec:
             )
         return p
 
-    def wr_params(self) -> WrParams:
+    def n_colors(self) -> int:
+        """q as the integer number of colors the color model needs."""
         if int(self.q) != self.q or self.q < 2:
             raise SpecInvalid("the color model needs an integer q >= 2")
-        return WrParams(self.z, self.q, self.radius_law(), self.window_box())
+        return int(self.q)
 
-    def floats(self, text: str) -> list[float]:
-        return [float(v) for v in text.split(",") if v.strip()]
+    def wr_params(self) -> WrParams:
+        return WrParams(self.z, float(self.n_colors()), self.radius_law(), self.window_box())
+
+    def floats(self, key: str) -> list[float]:
+        text = getattr(self, key)
+        try:
+            return [float(v) for v in text.split(",") if v.strip()]
+        except ValueError as exc:
+            raise SpecInvalid(f"bad {key} {text!r} (want 'v1,v2,...')") from exc
 
     def ij_pairs(self) -> list[tuple[float, float]]:
         pairs = []
-        for tok in self.ij.split(";"):
-            if not tok.strip():
-                continue
-            i_s, j_s = tok.split(":")
-            pairs.append((float(i_s), float(j_s)))
+        try:
+            for tok in self.ij.split(";"):
+                if tok.strip():
+                    i_s, j_s = tok.split(":")
+                    pairs.append((float(i_s), float(j_s)))
+        except ValueError as exc:
+            raise SpecInvalid(f"bad ij {self.ij!r} (want 'i1:j1;i2:j2')") from exc
+        if any(not i < j for i, j in pairs):
+            raise SpecInvalid(f"bad ij {self.ij!r}: need i < j in every pair")
         return pairs
 
     def canonical(self) -> str:
@@ -291,8 +316,7 @@ def chain_to_json(state: ChainState, sweep: int, trace: list) -> dict:
     ids, the window and the grid are not stored: resume rebuilds them from
     the chain's params, which the checkpoint's spec hash pins.  The document
     shares no object with the running chain."""
-    cfg = state.config
-    centers, radii = active_arrays(cfg)
+    centers, radii, colors = state.config.arrays()
     doc = {
         "sweep": sweep,
         "step_count": state.step_count,
@@ -303,8 +327,8 @@ def chain_to_json(state: ChainState, sweep: int, trace: list) -> dict:
         "radii": radii.tolist(),
         "trace": list(trace),
     }
-    if cfg.colored:
-        doc["colors"] = cfg.colors[cfg.active_ids()].tolist()
+    if colors is not None:
+        doc["colors"] = colors.tolist()
     return doc
 
 
@@ -480,7 +504,7 @@ def cmd_gnz_check(spec: ExperimentSpec, out: Path) -> int:
 def cmd_fk_check(spec: ExperimentSpec, out: Path) -> int:
     report = fk_consistency_test(
         spec.z,
-        int(spec.q),
+        spec.n_colors(),
         spec.radius_law(),
         spec.window_box(),
         rng_seed=spec.seed,
@@ -551,11 +575,7 @@ def cmd_dlr_check(spec: ExperimentSpec, out: Path) -> int:
 def cmd_bounds_audit(spec: ExperimentSpec, out: Path) -> int:
     params = spec.model_params()
     w = params.window
-    lam_box = (
-        Box(*[np.array([float(v) for v in part.split(",")]) for part in spec.lam_box.split(":")])
-        if spec.lam_box
-        else Box(w.lo + 0.25 * w.sides, w.lo + 0.75 * w.sides)
-    )
+    lam_box = spec.lam_box_in(w)
     r0 = spec.r0
     # the increment lower bound holds when every radius >= the law's minimum
     r_lo = params.law.min_radius
@@ -589,7 +609,7 @@ def cmd_bounds_audit(spec: ExperimentSpec, out: Path) -> int:
         if r_lo > 0:
             viol["increment_below"] += delta < -c0 * ball_r**w.dimension
         # telescoping: increments summed over a uniform insertion order
-        centers, radii = active_arrays(cfg)
+        centers, radii, _ = cfg.arrays()
         probe = Configuration(w, cell_size=cfg.index.cell_size)
         plab = ClusterLabeling(probe)
         total = 0
@@ -606,13 +626,11 @@ def cmd_bounds_audit(spec: ExperimentSpec, out: Path) -> int:
             cfg.remove(slot)
             lab.apply_removal(slot, groups)
             viol["deletion_inverse"] += lab.n_components != count_components(cfg)
-            back, _ = lab.insertion_increment(cfg, center, radius)
+            back, hits = lab.insertion_increment(cfg, center, radius)
             viol["deletion_inverse"] += back != 1 - len(groups)
-            slot2 = cfg.add(center, radius)
-            _, hits2 = lab.insertion_increment(cfg, center, radius)
-            lab.apply_insertion(slot2, [h for h in hits2 if h != slot2])
+            lab.apply_insertion(cfg.add(center, radius), hits)
         # compatibility offset invariance under interior resampling
-        centers, radii = active_arrays(cfg)
+        centers, radii, _ = cfg.arrays()
         ref = compatibility_offset(centers, radii, lam_box, outer, w)
         outside = ~lam_box.contains_points(centers)
         for _ in range(20):
@@ -686,9 +704,9 @@ def cmd_shield(spec: ExperimentSpec, out: Path) -> int:
 def cmd_entropy_bounds(spec: ExperimentSpec, out: Path) -> int:
     law = spec.radius_law()
     d = spec.window_box().dimension
-    q = int(spec.q)
+    q = spec.n_colors()
     rows = []
-    for y in spec.floats(spec.y_grid):
+    for y in spec.floats("y_grid"):
         phi = analysis.phi_y(law, y, d)
         try:
             z_y = analysis.psi_root(q, y, phi, d)
@@ -715,7 +733,7 @@ def cmd_np_decay(spec: ExperimentSpec, out: Path) -> int:
     w = spec.window_box()
     d = w.dimension
     border = spec.border if spec.border > 0 else law.quantile(0.99)
-    grid = spec.floats(spec.z_grid) or [0.1, 0.2, 0.4, 0.7]
+    grid = spec.floats("z_grid") or [0.1, 0.2, 0.4, 0.7]
     rows = []
     all_ok = True
     for gi, z in enumerate(grid):
@@ -751,7 +769,7 @@ def cmd_coverage_probe(spec: ExperimentSpec, out: Path) -> int:
     if law.bounded_support:
         raise SpecInvalid("coverage-probe expects the heavy-tail law (pareto:d)")
     w = spec.window_box()
-    halos = spec.floats(spec.h_grid)
+    halos = spec.floats("h_grid")
     rng = chain_rng(spec.seed, 0)
     probs = coverage_escalation(
         w, spec.z, law, halos, trials=min(spec.trials, 500), rng=rng, grid_per_axis=48

@@ -136,12 +136,6 @@ def label_any(labels: np.ndarray, flags: np.ndarray, count: int) -> np.ndarray:
     return np.bincount(labels, weights=flags, minlength=count) > 0
 
 
-def active_arrays(cfg: Configuration) -> tuple[np.ndarray, np.ndarray]:
-    """Centers and radii of the active balls, in move order (`active_ids`)."""
-    ids = np.asarray(cfg.active_ids(), dtype=np.intp)
-    return cfg.centers[ids], cfg.radii[ids]
-
-
 # ---------------------------------------------------------------------------
 # Union-find labeling
 # ---------------------------------------------------------------------------
@@ -198,9 +192,6 @@ class ClusterLabeling:
             self.adj[i].append(j)
             self.adj[j].append(i)
             self.union(i, j)
-
-    def roots(self, cfg: Configuration) -> set[int]:
-        return {self.find(i) for i in cfg.active_ids()}
 
     def component_sizes(self, cfg: Configuration) -> dict[int, int]:
         sizes: dict[int, int] = {}
@@ -276,7 +267,7 @@ class ClusterLabeling:
 
 def count_components(cfg: Configuration) -> int:
     """Number of connected components of the ball intersection graph."""
-    return components(*active_arrays(cfg))[0]
+    return components(*cfg.arrays()[:2])[0]
 
 
 def _ncc_outside(centers: np.ndarray, radii: np.ndarray, box: Box) -> int:
@@ -353,7 +344,7 @@ def local_cc(cfg: Configuration, box: Box, step: Optional[float] = None) -> Loca
         raise LambdaNotInWindow("probe box must sit inside the window")
     if not cfg.n:
         return LocalCCResult(0, box)
-    centers, radii = active_arrays(cfg)
+    centers, radii, _ = cfg.arrays()
     if step is None:
         step = max(1.0, float(np.max(radii)))
     elif not step > 0:
@@ -405,10 +396,13 @@ def check_bounds(cfg: Configuration, box: Box, r0: float) -> BoundsReport:
     Upper: at most the number of centers in the box.  Lower: at least
     K - (centers in the dilated annulus), K = 1 - |box + B(0, r0+2)| / v_d,
     valid when every ball centered in the box has radius <= r0 (else the
-    lower check is vacuous and flagged).
+    lower check is vacuous and flagged).  Raises LambdaNotInWindow unless
+    the box sits inside the window.
     """
-    value = local_cc(cfg, box).value
-    centers, radii = active_arrays(cfg)
+    if not cfg.window.contains_box(box):
+        raise LambdaNotInWindow("audited box must sit inside the window")
+    centers, radii, _ = cfg.arrays()
+    value = local_count(centers, radii, box)
     inside = box.contains_points(centers)
     n_in = int(np.count_nonzero(inside))
     big = dilate(box, r0 + 2.0)

@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .geometry import Box, dilate, unit_ball_volume
-from .model_core import Configuration, ModelParams, sample_poisson_boolean
+from .model_core import Configuration, ModelParams, poisson_balls, sample_poisson_boolean
 from .connectivity import ClusterLabeling, components, count_components, local_count
 # local_cc stays importable from this module: the tracer self-test in benchmarks/ relies on it
 from .connectivity import local_cc  # noqa: F401
@@ -368,17 +368,6 @@ def importance_oracle(
 # ---------------------------------------------------------------------------
 
 
-def poisson_balls(
-    box: Box, law, mean: float, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Centers and radii of Poisson(mean) balls with uniform centers in `box`
-    and radii from `law`, drawn ball by ball (center, then radius)."""
-    n = int(rng.poisson(mean))
-    balls = [(box.sample_point(rng), law.sample_scalar(rng)) for _ in range(n)]
-    centers = np.array([c for c, _ in balls], dtype=float).reshape(n, box.dimension)
-    return centers, np.array([r for _, r in balls], dtype=float)
-
-
 def conditional_resample(
     state: ChainState,
     box: Box,
@@ -402,14 +391,14 @@ def conditional_resample(
         raise ValueError("box must sit inside the window")
     rng = state.rng
     cfg = state.config
-    ids = np.asarray(cfg.active_ids(), dtype=np.intp)
-    inside = box.contains_points(cfg.centers[ids])
-    ext_c, ext_r = cfg.centers[ids[~inside]], cfg.radii[ids[~inside]]
+    centers, radii, _ = cfg.arrays()
+    inside = box.contains_points(centers)
+    ext_c, ext_r = centers[~inside], radii[~inside]
     vol = box.volume
     q = p.q
 
     def commit(new_c: np.ndarray, new_r: np.ndarray) -> ChainState:
-        for s in ids[inside].tolist():
+        for s in np.asarray(cfg.active_ids(), dtype=np.intp)[inside].tolist():
             cfg.remove(s)
         for center, radius in zip(new_c, new_r.tolist()):
             cfg.add(center, radius)
@@ -521,8 +510,9 @@ def gnz_residuals(
     """Balance-equation residuals: removal sums against the insertion
     integral lam * E[f(n, x, r) w(x, r)], Monte Carlo over `inner_points`
     insertions per sample shared by every test function.
-    `weigh(cfg, ids, hits, rng)` returns the insertion weights w, where
-    hits[m, k] says whether insertion m meets the ball in slot ids[k]."""
+    `weigh(centers, radii, colors, hits, rng)` returns the insertion weights
+    w, given the sample's `Configuration.arrays()`, where hits[m, k] says
+    whether insertion m meets ball k."""
     if len(samples) < 100:
         raise ValueError("need at least 100 decorrelated samples")
     if rng is None:
@@ -532,17 +522,16 @@ def gnz_residuals(
     lhs = np.zeros((len(tests), len(samples)))
     rhs = np.zeros((len(tests), len(samples)))
     for s, cfg in enumerate(samples):
-        ids = np.asarray(cfg.active_ids(), dtype=np.intp)
-        centers, radii = cfg.centers[ids], cfg.radii[ids]
+        centers, radii, colors = cfg.arrays()
         xs = params.window.sample_points(rng, inner_points)
         rs = np.asarray(params.law.sample(rng, inner_points), dtype=float)
         diff = centers[None, :, :] - xs[:, None, :]
         rsum = radii[None, :] + rs[:, None]
         hits = np.einsum("mkd,mkd->mk", diff, diff) <= rsum * rsum
-        weights = weigh(cfg, ids, hits, rng)
+        weights = weigh(centers, radii, colors, hits, rng)
         for t, (_, f) in enumerate(tests):
-            lhs[t, s] = f(ids.size - 1, centers, radii).sum()
-            rhs[t, s] = lam * float(np.mean(f(ids.size, xs, rs) * weights))
+            lhs[t, s] = f(radii.size - 1, centers, radii).sum()
+            rhs[t, s] = lam * float(np.mean(f(radii.size, xs, rs) * weights))
     rows = []
     for (name, _), lhs_t, rhs_t in zip(tests, lhs, rhs):
         d = lhs_t - rhs_t
@@ -566,8 +555,8 @@ def gnz_residual_crcm(
     mis-weights the insertion side for negative controls."""
     q_rhs = float(params.q if rhs_q is None else rhs_q)
 
-    def weigh(cfg, ids, hits, rng):
-        count, labels = components(cfg.centers[ids], cfg.radii[ids])
+    def weigh(centers, radii, colors, hits, rng):
+        count, labels = components(centers, radii)
         met = np.zeros((hits.shape[0], count), dtype=bool)
         m, k = np.nonzero(hits)
         met[m, labels[k]] = True

@@ -52,8 +52,9 @@ class RadiusLaw:
         raise NotImplementedError
 
     def integrate(self, f: Callable[[float], float]) -> float:
-        """Integral of f(R) against the law, by quadrature unless atomic."""
-        return self.integrate_tail(f, 0.0)
+        """Integral of f(R) against the whole law (an atom at radius 0
+        included), by quadrature unless atomic."""
+        return self.integrate_tail(f, -math.inf)
 
     def integrate_tail(self, f: Callable[[float], float], lower: float) -> float:
         """Integral of f(R) over radii strictly above `lower`."""
@@ -286,18 +287,10 @@ class Configuration:
     renumbering survivors, so union-find labelings stay aligned.
     """
 
-    def __init__(
-        self,
-        window: Box,
-        cell_size: Optional[float] = None,
-        colored: bool = False,
-        capacity: int = 64,
-    ):
+    def __init__(self, window: Box, cell_size: float, colored: bool = False, capacity: int = 64):
         self.window = window
         self.colored = colored
         d = window.dimension
-        if cell_size is None:
-            cell_size = default_cell_size(window, float(np.min(window.sides)) / 32.0)
         self.centers = np.zeros((capacity, d), dtype=float)
         self.radii = np.zeros(capacity, dtype=float)
         self.colors = np.zeros(capacity, dtype=np.int64) if colored else None
@@ -317,16 +310,21 @@ class Configuration:
         cell_size: Optional[float] = None,
         colored: Optional[bool] = None,
     ) -> "Configuration":
+        """`from_arrays` of MarkedBalls; colored when the first ball has a
+        color, unless `colored` says otherwise."""
         balls = list(balls)
         if colored is None:
             colored = bool(balls) and balls[0].color is not None
-        radii = np.array([b.radius for b in balls], dtype=float)
-        if cell_size is None and balls:
-            cell_size = default_cell_size(window, float(np.median(radii)))
-        cfg = cls(window, cell_size=cell_size, colored=colored, capacity=max(8, len(balls)))
-        centers = np.array([b.center for b in balls], dtype=float)
-        cfg._fill(centers.reshape(-1, window.dimension), radii, [b.color for b in balls])
-        return cfg
+        colors = [b.color for b in balls]
+        if colored and None in colors:
+            raise ValueError("colored configuration needs a color")
+        return cls.from_arrays(
+            window,
+            [b.center for b in balls],
+            [b.radius for b in balls],
+            colors if colored else None,
+            cell_size=cell_size,
+        )
 
     @classmethod
     def from_arrays(
@@ -337,48 +335,37 @@ class Configuration:
         colors: Optional[np.ndarray] = None,
         cell_size: Optional[float] = None,
     ) -> "Configuration":
+        """The one bulk build: balls in slots 0..n-1 in input order, with the
+        free list, slot positions and grid buckets that `add`ing them one by
+        one would leave; colored when `colors` is given.  The grid cell
+        defaults to twice the median radius.  Raises ValueError unless there
+        is one center (and one color, if given) per radius, every radius is
+        finite and nonnegative, and every center lies in the window."""
         centers = np.asarray(centers, dtype=float).reshape(-1, window.dimension)
         radii = np.asarray(radii, dtype=float).reshape(-1)
+        n = radii.size
+        lengths = [len(centers), n]
         if colors is not None:
             colors = np.asarray(colors, dtype=np.int64).reshape(-1)
-        if cell_size is None:
-            med = float(np.median(radii)) if radii.size else 0.0
-            cell_size = default_cell_size(window, med)
-        cfg = cls(
-            window,
-            cell_size=cell_size,
-            colored=colors is not None,
-            capacity=max(8, len(radii)),
-        )
-        cfg._fill(centers, radii, colors)
-        return cfg
-
-    def _fill(self, centers: np.ndarray, radii: np.ndarray, colors=None) -> None:
-        """Bulk `add` into a new, empty configuration: slots 0..n-1 in input
-        order, with the free list, slot positions and grid buckets the
-        ball-by-ball build would leave.  Raises ValueError unless there is
-        one center (and one color, if given) per radius and every radius is
-        finite and nonnegative."""
-        n = radii.size
-        lengths = [len(centers), n] + ([] if colors is None else [len(colors)])
+            lengths.append(colors.size)
         if min(lengths) != max(lengths):
             raise ValueError(f"ball arrays differ in length (centers, radii[, colors]): {lengths}")
         if not np.all((radii >= 0) & (radii < math.inf)):
             raise ValueError("radii must be finite and nonnegative")
-        if n == 0:
-            return
-        if not np.all(self.window.contains_points(centers)):
+        if not np.all(window.contains_points(centers)):
             raise ValueError("ball center outside window")
-        if self.colored:
-            if colors is None or any(c is None for c in colors):
-                raise ValueError("colored configuration needs a color")
-            self.colors[:n] = colors
-        self.centers[:n] = centers
-        self.radii[:n] = radii
-        del self._free[-n:]
-        self._active = list(range(n))
-        self._slot_pos[:n] = np.arange(n)
-        self.index.insert_many(range(n), self.centers[:n], self.radii[:n])
+        if cell_size is None:
+            cell_size = default_cell_size(window, float(np.median(radii)) if n else 0.0)
+        cfg = cls(window, cell_size, colored=colors is not None, capacity=max(8, n))
+        cfg.centers[:n] = centers
+        cfg.radii[:n] = radii
+        if colors is not None:
+            cfg.colors[:n] = colors
+        del cfg._free[len(cfg._free) - n :]
+        cfg._active = list(range(n))
+        cfg._slot_pos[:n] = np.arange(n)
+        cfg.index.insert_many(range(n), cfg.centers[:n], cfg.radii[:n])
+        return cfg
 
     # -- bookkeeping -------------------------------------------------------
 
@@ -388,6 +375,13 @@ class Configuration:
 
     def active_ids(self) -> list[int]:
         return self._active
+
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        """Centers, radii and colors (None when uncolored) of the active
+        balls in move order (`active_ids`), as new arrays."""
+        ids = np.asarray(self._active, dtype=np.intp)
+        colors = None if self.colors is None else self.colors[ids]
+        return self.centers[ids], self.radii[ids], colors
 
     def _grow(self):
         old = self.radii.size
@@ -455,36 +449,22 @@ class Configuration:
 
     def count_in(self, box: Box) -> int:
         """Number of ball centers in `box`."""
-        if not self._active:
-            return 0
-        ids = np.asarray(self._active, dtype=np.intp)
-        return int(np.count_nonzero(box.contains_points(self.centers[ids])))
-
-    def _subset(self, slots, window: Box, shift=None, colored: bool = True) -> "Configuration":
-        """New configuration of the given slots, in order, on `window`, with
-        centers moved by `shift` if given."""
-        ids = np.asarray(slots, dtype=np.intp)
-        return Configuration.from_arrays(
-            window,
-            self.centers[ids] if shift is None else self.centers[ids] + shift,
-            self.radii[ids],
-            self.colors[ids] if self.colored and colored else None,
-            cell_size=self.index.cell_size,
-        )
-
-    def restrict(self, box: Box) -> "Configuration":
-        """New configuration keeping only balls with centers in `box`."""
-        ids = np.asarray(self._active, dtype=np.intp)
-        return self._subset(ids[box.contains_points(self.centers[ids])], self.window)
+        return int(np.count_nonzero(box.contains_points(self.arrays()[0])))
 
     def copy(self, drop_colors: bool = False) -> "Configuration":
-        out = self._subset(self._active, self.window, colored=not drop_colors)
+        centers, radii, colors = self.arrays()
+        out = Configuration.from_arrays(
+            self.window, centers, radii, None if drop_colors else colors, self.index.cell_size
+        )
         out.tags = dict(self.tags)
         return out
 
     def translate(self, v: np.ndarray) -> "Configuration":
         v = np.asarray(v, dtype=float)
-        return self._subset(self._active, self.window.translate(v), shift=v)
+        centers, radii, colors = self.arrays()
+        return Configuration.from_arrays(
+            self.window.translate(v), centers + v, radii, colors, self.index.cell_size
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -492,12 +472,21 @@ class Configuration:
 # ---------------------------------------------------------------------------
 
 
+def poisson_balls(
+    box: Box, law: RadiusLaw, mean: float, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Centers and radii of Poisson(mean) many balls with i.i.d. uniform
+    centers in `box` and i.i.d. radii from `law`, drawn in blocks: the count,
+    then every center, then every radius."""
+    n = int(rng.poisson(mean))
+    centers = box.sample_points(rng, n)
+    return centers, np.asarray(law.sample(rng, n), dtype=float)
+
+
 def sample_poisson_boolean(params: ModelParams, rng: np.random.Generator) -> Configuration:
     """Exact draw of the Poisson ball process on the window: Poisson(z|W|)
     many i.i.d. uniform centers with i.i.d. radii."""
-    n = int(rng.poisson(params.total_intensity))
-    centers = params.window.sample_points(rng, n)
-    radii = params.law.sample(rng, n)
+    centers, radii = poisson_balls(params.window, params.law, params.total_intensity, rng)
     return Configuration.from_arrays(params.window, centers, radii, cell_size=params.cell_size)
 
 
@@ -525,8 +514,6 @@ def expected_hits(target: Box, z: float, law: RadiusLaw) -> float:
     d = target.dimension
     if not law.finite_d_moment(d):
         return INFINITE
-    if isinstance(law, DiracRadius):
-        return z * steiner_volume(target, law.r0)
     return z * law.integrate(lambda r: steiner_volume(target, r))
 
 
@@ -578,9 +565,7 @@ def sample_boolean_with_halo(
             bound = halo_omitted_bound(observe, z, law, h)
 
     sim_box = dilate(observe, h)
-    n = int(rng.poisson(z * sim_box.volume))
-    centers = sim_box.sample_points(rng, n)
-    radii = law.sample(rng, n)
+    centers, radii = poisson_balls(sim_box, law, z * sim_box.volume, rng)
     cell = default_cell_size(sim_box, law.median())
     cfg = Configuration.from_arrays(sim_box, centers, radii, cell_size=cell)
     cfg.tags.update(
@@ -594,9 +579,12 @@ def sample_boolean_with_halo(
 # ---------------------------------------------------------------------------
 
 
-def box_covered(cfg: Configuration, box: Box, grid_per_axis: int = 512) -> bool:
-    """Conservative coverage certificate: every grid point x is covered with
-    slack, i.e. some ball contains B(x, g*sqrt(d)/2) for grid pitch g."""
+def box_covered(
+    centers: np.ndarray, radii: np.ndarray, box: Box, grid_per_axis: int = 512
+) -> bool:
+    """Conservative coverage certificate for the balls B(centers[k], radii[k]):
+    every grid point x is covered with slack, i.e. some ball contains
+    B(x, g*sqrt(d)/2) for grid pitch g."""
     d = box.dimension
     axes = [
         np.linspace(box.lo[k], box.hi[k], grid_per_axis, endpoint=True)
@@ -606,11 +594,10 @@ def box_covered(cfg: Configuration, box: Box, grid_per_axis: int = 512) -> bool:
     pitch = float(np.max(box.sides)) / (grid_per_axis - 1)
     slack = pitch * math.sqrt(d) / 2.0
     covered = np.zeros(len(pts), dtype=bool)
-    for slot in cfg.active_ids():
+    for c, r in zip(centers, radii.tolist()):
         if covered.all():
             return True
-        c = cfg.centers[slot]
-        reach = cfg.radii[slot] - slack
+        reach = r - slack
         if reach <= 0:
             continue
         todo = ~covered
@@ -636,18 +623,12 @@ def coverage_escalation(
     big = dilate(box, halos[-1])
     hits = np.zeros(len(halos), dtype=int)
     for _ in range(trials):
-        n = int(rng.poisson(z * big.volume))
-        centers = big.sample_points(rng, n)
-        radii = np.asarray(law.sample(rng, n))
+        centers, radii = poisson_balls(big, law, z * big.volume, rng)
         done = False
         for hi, h in enumerate(halos):
             if not done:
-                sub = dilate(box, h)
-                keep = sub.contains_points(centers) if n else np.zeros(0, dtype=bool)
-                cfg = Configuration.from_arrays(
-                    big, centers[keep], radii[keep], cell_size=max(h, 1e-3)
-                )
-                done = box_covered(cfg, box, grid_per_axis)
+                keep = dilate(box, h).contains_points(centers)
+                done = box_covered(centers[keep], radii[keep], box, grid_per_axis)
             if done:
                 hits[hi] += 1
     return [h / trials for h in hits]
@@ -679,11 +660,11 @@ def save_configuration(
     with open(path, "w") as fh:
         fh.write("# " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n")
         fh.write(",".join(cols) + "\n")
-        for slot in cfg.active_ids():
-            row = [repr(float(v)) for v in cfg.centers[slot]]
-            row.append(repr(float(cfg.radii[slot])))
-            if cfg.colored:
-                row.append(str(int(cfg.colors[slot])))
+        centers, radii, colors = cfg.arrays()
+        for k, (center, radius) in enumerate(zip(centers.tolist(), radii.tolist())):
+            row = [repr(v) for v in center] + [repr(radius)]
+            if colors is not None:
+                row.append(str(int(colors[k])))
             fh.write(",".join(row) + "\n")
 
 
@@ -702,15 +683,12 @@ def load_configuration(path) -> Configuration:
     header = lines[1].split(",")
     if header[:d] != [f"x{k + 1}" for k in range(d)]:
         raise ValueError(f"{path}: column header {lines[1]!r} does not start with x1..x{d}")
-    balls = []
-    for ln in lines[2:]:
-        if not ln:
-            continue
-        parts = ln.split(",")
-        center = np.array([float(v) for v in parts[:d]])
-        radius = float(parts[d])
-        color = int(parts[d + 1]) if colored else None
-        balls.append(MarkedBall(center, radius, color))
-    cfg = Configuration.from_balls(window, balls, colored=colored)
+    rows = [ln.split(",") for ln in lines[2:] if ln]
+    cfg = Configuration.from_arrays(
+        window,
+        [[float(v) for v in parts[:d]] for parts in rows],
+        [float(parts[d]) for parts in rows],
+        [int(parts[d + 1]) for parts in rows] if colored else None,
+    )
     cfg.tags["law"] = meta.get("law", "")
     return cfg

@@ -13,7 +13,7 @@ from scipy import stats
 
 from .geometry import Box
 from .model_core import Configuration, ModelParams
-from .connectivity import ClusterLabeling, intersecting_pairs
+from .connectivity import ClusterLabeling, components, intersecting_pairs
 from .crcm import (
     ChainState,
     GnzRow,
@@ -61,20 +61,17 @@ def is_allowed(cfg: Configuration) -> bool:
     """No two balls of different colors overlap or touch."""
     if not cfg.colored:
         raise ValueError("allowed-set test needs a colored configuration")
-    ids = np.asarray(cfg.active_ids(), dtype=np.intp)
-    i, j = intersecting_pairs(cfg.centers[ids], cfg.radii[ids])
-    return not np.any(cfg.colors[ids[i]] != cfg.colors[ids[j]])
+    centers, radii, colors = cfg.arrays()
+    i, j = intersecting_pairs(centers, radii)
+    return not np.any(colors[i] != colors[j])
 
 
 def col_event(cfg: Configuration) -> bool:
     """At least two balls carry distinct colors."""
     if not cfg.colored:
         raise ValueError("color event needs a colored configuration")
-    ids = cfg.active_ids()
-    if len(ids) < 2:
-        return False
-    first = int(cfg.colors[ids[0]])
-    return any(int(cfg.colors[s]) != first for s in ids[1:])
+    colors = cfg.arrays()[2]
+    return colors.size > 1 and bool(np.any(colors != colors[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -163,12 +160,11 @@ def fk_colorize(cfg: Configuration, q: int, rng: np.random.Generator) -> Configu
     The result is always allowed: distinct components never touch."""
     if q < 2 or int(q) != q:
         raise ValueError("need an integer q >= 2")
-    lab = ClusterLabeling(cfg)
-    color_of = {root: int(rng.integers(1, int(q) + 1)) for root in sorted(lab.roots(cfg))}
-    ids = cfg.active_ids()
-    colors = np.array([color_of[lab.find(s)] for s in ids], dtype=np.int64)
+    centers, radii, _ = cfg.arrays()
+    count, labels = components(centers, radii)
+    colors = rng.integers(1, int(q) + 1, size=count)[labels]
     return Configuration.from_arrays(
-        cfg.window, cfg.centers[ids], cfg.radii[ids], colors, cell_size=cfg.index.cell_size
+        cfg.window, centers, radii, colors, cell_size=cfg.index.cell_size
     )
 
 
@@ -249,11 +245,11 @@ def gnz_residual_wr(
     (negative control)."""
     n_colors = int(params.q)
 
-    def weigh(cfg, ids, hits, rng):
+    def weigh(centers, radii, colors, hits, rng):
         ks = rng.integers(1, n_colors + 1, size=inner_points)
         if drop_constraint:
             return np.ones(inner_points)
-        clash = hits & (cfg.colors[ids][None, :] != ks[:, None])
+        clash = hits & (colors[None, :] != ks[:, None])
         return (~clash.any(axis=1)).astype(float)
 
     return gnz_residuals(samples, params, weigh, rng, inner_points)

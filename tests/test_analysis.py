@@ -354,6 +354,8 @@ def test_phi_closed_form_and_edges():
     assert phi_y(DiracRadius(1.0), 10.0, 2) == pytest.approx(0.64, abs=1e-12)
     assert phi_y(DiracRadius(1.0), 2.0, 2) == 0.0
     assert phi_y(DiracRadius(1.0), 1.5, 2) == 0.0
+    # point grains always lie inside the cube: the atom at radius 0 counts
+    assert phi_y(DiracRadius(0.0), 3.0, 2) == 1.0
 
 
 def test_phi_monte_carlo_oracle():

@@ -226,6 +226,29 @@ def test_unknown_subcommand_and_bad_set(tmp_path):
     assert "bounded support" in r.stderr
 
 
+@pytest.mark.parametrize(
+    "sub, settings",
+    [
+        ("bounds-audit", {"lam_box": "0,0:1"}),  # hi has one coordinate
+        ("bounds-audit", {"lam_box": "a,b:c,d"}),
+        ("bounds-audit", {"lam_box": "5,5:6,6"}),  # outside the window
+        ("bounds-audit", {"lam_box": "0,0,0:1,1,1"}),  # window is planar
+        ("localization", {"ij": "4;9"}),
+        ("localization", {"ij": "a:9"}),
+        ("localization", {"ij": "9:4"}),  # i < j needed
+        ("np-decay", {"z_grid": "0.2,x"}),
+        ("entropy-bounds", {"y_grid": "10,ten"}),
+        ("coverage-probe", {"law": "pareto:2", "h_grid": "0.5,2x"}),
+        ("entropy-bounds", {"q": "2.5"}),  # an integer color count
+        ("fk-check", {"q": "2.5"}),
+    ],
+)
+def test_malformed_spec_values_are_spec_errors(tmp_path, capsys, sub, settings):
+    args = [sub, "--out", str(tmp_path), *set_flags({"q": "2", **settings})]
+    assert cli.main(args) == EXIT_SPEC
+    assert "spec error" in capsys.readouterr().err
+
+
 def test_shield_subcommand_report(tmp_path):
     r = run_cli("shield", "--seed", "1", "--out", str(tmp_path),
                 "--set", "alpha=1", "--set", "k=4", "--set", "trials=5000")

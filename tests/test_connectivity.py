@@ -12,7 +12,6 @@ from crcmlab.connectivity import (
     ClusterLabeling,
     LambdaNotInWindow,
     NestingViolation,
-    active_arrays,
     cc_increment,
     check_bounds,
     compatibility_offset,
@@ -72,6 +71,8 @@ def test_local_cc_requires_box_in_window():
     cfg = mk(BIG, [((0, 0), 1.0)])
     with pytest.raises(LambdaNotInWindow):
         local_cc(cfg, Box([-20, -20], [0, 0]))
+    with pytest.raises(LambdaNotInWindow):
+        check_bounds(cfg, Box([-20, -20], [0, 0]), 1.0)
 
 
 def test_local_cc_stabilization_witness(rng):
@@ -138,7 +139,7 @@ def test_telescoping_identity(rng):
     params = ModelParams(0.06, 1.0, UniformRadius(0.2, 1.0), BIG)
     for _ in range(20):
         target = sample_poisson_boolean(params, rng)
-        centers, radii = active_arrays(target)
+        centers, radii, _ = target.arrays()
         cfg = Configuration(BIG, cell_size=target.index.cell_size)
         lab = ClusterLabeling(cfg)
         total = 0

@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from crcmlab import connectivity
 from crcmlab.connectivity import (
@@ -218,6 +219,28 @@ def test_local_cc_matches_probe_loop():
         ids = cfg.active_ids()
         assert local_count(cfg.centers[ids], cfg.radii[ids], boxes[0]) == local_cc(cfg, boxes[0]).value
     assert checked == 3000
+
+
+PROPERTY_LAWS = {
+    "dirac": DiracRadius(0.5),
+    "uniform": UniformRadius(0.1, 1.2),
+    "tpareto": TruncatedParetoRadius(2, 5.0),
+}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    law=st.sampled_from(sorted(PROPERTY_LAWS)),
+    seed=st.integers(0, 2**32 - 1),
+    z=st.floats(0.02, 0.4),
+    lo=st.tuples(st.floats(-6, 6), st.floats(-6, 6)),
+    sides=st.tuples(st.floats(0, 8), st.floats(0, 8)),
+)
+def test_local_count_is_the_local_cc_value(law, seed, z, lo, sides):
+    w = Box([-6, -6], [6, 6])
+    cfg = sample_poisson_boolean(ModelParams(z, 1.0, PROPERTY_LAWS[law], w), make_rng(seed))
+    box = Box(lo, np.minimum(np.add(lo, sides), 6.0))
+    assert local_cc(cfg, box).value == local_count(*cfg.arrays()[:2], box)
 
 
 def test_local_cc_rejects_nonpositive_step():

@@ -87,7 +87,7 @@ class IncrementalLabeling(RuleBasedStateMachine):
     @invariant()
     def counts_agree(self):
         assert self.lab.n_components == count_components(self.cfg) == brute_count(self.cfg)
-        assert len(self.lab.roots(self.cfg)) == self.lab.n_components
+        assert len({self.lab.find(i) for i in self.cfg.active_ids()}) == self.lab.n_components
 
     @invariant()
     def removal_split_spans_the_component(self):

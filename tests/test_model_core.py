@@ -19,6 +19,7 @@ from crcmlab.model_core import (
     expected_hits,
     load_configuration,
     parse_law,
+    poisson_balls,
     sample_boolean_with_halo,
     sample_poisson_boolean,
     save_configuration,
@@ -150,6 +151,28 @@ def test_poisson_count_mean_and_fano(rng):
     assert abs(var - 50.0) < 3 * se_var * 1.5
 
 
+def _poisson_balls_one_by_one(box, law, mean, rng):
+    """The draw `poisson_balls` replaced: the count, then for each ball its
+    center, then its radius."""
+    n = int(rng.poisson(mean))
+    balls = [(box.sample_point(rng), law.sample_scalar(rng)) for _ in range(n)]
+    centers = np.array([c for c, _ in balls], dtype=float).reshape(n, box.dimension)
+    return centers, np.array([r for _, r in balls], dtype=float)
+
+
+@pytest.mark.parametrize("box", [Box([0.25, -1.0], [0.5, 3.0]), Box([0, 0, 0], [1, 2, 3])])
+@pytest.mark.parametrize("r0", [0.0, 0.3])
+def test_poisson_balls_equal_the_ball_by_ball_draw_for_dirac_laws(box, r0):
+    # a dirac law draws no radius, so block order and ball order read the
+    # same uniforms in the same order
+    for seed in range(200):
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = poisson_balls(box, DiracRadius(r0), 12.0, got_rng)
+        want = _poisson_balls_one_by_one(box, DiracRadius(r0), 12.0, want_rng)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert got_rng.random() == want_rng.random()
+
+
 def test_restriction_consistency(rng):
     # restricting to a sub-box keeps a Poisson count with reduced mean
     params = ModelParams(40.0, 1.0, UniformRadius(0, 0.05), UNIT)
@@ -189,6 +212,14 @@ def test_steiner_volume_monte_carlo_oracle(rng):
     mc = big.volume * inside.mean()
     se = big.volume * inside.std() / np.sqrt(len(pts))
     assert abs(steiner_volume(box, r) - mc) < 4 * se
+
+
+def test_dirac_zero_integrates_its_atom():
+    law = DiracRadius(0.0)
+    assert law.integrate(lambda r: r + 2.0) == 2.0
+    assert law.tail_mass(0.0) == 0.0
+    # a point grain hits the target exactly when centered in it
+    assert expected_hits(Box([0, 0], [2, 3]), 1.5, law) == 1.5 * 6.0
 
 
 def test_expected_hits_values():
@@ -259,11 +290,8 @@ def test_halo_pareto_requires_truncation(rng):
 
 
 def test_box_covered_detects_single_covering_ball():
-    w = Box([-5, -5], [5, 5])
-    cfg = Configuration.from_balls(w, [MarkedBall(np.zeros(2), 3.0)])
-    assert box_covered(cfg, UNIT, grid_per_axis=32)
-    cfg2 = Configuration.from_balls(w, [MarkedBall(np.zeros(2), 0.4)])
-    assert not box_covered(cfg2, UNIT, grid_per_axis=32)
+    assert box_covered(np.zeros((1, 2)), np.array([3.0]), UNIT, grid_per_axis=32)
+    assert not box_covered(np.zeros((1, 2)), np.array([0.4]), UNIT, grid_per_axis=32)
 
 
 def test_pareto_coverage_escalates(rng):
@@ -305,6 +333,41 @@ def test_colored_round_trip(tmp_path):
     assert back.colored
     got = sorted(int(back.colors[s]) for s in back.active_ids())
     assert got == [1, 3]
+
+
+@pytest.mark.parametrize(
+    "law, window, colored",
+    [
+        (UniformRadius(0, 0.2), UNIT, False),
+        (UniformRadius(0, 0.2), UNIT, True),
+        (TruncatedParetoRadius(2, 20.0), Box([-20, -20], [20, 20]), False),
+    ],
+)
+def test_save_load_save_is_byte_identical(tmp_path, rng, law, window, colored):
+    cfg = sample_poisson_boolean(ModelParams(30.0 / window.volume, 1.0, law, window), rng)
+    centers, radii, _ = cfg.arrays()
+    colors = rng.integers(1, 4, size=radii.size) if colored else None
+    cfg = Configuration.from_arrays(window, centers, radii, colors)
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    save_configuration(cfg, first, law_descriptor=law.descriptor(), seed=3)
+    back = load_configuration(first)
+    save_configuration(back, second, law_descriptor=back.tags["law"], seed=3)
+    assert first.read_bytes() == second.read_bytes()
+    got = back.arrays()
+    assert np.array_equal(got[0], centers) and np.array_equal(got[1], radii)
+    assert (got[2] is None) if colors is None else np.array_equal(got[2], colors)
+
+
+def test_arrays_follow_move_order():
+    cfg = Configuration(UNIT, cell_size=0.25, colored=True)
+    for x, r, color in ((0.2, 0.1, 1), (0.5, 0.2, 2), (0.8, 0.3, 3)):
+        cfg.add(np.array([x, 0.5]), r, color)
+    cfg.remove(cfg.active_ids()[0])  # the last ball takes the freed position
+    centers, radii, colors = cfg.arrays()
+    assert centers[:, 0].tolist() == [0.8, 0.5]
+    assert radii.tolist() == [0.3, 0.2]
+    assert colors.tolist() == [3, 2]
+    assert Configuration(UNIT, cell_size=0.25).arrays()[2] is None
 
 
 def test_add_remove_slots_reused():
