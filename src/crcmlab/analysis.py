@@ -349,15 +349,22 @@ class ClusterDensityEstimate:
     eroded: Box
 
 
+def eroded_window(window: Box, border: float) -> Box:
+    """`window` shrunk by `border` on every face; raises ErodedWindowEmpty
+    when nothing of positive volume is left."""
+    lo, hi = window.lo + border, window.hi - border
+    if np.any(hi <= lo) or np.prod(hi - lo) <= 0:
+        raise ErodedWindowEmpty("border leaves no observation window")
+    return Box(lo, hi)
+
+
 def estimate_NP(
     samples: Sequence[Configuration], window: Box, border: float
 ) -> ClusterDensityEstimate:
     """Mean number of components per unit volume of the border-eroded window,
     counting the components that lie wholly inside it (minus sampling): a
     component with any ball reaching outside the eroded window is dropped."""
-    eroded = Box(window.lo + border, window.hi - border)
-    if np.any(eroded.hi <= eroded.lo) or eroded.volume <= 0:
-        raise ErodedWindowEmpty("border leaves no observation window")
+    eroded = eroded_window(window, border)
     per = np.zeros(len(samples))
     for s, cfg in enumerate(samples):
         centers, radii, _ = cfg.arrays()

@@ -66,6 +66,15 @@ class SpecInvalid(ValueError):
     pass
 
 
+def spec_checked(fn, *args):
+    """fn(*args), with a ValueError (an out-of-range spec value) raised as
+    SpecInvalid."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        raise SpecInvalid(str(exc)) from exc
+
+
 SUBCOMMANDS = (
     "sample-poisson",
     "sample-crcm",
@@ -145,7 +154,7 @@ class ExperimentSpec:
             raise SpecInvalid(str(exc)) from exc
 
     def model_params(self) -> ModelParams:
-        p = ModelParams(self.z, self.q, self.radius_law(), self.window_box())
+        p = spec_checked(ModelParams, self.z, self.q, self.radius_law(), self.window_box())
         if not p.assumption_a:
             raise SpecInvalid(
                 "q<1 requires bounded support: the partition function "
@@ -160,7 +169,9 @@ class ExperimentSpec:
         return int(self.q)
 
     def wr_params(self) -> WrParams:
-        return WrParams(self.z, float(self.n_colors()), self.radius_law(), self.window_box())
+        return spec_checked(
+            WrParams, self.z, float(self.n_colors()), self.radius_law(), self.window_box()
+        )
 
     def floats(self, key: str) -> list[float]:
         text = getattr(self, key)
@@ -342,7 +353,6 @@ def chain_from_json(doc: dict, params: ModelParams) -> tuple[ChainState, int, li
     state = ChainState(
         params=params,
         config=cfg,
-        labeling=ClusterLabeling(cfg),
         rng=rng_from_json(doc["rng"]),
         step_count=doc["step_count"],
         proposed={k: int(v) for k, v in doc["proposed"].items()},
@@ -468,6 +478,8 @@ def cmd_gnz_check(spec: ExperimentSpec, out: Path) -> int:
     rng = chain_rng(spec.seed, 10_000)
     crcm_model = spec.model == "crcm"
     params = spec.model_params() if crcm_model else spec.wr_params()
+    if spec.thinning < 1 or len(range(0, spec.sweeps, spec.thinning)) < 100:
+        raise SpecInvalid("gnz-check needs at least 100 recorded sweeps (sweeps / thinning)")
     rep = (run_chain if crcm_model else run_wr_chain)(
         params,
         chain_rng(spec.seed, 0),
@@ -502,11 +514,12 @@ def cmd_gnz_check(spec: ExperimentSpec, out: Path) -> int:
 
 
 def cmd_fk_check(spec: ExperimentSpec, out: Path) -> int:
+    params = spec.wr_params()
     report = fk_consistency_test(
-        spec.z,
-        spec.n_colors(),
-        spec.radius_law(),
-        spec.window_box(),
+        params.z,
+        params.n_colors,
+        params.law,
+        params.window,
         rng_seed=spec.seed,
         pairs=spec.chains if spec.chains > 1 else 8,
         sweeps=spec.sweeps,
@@ -621,8 +634,8 @@ def cmd_bounds_audit(spec: ExperimentSpec, out: Path) -> int:
         # deletion inverse on one random ball
         if cfg.n:
             slot = cfg.random_active(rng)
-            groups = lab.removal_split(cfg, slot)
-            center, radius = cfg.centers[slot].copy(), float(cfg.radii[slot])
+            groups = lab.removal_split(slot)
+            center, radius = cfg.index.balls[slot]
             cfg.remove(slot)
             lab.apply_removal(slot, groups)
             viol["deletion_inverse"] += lab.n_components != count_components(cfg)
@@ -684,7 +697,7 @@ def cmd_localization(spec: ExperimentSpec, out: Path) -> int:
 
 def cmd_shield(spec: ExperimentSpec, out: Path) -> int:
     w = spec.window_box()
-    geom = analysis.build_shield(spec.alpha, spec.k, w.dimension)
+    geom = spec_checked(analysis.build_shield, spec.alpha, spec.k, w.dimension)
     rng = chain_rng(spec.seed, 0)
     bad_in, bad_out = analysis.shield_covering_trials(geom, spec.trials, rng)
     passed = bad_in == 0 and bad_out == 0
@@ -705,9 +718,10 @@ def cmd_entropy_bounds(spec: ExperimentSpec, out: Path) -> int:
     law = spec.radius_law()
     d = spec.window_box().dimension
     q = spec.n_colors()
+    ys = spec.floats("y_grid")
+    phis = [spec_checked(analysis.phi_y, law, y, d) for y in ys]
     rows = []
-    for y in spec.floats("y_grid"):
-        phi = analysis.phi_y(law, y, d)
+    for y, phi in zip(ys, phis):
         try:
             z_y = analysis.psi_root(q, y, phi, d)
         except analysis.RootUndefined:
@@ -734,12 +748,15 @@ def cmd_np_decay(spec: ExperimentSpec, out: Path) -> int:
     d = w.dimension
     border = spec.border if spec.border > 0 else law.quantile(0.99)
     grid = spec.floats("z_grid") or [0.1, 0.2, 0.4, 0.7]
+    # every value the estimate and its bound need, checked before any chain runs
+    spec_checked(analysis.eroded_window, w, border)
+    models = [spec_checked(ModelParams, z, spec.q, law, w) for z in grid]
+    bounds = [spec_checked(analysis.np_bound, z, spec.q, law, law.min_radius, d) for z in grid]
     rows = []
     all_ok = True
-    for gi, z in enumerate(grid):
+    for gi, (z, params, bound) in enumerate(zip(grid, models, bounds)):
         configs = []
         for c in range(spec.chains):
-            params = ModelParams(z, spec.q, law, w)
             rep = run_chain(
                 params,
                 chain_rng(spec.seed, 100 * gi + c),
@@ -750,7 +767,6 @@ def cmd_np_decay(spec: ExperimentSpec, out: Path) -> int:
             )
             configs.extend(rep.samples)
         est = analysis.estimate_NP(configs, w, border)
-        bound = analysis.np_bound(z, spec.q, law, law.min_radius, d)
         ok = est.value <= bound + 3.0 * est.se
         all_ok = all_ok and ok
         rows.append((z, est.value, est.se, bound, int(ok)))
@@ -770,6 +786,8 @@ def cmd_coverage_probe(spec: ExperimentSpec, out: Path) -> int:
         raise SpecInvalid("coverage-probe expects the heavy-tail law (pareto:d)")
     w = spec.window_box()
     halos = spec.floats("h_grid")
+    if not halos or min(halos) < 0:
+        raise SpecInvalid(f"h_grid {spec.h_grid!r} needs one or more nonnegative halos")
     rng = chain_rng(spec.seed, 0)
     probs = coverage_escalation(
         w, spec.z, law, halos, trials=min(spec.trials, 500), rng=rng, grid_per_axis=48

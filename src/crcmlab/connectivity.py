@@ -149,16 +149,8 @@ class ClusterLabeling:
     deleted ball's component, by graph search, with no geometry queries.
     """
 
-    def __init__(self, cfg: Optional[Configuration] = None, capacity: int = 64):
-        self.parent = list(range(capacity))
-        self.adj: dict[int, list[int]] = {}
-        self.n_components = 0
-        if cfg is not None:
-            self.rebuild(cfg)
-
-    def _ensure(self, slot: int) -> None:
-        while len(self.parent) <= slot:
-            self.parent.extend(range(len(self.parent), 2 * len(self.parent)))
+    def __init__(self, cfg: Configuration):
+        self.rebuild(cfg)
 
     def find(self, i: int) -> int:
         parent = self.parent
@@ -180,15 +172,13 @@ class ClusterLabeling:
     def rebuild(self, cfg: Configuration) -> None:
         """Recompute labeling and adjacency from scratch."""
         ids = cfg.active_ids()
-        if ids:
-            self._ensure(max(ids))
-        for i in ids:
-            self.parent[i] = i
+        self.parent = list(range(max(ids, default=-1) + 1))
         self.n_components = len(ids)
-        self.adj = {i: [] for i in ids}
-        arr = np.asarray(ids, dtype=np.intp)
-        a, b = intersecting_pairs(cfg.centers[arr], cfg.radii[arr])
-        for i, j in zip(arr[a].tolist(), arr[b].tolist()):
+        self.adj: dict[int, list[int]] = {i: [] for i in ids}
+        centers, radii, _ = cfg.arrays()
+        a, b = intersecting_pairs(centers, radii)
+        for i, j in zip(a.tolist(), b.tolist()):
+            i, j = ids[i], ids[j]
             self.adj[i].append(j)
             self.adj[j].append(i)
             self.union(i, j)
@@ -214,7 +204,7 @@ class ClusterLabeling:
     def apply_insertion(self, slot: int, hits: list[int]) -> None:
         """Register `slot` (already added to the configuration) and union it
         with the balls it intersects."""
-        self._ensure(slot)
+        self.parent.extend(range(len(self.parent), slot + 1))
         self.parent[slot] = slot
         self.n_components += 1
         nbrs = [j for j in hits if j != slot]
@@ -223,7 +213,7 @@ class ClusterLabeling:
             self.adj[j].append(slot)
             self.union(slot, j)
 
-    def removal_split(self, cfg: Configuration, slot: int) -> list[list[int]]:
+    def removal_split(self, slot: int) -> list[list[int]]:
         """Sub-components of (component of slot) minus the ball itself,
         computed without mutating.  Every sub-component is adjacent to the
         removed ball, so graph search from its neighbors (avoiding it) finds
@@ -436,7 +426,7 @@ def component_stats(cfg: Configuration) -> ComponentStats:
     if cfg.n == 0:
         return ComponentStats([], 0, 0.0, False, [])
     slots = np.asarray(cfg.active_ids(), dtype=np.intp)
-    centers, radii = cfg.centers[slots], cfg.radii[slots]
+    centers, radii, _ = cfg.arrays()
     count, labels = components(centers, radii)
     size = np.bincount(labels)
     order = np.argsort(-size, kind="stable")

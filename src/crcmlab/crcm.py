@@ -46,35 +46,43 @@ class RejectionBudgetExceeded(UserWarning):
 
 @dataclass
 class ChainState:
-    """One birth-death chain: configuration, labeling, cached component
-    count (audited against a from-scratch recount), and its random stream."""
+    """One birth-death chain: configuration, the labeling it builds of it
+    (audited against a from-scratch recount), and its random stream."""
 
     params: ModelParams
     config: Configuration
-    labeling: ClusterLabeling
     rng: np.random.Generator
     step_count: int = 0
     audit_interval: int = 10_000
     proposed: dict = field(default_factory=lambda: {"birth": 0, "death": 0, "recolor": 0})
     accepted: dict = field(default_factory=lambda: {"birth": 0, "death": 0, "recolor": 0})
+    labeling: ClusterLabeling = field(init=False)
+
+    def __post_init__(self):
+        self.labeling = ClusterLabeling(self.config)
 
     @property
     def n_cc(self) -> int:
         return self.labeling.n_components
 
     def audit(self) -> None:
-        """Recount components, and compare the grid index's balls with the arrays."""
+        """Check that the grid index holds exactly the active balls, each
+        filed in the grid bucket or the overflow list that its center and
+        radius select; then recount components."""
         cfg = self.config
+        idx, cs = cfg.index, cfg.index.cell_size
+        filed = [(s, key) for key, bucket in idx.cells.items() for s in bucket]
+        filed += [(s, None) for s in idx.oversized]
+        select = {(s, None if r > cs else idx._key(c)) for s, (c, r) in idx.balls.items()}
+        reach_ok = all(r <= idx.grid_radius or r > cs for _, r in idx.balls.values())
+        if not (idx.balls.keys() == set(cfg.active_ids()) and len(filed) == len(select)
+                and set(filed) == select and reach_ok):
+            raise RuntimeError("grid index differs from the configuration's active balls")
         fresh = count_components(cfg)
         if fresh != self.labeling.n_components:
             raise RuntimeError(
                 f"cached component count {self.labeling.n_components} != {fresh}"
             )
-        stored = {
-            s: (tuple(cfg.centers[s].tolist()), float(cfg.radii[s])) for s in cfg.active_ids()
-        }
-        if cfg.index.balls != stored:
-            raise RuntimeError("grid index balls differ from the configuration's active balls")
 
     def maybe_audit(self) -> None:
         if self.audit_interval and self.step_count % self.audit_interval == 0:
@@ -88,7 +96,7 @@ def new_chain(params: ModelParams, rng: np.random.Generator) -> ChainState:
             "q < 1 requires a radius law with bounded support"
         )
     cfg = sample_poisson_boolean(params, rng)
-    return ChainState(params=params, config=cfg, labeling=ClusterLabeling(cfg), rng=rng)
+    return ChainState(params=params, config=cfg, rng=rng)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +153,7 @@ def _birth_death(state: ChainState, p: ModelParams, slots: list[int]) -> Optiona
         state.proposed["death"] += 1
         if n > 0:
             slot = slots[int(rng.integers(n))]
-            groups = lab.removal_split(cfg, slot)
+            groups = lab.removal_split(slot)
             if metropolis(death_ratio(lam, n, p.q ** (len(groups) - 1)), rng):
                 moved = cfg.remove(slot)
                 lab.apply_removal(slot, groups)
@@ -434,15 +442,14 @@ def _nested_box_chain(state: ChainState, box: Box, sweeps: int) -> ChainState:
     are accepted."""
     cfg = state.config
     local = dataclasses.replace(state.params, window=box)
-    ids = np.asarray(cfg.active_ids(), dtype=np.intp)
-    inner = ids[box.contains_points(cfg.centers[ids])].tolist()
+    inner = [s for s in cfg.active_ids() if box.contains_point(cfg.index.balls[s][0])]
     for _ in range(sweeps * sweep_size(local)):
         move = _birth_death(state, local, inner)
         if move is None:
             continue
         kind, slot, moved = move
         if kind == "birth":
-            if box.contains_point(cfg.centers[slot]):
+            if box.contains_point(cfg.index.balls[slot][0]):
                 inner.append(slot)
             continue
         # `moved` was last in move order, so last in `inner` if it is there

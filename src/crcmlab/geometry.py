@@ -150,8 +150,9 @@ class SpatialIndex:
     Every ball is stored either in the grid cell containing its center
     (radius <= cell size) or in a flat overflow list scanned on every query.
     `balls` holds each stored ball's center and radius as Python floats, so
-    one-ball queries need no array arithmetic.  Queries return a superset of
-    the true intersectors of the query ball, with no duplicates.
+    one-ball queries need no array arithmetic; it is a Configuration's only
+    store of its balls.  Queries return a superset of the true intersectors
+    of the query ball, with no duplicates.
     """
 
     def __init__(self, cell_size: float):

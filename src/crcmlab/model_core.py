@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -281,23 +282,23 @@ class ModelParams:
 
 
 class Configuration:
-    """Finite multiset of (colored) marked balls in a window, with a grid index.
+    """Finite multiset of (colored) marked balls in a window.  The grid
+    index's `balls` is the only store of centers and radii; `colors` maps
+    each active slot to its color (None when uncolored).
 
     Slots are stable integer ids: removal frees a slot for reuse without
-    renumbering survivors, so union-find labelings stay aligned.
+    renumbering survivors, so union-find labelings stay aligned.  A freed
+    slot is reused last-in first-out, otherwise the lowest slot never used.
     """
 
-    def __init__(self, window: Box, cell_size: float, colored: bool = False, capacity: int = 64):
+    def __init__(self, window: Box, cell_size: float, colored: bool = False):
         self.window = window
         self.colored = colored
-        d = window.dimension
-        self.centers = np.zeros((capacity, d), dtype=float)
-        self.radii = np.zeros(capacity, dtype=float)
-        self.colors = np.zeros(capacity, dtype=np.int64) if colored else None
+        self.colors: Optional[dict[int, int]] = {} if colored else None
         self.index = SpatialIndex(cell_size)
-        self._free: list[int] = list(range(capacity - 1, -1, -1))
-        self._active: list[int] = []          # active slots, arbitrary order
-        self._slot_pos = np.full(capacity, -1, dtype=np.int64)
+        self._free: list[int] = []             # freed slots, reused last first
+        self._active: list[int] = []           # active slots in move order
+        self._slot_pos: dict[int, int] = {}    # active slot -> its position
         self.tags: dict = {}
 
     # -- construction ------------------------------------------------------
@@ -336,11 +337,11 @@ class Configuration:
         cell_size: Optional[float] = None,
     ) -> "Configuration":
         """The one bulk build: balls in slots 0..n-1 in input order, with the
-        free list, slot positions and grid buckets that `add`ing them one by
-        one would leave; colored when `colors` is given.  The grid cell
-        defaults to twice the median radius.  Raises ValueError unless there
-        is one center (and one color, if given) per radius, every radius is
-        finite and nonnegative, and every center lies in the window."""
+        slot positions and grid buckets that `add`ing them one by one would
+        leave; colored when `colors` is given.  The grid cell defaults to
+        twice the median radius.  Raises ValueError unless there is one
+        center (and one color, if given) per radius, every radius is finite
+        and nonnegative, and every center lies in the window."""
         centers = np.asarray(centers, dtype=float).reshape(-1, window.dimension)
         radii = np.asarray(radii, dtype=float).reshape(-1)
         n = radii.size
@@ -356,15 +357,12 @@ class Configuration:
             raise ValueError("ball center outside window")
         if cell_size is None:
             cell_size = default_cell_size(window, float(np.median(radii)) if n else 0.0)
-        cfg = cls(window, cell_size, colored=colors is not None, capacity=max(8, n))
-        cfg.centers[:n] = centers
-        cfg.radii[:n] = radii
+        cfg = cls(window, cell_size, colored=colors is not None)
         if colors is not None:
-            cfg.colors[:n] = colors
-        del cfg._free[len(cfg._free) - n :]
+            cfg.colors = dict(enumerate(colors.tolist()))
         cfg._active = list(range(n))
-        cfg._slot_pos[:n] = np.arange(n)
-        cfg.index.insert_many(range(n), cfg.centers[:n], cfg.radii[:n])
+        cfg._slot_pos = dict(enumerate(range(n)))
+        cfg.index.insert_many(range(n), centers, radii)
         return cfg
 
     # -- bookkeeping -------------------------------------------------------
@@ -379,42 +377,42 @@ class Configuration:
     def arrays(self) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
         """Centers, radii and colors (None when uncolored) of the active
         balls in move order (`active_ids`), as new arrays."""
-        ids = np.asarray(self._active, dtype=np.intp)
-        colors = None if self.colors is None else self.colors[ids]
-        return self.centers[ids], self.radii[ids], colors
+        ids, balls, colors = self._active, self.index.balls, self.colors
+        n, d = len(ids), self.window.dimension
+        centers = np.fromiter(chain.from_iterable([balls[s][0] for s in ids]), float, n * d)
+        radii = np.fromiter([balls[s][1] for s in ids], float, n)
+        if colors is not None:
+            colors = np.fromiter([colors[s] for s in ids], np.int64, n)
+        return centers.reshape(n, d), radii, colors
 
-    def _grow(self):
-        old = self.radii.size
-        new = old * 2
-        self.centers = np.vstack([self.centers, np.zeros_like(self.centers)])
-        self.radii = np.concatenate([self.radii, np.zeros(old)])
-        if self.colors is not None:
-            self.colors = np.concatenate([self.colors, np.zeros(old, dtype=np.int64)])
-        self._slot_pos = np.concatenate([self._slot_pos, np.full(old, -1, dtype=np.int64)])
-        self._free.extend(range(new - 1, old - 1, -1))
-
-    def add(self, center: np.ndarray, radius: float, color: Optional[int] = None) -> int:
+    def add(self, center, radius: float, color: Optional[int] = None) -> int:
+        """Store a ball in the next free slot and return the slot.  Raises
+        ValueError unless the center has the window's dimension and lies in
+        the window, the radius is finite and nonnegative, and a colored
+        configuration gets a color."""
+        center, radius = tuple(map(float, center)), float(radius)
+        if len(center) != self.window.dimension:
+            raise ValueError(f"center needs {self.window.dimension} coordinates")
         if not self.window.contains_point(center):
             raise ValueError("ball center outside window")
-        if not self._free:
-            self._grow()
-        slot = self._free.pop()
-        self.centers[slot] = center
-        self.radii[slot] = radius
+        if not 0.0 <= radius < math.inf:
+            raise ValueError("radius must be finite and nonnegative")
+        if self.colored and color is None:
+            raise ValueError("colored configuration needs a color")
+        # with no freed slot every slot ever used is active, so this one is new
+        slot = self._free.pop() if self._free else len(self._slot_pos)
+        self.index.insert(slot, center, radius)
         if self.colored:
-            if color is None:
-                raise ValueError("colored configuration needs a color")
-            self.colors[slot] = color
+            self.colors[slot] = int(color)
         self._slot_pos[slot] = len(self._active)
         self._active.append(slot)
-        self.index.insert(slot, self.centers[slot].tolist(), radius)
         return slot
 
     def remove(self, slot: int) -> Optional[int]:
         """Free `slot`.  The last ball in move order takes its position;
         returns that ball's slot, None when `slot` was the last."""
-        pos = int(self._slot_pos[slot])
-        if pos < 0:
+        pos = self._slot_pos.pop(slot, None)
+        if pos is None:
             raise KeyError(f"slot {slot} not active")
         moved = self._active.pop()
         if moved == slot:
@@ -422,8 +420,9 @@ class Configuration:
         else:
             self._active[pos] = moved
             self._slot_pos[moved] = pos
-        self._slot_pos[slot] = -1
         self.index.remove(slot)
+        if self.colored:
+            del self.colors[slot]
         self._free.append(slot)
         return moved
 

@@ -13,7 +13,7 @@ from scipy import stats
 
 from .geometry import Box
 from .model_core import Configuration, ModelParams
-from .connectivity import ClusterLabeling, components, intersecting_pairs
+from .connectivity import components, intersecting_pairs
 from .crcm import (
     ChainState,
     GnzRow,
@@ -54,7 +54,7 @@ def insertion_allowed(cfg: Configuration, hits: list[int], color: int) -> bool:
     """May a ball of this color be added, given `hits`, the slots of the
     balls it meets (`cfg.intersectors`)?  Forbidden when any of them has
     another color: closed balls, so touching counts."""
-    return all(int(cfg.colors[j]) == color for j in hits)
+    return all(cfg.colors[j] == color for j in hits)
 
 
 def is_allowed(cfg: Configuration) -> bool:
@@ -82,7 +82,7 @@ def col_event(cfg: Configuration) -> bool:
 def new_wr_chain(params: WrParams, rng: np.random.Generator) -> ChainState:
     """Empty-start chain (the empty configuration is always allowed)."""
     cfg = Configuration(params.window, cell_size=params.cell_size, colored=True)
-    return ChainState(params=params, config=cfg, labeling=ClusterLabeling(cfg), rng=rng)
+    return ChainState(params=params, config=cfg, rng=rng)
 
 
 def wr_step(state: ChainState) -> ChainState:
@@ -112,7 +112,7 @@ def wr_step(state: ChainState) -> ChainState:
         if cfg.n > 0:
             slot = cfg.random_active(rng)
             if metropolis(death_ratio(lam, cfg.n, 1.0), rng):
-                groups = lab.removal_split(cfg, slot)
+                groups = lab.removal_split(slot)
                 cfg.remove(slot)
                 lab.apply_removal(slot, groups)
                 state.accepted["death"] += 1
@@ -123,7 +123,8 @@ def wr_step(state: ChainState) -> ChainState:
         # component's color and resumed runs repeat it exactly
         slot = cfg.random_active(rng)
         color = int(rng.integers(1, p.n_colors + 1))
-        cfg.colors[[slot, *(s for g in lab.removal_split(cfg, slot) for s in g)]] = color
+        members = [slot, *(s for g in lab.removal_split(slot) for s in g)]
+        cfg.colors.update(dict.fromkeys(members, color))
         state.accepted["recolor"] += 1
     state.maybe_audit()
     return state

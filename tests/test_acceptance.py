@@ -228,10 +228,7 @@ def test_criterion_7_localization_and_shield():
     while conditioned < 1000 and attempts < 400_000:
         attempts += 1
         cfg = sample_poisson_boolean(params, rng)
-        if any(
-            lam_box.contains_point(cfg.centers[s]) and cfg.radii[s] > r0
-            for s in cfg.active_ids()
-        ):
+        if any(lam_box.contains_point(c) and r > r0 for c, r in cfg.index.balls.values()):
             continue
         if not (an.event_Aij(cfg, i, j) and an.event_Wij(cfg, lam_box, r0, i, j)):
             continue
@@ -267,12 +264,12 @@ def test_criterion_7_localization_and_shield():
         full = Configuration(big, cell_size=2.0, colored=True)
         trunc = Configuration(big, cell_size=2.0, colored=True)
         for s in cfg.active_ids():
-            c = cfg.centers[s]
+            c, r = cfg.index.balls[s]
             if lam_g.contains_point(c):
                 continue
-            full.add(c.copy(), float(cfg.radii[s]), int(cfg.colors[s]))
+            full.add(c, r, cfg.colors[s])
             if g2.outer_box.contains_point(c):
-                trunc.add(c.copy(), float(cfg.radii[s]), int(cfg.colors[s]))
+                trunc.add(c, r, cfg.colors[s])
         for _ in range(int(rngl.integers(0, 4))):
             center = lam_g.sample_point(rngl)
             radius = float(rngl.exponential(4.0))

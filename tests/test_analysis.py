@@ -139,10 +139,7 @@ def test_localization_conditioned_sweep():
     done = 0
     while done < 120:
         cfg = sample_poisson_boolean(params, rng)
-        if any(
-            LAM.contains_point(cfg.centers[s]) and cfg.radii[s] > 1.0
-            for s in cfg.active_ids()
-        ):
+        if any(LAM.contains_point(c) and r > 1.0 for c, r in cfg.index.balls.values()):
             continue
         if not (event_Aij(cfg, 4, 9) and event_Wij(cfg, LAM, 1.0, 4, 9)):
             continue
@@ -162,10 +159,11 @@ def ref_groups(cfg, slots):
             a = parent[a]
         return a
 
+    balls = cfg.index.balls
     for x, a in enumerate(slots):
         for b in slots[x + 1 :]:
-            diff = cfg.centers[a] - cfg.centers[b]
-            if diff @ diff <= (cfg.radii[a] + cfg.radii[b]) ** 2:
+            diff = np.subtract(balls[a][0], balls[b][0])
+            if diff @ diff <= (balls[a][1] + balls[b][1]) ** 2:
                 parent[find(b)] = find(a)
     groups: dict = {}
     for s in slots:
@@ -176,23 +174,23 @@ def ref_groups(cfg, slots):
 def ref_event_Aij(cfg, i, j):
     # the former ball-by-ball loop
     inner, outer = centered_box(i, 2), centered_box(j, 2)
-    for slot in cfg.active_ids():
-        c = cfg.centers[slot]
-        if not outer.contains_point(c) and inner.distance_to_point(c) <= cfg.radii[slot]:
+    for c, r in cfg.index.balls.values():
+        if not outer.contains_point(c) and inner.distance_to_point(c) <= r:
             return False
     return True
 
 
 def ref_event_Wij(cfg, box, r0, i, j):
     inner, outer = centered_box(i, 2), centered_box(j, 2)
+    balls = cfg.index.balls
     keep = [
         s for s in cfg.active_ids()
-        if outer.contains_point(cfg.centers[s]) and not box.contains_point(cfg.centers[s])
+        if outer.contains_point(balls[s][0]) and not box.contains_point(balls[s][0])
     ]
     crossing = 0
     for comp in ref_groups(cfg, keep):
-        touches = any(box.distance_to_point(cfg.centers[s]) <= r0 + cfg.radii[s] for s in comp)
-        exits = any(not inner.contains_ball(cfg.centers[s], float(cfg.radii[s])) for s in comp)
+        touches = any(box.distance_to_point(balls[s][0]) <= r0 + balls[s][1] for s in comp)
+        exits = any(not inner.contains_ball(*balls[s]) for s in comp)
         crossing += touches and exits
     return crossing <= 1
 
@@ -201,7 +199,7 @@ def ref_np_count(cfg, eroded):
     """Components with every ball inside the eroded window."""
 
     def inside(s):
-        c, r = cfg.centers[s], cfg.radii[s]
+        c, r = cfg.index.balls[s]
         return all(lo <= x - r and x + r <= hi for x, lo, hi in zip(c, eroded.lo, eroded.hi))
 
     return sum(all(inside(s) for s in comp) for comp in ref_groups(cfg, list(cfg.active_ids())))
@@ -330,12 +328,12 @@ def test_shield_screens_the_allowed_indicator():
         full = Configuration(big, cell_size=2.0, colored=True)
         trunc = Configuration(big, cell_size=2.0, colored=True)
         for s in cfg.active_ids():
-            c = cfg.centers[s]
+            c, r = cfg.index.balls[s]
             if lam_box.contains_point(c):
                 continue
-            full.add(c.copy(), float(cfg.radii[s]), int(cfg.colors[s]))
+            full.add(c, r, cfg.colors[s])
             if g.outer_box.contains_point(c):
-                trunc.add(c.copy(), float(cfg.radii[s]), int(cfg.colors[s]))
+                trunc.add(c, r, cfg.colors[s])
         for _ in range(int(rng.integers(0, 4))):
             center = lam_box.sample_point(rng)
             radius = float(rng.exponential(3.0))

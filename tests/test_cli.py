@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from crcmlab import cli_runner as cli
+from crcmlab import crcm
 from crcmlab.connectivity import count_components
 from crcmlab.crcm import bd_step, new_chain
 from crcmlab.widom_rowlinson import new_wr_chain, wr_step
@@ -241,9 +242,24 @@ def test_unknown_subcommand_and_bad_set(tmp_path):
         ("coverage-probe", {"law": "pareto:2", "h_grid": "0.5,2x"}),
         ("entropy-bounds", {"q": "2.5"}),  # an integer color count
         ("fk-check", {"q": "2.5"}),
+        # values that parse but are out of range
+        ("sample-crcm", {"z": "0"}),
+        ("shield", {"alpha": "0"}),
+        ("entropy-bounds", {"y_grid": "0"}),
+        ("np-decay", {"z_grid": "-1"}),
+        ("coverage-probe", {"law": "pareto:2", "h_grid": "-1"}),
+        ("np-decay", {"q": "0.5", "law": "pareto:2"}),  # q < 1 needs bounded radii
+        ("np-decay", {"q": "0.5", "law": "dirac:1"}),  # the bound tilts by q > 1
+        ("np-decay", {"border": "3", "window": "0,0:6,6"}),  # nothing left after erosion
+        ("gnz-check", {"sweeps": "10"}),  # fewer than 100 recorded samples
     ],
 )
-def test_malformed_spec_values_are_spec_errors(tmp_path, capsys, sub, settings):
+def test_malformed_spec_values_are_spec_errors(tmp_path, capsys, monkeypatch, sub, settings):
+    def no_chain(*args, **kwargs):
+        raise AssertionError("a chain ran before the spec was checked")
+
+    for module in (crcm, cli):
+        monkeypatch.setattr(module, "sweep_loop", no_chain)
     args = [sub, "--out", str(tmp_path), *set_flags({"q": "2", **settings})]
     assert cli.main(args) == EXIT_SPEC
     assert "spec error" in capsys.readouterr().err

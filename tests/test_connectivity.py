@@ -159,8 +159,8 @@ def test_deletion_inverse(rng):
         lab = ClusterLabeling(cfg)
         n_cc = lab.n_components
         for slot in list(cfg.active_ids()):
-            groups = lab.removal_split(cfg, slot)
-            ball = MarkedBall(cfg.centers[slot].copy(), cfg.radii[slot])
+            groups = lab.removal_split(slot)
+            ball = MarkedBall(*cfg.index.balls[slot])
             without = cfg.copy()
             without.remove(slot)
             n_without = count_components(without)
@@ -175,7 +175,7 @@ def test_incremental_removal_matches_full_rebuild(rng):
     order = list(cfg.active_ids())
     rng.shuffle(order)
     for slot in order:
-        groups = lab.removal_split(cfg, slot)
+        groups = lab.removal_split(slot)
         cfg.remove(slot)
         lab.apply_removal(slot, groups)
         assert lab.n_components == count_components(cfg)
@@ -186,8 +186,7 @@ def test_incremental_removal_matches_full_rebuild(rng):
 
 
 def offset(cfg, inner, outer):
-    ids = cfg.active_ids()
-    return compatibility_offset(cfg.centers[ids], cfg.radii[ids], inner, outer, cfg.window)
+    return compatibility_offset(*cfg.arrays()[:2], inner, outer, cfg.window)
 
 
 def test_offset_trivial_cases(rng):
@@ -211,9 +210,7 @@ def test_offset_independent_of_interior(rng):
         cfg = sample_poisson_boolean(params, rng)
         ref = offset(cfg, lam, lam2)
         outside = [
-            MarkedBall(cfg.centers[s], cfg.radii[s])
-            for s in cfg.active_ids()
-            if not lam.contains_point(cfg.centers[s])
+            MarkedBall(c, r) for c, r in cfg.index.balls.values() if not lam.contains_point(c)
         ]
         for _ in range(20):
             n_new = int(rng.poisson(2.0))
@@ -294,7 +291,7 @@ def test_far_left_tie_breaking():
     ]
     cfg = Configuration.from_balls(w, balls)
     [slot] = component_stats(cfg).leftmost_slots  # one component of tangent balls
-    assert np.allclose(cfg.centers[slot], [1.0, 1.0])
+    assert cfg.index.balls[slot][0] == (1.0, 1.0)
 
 
 def test_component_stats_match_brute_force_groups(rng):
@@ -327,7 +324,8 @@ def test_component_stats_match_brute_force_groups(rng):
         comps = sorted(groups.values(), key=len, reverse=True)
 
         def key(slot):
-            return (*cfg.centers[slot].tolist(), float(cfg.radii[slot]), slot)
+            center, radius = cfg.index.balls[slot]
+            return (*center, radius, slot)
 
         st = component_stats(cfg)
         assert st.sizes == [len(c) for c in comps]

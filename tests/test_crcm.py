@@ -46,7 +46,7 @@ def seeded(k):
 def empty_chain(params, rng):
     """A cluster chain started from the empty configuration."""
     cfg = Configuration(params.window, cell_size=params.cell_size)
-    return ChainState(params=params, config=cfg, labeling=ClusterLabeling(cfg), rng=rng)
+    return ChainState(params=params, config=cfg, rng=rng)
 
 
 # -- the move kernel -------------------------------------------------------------
@@ -101,7 +101,7 @@ def test_detailed_balance_product_is_one():
         r_birth = birth_ratio(lam, n, params.q**delta)
         slot = state.config.add(center, radius)
         state.labeling.apply_insertion(slot, hits)
-        groups = state.labeling.removal_split(state.config, slot)
+        groups = state.labeling.removal_split(slot)
         r_death = death_ratio(lam, n + 1, params.q ** (len(groups) - 1))
         assert r_birth * r_death == pytest.approx(1.0, rel=1e-12)
         assert 1 - len(groups) == delta
@@ -185,7 +185,7 @@ def test_nested_chain_keeps_inner_slots_in_move_order(monkeypatch, q, box):
     def recomputed(state, p, slots):
         cfg = state.config
         ids = np.asarray(cfg.active_ids(), dtype=np.intp)
-        assert slots == ids[box.contains_points(cfg.centers[ids])].tolist()
+        assert slots == ids[box.contains_points(cfg.arrays()[0])].tolist()
         seen.append(len(slots))
         return move(state, p, slots)
 
@@ -224,8 +224,9 @@ def test_audit_checks_the_grid_index_balls():
 def brute_intersectors(cfg, center, radius):
     """Every active ball tested, hits in slot order (not the grid's order)."""
     ids = np.asarray(cfg.active_ids(), dtype=np.intp)
-    diff = cfg.centers[ids] - np.asarray(center, dtype=float)
-    rsum = cfg.radii[ids] + radius
+    centers, radii, _ = cfg.arrays()
+    diff = centers - np.asarray(center, dtype=float)
+    rsum = radii + radius
     return sorted(ids[np.einsum("ij,ij->i", diff, diff) <= rsum * rsum].tolist())
 
 
@@ -246,11 +247,10 @@ def test_chains_do_not_depend_on_the_grid_query(monkeypatch, model, law, window,
         else:
             rep = run_chain(ModelParams(z, 2.0, law, window), rng, sweeps=20, burn_in=5, thin=1)
         rep.state.audit()
-        cfg = rep.state.config
-        ids = cfg.active_ids()
+        centers, radii, colors = rep.state.config.arrays()
         rows = [a.tolist() for a in (rep.sweeps, rep.counts, rep.n_cc, rep.largest)]
-        colors = None if cfg.colors is None else cfg.colors[ids].tolist()
-        return rows, rep.accept_rates, cfg.centers[ids].tolist(), cfg.radii[ids].tolist(), colors
+        colors = None if colors is None else colors.tolist()
+        return rows, rep.accept_rates, centers.tolist(), radii.tolist(), colors
 
     grid = run()
     monkeypatch.setattr(Configuration, "intersectors", brute_intersectors)
@@ -373,18 +373,13 @@ def test_conditional_resample_full_window():
 def test_conditional_resample_keeps_exterior_fixed():
     state = new_chain(TINY, seeded(23))
     box = Box([0.3, 0.3], [0.7, 0.7])
-    before = sorted(
-        tuple(np.round(state.config.centers[s], 12))
-        for s in state.config.active_ids()
-        if not box.contains_point(state.config.centers[s])
-    )
+
+    def exterior():
+        return sorted(c for c, _ in state.config.index.balls.values() if not box.contains_point(c))
+
+    before = exterior()
     conditional_resample(state, box)
-    after = sorted(
-        tuple(np.round(state.config.centers[s], 12))
-        for s in state.config.active_ids()
-        if not box.contains_point(state.config.centers[s])
-    )
-    assert before == after
+    assert exterior() == before
     state.audit()
 
 
@@ -455,7 +450,7 @@ def ref_gnz(samples, params, rng, inner_points, weigh):
         rs = params.law.sample(rng, inner_points)
         w = weigh(cfg, xs, rs, rng)
         for t, f in enumerate(tests):
-            lhs = sum(f(cfg.n - 1, cfg.centers[s], cfg.radii[s]) for s in cfg.active_ids())
+            lhs = sum(f(cfg.n - 1, *cfg.index.balls[s]) for s in cfg.active_ids())
             rhs = lam * np.mean([f(cfg.n, x, r) * wk for x, r, wk in zip(xs, rs, w)])
             diffs[t].append(lhs - rhs)
     return [(np.mean(d), np.std(d, ddof=1) / math.sqrt(len(d))) for d in map(np.array, diffs)]

@@ -141,8 +141,7 @@ def test_count_components_of_configuration_matches_brute_force():
     w = Box([-10, -10], [10, 10])
     for law in (UniformRadius(0.2, 1.0), TruncatedParetoRadius(2, 8.0)):
         cfg = sample_poisson_boolean(ModelParams(0.3, 1.0, law, w), rng)
-        ids = cfg.active_ids()
-        assert count_components(cfg) == len(brute_partition(cfg.centers[ids], cfg.radii[ids]))
+        assert count_components(cfg) == len(brute_partition(*cfg.arrays()[:2]))
 
 
 # -- local component count: closed form against the probe loop ---------------------
@@ -153,10 +152,9 @@ def probe_loop_local_cc(cfg, box, step=None):
     ncc(balls in D minus box) on D = dilate(box, k step), k = 0, 1, ...,
     until D holds every ball; the final value and the first probe from which
     c stays constant."""
-    ids = cfg.active_ids()
-    if not ids:
+    if not cfg.n:
         return 0, box
-    centers, radii = cfg.centers[ids], cfg.radii[ids]
+    centers, radii, _ = cfg.arrays()
     if step is None:
         step = max(1.0, float(np.max(radii)))
     target = Box(
@@ -216,8 +214,7 @@ def test_local_cc_matches_probe_loop():
                 assert np.array_equal(got.stabilization_box.lo, stab.lo)
                 assert np.array_equal(got.stabilization_box.hi, stab.hi)
                 checked += 1
-        ids = cfg.active_ids()
-        assert local_count(cfg.centers[ids], cfg.radii[ids], boxes[0]) == local_cc(cfg, boxes[0]).value
+        assert local_count(*cfg.arrays()[:2], boxes[0]) == local_cc(cfg, boxes[0]).value
     assert checked == 3000
 
 
@@ -257,5 +254,4 @@ def test_compatibility_offset_is_difference_of_local_counts():
     for _ in range(200):
         cfg = sample_poisson_boolean(ModelParams(0.3, 1.0, UniformRadius(0.1, 1.0), w), rng)
         want = local_cc(cfg, outer).value - local_cc(cfg, inner).value
-        ids = cfg.active_ids()
-        assert compatibility_offset(cfg.centers[ids], cfg.radii[ids], inner, outer, w) == want
+        assert compatibility_offset(*cfg.arrays()[:2], inner, outer, w) == want

@@ -3,7 +3,8 @@ labeling, checked after every step against two from-scratch counts, and
 every ball's removal split against its brute-force component (the members
 the hard-core-color chain recolors).  A second machine, in d = 2 and 3,
 checks after every add or remove that `intersectors` answers a probe ball
-exactly as `intersecting_pairs` does over all active balls."""
+exactly as `intersecting_pairs` does over all active balls, and that
+`arrays()` gives back the added balls in move order, float for float."""
 import itertools
 
 import numpy as np
@@ -34,6 +35,7 @@ radius = st.one_of(
 def brute_roots(cfg: Configuration) -> dict[int, int]:
     """Union-find root of every active slot over all tested pairs."""
     ids = cfg.active_ids()
+    balls = cfg.index.balls
     parent = {i: i for i in ids}
 
     def find(a):
@@ -42,8 +44,8 @@ def brute_roots(cfg: Configuration) -> dict[int, int]:
         return a
 
     for a, b in itertools.combinations(ids, 2):
-        diff = cfg.centers[a] - cfg.centers[b]
-        rsum = cfg.radii[a] + cfg.radii[b]
+        diff = np.subtract(balls[a][0], balls[b][0])
+        rsum = balls[a][1] + balls[b][1]
         if float(diff @ diff) <= rsum * rsum:
             parent[find(b)] = find(a)
     return {i: find(i) for i in ids}
@@ -74,7 +76,7 @@ class IncrementalLabeling(RuleBasedStateMachine):
     def remove(self, pick):
         slot = self.cfg.active_ids()[pick % self.cfg.n]
         before = self.lab.n_components
-        groups = self.lab.removal_split(self.cfg, slot)
+        groups = self.lab.removal_split(slot)
         self.cfg.remove(slot)
         self.lab.apply_removal(slot, groups)
         assert self.lab.n_components == before + len(groups) - 1
@@ -93,7 +95,7 @@ class IncrementalLabeling(RuleBasedStateMachine):
     def removal_split_spans_the_component(self):
         root = brute_roots(self.cfg)
         for slot in self.cfg.active_ids():
-            members = [slot] + [s for g in self.lab.removal_split(self.cfg, slot) for s in g]
+            members = [slot] + [s for g in self.lab.removal_split(slot) for s in g]
             assert len(members) == len(set(members))
             assert set(members) == {s for s, r in root.items() if r == root[slot]}
 
@@ -113,9 +115,8 @@ def brute_hits(cfg: Configuration, center, r: float) -> list[int]:
     """Slots meeting B(center, r), from the pair kernel over every active
     ball plus the probe (the last index, so it is always j of a pair)."""
     ids = np.asarray(cfg.active_ids(), dtype=np.intp)
-    i, j = intersecting_pairs(
-        np.vstack([cfg.centers[ids], [center]]), np.append(cfg.radii[ids], r)
-    )
+    centers, radii, _ = cfg.arrays()
+    i, j = intersecting_pairs(np.vstack([centers, [center]]), np.append(radii, r))
     return sorted(ids[i[j == ids.size]].tolist())
 
 
@@ -136,15 +137,31 @@ def exact_hits_machine(d: int):
         def __init__(self):
             super().__init__()
             self.cfg = Configuration(window, cell_size=1.0)
+            self.balls = []  # (center, radius) in move order, kept by hand
 
         def probe(self, center, r):
             got = self.cfg.intersectors(center, r)
             assert len(got) == len(set(got))
             assert sorted(got) == brute_hits(self.cfg, center, r)
 
+        def take_out(self, pos):
+            """Remove the ball at move position pos; the last one takes its place."""
+            self.cfg.remove(self.cfg.active_ids()[pos])
+            self.balls[pos] = self.balls[-1]
+            self.balls.pop()
+
+        @invariant()
+        def arrays_are_the_balls_in_move_order(self):
+            centers, radii, colors = self.cfg.arrays()
+            assert colors is None
+            assert centers.shape == (len(self.balls), d) and radii.shape == (len(self.balls),)
+            assert centers.tolist() == [list(c) for c, _ in self.balls]
+            assert radii.tolist() == [r for _, r in self.balls]
+
         @rule(center=point, r=radius, probe=point, probe_r=radius)
         def add(self, center, r, probe, probe_r):
             self.cfg.add(center, r)
+            self.balls.append((center, r))
             self.probe(probe, probe_r)
 
         @rule(seed=st.integers(0, 2**32 - 1), k=st.integers(1, 80), probe=point, probe_r=radius)
@@ -161,23 +178,24 @@ def exact_hits_machine(d: int):
                 0.5,
                 np.where(rng.random(k) < 0.3, TPARETO.sample(rng, k), rng.uniform(0.05, 1.0, k)),
             )
-            for c, r in zip(centers, radii.tolist()):
+            for c, r in zip(centers.tolist(), radii.tolist()):
                 self.cfg.add(c, r)
+                self.balls.append((c, r))
             self.probe(probe, probe_r)
 
         @precondition(lambda self: self.cfg.n > 0)
         @rule(pick=st.integers(0, 10**6), probe=point, probe_r=radius)
         def remove(self, pick, probe, probe_r):
-            self.cfg.remove(self.cfg.active_ids()[pick % self.cfg.n])
+            self.take_out(pick % self.cfg.n)
             self.probe(probe, probe_r)
 
-        @precondition(lambda self: any(self.cfg.radii[s] <= 1.0 for s in self.cfg.active_ids()))
+        @precondition(lambda self: any(r <= 1.0 for _, r in self.balls))
         @rule(probe=point, probe_r=radius)
         def remove_largest_grid_ball(self, probe, probe_r):
-            grid = [s for s in self.cfg.active_ids() if self.cfg.radii[s] <= 1.0]
-            biggest = max(grid, key=lambda s: self.cfg.radii[s])
+            grid = [pos for pos, (_, r) in enumerate(self.balls) if r <= 1.0]
+            biggest = max(grid, key=lambda pos: self.balls[pos][1])
             reach = self.cfg.index.grid_radius
-            self.cfg.remove(biggest)
+            self.take_out(biggest)
             assert self.cfg.index.grid_radius == reach
             self.probe(probe, probe_r)
 

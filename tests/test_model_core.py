@@ -238,12 +238,7 @@ def test_expected_hits_empirical(rng):
     hits = []
     for _ in range(800):
         cfg = sample_boolean_with_halo(target, params, rng)
-        ids = np.asarray(cfg.active_ids(), dtype=np.intp)
-        if ids.size == 0:
-            hits.append(0)
-            continue
-        dist = np.array([target.distance_to_point(c) for c in cfg.centers[ids]])
-        hits.append(int(np.sum(dist <= cfg.radii[ids])))
+        hits.append(sum(target.distance_to_point(c) <= r for c, r in cfg.index.balls.values()))
     hits = np.asarray(hits, dtype=float)
     se = hits.std(ddof=1) / np.sqrt(hits.size)
     assert abs(hits.mean() - lam) < 4 * se
@@ -281,9 +276,7 @@ def test_halo_pareto_requires_truncation(rng):
         sample_boolean_with_halo(UNIT, params, rng)
     cfg = sample_boolean_with_halo(UNIT, params, rng, truncation_radius=10.0)
     assert cfg.tags["biased"]
-    ids = np.asarray(cfg.active_ids(), dtype=np.intp)
-    if ids.size:
-        assert np.max(cfg.radii[ids]) <= 10.0
+    assert all(r <= 10.0 for _, r in cfg.index.balls.values())
 
 
 # -- coverage probe ------------------------------------------------------------
@@ -314,8 +307,8 @@ def test_configuration_round_trip(tmp_path, rng):
     save_configuration(cfg, path, law_descriptor=params.law.descriptor(), seed=7)
     back = load_configuration(path)
     assert back.n == cfg.n
-    a = sorted(map(tuple, np.round(cfg.centers[cfg.active_ids()], 12)))
-    b = sorted(map(tuple, np.round(back.centers[back.active_ids()], 12)))
+    a = sorted(map(tuple, np.round(cfg.arrays()[0], 12)))
+    b = sorted(map(tuple, np.round(back.arrays()[0], 12)))
     assert a == b
     assert back.tags["law"] == params.law.descriptor()
 
@@ -384,6 +377,26 @@ def test_add_remove_slots_reused():
         cfg.add(np.array([2.0, 2.0]), 0.1)
 
 
+def test_add_checks_balls_as_the_bulk_build_does():
+    cfg = Configuration(UNIT, cell_size=0.25)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            cfg.add((0.5, 0.5), bad)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            Configuration.from_arrays(UNIT, [[0.5, 0.5]], [bad])
+    for center in ((0.5,), (0.5, 0.5, 0.5)):
+        with pytest.raises(ValueError, match="coordinates"):
+            cfg.add(center, 0.1)
+        with pytest.raises(ValueError):
+            Configuration.from_arrays(UNIT, [center], [0.1])
+    colored = Configuration(UNIT, cell_size=0.25, colored=True)
+    with pytest.raises(ValueError, match="needs a color"):
+        colored.add((0.5, 0.5), 0.1)
+    # a rejected ball takes no slot
+    assert cfg.n == colored.n == 0 and not cfg.index.balls
+    assert cfg.add((0.5, 0.5), 0.1) == colored.add((0.5, 0.5), 0.1, 2) == 0
+
+
 def test_remove_reports_the_ball_moved_into_the_freed_position():
     cfg = Configuration(UNIT, cell_size=0.25)
     a, b, c = (cfg.add(np.array([x, 0.5]), 0.1) for x in (0.2, 0.5, 0.8))
@@ -402,9 +415,7 @@ def test_load_configuration_rejects_bad_header(tmp_path):
 
 
 def _ball_by_ball(window, centers, radii, colors, cell_size):
-    cfg = Configuration(
-        window, cell_size=cell_size, colored=colors is not None, capacity=max(8, len(radii))
-    )
+    cfg = Configuration(window, cell_size=cell_size, colored=colors is not None)
     for k in range(len(radii)):
         cfg.add(centers[k], float(radii[k]), None if colors is None else int(colors[k]))
     return cfg
@@ -428,12 +439,14 @@ def test_bulk_build_equals_ball_by_ball(rng, n, colored):
         Configuration.from_balls(w, balls, cell_size=cell, colored=colored),
     ):
         assert got.active_ids() == want.active_ids() == list(range(n))
-        assert got._free == want._free
-        assert np.array_equal(got._slot_pos, want._slot_pos)
-        assert np.array_equal(got.centers, want.centers)
-        assert np.array_equal(got.radii, want.radii)
-        if colored:
-            assert np.array_equal(got.colors, want.colors)
+        assert got._free == want._free == []
+        assert list(got._slot_pos.items()) == list(want._slot_pos.items())
+        for a, b, ref in zip(got.arrays(), want.arrays(), (centers, radii, colors)):
+            assert (a is None) if ref is None else (a.dtype == b.dtype and np.array_equal(a, b))
+            assert ref is None or np.array_equal(a, ref)
+        assert (got.colors is want.colors is None) or (
+            list(got.colors.items()) == list(want.colors.items())
+        )
         assert list(got.index.cells.items()) == list(want.index.cells.items())
         assert got.index.oversized == want.index.oversized
         assert list(got.index.balls.items()) == list(want.index.balls.items())

@@ -205,7 +205,7 @@ def test_colorize_singletons_iid_uniform():
     n_draws = 8000
     for _ in range(n_draws):
         out = fk_colorize(pts, 2, rng)
-        ordered = sorted(out.active_ids(), key=lambda s: out.centers[s][0])
+        ordered = sorted(out.active_ids(), key=lambda s: out.index.balls[s][0][0])
         pattern = tuple(int(out.colors[s]) for s in ordered)
         counts[pattern] = counts.get(pattern, 0) + 1
     assert len(counts) == 8
@@ -257,9 +257,7 @@ def test_recolorizing_a_projection_reproduces_the_color_law():
     n_draws = 6000
 
     def pattern(cfg):
-        ordered = sorted(
-            cfg.active_ids(), key=lambda s: (cfg.centers[s][0], cfg.centers[s][1])
-        )
+        ordered = sorted(cfg.active_ids(), key=lambda s: cfg.index.balls[s][0])
         return tuple(int(cfg.colors[s]) for s in ordered)
 
     direct: dict = {}
