@@ -2,18 +2,18 @@
 and screening events for localizing the component count, the colored corner
 shield, entropy-rate bound calculators with their critical intensity, the
 tilted radius measure, and the cluster-density estimator with its exponential
-decay bound.  Every check reads a configuration's (centers, radii) arrays and
-the component labels of `connectivity.components`."""
+decay bound.  Every check takes a finished sample as its (centers, radii[,
+colors]) arrays and reads the component labels of `connectivity.components`."""
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .geometry import Box, centered_box, unit_ball_volume
-from .model_core import Configuration, RadiusLaw
+from .model_core import RadiusLaw
 from .connectivity import components, label_any, local_count
 # local_cc stays importable from this module: the tracer self-test in benchmarks/ relies on it
 from .connectivity import local_cc  # noqa: F401
@@ -41,23 +41,23 @@ class InvalidParameters(ValueError):
 # ---------------------------------------------------------------------------
 
 
-def event_Aij(cfg: Configuration, i: float, j: float) -> bool:
+def event_Aij(centers: np.ndarray, radii: np.ndarray, i: float, j: float) -> bool:
     """True when no ball centered outside [-j,j]^d reaches [-i,i]^d."""
     if not i < j:
         raise ValueError("need i < j")
-    d = cfg.window.dimension
-    centers, radii, _ = cfg.arrays()
+    d = centers.shape[1]
     far = ~centered_box(j, d).contains_points(centers)
     return not np.any(centered_box(i, d).distance_to_point(centers[far]) <= radii[far])
 
 
-def event_Wij(cfg: Configuration, box: Box, r0: float, i: float, j: float) -> bool:
+def event_Wij(
+    centers: np.ndarray, radii: np.ndarray, box: Box, r0: float, i: float, j: float
+) -> bool:
     """True when the balls centered in [-j,j]^d minus `box` form at most one
     component that both comes within r0 of `box` and leaves [-i,i]^d."""
     if not i < j:
         raise ValueError("need i < j")
-    d = cfg.window.dimension
-    centers, radii, _ = cfg.arrays()
+    d = centers.shape[1]
     keep = centered_box(j, d).contains_points(centers) & ~box.contains_points(centers)
     centers, radii = centers[keep], radii[keep]
     count, labels = components(centers, radii)
@@ -67,18 +67,17 @@ def event_Wij(cfg: Configuration, box: Box, r0: float, i: float, j: float) -> bo
 
 
 def localization_check(
-    cfg: Configuration, box: Box, r0: float, i: float, j: float
+    centers: np.ndarray, radii: np.ndarray, box: Box, r0: float, i: float, j: float
 ) -> bool:
-    """On the isolation-and-screening event, the local component count must
-    agree with its evaluation on the configuration truncated to [-j,j]^d.
-    Raises PreconditionEventFailed off the event: when a ball centered in
-    `box` is larger than r0, or A_ij or W_ij fails."""
-    centers, radii, _ = cfg.arrays()
+    """On the isolation-and-screening event, the local component count of
+    the balls must agree with its evaluation on the balls centered in
+    [-j,j]^d.  Raises PreconditionEventFailed off the event: when a ball
+    centered in `box` is larger than r0, or A_ij or W_ij fails."""
     if np.any(radii[box.contains_points(centers)] > r0):
         raise PreconditionEventFailed("a ball centered in the box exceeds r0")
-    if not (event_Aij(cfg, i, j) and event_Wij(cfg, box, r0, i, j)):
+    if not (event_Aij(centers, radii, i, j) and event_Wij(centers, radii, box, r0, i, j)):
         raise PreconditionEventFailed("configuration outside the required events")
-    kept = centered_box(j, cfg.window.dimension).contains_points(centers)
+    kept = centered_box(j, centers.shape[1]).contains_points(centers)
     return local_count(centers, radii, box) == local_count(centers[kept], radii[kept], box)
 
 
@@ -230,12 +229,13 @@ def shield_covering_trials(
     return bad_in, bad_out
 
 
-def shield_event_Wk(cfg: Configuration, geom: ShieldGeometry) -> bool:
+def shield_event_Wk(
+    centers: np.ndarray, colors: Optional[np.ndarray], geom: ShieldGeometry
+) -> bool:
     """True when every inner and outer corner cube holds centers of at least
     two balls with distinct colors."""
-    if not cfg.colored:
+    if colors is None:
         raise ValueError("shield events are defined for colored configurations")
-    centers, _, colors = cfg.arrays()
     if colors.size == 0:
         return False
     for cube in geom.inner_cubes + geom.outer_cubes:
@@ -359,15 +359,15 @@ def eroded_window(window: Box, border: float) -> Box:
 
 
 def estimate_NP(
-    samples: Sequence[Configuration], window: Box, border: float
+    samples: Sequence[tuple], window: Box, border: float
 ) -> ClusterDensityEstimate:
     """Mean number of components per unit volume of the border-eroded window,
     counting the components that lie wholly inside it (minus sampling): a
-    component with any ball reaching outside the eroded window is dropped."""
+    component with any ball reaching outside the eroded window is dropped.
+    Each sample is (centers, radii, colors), as `run_chain` records it."""
     eroded = eroded_window(window, border)
     per = np.zeros(len(samples))
-    for s, cfg in enumerate(samples):
-        centers, radii, _ = cfg.arrays()
+    for s, (centers, radii, _) in enumerate(samples):
         count, labels = components(centers, radii)
         cut = label_any(labels, ~eroded.contains_ball(centers, radii), count)
         per[s] = np.count_nonzero(~cut) / eroded.volume

@@ -154,13 +154,7 @@ class ExperimentSpec:
             raise SpecInvalid(str(exc)) from exc
 
     def model_params(self) -> ModelParams:
-        p = spec_checked(ModelParams, self.z, self.q, self.radius_law(), self.window_box())
-        if not p.assumption_a:
-            raise SpecInvalid(
-                "q<1 requires bounded support: the partition function "
-                "diverges for unbounded radii below q=1"
-            )
-        return p
+        return spec_checked(ModelParams, self.z, self.q, self.radius_law(), self.window_box())
 
     def n_colors(self) -> int:
         """q as the integer number of colors the color model needs."""
@@ -206,6 +200,13 @@ class ExperimentSpec:
         return hashlib.sha256(self.canonical().encode()).hexdigest()[:16]
 
 
+# least allowed value of each count field; burn-in and checkpoints may be off
+MINIMUMS = {
+    "sweeps": 1, "thinning": 1, "chains": 1, "samples": 1, "trials": 1,
+    "inner_points": 1, "n_pack": 1, "burn_in": 0, "checkpoint_every": 0,
+}
+
+
 def load_spec(subcommand: str, config_path: Optional[str], overrides: dict) -> ExperimentSpec:
     spec = ExperimentSpec(subcommand=subcommand)
     fields = {f.name: f for f in dataclasses.fields(ExperimentSpec)}
@@ -236,6 +237,9 @@ def load_spec(subcommand: str, config_path: Optional[str], overrides: dict) -> E
                 setattr(spec, key, str(val))
         except ValueError as exc:
             raise SpecInvalid(f"bad value for {key}: {val!r}") from exc
+    for key, least in MINIMUMS.items():
+        if getattr(spec, key) < least:
+            raise SpecInvalid(f"{key} must be at least {least}, got {getattr(spec, key)}")
     return spec
 
 
@@ -478,7 +482,7 @@ def cmd_gnz_check(spec: ExperimentSpec, out: Path) -> int:
     rng = chain_rng(spec.seed, 10_000)
     crcm_model = spec.model == "crcm"
     params = spec.model_params() if crcm_model else spec.wr_params()
-    if spec.thinning < 1 or len(range(0, spec.sweeps, spec.thinning)) < 100:
+    if len(range(0, spec.sweeps, spec.thinning)) < 100:
         raise SpecInvalid("gnz-check needs at least 100 recorded sweeps (sweeps / thinning)")
     rep = (run_chain if crcm_model else run_wr_chain)(
         params,
@@ -676,9 +680,9 @@ def cmd_localization(spec: ExperimentSpec, out: Path) -> int:
         target = spec.samples
         while ok + fails < target and tried < 400 * target:
             tried += 1
-            cfg = sample_poisson_boolean(params, rng)
+            centers, radii = poisson_balls(w, params.law, params.total_intensity, rng)
             try:
-                held = analysis.localization_check(cfg, lam_box, spec.r0, i, j)
+                held = analysis.localization_check(centers, radii, lam_box, spec.r0, i, j)
             except analysis.PreconditionEventFailed:
                 continue  # outside the conditioning events: not a sample
             ok += held
@@ -781,16 +785,16 @@ def cmd_np_decay(spec: ExperimentSpec, out: Path) -> int:
 
 
 def cmd_coverage_probe(spec: ExperimentSpec, out: Path) -> int:
-    law = spec.radius_law()
-    if law.bounded_support:
+    params = spec.model_params()
+    if params.law.bounded_support:
         raise SpecInvalid("coverage-probe expects the heavy-tail law (pareto:d)")
-    w = spec.window_box()
     halos = spec.floats("h_grid")
     if not halos or min(halos) < 0:
         raise SpecInvalid(f"h_grid {spec.h_grid!r} needs one or more nonnegative halos")
     rng = chain_rng(spec.seed, 0)
     probs = coverage_escalation(
-        w, spec.z, law, halos, trials=min(spec.trials, 500), rng=rng, grid_per_axis=48
+        params.window, params.z, params.law, halos, trials=min(spec.trials, 500), rng=rng,
+        grid_per_axis=48,
     )
     write_csv(
         out / "coverage.csv",

@@ -15,6 +15,8 @@ import numpy as np
 
 from .geometry import Box, dilate, unit_ball_volume
 from .model_core import Configuration, ModelParams, poisson_balls, sample_poisson_boolean
+# re-exported: callers catch the constructor's check as crcm.AssumptionAViolated
+from .model_core import AssumptionAViolated  # noqa: F401
 from .connectivity import ClusterLabeling, components, count_components, local_count
 # local_cc stays importable from this module: the tracer self-test in benchmarks/ relies on it
 from .connectivity import local_cc  # noqa: F401
@@ -25,10 +27,6 @@ from ._stats import (
     integrated_autocorr_time,
     weighted_ratio_estimate,
 )
-
-
-class AssumptionAViolated(ValueError):
-    """q < 1 with unbounded radii: the Gibbs weights are not normalizable."""
 
 
 class DegenerateWeights(RuntimeError):
@@ -91,10 +89,6 @@ class ChainState:
 
 def new_chain(params: ModelParams, rng: np.random.Generator) -> ChainState:
     """Chain started from an exact draw of the Poisson reference process."""
-    if not params.assumption_a:
-        raise AssumptionAViolated(
-            "q < 1 requires a radius law with bounded support"
-        )
     cfg = sample_poisson_boolean(params, rng)
     return ChainState(params=params, config=cfg, rng=rng)
 
@@ -188,7 +182,7 @@ class SamplerReport:
     iact_count: float
     ess_count: float
     state: ChainState
-    samples: list  # retained decorrelated configuration snapshots
+    samples: list  # recorded sweeps' (centers, radii, colors or None), in move order
 
 
 TRACE_COLUMNS = ["sweep", "count", "n_cc", "largest_component", "accept_birth", "accept_death"]
@@ -266,7 +260,7 @@ def run_chain(
 
     def keep(done: int, recorded: bool) -> None:
         if recorded:
-            samples.append(state.config.copy())
+            samples.append(state.config.arrays())
 
     rows = sweep_loop(
         state, step, per_sweep, burn_in, sweeps, thin, [], on_sweep=keep if keep_configs else None
@@ -358,8 +352,6 @@ def importance_oracle(
     Also returns the raw mean of the weights, an unbiased estimate of the
     normalizing constant, and its logarithm (z_hat is inf beyond the float
     range; ln_z_hat stays finite)."""
-    if not params.assumption_a:
-        raise AssumptionAViolated("q < 1 requires a bounded-support law")
     if n_samples < 1000:
         raise ValueError("need at least 10^3 reference draws")
     counts, n_cc = _reference_draws(params, n_samples, rng)
@@ -391,8 +383,6 @@ def conditional_resample(
     for q < 1 (bounded radii) the acceptance exponent is bounded through the
     explicit lower bound on the local count."""
     p = state.params
-    if not p.assumption_a:
-        raise AssumptionAViolated("q < 1 requires a bounded-support law")
     if state.config.colored:
         raise ValueError("conditional resampling is for uncolored chains")
     if not state.config.window.contains_box(box):
@@ -508,7 +498,7 @@ def default_test_functions(params: ModelParams):
 
 
 def gnz_residuals(
-    samples: Sequence[Configuration],
+    samples: Sequence[tuple],
     params: ModelParams,
     weigh: Callable,
     rng: Optional[np.random.Generator] = None,
@@ -517,9 +507,9 @@ def gnz_residuals(
     """Balance-equation residuals: removal sums against the insertion
     integral lam * E[f(n, x, r) w(x, r)], Monte Carlo over `inner_points`
     insertions per sample shared by every test function.
-    `weigh(centers, radii, colors, hits, rng)` returns the insertion weights
-    w, given the sample's `Configuration.arrays()`, where hits[m, k] says
-    whether insertion m meets ball k."""
+    Each sample is (centers, radii, colors or None), as `run_chain` records
+    it; `weigh(centers, radii, colors, hits, rng)` returns the insertion
+    weights w, where hits[m, k] says whether insertion m meets ball k."""
     if len(samples) < 100:
         raise ValueError("need at least 100 decorrelated samples")
     if rng is None:
@@ -528,8 +518,7 @@ def gnz_residuals(
     lam = params.total_intensity
     lhs = np.zeros((len(tests), len(samples)))
     rhs = np.zeros((len(tests), len(samples)))
-    for s, cfg in enumerate(samples):
-        centers, radii, colors = cfg.arrays()
+    for s, (centers, radii, colors) in enumerate(samples):
         xs = params.window.sample_points(rng, inner_points)
         rs = np.asarray(params.law.sample(rng, inner_points), dtype=float)
         diff = centers[None, :, :] - xs[:, None, :]
@@ -550,7 +539,7 @@ def gnz_residuals(
 
 
 def gnz_residual_crcm(
-    samples: Sequence[Configuration],
+    samples: Sequence[tuple],
     params: ModelParams,
     rng: Optional[np.random.Generator] = None,
     inner_points: int = 96,
@@ -583,17 +572,21 @@ class DominationRow:
 
 
 def domination_check(
-    samples: Sequence[Configuration], params: ModelParams
+    samples: Sequence[tuple], params: ModelParams
 ) -> list[DominationRow]:
     """Sandwich checks on increasing statistics, over the whole window and a
     central probe box of half its side: the q-thickened Poisson process from
     above (q >= 1) and the tilted-law Poisson process from below (radii
-    bounded away from 0, q > 1).  Flags violations beyond 3 SE."""
+    bounded away from 0, q > 1).  Samples are (centers, radii, colors)
+    tuples.  Flags violations beyond 3 SE."""
     w = params.window
     d = w.dimension
     probe = Box(w.lo + 0.25 * w.sides, w.lo + 0.75 * w.sides)
-    counts = np.array([c.n for c in samples], dtype=float)
-    probe_counts = np.array([c.count_in(probe) for c in samples], dtype=float)
+    counts = np.array([radii.size for _, radii, _ in samples], dtype=float)
+    probe_counts = np.array(
+        [np.count_nonzero(probe.contains_points(centers)) for centers, _, _ in samples],
+        dtype=float,
+    )
     rows: list[DominationRow] = []
 
     def add(stat, side, emp_arr, bound, direction):
@@ -633,8 +626,6 @@ def entropy_report(
     upper bound and the empty-configuration floor on the normalizer.  Raises
     DegenerateWeights, as the oracle does, when the weights' effective sample
     size is below `min_ess`."""
-    if not params.assumption_a:
-        raise AssumptionAViolated("q < 1 requires a bounded-support law")
     counts, n_cc = _reference_draws(params, n_oracle, rng)
     lnq = math.log(params.q)
     w, ln_z_hat, rel_se, _ = _log_weight_summary(n_cc.astype(float) * lnq, min_ess)

@@ -92,10 +92,6 @@ class Box:
     def sample_points(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return self.lo + rng.random((n, self.dimension)) * self.sides
 
-    def translate(self, v: np.ndarray) -> "Box":
-        v = np.asarray(v, dtype=float)
-        return Box(self.lo + v, self.hi + v)
-
     def __repr__(self):
         lo = ",".join(repr(float(v)) for v in self.lo)
         hi = ",".join(repr(float(v)) for v in self.hi)

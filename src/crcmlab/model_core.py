@@ -26,6 +26,10 @@ class NonIntegrableWithoutTruncation(ValueError):
     """Raised when an operation needs a finite radius tail but none exists."""
 
 
+class AssumptionAViolated(ValueError):
+    """q < 1 with unbounded radii: the Gibbs weights are not normalizable."""
+
+
 # ---------------------------------------------------------------------------
 # Radius laws
 # ---------------------------------------------------------------------------
@@ -237,7 +241,9 @@ def parse_law(text: str) -> RadiusLaw:
 
 @dataclass
 class ModelParams:
-    """Intensity z, cluster weight q, radius law, and window."""
+    """Intensity z, cluster weight q, radius law, and window.  Raises
+    AssumptionAViolated unless the partition function is finite: q >= 1 or
+    the law has bounded support."""
 
     z: float
     q: float
@@ -249,6 +255,11 @@ class ModelParams:
             raise ValueError("intensity z must be positive")
         if self.q <= 0:
             raise ValueError("cluster weight q must be positive")
+        if self.q < 1.0 and not self.law.bounded_support:
+            raise AssumptionAViolated(
+                "q < 1 requires a radius law with bounded support: the partition "
+                "function diverges for unbounded radii below q=1"
+            )
 
     @property
     def dimension(self) -> int:
@@ -269,11 +280,6 @@ class ModelParams:
     def cell_size(self) -> float:
         """Grid cell of a chain's configuration, from the law's median radius."""
         return default_cell_size(self.window, self.law.median())
-
-    @property
-    def assumption_a(self) -> bool:
-        """Partition function is finite: q >= 1 or the law has bounded support."""
-        return self.q >= 1.0 or self.law.bounded_support
 
 
 # ---------------------------------------------------------------------------
@@ -446,10 +452,6 @@ class Configuration:
                 out.append(j)
         return out
 
-    def count_in(self, box: Box) -> int:
-        """Number of ball centers in `box`."""
-        return int(np.count_nonzero(box.contains_points(self.arrays()[0])))
-
     def copy(self, drop_colors: bool = False) -> "Configuration":
         centers, radii, colors = self.arrays()
         out = Configuration.from_arrays(
@@ -457,13 +459,6 @@ class Configuration:
         )
         out.tags = dict(self.tags)
         return out
-
-    def translate(self, v: np.ndarray) -> "Configuration":
-        v = np.asarray(v, dtype=float)
-        centers, radii, colors = self.arrays()
-        return Configuration.from_arrays(
-            self.window.translate(v), centers + v, radii, colors, self.index.cell_size
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -57,20 +57,18 @@ def insertion_allowed(cfg: Configuration, hits: list[int], color: int) -> bool:
     return all(cfg.colors[j] == color for j in hits)
 
 
-def is_allowed(cfg: Configuration) -> bool:
+def is_allowed(centers: np.ndarray, radii: np.ndarray, colors: Optional[np.ndarray]) -> bool:
     """No two balls of different colors overlap or touch."""
-    if not cfg.colored:
+    if colors is None:
         raise ValueError("allowed-set test needs a colored configuration")
-    centers, radii, colors = cfg.arrays()
     i, j = intersecting_pairs(centers, radii)
     return not np.any(colors[i] != colors[j])
 
 
-def col_event(cfg: Configuration) -> bool:
+def col_event(colors: Optional[np.ndarray]) -> bool:
     """At least two balls carry distinct colors."""
-    if not cfg.colored:
+    if colors is None:
         raise ValueError("color event needs a colored configuration")
-    colors = cfg.arrays()[2]
     return colors.size > 1 and bool(np.any(colors != colors[0]))
 
 
@@ -234,7 +232,7 @@ def fk_consistency_test(
 
 
 def gnz_residual_wr(
-    samples: Sequence[Configuration],
+    samples: Sequence[tuple],
     params: WrParams,
     rng: Optional[np.random.Generator] = None,
     inner_points: int = 96,

@@ -230,10 +230,12 @@ def test_criterion_7_localization_and_shield():
         cfg = sample_poisson_boolean(params, rng)
         if any(lam_box.contains_point(c) and r > r0 for c, r in cfg.index.balls.values()):
             continue
-        if not (an.event_Aij(cfg, i, j) and an.event_Wij(cfg, lam_box, r0, i, j)):
+        centers, radii, _ = cfg.arrays()
+        if not (an.event_Aij(centers, radii, i, j)
+                and an.event_Wij(centers, radii, lam_box, r0, i, j)):
             continue
         conditioned += 1
-        if not an.localization_check(cfg, lam_box, r0, i, j):
+        if not an.localization_check(centers, radii, lam_box, r0, i, j):
             failures += 1
 
     # shield covering contracts
@@ -258,7 +260,8 @@ def test_criterion_7_localization_and_shield():
             cfg.add(cube.lo + v * cube.sides, 0.15, 2)
         far = g2.outer_box.hi[0] * (1.5 + rngl.random())
         cfg.add(np.array([far, -far]), float(rngl.exponential(1.0)), int(rngl.integers(1, 3)))
-        if not (wr.is_allowed(cfg) and an.shield_event_Wk(cfg, g2)):
+        centers, radii, colors = cfg.arrays()
+        if not (wr.is_allowed(centers, radii, colors) and an.shield_event_Wk(centers, colors, g2)):
             continue
         trials += 1
         full = Configuration(big, cell_size=2.0, colored=True)
@@ -276,7 +279,7 @@ def test_criterion_7_localization_and_shield():
             color = int(rngl.integers(1, 3))
             full.add(center, radius, color)
             trunc.add(center, radius, color)
-        if wr.is_allowed(full) != wr.is_allowed(trunc):
+        if wr.is_allowed(*full.arrays()) != wr.is_allowed(*trunc.arrays()):
             locality_viol += 1
     wall = time.time() - t0
     ok = (
@@ -328,7 +331,7 @@ def test_criterion_8_entropy_calculators():
     rep = wr.run_wr_chain(
         params, seeded(88), sweeps=8000, burn_in=400, thin=20, keep_configs=True
     )
-    hits = np.array([wr.col_event(c) for c in rep.samples], dtype=float)
+    hits = np.array([wr.col_event(colors) for _, _, colors in rep.samples], dtype=float)
     n_eff = max(8, int(hits.size / integrated_autocorr_time(hits)))
     lo, _ = wilson_interval(int(round(hits.mean() * n_eff)), n_eff, confidence=0.99)
     col_ok = lo > 0.0

@@ -57,15 +57,15 @@ def balls(*specs):
 
 def test_isolation_event_vacuous_inside():
     cfg = balls(((1, 1), 0.5), ((-2, 0.5), 1.0))
-    assert event_Aij(cfg, 3, 4)  # all centers inside the outer box
+    assert event_Aij(*cfg.arrays()[:2], 3, 4)  # all centers inside the outer box
 
 
 def test_isolation_event_detects_reaching_ball():
     # center at distance 4 from the inner box: radius 4.5 reaches, 1.0 does not
     cfg = balls(((6, 0), 4.5))
-    assert not event_Aij(cfg, 2, 4)
+    assert not event_Aij(*cfg.arrays()[:2], 2, 4)
     cfg2 = balls(((6, 0), 1.0))
-    assert event_Aij(cfg2, 2, 4)
+    assert event_Aij(*cfg2.arrays()[:2], 2, 4)
 
 
 def test_isolation_probability_matches_void_oracle():
@@ -75,7 +75,10 @@ def test_isolation_probability_matches_void_oracle():
     rng = seeded(1)
     params = ModelParams(z, 1.0, law, Box([-8, -8], [8, 8]))
     trials = 3000
-    hits = sum(event_Aij(sample_poisson_boolean(params, rng), 1.0, 2.0) for _ in range(trials))
+    hits = sum(
+        event_Aij(*sample_poisson_boolean(params, rng).arrays()[:2], 1.0, 2.0)
+        for _ in range(trials)
+    )
     se = math.sqrt(pred * (1 - pred) / trials)
     assert abs(hits / trials - pred) < 4 * se
 
@@ -112,25 +115,25 @@ def chain_row(y, x0=1.5, n=7):
 
 
 def test_screening_event_trivial_and_constructed():
-    assert event_Wij(Configuration(W, cell_size=1.0), LAM, 1.0, 3, 16)
+    assert event_Wij(*Configuration(W, cell_size=1.0).arrays()[:2], LAM, 1.0, 3, 16)
     one = Configuration.from_balls(W, chain_row(1.6))
-    assert event_Wij(one, LAM, 1.0, 3, 16)
+    assert event_Wij(*one.arrays()[:2], LAM, 1.0, 3, 16)
     two = Configuration.from_balls(W, chain_row(1.6) + chain_row(-1.6))
-    assert not event_Wij(two, LAM, 1.0, 3, 16)
+    assert not event_Wij(*two.arrays()[:2], LAM, 1.0, 3, 16)
 
 
 def test_localization_trivial_when_inside():
     cfg = balls(((0.5, 0), 0.4), ((2.5, 0.2), 0.7))
-    assert localization_check(cfg, LAM, 1.0, 4, 9)
+    assert localization_check(*cfg.arrays()[:2], LAM, 1.0, 4, 9)
 
 
 def test_localization_precondition_rejected():
     two = Configuration.from_balls(W, chain_row(1.6) + chain_row(-1.6))
     with pytest.raises(PreconditionEventFailed):
-        localization_check(two, LAM, 1.0, 3, 16)
+        localization_check(*two.arrays()[:2], LAM, 1.0, 3, 16)
     fat = balls(((0, 0), 3.0))  # radius above the cap inside the box
     with pytest.raises(PreconditionEventFailed):
-        localization_check(fat, LAM, 1.0, 4, 9)
+        localization_check(*fat.arrays()[:2], LAM, 1.0, 4, 9)
 
 
 def test_localization_conditioned_sweep():
@@ -141,9 +144,10 @@ def test_localization_conditioned_sweep():
         cfg = sample_poisson_boolean(params, rng)
         if any(LAM.contains_point(c) and r > 1.0 for c, r in cfg.index.balls.values()):
             continue
-        if not (event_Aij(cfg, 4, 9) and event_Wij(cfg, LAM, 1.0, 4, 9)):
+        centers, radii, _ = cfg.arrays()
+        if not (event_Aij(centers, radii, 4, 9) and event_Wij(centers, radii, LAM, 1.0, 4, 9)):
             continue
-        assert localization_check(cfg, LAM, 1.0, 4, 9)
+        assert localization_check(centers, radii, LAM, 1.0, 4, 9)
         done += 1
 
 
@@ -225,8 +229,8 @@ def test_array_events_match_per_ball_references():
     outcomes = set()
     for cfg in cfgs:
         for i, j in ((5, 14), (2, 6), (3, 4)):
-            a = event_Aij(cfg, i, j)
-            wij = event_Wij(cfg, lam_box, 2.0, i, j)
+            a = event_Aij(*cfg.arrays()[:2], i, j)
+            wij = event_Wij(*cfg.arrays()[:2], lam_box, 2.0, i, j)
             assert a == ref_event_Aij(cfg, i, j)
             assert wij == ref_event_Wij(cfg, lam_box, 2.0, i, j)
             outcomes.add((a, wij))
@@ -240,7 +244,7 @@ def test_estimate_NP_counts_match_per_component_reference():
     cfgs = [sample_poisson_boolean(params, rng) for _ in range(60)]
     cfgs += [tangent_config(rng, w, n=80) for _ in range(60)]
     for border in (1.0, 3.0, 8.0):
-        est = estimate_NP(cfgs, w, border)
+        est = estimate_NP([cfg.arrays() for cfg in cfgs], w, border)
         ref = [ref_np_count(cfg, est.eroded) / est.eroded.volume for cfg in cfgs]
         assert est.per_sample.tolist() == ref
 
@@ -251,7 +255,7 @@ def test_np_component_straddling_the_eroded_boundary_dropped():
     win = Box([0, 0], [10, 10])
     chain = [MarkedBall(np.array([x, 5.0]), 0.6) for x in (3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 8.7)]
     cfg = Configuration.from_balls(win, chain + [MarkedBall(np.array([5.0, 2.0]), 0.5)])
-    est = estimate_NP([cfg], win, 1.0)
+    est = estimate_NP([cfg.arrays()], win, 1.0)
     assert est.value == pytest.approx(1 / 64.0)
 
 
@@ -305,11 +309,9 @@ def shield_with_pairs(geom, extra=()):
 def test_shield_event_detection():
     g = build_shield(1, 2, 2)
     cfg, _ = shield_with_pairs(g)
-    assert shield_event_Wk(cfg, g)
-    mono, _ = shield_with_pairs(g)
-    for s in mono.active_ids():
-        mono.colors[s] = 1
-    assert not shield_event_Wk(mono, g)
+    centers, _, colors = cfg.arrays()
+    assert shield_event_Wk(centers, colors, g)
+    assert not shield_event_Wk(centers, np.ones_like(colors), g)
 
 
 def test_shield_screens_the_allowed_indicator():
@@ -323,7 +325,8 @@ def test_shield_screens_the_allowed_indicator():
         far = g.outer_box.hi[0] * (1.5 + rng.random())
         extra = [((far, far), rng.exponential(1.0), int(rng.integers(1, 3)))]
         cfg, big = shield_with_pairs(g, extra)
-        if not (is_allowed(cfg) and shield_event_Wk(cfg, g)):
+        centers, radii, colors = cfg.arrays()
+        if not (is_allowed(centers, radii, colors) and shield_event_Wk(centers, colors, g)):
             continue
         full = Configuration(big, cell_size=2.0, colored=True)
         trunc = Configuration(big, cell_size=2.0, colored=True)
@@ -340,7 +343,7 @@ def test_shield_screens_the_allowed_indicator():
             color = int(rng.integers(1, 3))
             full.add(center, radius, color)
             trunc.add(center, radius, color)
-        if is_allowed(full) != is_allowed(trunc):
+        if is_allowed(*full.arrays()) != is_allowed(*trunc.arrays()):
             violations += 1
     assert violations == 0
 
@@ -487,12 +490,12 @@ def test_tilted_mass_tends_to_one_as_q_drops():
 def test_np_empty_and_singletons():
     win = Box([0, 0], [10, 10])
     empty = Configuration(win, cell_size=0.5)
-    assert estimate_NP([empty], win, 1.0).value == 0.0
+    assert estimate_NP([empty.arrays()], win, 1.0).value == 0.0
     singles = Configuration.from_balls(
         win,
         [MarkedBall(np.array([3.0, 3.0]), 0.5), MarkedBall(np.array([7.0, 7.0]), 0.5)],
     )
-    est = estimate_NP([singles] * 3, win, 1.0)
+    est = estimate_NP([singles.arrays()] * 3, win, 1.0)
     assert est.value == pytest.approx(2 / 64.0)
 
 
@@ -502,16 +505,18 @@ def test_np_translation_consistency():
         win,
         [MarkedBall(np.array([3.0, 3.0]), 0.5), MarkedBall(np.array([6.5, 7.0]), 0.8)],
     )
-    base = estimate_NP([cfg], win, 1.0)
-    moved = cfg.translate(np.array([11.0, -4.0]))
-    again = estimate_NP([moved], moved.window, 1.0)
+    base = estimate_NP([cfg.arrays()], win, 1.0)
+    shift = np.array([11.0, -4.0])
+    centers, radii, colors = cfg.arrays()
+    moved = (centers + shift, radii, colors)
+    again = estimate_NP([moved], Box(win.lo + shift, win.hi + shift), 1.0)
     assert base.value == again.value
 
 
 def test_np_eroded_window_empty():
     win = Box([0, 0], [2, 2])
     with pytest.raises(ErodedWindowEmpty):
-        estimate_NP([Configuration(win, cell_size=0.5)], win, 1.0)
+        estimate_NP([Configuration(win, cell_size=0.5).arrays()], win, 1.0)
 
 
 def test_np_boundary_components_dropped():
@@ -523,7 +528,7 @@ def test_np_boundary_components_dropped():
             MarkedBall(np.array([5.0, 5.0]), 0.5),
         ],
     )
-    est = estimate_NP([cfg], win, 1.0)
+    est = estimate_NP([cfg.arrays()], win, 1.0)
     assert est.value == pytest.approx(1 / 64.0)
 
 
@@ -537,11 +542,11 @@ def test_np_doubled_window_consistency():
     small = Box([0, 0], [10, 10])
     big = Box([0, 0], [20, 20])
     s_small = [
-        sample_poisson_boolean(ModelParams(z, 1.0, law, small), seeded(500 + t))
+        sample_poisson_boolean(ModelParams(z, 1.0, law, small), seeded(500 + t)).arrays()
         for t in range(400)
     ]
     s_big = [
-        sample_poisson_boolean(ModelParams(z, 1.0, law, big), seeded(9000 + t))
+        sample_poisson_boolean(ModelParams(z, 1.0, law, big), seeded(9000 + t)).arrays()
         for t in range(200)
     ]
     e1 = estimate_NP(s_small, small, border)

@@ -252,6 +252,19 @@ def test_unknown_subcommand_and_bad_set(tmp_path):
         ("np-decay", {"q": "0.5", "law": "dirac:1"}),  # the bound tilts by q > 1
         ("np-decay", {"border": "3", "window": "0,0:6,6"}),  # nothing left after erosion
         ("gnz-check", {"sweeps": "10"}),  # fewer than 100 recorded samples
+        # count fields below their floor
+        ("sample-crcm", {"thinning": "0", "sweeps": "4", "burn_in": "1"}),
+        ("sample-wr", {"thinning": "0"}),
+        ("dlr-check", {"thinning": "0"}),
+        ("np-decay", {"thinning": "0"}),
+        ("fk-check", {"thinning": "0"}),
+        ("coverage-probe", {"law": "pareto:2", "z": "-1"}),
+        ("coverage-probe", {"law": "pareto:2", "trials": "0"}),
+        ("entropy-bounds", {"n_pack": "0"}),
+        ("gnz-check", {"inner_points": "0"}),
+        ("bounds-audit", {"samples": "0"}),
+        ("localization", {"samples": "0"}),
+        ("shield", {"trials": "-5"}),
     ],
 )
 def test_malformed_spec_values_are_spec_errors(tmp_path, capsys, monkeypatch, sub, settings):

@@ -7,6 +7,7 @@ from scipy import integrate, stats
 from crcmlab.geometry import Box, MarkedBall, dilate
 from crcmlab.model_core import (
     INFINITE,
+    AssumptionAViolated,
     Configuration,
     DiracRadius,
     ModelParams,
@@ -120,9 +121,10 @@ def test_pareto_truncated_sampling_range(rng):
 
 
 def test_assumption_flag():
-    assert ModelParams(1, 0.5, DiracRadius(1), UNIT).assumption_a
-    assert ModelParams(1, 2.0, ParetoRadius(2), UNIT).assumption_a
-    assert not ModelParams(1, 0.5, ParetoRadius(2), UNIT).assumption_a
+    ModelParams(1, 0.5, DiracRadius(1), UNIT)
+    ModelParams(1, 2.0, ParetoRadius(2), UNIT)
+    with pytest.raises(AssumptionAViolated):
+        ModelParams(1, 0.5, ParetoRadius(2), UNIT)
     with pytest.raises(ValueError):
         ModelParams(0.0, 1.0, DiracRadius(1), UNIT)
     with pytest.raises(ValueError):
@@ -178,7 +180,8 @@ def test_restriction_consistency(rng):
     params = ModelParams(40.0, 1.0, UniformRadius(0, 0.05), UNIT)
     sub = Box([0.1, 0.1], [0.6, 0.6])
     counts = [
-        sample_poisson_boolean(params, rng).count_in(sub) for _ in range(4000)
+        int(np.count_nonzero(sub.contains_points(sample_poisson_boolean(params, rng).arrays()[0])))
+        for _ in range(4000)
     ]
     lam = 40.0 * sub.volume
     grid = np.arange(0, stats.poisson.ppf(0.9999, lam) + 1)

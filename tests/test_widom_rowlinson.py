@@ -57,18 +57,18 @@ def test_params_require_integer_colors():
 
 def test_monochromatic_always_allowed():
     cfg = colored(BIG, [((0, 0), 1.0, 1), ((1, 0), 1.0, 1), ((0.5, 0.5), 2.0, 1)])
-    assert is_allowed(cfg)
+    assert is_allowed(*cfg.arrays())
 
 
 def test_tangent_different_colors_forbidden():
     # contact at exactly radius sum is already a conflict
     cfg = colored(BIG, [((0, 0), 1.0, 1), ((2, 0), 1.0, 2)])
-    assert not is_allowed(cfg)
+    assert not is_allowed(*cfg.arrays())
 
 
 def test_disjoint_different_colors_allowed():
     cfg = colored(BIG, [((0, 0), 1.0, 1), ((2.0001, 0), 1.0, 2)])
-    assert is_allowed(cfg)
+    assert is_allowed(*cfg.arrays())
 
 
 def test_insertion_allowed_matches_global_check():
@@ -80,13 +80,21 @@ def test_insertion_allowed_matches_global_check():
         k = int(rng.integers(1, 3))
         trial = cfg.copy()
         trial.add(c, r, k)
-        assert insertion_allowed(cfg, cfg.intersectors(c, r), k) == is_allowed(trial)
+        assert insertion_allowed(cfg, cfg.intersectors(c, r), k) == is_allowed(*trial.arrays())
 
 
 def test_col_event():
-    assert not col_event(colored(BIG, []))
-    assert not col_event(colored(BIG, [((0, 0), 1.0, 2), ((5, 5), 1.0, 2)]))
-    assert col_event(colored(BIG, [((0, 0), 1.0, 1), ((5, 5), 1.0, 2)]))
+    assert not col_event(colored(BIG, []).arrays()[2])
+    assert not col_event(colored(BIG, [((0, 0), 1.0, 2), ((5, 5), 1.0, 2)]).arrays()[2])
+    assert col_event(colored(BIG, [((0, 0), 1.0, 1), ((5, 5), 1.0, 2)]).arrays()[2])
+
+
+def test_color_predicates_refuse_uncolored_balls():
+    blind = Configuration.from_balls(BIG, [MarkedBall(np.zeros(2), 1.0)])
+    with pytest.raises(ValueError):
+        is_allowed(*blind.arrays())
+    with pytest.raises(ValueError):
+        col_event(blind.arrays()[2])
 
 
 # -- chain -------------------------------------------------------------------------
@@ -95,7 +103,19 @@ def test_col_event():
 def test_every_sampled_state_allowed():
     params = WrParams(25.0, 2, DiracRadius(0.08), UNIT)
     rep = run_wr_chain(params, seeded(2), sweeps=120, burn_in=40, thin=2, keep_configs=True)
-    assert rep.samples and all(is_allowed(c) for c in rep.samples)
+    assert rep.samples and all(is_allowed(*c) for c in rep.samples)
+
+
+def test_snapshots_are_the_states_arrays():
+    params = WrParams(25.0, 2, DiracRadius(0.08), UNIT)
+    rep = run_wr_chain(params, seeded(2), sweeps=30, burn_in=10, thin=1, keep_configs=True)
+    assert len(rep.samples) == rep.counts.size == 30
+    for (centers, radii, colors), count in zip(rep.samples, rep.counts):
+        assert radii.size == count and centers.shape == (count, 2)
+        assert colors is not None and colors.size == count
+    # the last sweep is recorded: its snapshot is the final state's arrays
+    for got, want in zip(rep.samples[-1], rep.state.config.arrays()):
+        assert np.array_equal(got, want)
 
 
 def test_recolor_acceptance_is_one():
@@ -157,7 +177,7 @@ def test_wr_heavy_tail_radii_supported():
     # assumption needed, big proposals just get rejected
     params = WrParams(5.0, 2, ParetoRadius(2), Box([0, 0], [3, 3]))
     rep = run_wr_chain(params, seeded(7), sweeps=80, burn_in=20, thin=2, keep_configs=True)
-    assert all(is_allowed(c) for c in rep.samples)
+    assert all(is_allowed(*c) for c in rep.samples)
 
 
 def test_single_color_reduction():
@@ -165,10 +185,9 @@ def test_single_color_reduction():
     params = WrParams(1.5, 2, DiracRadius(0.05), UNIT)
     rep = run_wr_chain(params, seeded(8), sweeps=6000, burn_in=200, thin=3, keep_configs=True)
     mono_counts = []
-    for cfg in rep.samples:
-        ids = cfg.active_ids()
-        if all(int(cfg.colors[s]) == 1 for s in ids):
-            mono_counts.append(len(ids))
+    for _, radii, colors in rep.samples:
+        if np.all(colors == 1):
+            mono_counts.append(radii.size)
     lam = params.total_intensity / 2.0
     assert len(mono_counts) > 100
     direct = seeded(9).poisson(lam, size=len(mono_counts))
@@ -219,7 +238,7 @@ def test_colorize_always_allowed(rng):
     for k in range(20):
         cfg = sample_poisson_boolean(params, seeded(100 + k))
         out = fk_colorize(cfg, 2, rng)
-        assert is_allowed(out)
+        assert is_allowed(*out.arrays())
 
 
 def test_col_event_probability_from_component_count():
@@ -228,7 +247,7 @@ def test_col_event_probability_from_component_count():
         BIG, [MarkedBall(np.array([0.0, 0.0]), 1.0), MarkedBall(np.array([5.0, 0.0]), 1.0)]
     )
     rng = seeded(12)
-    hits = sum(col_event(fk_colorize(two, 2, rng)) for _ in range(4000))
+    hits = sum(col_event(fk_colorize(two, 2, rng).arrays()[2]) for _ in range(4000))
     phat = hits / 4000
     se = math.sqrt(0.5 * 0.5 / 4000)
     assert abs(phat - 0.5) < 4 * se
