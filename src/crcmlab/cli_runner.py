@@ -24,6 +24,7 @@ from .model_core import (
     Configuration,
     ModelParams,
     coverage_escalation,
+    open_fresh,
     parse_law,
     poisson_balls,
     sample_poisson_boolean,
@@ -33,7 +34,9 @@ from .connectivity import (
     ClusterLabeling,
     check_bounds,
     compatibility_offset,
+    components,
     count_components,
+    local_cc,
 )
 from .crcm import (
     TRACE_COLUMNS,
@@ -290,7 +293,7 @@ def _fmt(v) -> str:
 
 def write_csv(path: Path, meta: dict, columns: list[str], rows) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
+    with open_fresh(path) as fh:
         fh.write("# " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n")
         fh.write(",".join(columns) + "\n")
         for row in rows:
@@ -314,7 +317,7 @@ def write_manifest(out: Path, spec: ExperimentSpec, wall: float, outputs: list[s
     }
     if extra:
         doc.update(extra)
-    with open(out / "manifest.json", "w") as fh:
+    with open_fresh(out / "manifest.json") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -408,12 +411,14 @@ def run_traced_chain(
 
 def cmd_sample_poisson(spec: ExperimentSpec, out: Path) -> int:
     params = spec.model_params()
+    w = params.window
     rows = []
     for s in range(spec.samples):
         rng = chain_rng(spec.seed, s)
-        cfg = sample_poisson_boolean(params, rng)
-        save_configuration(cfg, out / f"config_{s:04d}.csv", law_descriptor=spec.law, seed=spec.seed)
-        rows.append((s, cfg.n, count_components(cfg)))
+        centers, radii = poisson_balls(w, params.law, params.total_intensity, rng)
+        save_configuration(w, (centers, radii, None), out / f"config_{s:04d}.csv",
+                           law_descriptor=spec.law, seed=spec.seed)
+        rows.append((s, radii.size, components(centers, radii)[0]))
     write_csv(
         out / "summary.csv",
         {"subcommand": spec.subcommand, "spec_hash": spec.digest()},
@@ -432,7 +437,8 @@ def _write_chain_outputs(spec: ExperimentSpec, out: Path, c: int, cfg: Configura
         trace,
     )
     save_configuration(
-        cfg,
+        cfg.window,
+        cfg.arrays(),
         out / f"final_config_{c:03d}.csv",
         law_descriptor=spec.law,
         seed=spec.seed,
@@ -519,13 +525,14 @@ def cmd_gnz_check(spec: ExperimentSpec, out: Path) -> int:
 
 def cmd_fk_check(spec: ExperimentSpec, out: Path) -> int:
     params = spec.wr_params()
+    pairs = spec.chains if spec.chains > 1 else 8  # --chains 1, the default, runs 8 pairs
     report = fk_consistency_test(
         params.z,
         params.n_colors,
         params.law,
         params.window,
         rng_seed=spec.seed,
-        pairs=spec.chains if spec.chains > 1 else 8,
+        pairs=pairs,
         sweeps=spec.sweeps,
         burn_in=spec.burn_in,
         thin=spec.thinning,
@@ -539,8 +546,9 @@ def cmd_fk_check(spec: ExperimentSpec, out: Path) -> int:
     passed = report.rejected == expected_reject
     write_csv(
         out / "fk.csv",
-        {"subcommand": spec.subcommand, "control": spec.control, "threshold": report.threshold,
-         "rejected": int(report.rejected), "spec_hash": spec.digest(), "pass": int(passed)},
+        {"subcommand": spec.subcommand, "control": spec.control, "pairs": pairs,
+         "threshold": report.threshold, "rejected": int(report.rejected),
+         "spec_hash": spec.digest(), "pass": int(passed)},
         ["pair", "statistic", "p_value"],
         rows,
     )
@@ -646,16 +654,18 @@ def cmd_bounds_audit(spec: ExperimentSpec, out: Path) -> int:
             back, hits = lab.insertion_increment(cfg, center, radius)
             viol["deletion_inverse"] += back != 1 - len(groups)
             lab.apply_insertion(cfg.add(center, radius), hits)
-        # compatibility offset invariance under interior resampling
+        # compatibility offset: its closed form against the probe sequences of
+        # local_cc, on the sample and on one resample of the interior of lam_box
         centers, radii, _ = cfg.arrays()
-        ref = compatibility_offset(centers, radii, lam_box, outer, w)
         outside = ~lam_box.contains_points(centers)
-        for _ in range(20):
-            new_c, new_r = poisson_balls(lam_box, params.law, params.z * lam_box.volume, rng)
-            redone_c = np.vstack([centers[outside], new_c])
-            redone_r = np.concatenate([radii[outside], new_r])
-            if compatibility_offset(redone_c, redone_r, lam_box, outer, w) != ref:
-                viol["compatibility"] += 1
+        new_c, new_r = poisson_balls(lam_box, params.law, params.z * lam_box.volume, rng)
+        redone = Configuration.from_arrays(
+            w, np.vstack([centers[outside], new_c]), np.concatenate([radii[outside], new_r]),
+            cell_size=cfg.index.cell_size,
+        )
+        for c in (cfg, redone):
+            offset = compatibility_offset(*c.arrays()[:2], lam_box, outer, w)
+            viol["compatibility"] += offset != local_cc(c, outer).value - local_cc(c, lam_box).value
     total_viol = sum(viol.values())
     write_csv(
         out / "bounds.csv",
@@ -793,12 +803,12 @@ def cmd_coverage_probe(spec: ExperimentSpec, out: Path) -> int:
         raise SpecInvalid(f"h_grid {spec.h_grid!r} needs one or more nonnegative halos")
     rng = chain_rng(spec.seed, 0)
     probs = coverage_escalation(
-        params.window, params.z, params.law, halos, trials=min(spec.trials, 500), rng=rng,
-        grid_per_axis=48,
+        params.window, params.z, params.law, halos, trials=spec.trials, rng=rng, grid_per_axis=48,
     )
     write_csv(
         out / "coverage.csv",
-        {"subcommand": spec.subcommand, "z": spec.z, "law": spec.law, "spec_hash": spec.digest()},
+        {"subcommand": spec.subcommand, "z": spec.z, "law": spec.law, "trials": spec.trials,
+         "spec_hash": spec.digest()},
         ["halo", "coverage_probability"],
         list(zip(halos, probs)),
     )

@@ -10,7 +10,6 @@ from typing import Optional
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
-from scipy.spatial import cKDTree
 
 from .geometry import Box, MarkedBall, dilate, unit_ball_volume
 from .model_core import Configuration
@@ -28,9 +27,66 @@ class NestingViolation(ValueError):
 # Array kernel: intersecting pairs and component labels
 # ---------------------------------------------------------------------------
 
-_DENSE_MAX = 96  # balls: one n x n pass up to here, a k-d tree beyond
+_DENSE_MAX = 96  # balls: one n x n pass up to here, the strip sweep beyond
 _UNION_FIND_MAX = 256  # nodes + pairs: Python union-find up to here, csgraph beyond
-_OVERSIZE = 4.0  # balls wider than this many median radii skip the k-d tree
+_OVERSIZE = 4.0  # balls wider than this many median radii skip the sweep: whole-group scan
+_STRIPS_MAX = 2**40  # strips of one sweep, so strip ids and sort keys stay exact in a float
+
+
+def _walk(key: np.ndarray, start: np.ndarray, top: np.ndarray, rows: list, cols: list) -> None:
+    """Append every (p, q) with q = start[p], start[p] + 1, ... while
+    key[q] <= top[p]; `key` is sorted and ends in +inf."""
+    p = np.arange(start.size)
+    q = start
+    while p.size:
+        hit = key[q] <= top[p]
+        p, q = p[hit], q[hit]
+        rows.append(p)
+        cols.append(q)
+        q = q + 1
+
+
+def _sweep_candidates(
+    pts: np.ndarray, reach: float, groups: Optional[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs, each once, that include every pair of one group at most
+    `reach` apart.  Coordinates 2..d are cut into cells of side >= reach,
+    padded by one empty cell per axis, and each group gets its own block of
+    these strips.  One sort by strip * width + x lines the balls up so that a
+    ball's partners lie ahead of it in its own strip within reach of its x,
+    or within reach of its x in a lexicographically later neighbour strip,
+    whose start is found by `searchsorted`."""
+    n, d = pts.shape
+    lo = np.array([col.min() for col in pts.T])  # per column: much faster than axis=0
+    span = np.array([col.max() for col in pts.T]) - lo
+    rank = np.zeros(n, dtype=np.int64)  # group ids as 0, 1, 2, ...
+    if groups is not None:
+        rank[1:] = np.cumsum(groups[1:] != groups[:-1])
+    n_groups = int(rank[-1]) + 1
+    # at most `cap` cells per axis keep n_groups * (cap + 3)^(d-1) strips in range
+    cap = max(1, int((_STRIPS_MAX / n_groups) ** (1.0 / max(d - 1, 1))) - 3)
+    strip = np.zeros(n, dtype=np.int64)
+    blocks, ahead, around = 1, [], [0]  # strip offsets: later neighbours, all neighbours
+    for k in range(d - 1, 0, -1):  # the last axis varies fastest
+        side = max(reach, span[k] / cap) or 1.0
+        cell = np.floor((pts[:, k] - lo[k]) / side).astype(np.int64) + 1
+        strip += cell * blocks
+        ahead += [blocks + o for o in around]
+        around = [o + m * blocks for m in (-1, 0, 1) for o in around]
+        blocks *= int(cell.max()) + 2
+    strip += rank * blocks
+    width = 2.0 * (span[0] + 2.0 * reach) + np.finfo(float).tiny  # x +- reach never leaves a strip
+    key = strip * width + (pts[:, 0] - lo[0])
+    order = np.argsort(key)
+    key = np.append(key[order], np.inf)
+    slack = reach + 8.0 * np.spacing(float(key[-2]) + width)  # rounding of the keys and shifts
+    rows: list = []
+    cols: list = []
+    _walk(key, np.arange(1, n + 1), key[:n] + slack, rows, cols)
+    for off in ahead:
+        start = np.searchsorted(key, key[:n] + (off * width - slack), "left")
+        _walk(key, start, key[:n] + (off * width + slack), rows, cols)
+    return order[np.concatenate(rows)], order[np.concatenate(cols)]
 
 
 def intersecting_pairs(
@@ -40,10 +96,10 @@ def intersecting_pairs(
     |c_i - c_j|^2 <= (r_i + r_j)^2, so tangency counts.  With `groups` (a
     nondecreasing group id per ball) only pairs inside one group count.
 
-    Small inputs take one dense pass.  Large ones get candidates from a k-d
-    tree at twice the largest ordinary radius, with balls above `_OVERSIZE`
-    median radii checked against their whole group; the exact test above
-    decides every candidate."""
+    Small inputs take one dense pass.  Large ones get candidates from a
+    sorted strip sweep (`_sweep_candidates`) at twice the largest ordinary
+    radius, with balls above `_OVERSIZE` median radii checked against their
+    whole group; the exact test above decides every candidate."""
     centers = np.asarray(centers, dtype=float)
     radii = np.asarray(radii, dtype=float)
     n = radii.size
@@ -65,13 +121,11 @@ def intersecting_pairs(
         return i[upper], j[upper]
     big = radii > _OVERSIZE * float(np.median(radii))
     small = np.flatnonzero(~big)
-    pts = centers[small]
+    pts = np.take(centers, small, axis=0)
     reach = 2.0 * float(radii[small].max())
     reach += 1e-9 * (reach + float(np.abs(pts).max()))  # rounding slack only
-    if groups is not None:  # groups sit farther apart than the reach
-        pts = np.column_stack([pts, groups[small] * (2.0 * reach + 1.0)])
-    found = cKDTree(pts).query_pairs(reach, output_type="ndarray")
-    ii, jj = [small[found[:, 0]]], [small[found[:, 1]]]
+    a, b = _sweep_candidates(pts, reach, None if groups is None else groups[small])
+    ii, jj = [small[a]], [small[b]]
     wide = np.flatnonzero(big)
     if wide.size:
         if groups is None:
@@ -82,14 +136,16 @@ def intersecting_pairs(
         rows = np.repeat(wide, hi - lo)
         cols = np.arange(rows.size) + np.repeat(lo - np.cumsum(hi - lo) + (hi - lo), hi - lo)
         keep = (cols != rows) & ~(big[cols] & (cols < rows))  # each pair once
-        ii.append(np.minimum(rows, cols)[keep])
-        jj.append(np.maximum(rows, cols)[keep])
+        ii.append(rows[keep])
+        jj.append(cols[keep])
     i, j = np.concatenate(ii), np.concatenate(jj)
-    diff = centers[i] - centers[j]
+    # np.take and integer indices: several times faster than centers[i] and boolean masks
+    diff = np.take(centers, i, axis=0) - np.take(centers, j, axis=0)
     rsum = radii[i] + radii[j]
-    hit = np.einsum("ij,ij->i", diff, diff) <= rsum * rsum
+    hit = np.flatnonzero(np.einsum("ij,ij->i", diff, diff) <= rsum * rsum)
     i, j = i[hit], j[hit]
-    order = np.lexsort((j, i))
+    i, j = np.minimum(i, j), np.maximum(i, j)
+    order = np.argsort(i * n + j)
     return i[order], j[order]
 
 

@@ -291,19 +291,31 @@ def run_chain(
 # ---------------------------------------------------------------------------
 
 
+_DRAW_BLOCK = 2**16  # balls per labeling call in _reference_draws: bounds its peak memory
+
+
 def _reference_draws(params: ModelParams, n_samples: int, rng: np.random.Generator):
     """Vectorized Poisson reference draws: per-sample counts and component
-    counts, all draws labeled in one kernel call (one group per draw)."""
+    counts.  The draws come in blocks (every count, then every center, then
+    every radius) and are labeled in runs of whole draws of about
+    `_DRAW_BLOCK` balls, one group per draw."""
     counts = rng.poisson(params.total_intensity, size=n_samples)
     total = int(counts.sum())
     centers = params.window.sample_points(rng, total)
     radii = np.asarray(params.law.sample(rng, total), dtype=float)
-    draw = np.repeat(np.arange(n_samples), counts)
-    n_comp, labels = components(centers, radii, draw)
-    owner = np.zeros(n_comp, dtype=np.int64)
-    owner[labels] = draw
-    n_cc = np.bincount(owner, minlength=n_samples)
-    return counts.astype(np.int64), n_cc.astype(np.int64)
+    ends = np.cumsum(counts)
+    n_cc = np.zeros(n_samples, dtype=np.int64)
+    a = lo = 0  # first draw and first ball of the next run
+    while a < n_samples:
+        b = max(int(np.searchsorted(ends, lo + _DRAW_BLOCK, "right")), a + 1)
+        hi = int(ends[b - 1])
+        draw = np.repeat(np.arange(b - a), counts[a:b])
+        n_comp, labels = components(centers[lo:hi], radii[lo:hi], draw)
+        owner = np.zeros(n_comp, dtype=np.int64)
+        owner[labels] = draw
+        n_cc[a:b] = np.bincount(owner, minlength=b - a)
+        a, lo = b, hi
+    return counts.astype(np.int64), n_cc
 
 
 def _log_weight_summary(

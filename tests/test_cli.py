@@ -310,6 +310,38 @@ def test_coverage_probe_monotone(tmp_path):
     assert all(b >= a for a, b in zip(probs, probs[1:]))
 
 
+def test_headers_record_what_ran(tmp_path):
+    # coverage-probe runs every trial asked for, above 500 too
+    out = tmp_path / "cov"
+    code = cli.main(["coverage-probe", "--seed", "2", "--out", str(out), "--set", "z=1",
+                     "--set", "law=pareto:2", "--set", "h_grid=0.5", "--set", "trials=600"])
+    assert code == EXIT_OK
+    assert " trials=600 " in (out / "coverage.csv").read_text().splitlines()[0]
+    # fk-check turns --chains 1 (the default) into 8 seed pairs and says so
+    out = tmp_path / "fk"
+    code = cli.main(["fk-check", "--seed", "3", "--out", str(out), "--set", "z=4",
+                     "--set", "q=2", "--set", "law=dirac:0.1", "--set", "sweeps=30",
+                     "--set", "burn_in=5", "--set", "thinning=3"])
+    assert code in (EXIT_OK, cli.EXIT_TEST)
+    lines = (out / "fk.csv").read_text().splitlines()
+    assert " pairs=8 " in lines[0]
+    assert {int(row.split(",")[0]) for row in lines[2:]} == set(range(8))
+
+
+def test_bounds_audit_catches_a_wrong_compatibility_offset(tmp_path, monkeypatch):
+    spec = load_spec("bounds-audit", None, {"z": "0.1", "law": "uniform:0.2,1",
+                                            "window": "-4,-4:4,4", "r0": "1", "samples": "20"})
+    assert cli.cmd_bounds_audit(spec, tmp_path / "right") == EXIT_OK
+    # the closed form with inner and outer swapped: wrong wherever the offset is not 0
+    right = cli.compatibility_offset
+    monkeypatch.setattr(cli, "compatibility_offset",
+                        lambda centers, radii, inner, outer, w: -right(centers, radii, inner, outer, w))
+    assert cli.cmd_bounds_audit(spec, tmp_path / "wrong") == cli.EXIT_TEST
+    rows = dict(ln.split(",") for ln in (tmp_path / "wrong" / "bounds.csv").read_text().splitlines()[2:])
+    assert int(rows["compatibility"]) > 0
+    assert sum(int(v) for k, v in rows.items() if k != "compatibility") == 0
+
+
 def test_coverage_probe_requires_heavy_tail(tmp_path):
     for law in ("dirac:1", "tpareto:2,20"):  # bounded laws, the truncated tail included
         r = run_cli("coverage-probe", "--out", str(tmp_path), "--set", f"law={law}")

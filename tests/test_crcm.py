@@ -16,7 +16,7 @@ from crcmlab.model_core import (
     UniformRadius,
     sample_poisson_boolean,
 )
-from crcmlab.connectivity import ClusterLabeling, count_components
+from crcmlab.connectivity import ClusterLabeling, components, count_components
 from crcmlab.crcm import (
     AssumptionAViolated,
     ChainState,
@@ -569,6 +569,25 @@ def test_short_traces_raise_no_warnings(n):
         assert effective_sample_size(np.arange(n)) == n
         if n == 1:
             run_chain(TINY, seeded(35), sweeps=1, burn_in=0, thin=1)
+
+
+@pytest.mark.parametrize("block", [None, 40])
+def test_reference_draws_blocks_count_each_draw_alone(monkeypatch, block):
+    # the draws come as every count, then every center, then every radius;
+    # labeling them in blocks of whole draws must not mix two draws
+    if block is not None:  # many blocks, some draws larger than a block
+        monkeypatch.setattr(crcm, "_DRAW_BLOCK", block)
+    params = ModelParams(50.0, 1.5, DiracRadius(0.05), UNIT)
+    n_draws = 1500  # about 75k balls: two blocks at the module's block size
+    counts, n_cc = crcm._reference_draws(params, n_draws, seeded(43))
+    rng = seeded(43)
+    assert np.array_equal(counts, rng.poisson(params.total_intensity, size=n_draws))
+    centers = UNIT.sample_points(rng, int(counts.sum()))
+    radii = params.law.sample(rng, int(counts.sum()))
+    assert counts.sum() > crcm._DRAW_BLOCK
+    ends = np.cumsum(counts)
+    want = [components(centers[e - c:e], radii[e - c:e])[0] for c, e in zip(counts, ends)]
+    assert n_cc.tolist() == want
 
 
 def test_entropy_report_survives_overflowing_weights():

@@ -77,11 +77,12 @@ def random_balls(rng, n, d, kind):
     return centers, TruncatedParetoRadius(d, 12.0).sample(rng, n) * 0.2
 
 
-@pytest.fixture(params=["dense", "tree"])
+# the sweep case keeps the test id of the k-d tree it replaced, so recorded test names stay put
+@pytest.fixture(params=["dense", "sweep"], ids=["dense", "tree"])
 def path(request, monkeypatch):
     """Run the kernel through its dense pass and union-find, or through the
-    k-d tree and csgraph, whatever the input size."""
-    if request.param == "tree":
+    strip sweep and csgraph, whatever the input size."""
+    if request.param == "sweep":
         monkeypatch.setattr(connectivity, "_DENSE_MAX", 1)
         monkeypatch.setattr(connectivity, "_UNION_FIND_MAX", 0)
     return request.param
@@ -129,6 +130,51 @@ def test_kernel_batched_groups_never_connect(path, kind):
         components(centers[groups == g], radii[groups == g])[0] for g in range(9)
     ]
     assert count == sum(per_group)
+
+
+def brute_pairs(centers, radii, groups=None):
+    """Every meeting pair (a < b) of one group, in order, by scalar tests."""
+    return [
+        (a, b)
+        for a, b in itertools.combinations(range(len(radii)), 2)
+        if (groups is None or groups[a] == groups[b])
+        and float((centers[a] - centers[b]) @ (centers[a] - centers[b])) <= (radii[a] + radii[b]) ** 2
+    ]
+
+
+def sweep_case(case, rng):
+    """Inputs that stress the strip sweep's cells, keys and oversize scan."""
+    n = 160
+    if case in ("line", "space"):  # d = 1 and d = 3
+        d = 1 if case == "line" else 3
+        return rng.uniform(0.0, 6.0, size=(n, d)), rng.uniform(0.05, 0.6, size=n)
+    if case == "coincident":  # zero reach: cell sides and strip ids must stay finite
+        centers = np.repeat(rng.uniform(-1.0, 1.0, size=(4, 3)), n // 4, axis=0)
+        return centers, np.zeros(n)
+    if case == "far":  # coordinates near 1e6, radii near 1e-3: keys far above the reach
+        centers = rng.uniform(0.0, 1e6, size=(n // 2, 2))
+        centers = np.vstack([centers, centers + rng.uniform(-1e-3, 1e-3, size=centers.shape)])
+        return centers, rng.uniform(0.5e-3, 1.5e-3, size=n)
+    if case == "copies":  # the same balls four times over: any pair across groups shows
+        centers, radii = rng.uniform(0.0, 1.0, size=(n // 4, 2)), rng.uniform(0.05, 0.3, size=n // 4)
+        return np.tile(centers, (4, 1)), np.tile(radii, 4)
+    centers = rng.uniform(0.0, 10.0, size=(n, 2))  # "heavy": some balls take the oversize scan
+    radii = 0.1 * (1.0 - rng.uniform(size=n)) ** -0.8
+    assert np.any(radii > connectivity._OVERSIZE * np.median(radii))
+    return centers, radii
+
+
+@pytest.mark.parametrize("grouped", [False, True])
+@pytest.mark.parametrize("case", ["line", "space", "coincident", "far", "copies", "heavy"])
+def test_sweep_edge_cases_match_brute_force(path, case, grouped):
+    rng = make_rng(31 + len(case))
+    centers, radii = sweep_case(case, rng)
+    groups = np.sort(rng.integers(0, 6, size=radii.size)) if grouped else None
+    i, j = intersecting_pairs(centers, radii, groups)
+    assert list(zip(i.tolist(), j.tolist())) == brute_pairs(centers, radii, groups)
+    count, part = kernel_partition(centers, radii, groups)
+    assert part == brute_partition(centers, radii, groups)
+    assert count == len(part)
 
 
 def test_kernel_rejects_unsorted_groups():

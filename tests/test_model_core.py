@@ -307,7 +307,7 @@ def test_configuration_round_trip(tmp_path, rng):
     params = ModelParams(30.0, 1.0, UniformRadius(0, 0.2), UNIT)
     cfg = sample_poisson_boolean(params, rng)
     path = tmp_path / "cfg.csv"
-    save_configuration(cfg, path, law_descriptor=params.law.descriptor(), seed=7)
+    save_configuration(cfg.window, cfg.arrays(), path, law_descriptor=params.law.descriptor(), seed=7)
     back = load_configuration(path)
     assert back.n == cfg.n
     a = sorted(map(tuple, np.round(cfg.arrays()[0], 12)))
@@ -324,7 +324,7 @@ def test_colored_round_trip(tmp_path):
     ]
     cfg = Configuration.from_balls(w, balls)
     path = tmp_path / "colored.csv"
-    save_configuration(cfg, path)
+    save_configuration(w, cfg.arrays(), path)
     back = load_configuration(path)
     assert back.colored
     got = sorted(int(back.colors[s]) for s in back.active_ids())
@@ -343,11 +343,10 @@ def test_save_load_save_is_byte_identical(tmp_path, rng, law, window, colored):
     cfg = sample_poisson_boolean(ModelParams(30.0 / window.volume, 1.0, law, window), rng)
     centers, radii, _ = cfg.arrays()
     colors = rng.integers(1, 4, size=radii.size) if colored else None
-    cfg = Configuration.from_arrays(window, centers, radii, colors)
     first, second = tmp_path / "first.csv", tmp_path / "second.csv"
-    save_configuration(cfg, first, law_descriptor=law.descriptor(), seed=3)
+    save_configuration(window, (centers, radii, colors), first, law_descriptor=law.descriptor(), seed=3)
     back = load_configuration(first)
-    save_configuration(back, second, law_descriptor=back.tags["law"], seed=3)
+    save_configuration(back.window, back.arrays(), second, law_descriptor=back.tags["law"], seed=3)
     assert first.read_bytes() == second.read_bytes()
     got = back.arrays()
     assert np.array_equal(got[0], centers) and np.array_equal(got[1], radii)
