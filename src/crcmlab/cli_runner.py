@@ -19,6 +19,7 @@ import numpy as np
 from scipy import stats
 
 from . import __version__
+from ._stream import generator
 from .geometry import Box
 from .model_core import (
     Configuration,
@@ -210,8 +211,13 @@ MINIMUMS = {
 }
 
 
+# defaults that differ by subcommand: each coverage-probe trial samples and
+# certifies a whole dilated box, so the shared 100,000 would take a minute
+SUBCOMMAND_DEFAULTS = {"coverage-probe": {"trials": 2000}}
+
+
 def load_spec(subcommand: str, config_path: Optional[str], overrides: dict) -> ExperimentSpec:
-    spec = ExperimentSpec(subcommand=subcommand)
+    spec = ExperimentSpec(subcommand=subcommand, **SUBCOMMAND_DEFAULTS.get(subcommand, {}))
     fields = {f.name: f for f in dataclasses.fields(ExperimentSpec)}
     values: dict = {}
     if config_path:
@@ -340,7 +346,7 @@ def chain_to_json(state: ChainState, sweep: int, trace: list) -> dict:
         "step_count": state.step_count,
         "proposed": dict(state.proposed),
         "accepted": dict(state.accepted),
-        "rng": rng_state_to_json(state.rng),
+        "rng": rng_state_to_json(generator(state.rng)),
         "centers": centers.tolist(),
         "radii": radii.tolist(),
         "trace": list(trace),

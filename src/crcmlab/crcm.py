@@ -21,6 +21,7 @@ from .connectivity import ClusterLabeling, components, count_components, local_c
 # local_cc stays importable from this module: the tracer self-test in benchmarks/ relies on it
 from .connectivity import local_cc  # noqa: F401
 from .analysis import tilted_law
+from ._stream import block_reads, generator
 from ._stats import (
     batch_means_se,
     effective_sample_size,
@@ -45,7 +46,8 @@ class RejectionBudgetExceeded(UserWarning):
 @dataclass
 class ChainState:
     """One birth-death chain: configuration, the labeling it builds of it
-    (audited against a from-scratch recount), and its random stream."""
+    (audited against a from-scratch recount), and its random stream (a
+    `_stream.BlockStream` over the Generator while `sweep_loop` runs)."""
 
     params: ModelParams
     config: Configuration
@@ -227,15 +229,18 @@ def sweep_loop(
     """Sweeps start, ..., burn_in + sweeps - 1 of a chain, each `per_sweep`
     calls of `step`.  Every `thin`-th sweep after burn-in appends its
     trace_row to `trace`; then `on_sweep(sweeps done, row appended)` runs.
-    Starting from a saved sweep and trace continues the same trajectory."""
-    for sweep in range(start, burn_in + sweeps):
-        for _ in range(per_sweep):
-            step(state)
-        recorded = sweep >= burn_in and (sweep - burn_in) % thin == 0
-        if recorded:
-            trace.append(trace_row(state, sweep))
-        if on_sweep is not None:
-            on_sweep(sweep + 1, recorded)
+    Starting from a saved sweep and trace continues the same trajectory.
+    Meanwhile `state.rng` is a `_stream.BlockStream` over the chain's
+    Generator (see `block_reads`), whose draws are the Generator's own."""
+    with block_reads(state):
+        for sweep in range(start, burn_in + sweeps):
+            for _ in range(per_sweep):
+                step(state)
+            recorded = sweep >= burn_in and (sweep - burn_in) % thin == 0
+            if recorded:
+                trace.append(trace_row(state, sweep))
+            if on_sweep is not None:
+                on_sweep(sweep + 1, recorded)
     return trace
 
 
@@ -399,7 +404,7 @@ def conditional_resample(
         raise ValueError("conditional resampling is for uncolored chains")
     if not state.config.window.contains_box(box):
         raise ValueError("box must sit inside the window")
-    rng = state.rng
+    rng = generator(state.rng)  # array draws: the Generator itself
     cfg = state.config
     centers, radii, _ = cfg.arrays()
     inside = box.contains_points(centers)

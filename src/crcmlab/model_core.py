@@ -50,8 +50,10 @@ class RadiusLaw:
     def sample(self, rng: np.random.Generator, size=None) -> np.ndarray:
         raise NotImplementedError
 
-    def sample_scalar(self, rng: np.random.Generator) -> float:
-        return float(self.sample(rng, size=()))
+    def sample_scalar(self, rng) -> float:
+        """One radius from one `rng.random()`: the value and draws of
+        `float(sample(rng, size=()))`."""
+        raise NotImplementedError
 
     def moment(self, k: float) -> float:
         """Integral of R^k against the law (may be INFINITE)."""
@@ -136,6 +138,9 @@ class UniformRadius(RadiusLaw):
             size = ()
         return self.a + (self.b - self.a) * rng.random(size)
 
+    def sample_scalar(self, rng):
+        return self.a + (self.b - self.a) * rng.random()
+
     def moment(self, k):
         return (self.b ** (k + 1) - self.a ** (k + 1)) / ((k + 1) * (self.b - self.a))
 
@@ -178,6 +183,9 @@ class ParetoRadius(RadiusLaw):
             size = ()
         u = rng.random(size) * self._norm
         return (1.0 - u) ** (-1.0 / (self.dim - 1))
+
+    def sample_scalar(self, rng):
+        return (1.0 - rng.random() * self._norm) ** (-1.0 / (self.dim - 1))
 
     def moment(self, k):
         # (dim-1) * int_1^r_max R^{k-dim} dR / norm, INFINITE untruncated
@@ -438,19 +446,28 @@ class Configuration:
 
     def intersectors(self, center, radius: float) -> list[int]:
         """Slots of stored balls whose closed ball meets B(center, radius):
-        |c - center|^2 <= (r + radius)^2, coordinates summed in order."""
+        |c - center|^2 <= (r + radius)^2, coordinates summed in order.  A
+        candidate farther than 1e-9 (r + radius) from tangency is decided
+        by math.dist instead, which agrees there; the 1e-150 floor keeps
+        zero radii off the screen, where squares underflow."""
         x = tuple(map(float, center))
         balls = self.index.balls
+        dist = math.dist
         out = []
         for j in self.index.candidates(center, radius):
             c, r = balls[j]
-            d2 = 0.0
-            for a, b in zip(c, x):
-                a -= b
-                d2 += a * a
             r += radius
-            if d2 <= r * r:
+            gap = dist(c, x) - r
+            tol = 1e-9 * r + 1e-150
+            if gap < -tol:
                 out.append(j)
+            elif gap <= tol:
+                d2 = 0.0
+                for a, b in zip(c, x):
+                    a -= b
+                    d2 += a * a
+                if d2 <= r * r:
+                    out.append(j)
         return out
 
     def copy(self, drop_colors: bool = False) -> "Configuration":

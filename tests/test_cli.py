@@ -86,6 +86,13 @@ def test_assumption_gate_is_spec_error():
         spec.model_params()
 
 
+def test_trial_defaults_per_subcommand():
+    # a coverage-probe trial certifies a whole dilated box; shield trials are cheap
+    assert load_spec("coverage-probe", None, {}).trials == 2000
+    assert load_spec("shield", None, {}).trials == 100000
+    assert load_spec("coverage-probe", None, {"trials": "40"}).trials == 40
+
+
 def test_spec_hash_ignores_run_placement():
     a = ExperimentSpec(subcommand="x", out="a", resume="", checkpoint_every=0)
     b = ExperimentSpec(subcommand="x", out="b", resume="c.json", checkpoint_every=5)

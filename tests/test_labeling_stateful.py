@@ -4,10 +4,13 @@ every ball's removal split against its brute-force component (the members
 the hard-core-color chain recolors).  A second machine, in d = 2 and 3,
 checks after every add or remove that `intersectors` answers a probe ball
 exactly as `intersecting_pairs` does over all active balls, and that
-`arrays()` gives back the added balls in move order, float for float."""
+`arrays()` gives back the added balls in move order, float for float.
+Direct cases pin `intersectors`' distance screen to the exact in-order sum
+at and near tangency."""
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import Phase, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
@@ -224,3 +227,88 @@ def test_exact_hits_one_ulp_inside_a_cell_boundary():
     assert cfg.index.grid_radius == 0.5
     assert brute_hits(cfg, (5.5, 0.0), 4.0) == [slot]
     assert cfg.intersectors((5.5, 0.0), 4.0) == [slot]
+
+
+# -- the screened closed-ball test ----------------------------------------------
+
+
+def exact_in_order(cfg: Configuration, center, r: float) -> list[int]:
+    """Candidates passing |c - center|^2 <= (r_c + r)^2, the squares summed
+    coordinate by coordinate: what `intersectors` returns, in its order."""
+    x = tuple(map(float, center))
+    out = []
+    for j in cfg.index.candidates(center, r):
+        c, rj = cfg.index.balls[j]
+        d2 = 0.0
+        for a, b in zip(c, x):
+            a -= b
+            d2 += a * a
+        rj += r
+        if d2 <= rj * rj:
+            out.append(j)
+    return out
+
+
+def near_tangent_probes(rng, d: int, scale: float, offset: float):
+    """(ball center, ball radius, probe center, probe radius) at a distance
+    of (1 + rel) times the radius sum: rel a few ulps, or at the 1e-9 edge
+    of the screen, either side; radii zero now and then."""
+    for rel in (0.0, 2**-52, -(2**-52), 3e-16, -3e-16, 1e-9, -1e-9, 1.2e-9, -1.2e-9, 0.8e-9, -0.8e-9):
+        c = offset + scale * rng.uniform(-1, 1, d)
+        u = rng.normal(size=d)
+        u /= np.linalg.norm(u)
+        r, r_probe = scale * rng.uniform(0.01, 1, 2) * (rng.random(2) > 0.1)
+        x = c + (r + r_probe) * (1 + rel) * u
+        for k in range(-3, 4):  # ulp steps of one coordinate
+            y = x.copy()
+            y[0] = x[0] + k * np.spacing(x[0])
+            yield c, r, y, r_probe
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("scale, offset", [(1.0, 0.0), (1e-3, 0.5), (0.5, 1e6), (1e-160, 0.0)])
+def test_screened_intersectors_decide_as_the_exact_sum(d, scale, offset):
+    rng = np.random.default_rng(d)
+    span = 4 * scale + 2 * abs(offset)
+    window = Box([offset - span] * d, [offset + span] * d)
+    for c, r, y, r_probe in near_tangent_probes(rng, d, scale, offset):
+        cfg = Configuration(window, cell_size=max(scale, 1e-9))
+        slot = cfg.add(c, r)
+        cfg.add(offset + np.full(d, 3 * scale), 0.0)  # a miss, so the list is not empty
+        got = cfg.intersectors(y, r_probe)
+        assert got == exact_in_order(cfg, y, r_probe)
+        assert got in ([], [slot])
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_screened_intersectors_on_zero_radii(d):
+    window = Box([-1.0] * d, [1.0] * d)
+    cfg = Configuration(window, cell_size=0.1)
+    origin = np.zeros(d)
+    slots = [cfg.add(origin, 0.0)]
+    for step in (2.0**-1074, 1e-200, 1e-162, 1e-150, 2.0**-52, 1e-9):
+        slots.append(cfg.add(origin + step, 0.0))
+    for probe in (origin, origin + 1e-200, origin + 1e-155, origin + 2.0**-52):
+        assert cfg.intersectors(probe, 0.0) == exact_in_order(cfg, probe, 0.0)
+    assert slots[0] in cfg.intersectors(origin, 0.0)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("seed", range(4))
+def test_screened_intersectors_match_the_pair_kernel(d, seed):
+    # tpareto radii in a grid of cell 1 fill the overflow list
+    rng = np.random.default_rng(seed)
+    window = Box([-10.0] * d, [10.0] * d)
+    cfg = Configuration(window, cell_size=1.0)
+    n = 150
+    centers = rng.uniform(-10, 10, (n, d))
+    radii = np.where(rng.random(n) < 0.3, TPARETO.sample(rng, n), rng.uniform(0.0, 1.0, n))
+    for c, r in zip(centers, radii):
+        cfg.add(c, r)
+    assert cfg.index.oversized
+    for _ in range(200):
+        x = rng.uniform(-10, 10, d)
+        r = float(TPARETO.sample(rng)) if rng.random() < 0.2 else float(rng.uniform(0, 1))
+        got = cfg.intersectors(x, r)
+        assert got == exact_in_order(cfg, x, r)
+        assert sorted(got) == brute_hits(cfg, x, r)
