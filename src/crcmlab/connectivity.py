@@ -27,7 +27,7 @@ class NestingViolation(ValueError):
 # Array kernel: intersecting pairs and component labels
 # ---------------------------------------------------------------------------
 
-_DENSE_MAX = 96  # balls: one n x n pass up to here, the strip sweep beyond
+_DENSE_MAX = 72  # balls: one n x n pass up to here, the strip sweep beyond (sparse crossover)
 _UNION_FIND_MAX = 256  # nodes + pairs: Python union-find up to here, csgraph beyond
 _OVERSIZE = 4.0  # balls wider than this many median radii skip the sweep: whole-group scan
 _STRIPS_MAX = 2**40  # strips of one sweep, so strip ids and sort keys stay exact in a float
@@ -35,12 +35,15 @@ _STRIPS_MAX = 2**40  # strips of one sweep, so strip ids and sort keys stay exac
 
 def _walk(key: np.ndarray, start: np.ndarray, top: np.ndarray, rows: list, cols: list) -> None:
     """Append every (p, q) with q = start[p], start[p] + 1, ... while
-    key[q] <= top[p]; `key` is sorted and ends in +inf."""
+    key[q] <= top[p]; `key` is sorted and ends in +inf.  Each round keeps
+    its survivors, in order, by their indices (`nonzero`) and integer
+    gathers: on large rounds a fraction of the cost of a boolean-mask
+    selection."""
     p = np.arange(start.size)
     q = start
     while p.size:
-        hit = key[q] <= top[p]
-        p, q = p[hit], q[hit]
+        hit = (key[q] <= top[p]).nonzero()[0]
+        p, q = p.take(hit), q.take(hit)
         rows.append(p)
         cols.append(q)
         q = q + 1
@@ -89,6 +92,24 @@ def _sweep_candidates(
     return order[np.concatenate(rows)], order[np.concatenate(cols)]
 
 
+def _oversize_candidates(
+    big: np.ndarray, groups: Optional[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs, each once, of every ball flagged `big` with every other
+    ball of its group (of all balls without `groups`)."""
+    n = big.size
+    wide = np.flatnonzero(big)
+    if groups is None:
+        lo, hi = np.zeros_like(wide), np.full_like(wide, n)
+    else:
+        lo = np.searchsorted(groups, groups[wide], "left")
+        hi = np.searchsorted(groups, groups[wide], "right")
+    rows = np.repeat(wide, hi - lo)
+    cols = np.arange(rows.size) + np.repeat(lo - np.cumsum(hi - lo) + (hi - lo), hi - lo)
+    keep = ((cols != rows) & ~(big[cols] & (cols < rows))).nonzero()[0]  # each pair once
+    return rows.take(keep), cols.take(keep)
+
+
 def intersecting_pairs(
     centers: np.ndarray, radii: np.ndarray, groups: Optional[np.ndarray] = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -99,7 +120,10 @@ def intersecting_pairs(
     Small inputs take one dense pass.  Large ones get candidates from a
     sorted strip sweep (`_sweep_candidates`) at twice the largest ordinary
     radius, with balls above `_OVERSIZE` median radii checked against their
-    whole group; the exact test above decides every candidate."""
+    whole group.  The median is at least the smallest radius, so when
+    r_max <= `_OVERSIZE` r_min every ball is ordinary and the sweep runs on
+    `centers` as given, with no median taken.  The exact test above decides
+    every candidate; one sort of the keys i * n + j orders the pairs."""
     centers = np.asarray(centers, dtype=float)
     radii = np.asarray(radii, dtype=float)
     n = radii.size
@@ -119,43 +143,48 @@ def intersecting_pairs(
         i, j = np.nonzero(hit)
         upper = i < j
         return i[upper], j[upper]
-    big = radii > _OVERSIZE * float(np.median(radii))
-    small = np.flatnonzero(~big)
-    pts = np.take(centers, small, axis=0)
-    reach = 2.0 * float(radii[small].max())
+    r_max = float(radii.max())
+    if r_max <= _OVERSIZE * float(radii.min()):  # no radius tops _OVERSIZE medians
+        big = None
+        pts, sub = centers, groups
+    else:
+        big = radii > _OVERSIZE * float(np.median(radii))
+        small = np.flatnonzero(~big)
+        pts = np.take(centers, small, axis=0)
+        r_max = float(radii.take(small).max())
+        sub = None if groups is None else groups.take(small)
+    reach = 2.0 * r_max
     reach += 1e-9 * (reach + float(np.abs(pts).max()))  # rounding slack only
-    a, b = _sweep_candidates(pts, reach, None if groups is None else groups[small])
-    ii, jj = [small[a]], [small[b]]
-    wide = np.flatnonzero(big)
-    if wide.size:
-        if groups is None:
-            lo, hi = np.zeros_like(wide), np.full_like(wide, n)
-        else:
-            lo = np.searchsorted(groups, groups[wide], "left")
-            hi = np.searchsorted(groups, groups[wide], "right")
-        rows = np.repeat(wide, hi - lo)
-        cols = np.arange(rows.size) + np.repeat(lo - np.cumsum(hi - lo) + (hi - lo), hi - lo)
-        keep = (cols != rows) & ~(big[cols] & (cols < rows))  # each pair once
-        ii.append(rows[keep])
-        jj.append(cols[keep])
-    i, j = np.concatenate(ii), np.concatenate(jj)
+    i, j = _sweep_candidates(pts, reach, sub)
+    if big is not None:
+        i, j = small.take(i), small.take(j)
+        if small.size < n:
+            a, b = _oversize_candidates(big, groups)
+            i, j = np.concatenate([i, a]), np.concatenate([j, b])
     # np.take and integer indices: several times faster than centers[i] and boolean masks
     diff = np.take(centers, i, axis=0) - np.take(centers, j, axis=0)
-    rsum = radii[i] + radii[j]
-    hit = np.flatnonzero(np.einsum("ij,ij->i", diff, diff) <= rsum * rsum)
-    i, j = i[hit], j[hit]
-    i, j = np.minimum(i, j), np.maximum(i, j)
-    order = np.argsort(i * n + j)
-    return i[order], j[order]
+    rsum = radii.take(i) + radii.take(j)
+    hit = (np.einsum("ij,ij->i", diff, diff) <= rsum * rsum).nonzero()[0]
+    i, j = i.take(hit), j.take(hit)
+    key = np.sort(np.minimum(i, j) * n + np.maximum(i, j))  # one value per pair, i < j
+    i = key // n
+    return i, key - i * n
 
 
 def label_components(n: int, i: np.ndarray, j: np.ndarray) -> tuple[int, np.ndarray]:
     """Components of the graph on n nodes with edges (i, j): their number and
-    a label per node, numbered 0, 1, ... in order of first appearance."""
+    a label per node, numbered 0, 1, ... in order of first appearance.  The
+    edges come with `i` nondecreasing, as `intersecting_pairs` returns them
+    (ValueError otherwise), so large graphs go to csgraph as a CSR matrix
+    whose row pointer is the running count of each row's edges."""
     if not i.size:
         return n, np.arange(n)
+    if (i[1:] < i[:-1]).any():
+        raise ValueError("edges must be sorted by their first node")
     if n + i.size > _UNION_FIND_MAX:
-        graph = csr_matrix((np.ones(i.size, dtype=np.int8), (i, j)), shape=(n, n))
+        indptr = np.zeros(n + 1, dtype=np.intp)
+        np.cumsum(np.bincount(i, minlength=n), out=indptr[1:])
+        graph = csr_matrix((np.ones(i.size), j, indptr), shape=(n, n))
         count, labels = connected_components(graph, directed=False)
         return int(count), labels
     parent = list(range(n))

@@ -296,7 +296,7 @@ def run_chain(
 # ---------------------------------------------------------------------------
 
 
-_DRAW_BLOCK = 2**16  # balls per labeling call in _reference_draws: bounds its peak memory
+_DRAW_BLOCK = 2**15  # balls per labeling call in _reference_draws: bounds its peak memory
 
 
 def _reference_draws(params: ModelParams, n_samples: int, rng: np.random.Generator):

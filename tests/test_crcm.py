@@ -571,15 +571,18 @@ def test_short_traces_raise_no_warnings(n):
             run_chain(TINY, seeded(35), sweeps=1, burn_in=0, thin=1)
 
 
-@pytest.mark.parametrize("block", [None, 40])
+@pytest.mark.parametrize("block", [None, 40, 2**16])
 def test_reference_draws_blocks_count_each_draw_alone(monkeypatch, block):
     # the draws come as every count, then every center, then every radius;
     # labeling them in blocks of whole draws must not mix two draws
-    if block is not None:  # many blocks, some draws larger than a block
-        monkeypatch.setattr(crcm, "_DRAW_BLOCK", block)
     params = ModelParams(50.0, 1.5, DiracRadius(0.05), UNIT)
-    n_draws = 1500  # about 75k balls: two blocks at the module's block size
+    n_draws = 1500  # about 75k balls: three blocks at the module's 2^15, two at 2^16
+    at_module_block = crcm._reference_draws(params, n_draws, seeded(43))
+    if block is not None:  # 40: many blocks, some draws larger than a block
+        monkeypatch.setattr(crcm, "_DRAW_BLOCK", block)
     counts, n_cc = crcm._reference_draws(params, n_draws, seeded(43))
+    assert np.array_equal(counts, at_module_block[0])
+    assert np.array_equal(n_cc, at_module_block[1])
     rng = seeded(43)
     assert np.array_equal(counts, rng.poisson(params.total_intensity, size=n_draws))
     centers = UNIT.sample_points(rng, int(counts.sum()))

@@ -12,6 +12,7 @@ from crcmlab.connectivity import (
     components,
     count_components,
     intersecting_pairs,
+    label_components,
     local_cc,
     local_count,
 )
@@ -177,9 +178,83 @@ def test_sweep_edge_cases_match_brute_force(path, case, grouped):
     assert count == len(part)
 
 
+def oversize_case(rng, n, above):
+    """Radii with r_max == _OVERSIZE * r_min, or one ulp above it (`above`)
+    with more than half of the radii at r_min, so that the largest ball is
+    the only one above _OVERSIZE median radii."""
+    r_min = 0.05
+    radii = np.full(n, r_min)
+    few = rng.choice(n, size=n // 3, replace=False)
+    radii[few] = rng.uniform(r_min, 1.5 * r_min, size=few.size)
+    r_max = connectivity._OVERSIZE * r_min
+    radii[few[0]] = np.nextafter(r_max, np.inf) if above else r_max
+    return rng.uniform(0.0, 2.0, size=(n, 2)), radii
+
+
+@pytest.mark.parametrize("grouped", [False, True])
+@pytest.mark.parametrize("above", [False, True], ids=["at_bound", "above_bound"])
+def test_oversize_shortcut_matches_brute_force(monkeypatch, above, grouped):
+    # at r_max == _OVERSIZE * r_min no ball can top _OVERSIZE medians, so the
+    # sweep runs on the balls as given and takes no median; one ulp above,
+    # the median path sends the largest ball to the whole-group scan
+    rng = make_rng(61 + above + 2 * grouped)
+    centers, radii = oversize_case(rng, 200, above)
+    assert radii.size > connectivity._DENSE_MAX
+    median = np.median(radii)
+    assert np.count_nonzero(radii > connectivity._OVERSIZE * median) == above
+    medians = []
+
+    def spy(a, *args, **kwargs):
+        medians.append(len(a))
+        return median
+
+    monkeypatch.setattr(np, "median", spy)
+    groups = np.sort(rng.integers(0, 5, size=radii.size)) if grouped else None
+    i, j = intersecting_pairs(centers, radii, groups)
+    assert medians == ([radii.size] if above else [])
+    assert list(zip(i.tolist(), j.tolist())) == brute_pairs(centers, radii, groups)
+    count, part = kernel_partition(centers, radii, groups)
+    assert part == brute_partition(centers, radii, groups)
+    assert count == len(part)
+
+
 def test_kernel_rejects_unsorted_groups():
     with pytest.raises(ValueError):
         components(np.zeros((3, 2)), np.ones(3), np.array([0, 1, 0]))
+
+
+def test_label_components_rejects_unsorted_rows(path):
+    # the csgraph path builds its row pointer from the order of `i`
+    i, j = np.array([0, 2, 1]), np.array([1, 3, 2])
+    with pytest.raises(ValueError):
+        label_components(4, i, j)
+    order = np.argsort(i)
+    assert label_components(4, i[order], j[order])[0] == 1
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_label_components_paths_agree(monkeypatch, seed):
+    # random edge lists sorted by their first node (second nodes in any
+    # order, on either side), some nodes isolated: csgraph on the CSR built
+    # from the rows gives the union-find's count and labels
+    rng = make_rng(90 + seed)
+    n = int(rng.integers(1, 300))
+    m = int(rng.integers(1, 2 * n + 2))
+    i, j = rng.integers(0, n, size=m), rng.integers(0, n, size=m)
+    keep = i != j
+    i, j = i[keep], j[keep]
+    if seed % 2:  # the kernel's own form: i < j, each pair once, sorted by (i, j)
+        key = np.unique(np.minimum(i, j) * n + np.maximum(i, j))
+        i, j = key // n, key % n
+    else:
+        order = np.argsort(i, kind="stable")
+        i, j = i[order], j[order]
+    got = {}
+    for name, cut in (("union_find", 10**9), ("csgraph", 0)):
+        monkeypatch.setattr(connectivity, "_UNION_FIND_MAX", cut)
+        got[name] = label_components(n, i, j)
+    assert got["union_find"][0] == got["csgraph"][0]
+    assert np.array_equal(got["union_find"][1], got["csgraph"][1])
 
 
 def test_count_components_of_configuration_matches_brute_force():
