@@ -5,9 +5,7 @@ coupling, and calculators for the explicit bounds the models satisfy."""
 
 from .geometry import (
     Box,
-    MarkedBall,
     SpatialIndex,
-    balls_intersect,
     centered_box,
     default_cell_size,
     dilate,
@@ -34,14 +32,11 @@ from .model_core import (
 from .connectivity import (
     BoundsReport,
     ClusterLabeling,
-    ComponentStats,
     LambdaNotInWindow,
     LocalCCResult,
     NestingViolation,
-    cc_increment,
     check_bounds,
     compatibility_offset,
-    component_stats,
     components,
     count_components,
     local_cc,

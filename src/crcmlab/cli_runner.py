@@ -162,7 +162,7 @@ class ExperimentSpec:
 
     def n_colors(self) -> int:
         """q as the integer number of colors the color model needs."""
-        if int(self.q) != self.q or self.q < 2:
+        if not (2 <= self.q < math.inf and int(self.q) == self.q):
             raise SpecInvalid("the color model needs an integer q >= 2")
         return int(self.q)
 
@@ -249,6 +249,8 @@ def load_spec(subcommand: str, config_path: Optional[str], overrides: dict) -> E
     for key, least in MINIMUMS.items():
         if getattr(spec, key) < least:
             raise SpecInvalid(f"{key} must be at least {least}, got {getattr(spec, key)}")
+    if not 0 <= spec.r0 < math.inf:
+        raise SpecInvalid(f"r0 must be finite and nonnegative, got {spec.r0}")
     return spec
 
 
@@ -455,8 +457,13 @@ def cmd_sample_chain(spec: ExperimentSpec, out: Path, colored: bool) -> int:
     resume_doc = None
     start_chain = 0
     if spec.resume:
-        with open(spec.resume) as fh:
-            doc = json.load(fh)
+        try:
+            with open(spec.resume) as fh:
+                doc = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise SpecInvalid(f"cannot read checkpoint {spec.resume}: {exc}") from exc
+        if not isinstance(doc, dict) or not {"spec_hash", "next_chain"} <= doc.keys():
+            raise SpecInvalid(f"{spec.resume} is not a checkpoint file")
         if doc["spec_hash"] != spec.digest():
             raise SpecInvalid("checkpoint belongs to a different experiment spec")
         resume_doc = doc.get("chain")  # None between chains

@@ -11,7 +11,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from .geometry import Box, MarkedBall, dilate, unit_ball_volume
+from .geometry import Box, dilate, unit_ball_volume
 from .model_core import Configuration
 
 
@@ -154,7 +154,8 @@ def intersecting_pairs(
         r_max = float(radii.take(small).max())
         sub = None if groups is None else groups.take(small)
     reach = 2.0 * r_max
-    reach += 1e-9 * (reach + float(np.abs(pts).max()))  # rounding slack only
+    # rounding slack only; the 1e-150 floor covers pairs whose squares underflow
+    reach += 1e-9 * (reach + float(np.abs(pts).max())) + 1e-150
     i, j = _sweep_candidates(pts, reach, sub)
     if big is not None:
         i, j = small.take(i), small.take(j)
@@ -434,14 +435,6 @@ def local_cc(cfg: Configuration, box: Box, step: Optional[float] = None) -> Loca
     return LocalCCResult(int(values[-1]), dilate(box, first * step))
 
 
-def cc_increment(cfg: Configuration, ball: MarkedBall) -> int:
-    """Change in component count if `ball` were inserted: one minus the
-    number of distinct components it touches.  At most +1 always."""
-    if not cfg.window.contains_point(ball.center):
-        raise ValueError("ball center outside window")
-    return ClusterLabeling(cfg).insertion_increment(cfg, ball.center, ball.radius)[0]
-
-
 def compatibility_offset(
     centers: np.ndarray, radii: np.ndarray, inner: Box, outer: Box, window: Box
 ) -> int:
@@ -486,55 +479,3 @@ def check_bounds(cfg: Configuration, box: Box, r0: float) -> BoundsReport:
     annulus = int(np.count_nonzero(big.contains_points(centers))) - n_in
     lower_ok = vacuous or value >= k_const - annulus
     return BoundsReport(value <= n_in, lower_ok, k_const, vacuous, value)
-
-
-# ---------------------------------------------------------------------------
-# Component statistics
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ComponentStats:
-    sizes: list[int]
-    largest_size: int
-    largest_volume_fraction: float
-    spanning: bool
-    leftmost_slots: list[int]
-
-
-def component_stats(cfg: Configuration) -> ComponentStats:
-    """Sizes (largest first, ties in order of first appearance),
-    largest-component volume fraction (probe grid of 48 points per axis),
-    spanning indicator, and the far-left ball of each component: minimal
-    first coordinate, ties broken by the remaining coordinates, then radius,
-    then slot id."""
-    if cfg.n == 0:
-        return ComponentStats([], 0, 0.0, False, [])
-    slots = np.asarray(cfg.active_ids(), dtype=np.intp)
-    centers, radii, _ = cfg.arrays()
-    count, labels = components(centers, radii)
-    size = np.bincount(labels)
-    order = np.argsort(-size, kind="stable")
-    sizes = size[order].tolist()
-    by_key = np.lexsort((slots, radii, *centers.T[::-1]))
-    _, first = np.unique(labels[by_key], return_index=True)
-    leftmost = slots[by_key[first]][order].tolist()
-
-    w = cfg.window
-    d = w.dimension
-    axes = [np.linspace(w.lo[k], w.hi[k], 48) for k in range(d)]
-    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    covered = np.zeros(len(pts), dtype=bool)
-    largest = labels == order[0]
-    for c, r in zip(centers[largest], radii[largest]):
-        diff = pts - c
-        covered |= np.einsum("ij,ij->i", diff, diff) <= r * r
-    frac = float(np.mean(covered))
-
-    lo_touch = centers - radii[:, None] <= w.lo
-    hi_touch = centers + radii[:, None] >= w.hi
-    spanning = any(
-        np.any(label_any(labels, lo_touch[:, k], count) & label_any(labels, hi_touch[:, k], count))
-        for k in range(d)
-    )
-    return ComponentStats(sizes, sizes[0], frac, spanning, leftmost)

@@ -1,12 +1,11 @@
-"""Euclidean primitives: axis-aligned boxes, marked balls, and a grid index
-for "which balls can intersect this ball" queries under wildly mixed radii."""
+"""Euclidean primitives: axis-aligned boxes and a grid index for "which
+balls can intersect this ball" queries under wildly mixed radii."""
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -102,35 +101,6 @@ def centered_box(half_side: float, d: int) -> Box:
     """The cube [-a, a]^d."""
     a = float(half_side)
     return Box(np.full(d, -a), np.full(d, a))
-
-
-@dataclass(frozen=True, eq=False)
-class MarkedBall:
-    """A germ (center) with a grain radius, optionally a color in {1..q}."""
-
-    center: np.ndarray
-    radius: float
-    color: Optional[int] = None
-
-    def __post_init__(self):
-        c = np.asarray(self.center, dtype=float)
-        if not np.all(np.isfinite(c)):
-            raise ValueError("center must be finite")
-        if not 0 <= self.radius < math.inf:
-            raise ValueError("radius must be finite and nonnegative")
-        object.__setattr__(self, "center", c)
-        object.__setattr__(self, "radius", float(self.radius))
-
-    @property
-    def dimension(self) -> int:
-        return self.center.size
-
-
-def balls_intersect(a: MarkedBall, b: MarkedBall) -> bool:
-    """Closed-ball intersection: tangency counts."""
-    diff = a.center - b.center
-    rsum = a.radius + b.radius
-    return bool(diff @ diff <= rsum * rsum)
 
 
 def dilate(box: Box, r: float) -> Box:

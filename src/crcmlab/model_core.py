@@ -13,7 +13,6 @@ from scipy import integrate
 
 from .geometry import (
     Box,
-    MarkedBall,
     SpatialIndex,
     default_cell_size,
     dilate,
@@ -92,8 +91,8 @@ class DiracRadius(RadiusLaw):
     r0: float
 
     def __post_init__(self):
-        if self.r0 < 0:
-            raise ValueError("radius must be nonnegative")
+        if not 0 <= self.r0 < math.inf:
+            raise ValueError("radius must be finite and nonnegative")
         object.__setattr__(self, "bounded_support", True)
         object.__setattr__(self, "min_radius", float(self.r0))
         object.__setattr__(self, "max_radius", float(self.r0))
@@ -127,8 +126,8 @@ class UniformRadius(RadiusLaw):
     b: float
 
     def __post_init__(self):
-        if not (0 <= self.a < self.b):
-            raise ValueError("need 0 <= a < b")
+        if not 0 <= self.a < self.b < math.inf:
+            raise ValueError("need 0 <= a < b < inf")
         object.__setattr__(self, "bounded_support", True)
         object.__setattr__(self, "min_radius", float(self.a))
         object.__setattr__(self, "max_radius", float(self.b))
@@ -168,7 +167,7 @@ class ParetoRadius(RadiusLaw):
     r_max: float = INFINITE
 
     def __post_init__(self):
-        if self.dim < 2 or self.r_max <= 1.0:
+        if self.dim < 2 or not self.r_max > 1.0:  # inf is the untruncated law
             raise ValueError("need dimension >= 2 and r_max > 1")
         object.__setattr__(self, "bounded_support", math.isfinite(self.r_max))
         object.__setattr__(self, "min_radius", 1.0)
@@ -260,10 +259,10 @@ class ModelParams:
     window: Box
 
     def __post_init__(self):
-        if self.z <= 0:
-            raise ValueError("intensity z must be positive")
-        if self.q <= 0:
-            raise ValueError("cluster weight q must be positive")
+        if not 0 < self.z < math.inf:
+            raise ValueError("intensity z must be positive and finite")
+        if not 0 < self.q < math.inf:
+            raise ValueError("cluster weight q must be positive and finite")
         if self.q < 1.0 and not self.law.bounded_support:
             raise AssumptionAViolated(
                 "q < 1 requires a radius law with bounded support: the partition "
@@ -320,27 +319,16 @@ class Configuration:
 
     @classmethod
     def from_balls(
-        cls,
-        window: Box,
-        balls: Iterable[MarkedBall],
-        cell_size: Optional[float] = None,
-        colored: Optional[bool] = None,
+        cls, window: Box, rows: Iterable[tuple], cell_size: Optional[float] = None
     ) -> "Configuration":
-        """`from_arrays` of MarkedBalls; colored when the first ball has a
-        color, unless `colored` says otherwise."""
-        balls = list(balls)
-        if colored is None:
-            colored = bool(balls) and balls[0].color is not None
-        colors = [b.color for b in balls]
-        if colored and None in colors:
-            raise ValueError("colored configuration needs a color")
-        return cls.from_arrays(
-            window,
-            [b.center for b in balls],
-            [b.radius for b in balls],
-            colors if colored else None,
-            cell_size=cell_size,
-        )
+        """`from_arrays` of (center, radius) rows, or of (center, radius,
+        color) rows for a colored configuration; a mix raises ValueError."""
+        rows = list(rows)
+        widths = {len(row) for row in rows}
+        if not widths <= {2} and widths != {3}:
+            raise ValueError("rows must all be (center, radius) or all (center, radius, color)")
+        centers, radii, *colors = zip(*rows) if rows else ((), ())
+        return cls.from_arrays(window, centers, radii, *colors, cell_size=cell_size)
 
     @classmethod
     def from_arrays(
@@ -470,11 +458,8 @@ class Configuration:
                     out.append(j)
         return out
 
-    def copy(self, drop_colors: bool = False) -> "Configuration":
-        centers, radii, colors = self.arrays()
-        out = Configuration.from_arrays(
-            self.window, centers, radii, None if drop_colors else colors, self.index.cell_size
-        )
+    def copy(self) -> "Configuration":
+        out = Configuration.from_arrays(self.window, *self.arrays(), self.index.cell_size)
         out.tags = dict(self.tags)
         return out
 
@@ -693,26 +678,25 @@ def save_configuration(
 
 
 def load_configuration(path) -> Configuration:
+    """Read back what `save_configuration` wrote.  Raises ValueError naming
+    the path on a truncated file or a line that does not parse."""
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh]
-    meta = {}
-    for tok in lines[0].lstrip("# ").split():
-        k, _, v = tok.partition("=")
-        meta[k] = v
-    d = int(meta["d"])
-    lo = np.array([float(v) for v in meta["lo"].split(",")])
-    hi = np.array([float(v) for v in meta["hi"].split(",")])
-    colored = bool(int(meta.get("colored", "0")))
-    window = Box(lo, hi)
-    header = lines[1].split(",")
+    try:
+        meta = dict(tok.partition("=")[::2] for tok in lines[0].lstrip("# ").split())
+        d = int(meta["d"])
+        lo = np.array([float(v) for v in meta["lo"].split(",")])
+        hi = np.array([float(v) for v in meta["hi"].split(",")])
+        colored = bool(int(meta.get("colored", "0")))
+        header = lines[1].split(",")
+        rows = [ln.split(",") for ln in lines[2:] if ln]
+        centers = [[float(v) for v in parts[:d]] for parts in rows]
+        radii = [float(parts[d]) for parts in rows]
+        colors = [int(parts[d + 1]) for parts in rows] if colored else None
+    except (IndexError, KeyError, ValueError) as exc:
+        raise ValueError(f"{path}: truncated file or malformed line") from exc
     if header[:d] != [f"x{k + 1}" for k in range(d)]:
         raise ValueError(f"{path}: column header {lines[1]!r} does not start with x1..x{d}")
-    rows = [ln.split(",") for ln in lines[2:] if ln]
-    cfg = Configuration.from_arrays(
-        window,
-        [[float(v) for v in parts[:d]] for parts in rows],
-        [float(parts[d]) for parts in rows],
-        [int(parts[d + 1]) for parts in rows] if colored else None,
-    )
+    cfg = Configuration.from_arrays(Box(lo, hi), centers, radii, colors)
     cfg.tags["law"] = meta.get("law", "")
     return cfg

@@ -1,8 +1,8 @@
 """The q-color hard-core ball model: colored configurations where balls of
 different colors may never overlap (tangency included), its birth-death-
-recolor chain, the uniform component-coloring kernel, the color-blind
-projection, and the coupling consistency test tying the color-blind model at
-intensity z to the cluster-weighted model at intensity z/q."""
+recolor chain, the uniform component-coloring kernel on ball arrays, and
+the coupling consistency test tying the color-blind model at intensity z to
+the cluster-weighted model at intensity z/q."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -150,26 +150,20 @@ def run_wr_chain(
 
 
 # ---------------------------------------------------------------------------
-# Coloring kernel and projection
+# Coloring kernel
 # ---------------------------------------------------------------------------
 
 
-def fk_colorize(cfg: Configuration, q: int, rng: np.random.Generator) -> Configuration:
-    """Color every connected component with one independent uniform color.
-    The result is always allowed: distinct components never touch."""
+def fk_colorize(
+    centers: np.ndarray, radii: np.ndarray, q: int, rng: np.random.Generator
+) -> np.ndarray:
+    """One color per ball: every connected component gets one independent
+    uniform color in 1..q.  The colored balls are always allowed: distinct
+    components never touch.  Forgetting the colors is dropping the array."""
     if q < 2 or int(q) != q:
         raise ValueError("need an integer q >= 2")
-    centers, radii, _ = cfg.arrays()
     count, labels = components(centers, radii)
-    colors = rng.integers(1, int(q) + 1, size=count)[labels]
-    return Configuration.from_arrays(
-        cfg.window, centers, radii, colors, cell_size=cfg.index.cell_size
-    )
-
-
-def color_blind(cfg: Configuration) -> Configuration:
-    """Forget colors; positions and radii unchanged."""
-    return cfg.copy(drop_colors=True)
+    return rng.integers(1, int(q) + 1, size=count)[labels]
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
-from crcmlab.geometry import Box, MarkedBall, centered_box, dilate
+from crcmlab.geometry import Box, centered_box, dilate
 from crcmlab.model_core import (
     Configuration,
     DiracRadius,
@@ -47,9 +47,7 @@ def seeded(k):
 
 
 def balls(*specs):
-    return Configuration.from_balls(
-        W, [MarkedBall(np.array(c, dtype=float), r) for c, r in specs]
-    )
+    return Configuration.from_balls(W, specs)
 
 
 # -- isolation event ---------------------------------------------------------------
@@ -111,7 +109,7 @@ LAM = Box([-1, -1], [1, 1])
 
 
 def chain_row(y, x0=1.5, n=7):
-    return [MarkedBall(np.array([x0 + 2 * k, y]), 1.0) for k in range(n)]
+    return [((x0 + 2 * k, y), 1.0) for k in range(n)]
 
 
 def test_screening_event_trivial_and_constructed():
@@ -253,8 +251,8 @@ def test_np_component_straddling_the_eroded_boundary_dropped():
     # the far-left ball of the chain lies inside the eroded window [1, 9]^2,
     # its last ball reaches past x = 9: the whole component is dropped
     win = Box([0, 0], [10, 10])
-    chain = [MarkedBall(np.array([x, 5.0]), 0.6) for x in (3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 8.7)]
-    cfg = Configuration.from_balls(win, chain + [MarkedBall(np.array([5.0, 2.0]), 0.5)])
+    chain = [((x, 5.0), 0.6) for x in (3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 8.7)]
+    cfg = Configuration.from_balls(win, chain + [((5.0, 2.0), 0.5)])
     est = estimate_NP([cfg.arrays()], win, 1.0)
     assert est.value == pytest.approx(1 / 64.0)
 
@@ -491,20 +489,14 @@ def test_np_empty_and_singletons():
     win = Box([0, 0], [10, 10])
     empty = Configuration(win, cell_size=0.5)
     assert estimate_NP([empty.arrays()], win, 1.0).value == 0.0
-    singles = Configuration.from_balls(
-        win,
-        [MarkedBall(np.array([3.0, 3.0]), 0.5), MarkedBall(np.array([7.0, 7.0]), 0.5)],
-    )
+    singles = Configuration.from_balls(win, [((3.0, 3.0), 0.5), ((7.0, 7.0), 0.5)])
     est = estimate_NP([singles.arrays()] * 3, win, 1.0)
     assert est.value == pytest.approx(2 / 64.0)
 
 
 def test_np_translation_consistency():
     win = Box([0, 0], [10, 10])
-    cfg = Configuration.from_balls(
-        win,
-        [MarkedBall(np.array([3.0, 3.0]), 0.5), MarkedBall(np.array([6.5, 7.0]), 0.8)],
-    )
+    cfg = Configuration.from_balls(win, [((3.0, 3.0), 0.5), ((6.5, 7.0), 0.8)])
     base = estimate_NP([cfg.arrays()], win, 1.0)
     shift = np.array([11.0, -4.0])
     centers, radii, colors = cfg.arrays()
@@ -524,8 +516,8 @@ def test_np_boundary_components_dropped():
     cfg = Configuration.from_balls(
         win,
         [
-            MarkedBall(np.array([0.5, 5.0]), 0.6),  # sticks into the border margin
-            MarkedBall(np.array([5.0, 5.0]), 0.5),
+            ((0.5, 5.0), 0.6),  # sticks into the border margin
+            ((5.0, 5.0), 0.5),
         ],
     )
     est = estimate_NP([cfg.arrays()], win, 1.0)

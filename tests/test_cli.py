@@ -225,6 +225,20 @@ def test_checkpoint_spec_mismatch_rejected(tmp_path):
     assert r.returncode == EXIT_SPEC
 
 
+def test_resume_from_a_file_that_is_not_a_checkpoint(tmp_path, capsys):
+    # a run's manifest is JSON and holds the spec, but no chain to resume
+    out = tmp_path / "o"
+    args = ["sample-crcm", "--seed", "11", "--out", str(out), *FAST_CHAIN]
+    assert cli.main(args) == EXIT_OK
+    manifest = out / "manifest.json"
+    capsys.readouterr()
+    (tmp_path / "notes.txt").write_text("not json\n")
+    for path in (manifest, tmp_path / "notes.txt", tmp_path / "missing.json"):
+        assert cli.main([*args, "--resume", str(path)]) == EXIT_SPEC
+        err = capsys.readouterr().err
+        assert "spec error" in err and str(path) in err
+
+
 def test_unknown_subcommand_and_bad_set(tmp_path):
     assert run_cli("frobnicate").returncode == EXIT_SPEC
     assert run_cli("sample-crcm", "--set", "oops").returncode == EXIT_SPEC
@@ -272,6 +286,17 @@ def test_unknown_subcommand_and_bad_set(tmp_path):
         ("bounds-audit", {"samples": "0"}),
         ("localization", {"samples": "0"}),
         ("shield", {"trials": "-5"}),
+        # model values that are not finite
+        ("sample-poisson", {"law": "dirac:nan"}),
+        ("sample-poisson", {"law": "dirac:inf"}),
+        ("sample-poisson", {"law": "uniform:0,inf"}),
+        ("sample-poisson", {"law": "tpareto:2,nan"}),
+        ("sample-crcm", {"q": "nan"}),
+        ("sample-crcm", {"z": "inf"}),
+        ("sample-wr", {"q": "nan"}),
+        ("fk-check", {"q": "inf"}),
+        ("localization", {"r0": "nan"}),
+        ("bounds-audit", {"r0": "inf"}),
     ],
 )
 def test_malformed_spec_values_are_spec_errors(tmp_path, capsys, monkeypatch, sub, settings):

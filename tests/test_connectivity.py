@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from crcmlab.geometry import Box, MarkedBall
+from crcmlab.geometry import Box
 from crcmlab.model_core import (
     Configuration,
     ModelParams,
@@ -12,10 +12,9 @@ from crcmlab.connectivity import (
     ClusterLabeling,
     LambdaNotInWindow,
     NestingViolation,
-    cc_increment,
     check_bounds,
     compatibility_offset,
-    component_stats,
+    components,
     count_components,
     local_cc,
 )
@@ -24,7 +23,12 @@ BIG = Box([-10, -10], [10, 10])
 
 
 def mk(window, balls):
-    return Configuration.from_balls(window, [MarkedBall(np.array(c, dtype=float), r) for c, r in balls])
+    return Configuration.from_balls(window, balls)
+
+
+def increment(cfg, center, radius):
+    """Change in component count if B(center, radius) were inserted."""
+    return ClusterLabeling(cfg).insertion_increment(cfg, center, radius)[0]
 
 
 def test_empty_configuration_has_no_components():
@@ -92,20 +96,16 @@ def test_local_cc_stabilization_witness(rng):
 
 def test_increment_isolated_bridging_touching():
     cfg = mk(BIG, [((0, 0), 1.0), ((5, 0), 1.0)])
-    far = MarkedBall(np.array([-8.0, -8.0]), 0.5)
-    assert cc_increment(cfg, far) == 1
-    bridge = MarkedBall(np.array([2.5, 0.0]), 1.5)
-    assert cc_increment(cfg, bridge) == -1
-    touch = MarkedBall(np.array([1.5, 0.0]), 0.6)
-    assert cc_increment(cfg, touch) == 0
+    assert increment(cfg, (-8.0, -8.0), 0.5) == 1  # isolated
+    assert increment(cfg, (2.5, 0.0), 1.5) == -1  # bridges both
+    assert increment(cfg, (1.5, 0.0), 0.6) == 0  # touches one
 
 
 def test_increment_never_above_one(rng):
     params = ModelParams(0.08, 1.0, UniformRadius(0.0, 1.5), BIG)
     for _ in range(50):
         cfg = sample_poisson_boolean(params, rng)
-        ball = MarkedBall(BIG.sample_point(rng), float(rng.exponential(1.0)))
-        assert cc_increment(cfg, ball) <= 1
+        assert increment(cfg, BIG.sample_point(rng), float(rng.exponential(1.0))) <= 1
 
 
 def test_increment_lower_bound_constant(rng):
@@ -116,8 +116,7 @@ def test_increment_lower_bound_constant(rng):
     for _ in range(50):
         cfg = sample_poisson_boolean(params, rng)
         rad = float(rng.uniform(r0, 2.0))
-        ball = MarkedBall(BIG.sample_point(rng), rad)
-        assert cc_increment(cfg, ball) >= -c0 * rad**2
+        assert increment(cfg, BIG.sample_point(rng), rad) >= -c0 * rad**2
 
 
 def test_increment_matches_local_cc_on_nested_boxes(rng):
@@ -126,10 +125,10 @@ def test_increment_matches_local_cc_on_nested_boxes(rng):
     boxes = [Box([-2, -2], [2, 2]), Box([-5, -5], [5, 5])]
     for _ in range(25):
         cfg = sample_poisson_boolean(params, rng)
-        ball = MarkedBall(np.array([0.3, -0.4]), float(rng.uniform(0.1, 0.8)))
-        inc = cc_increment(cfg, ball)
+        center, radius = (0.3, -0.4), float(rng.uniform(0.1, 0.8))
+        inc = increment(cfg, center, radius)
         plus = cfg.copy()
-        plus.add(ball.center, ball.radius)
+        plus.add(center, radius)
         for box in boxes:
             assert local_cc(plus, box).value - local_cc(cfg, box).value == inc
 
@@ -160,11 +159,11 @@ def test_deletion_inverse(rng):
         n_cc = lab.n_components
         for slot in list(cfg.active_ids()):
             groups = lab.removal_split(slot)
-            ball = MarkedBall(*cfg.index.balls[slot])
+            center, radius = cfg.index.balls[slot]
             without = cfg.copy()
             without.remove(slot)
             n_without = count_components(without)
-            assert cc_increment(without, ball) == n_cc - n_without
+            assert increment(without, center, radius) == n_cc - n_without
             assert 1 - len(groups) == n_cc - n_without
 
 
@@ -209,14 +208,11 @@ def test_offset_independent_of_interior(rng):
     for _ in range(5):
         cfg = sample_poisson_boolean(params, rng)
         ref = offset(cfg, lam, lam2)
-        outside = [
-            MarkedBall(c, r) for c, r in cfg.index.balls.values() if not lam.contains_point(c)
-        ]
+        outside = [(c, r) for c, r in cfg.index.balls.values() if not lam.contains_point(c)]
         for _ in range(20):
             n_new = int(rng.poisson(2.0))
             inner = [
-                MarkedBall(lam.sample_point(rng), float(rng.uniform(0.1, 1.0)))
-                for _ in range(n_new)
+                (lam.sample_point(rng), float(rng.uniform(0.1, 1.0))) for _ in range(n_new)
             ]
             redone = Configuration.from_balls(BIG, outside + inner)
             assert offset(redone, lam, lam2) == ref
@@ -255,78 +251,13 @@ def test_bounds_vacuous_flag():
     assert rep.lower_vacuous and rep.lower_ok
 
 
-# -- component statistics ----------------------------------------------------------
-
-
-def test_component_stats_empty():
-    st = component_stats(Configuration(BIG, cell_size=1.0))
-    assert st.sizes == [] and st.largest_size == 0
-    assert st.largest_volume_fraction == 0.0 and not st.spanning
-
-
-def test_spanning_chain_detected():
-    w = Box([0, 0], [10, 10])
-    cfg = Configuration.from_balls(
-        w, [MarkedBall(np.array([x, 5.0]), 1.0) for x in np.arange(0.5, 10.0, 1.5)]
-    )
-    st = component_stats(cfg)
-    assert st.spanning
-    assert sum(st.sizes) == cfg.n
+# -- component labels ------------------------------------------------------------
 
 
 def test_sizes_partition_count(rng):
     params = ModelParams(0.08, 1.0, UniformRadius(0.1, 0.6), BIG)
     cfg = sample_poisson_boolean(params, rng)
-    st = component_stats(cfg)
-    assert sum(st.sizes) == cfg.n
-    assert len(st.leftmost_slots) == len(st.sizes)
-
-
-def test_far_left_tie_breaking():
-    w = Box([0, 0], [4, 4])
-    balls = [
-        MarkedBall(np.array([1.0, 2.0]), 0.5),
-        MarkedBall(np.array([1.0, 1.0]), 0.5),  # same x, smaller y wins
-        MarkedBall(np.array([2.0, 1.0]), 0.5),
-    ]
-    cfg = Configuration.from_balls(w, balls)
-    [slot] = component_stats(cfg).leftmost_slots  # one component of tangent balls
-    assert cfg.index.balls[slot][0] == (1.0, 1.0)
-
-
-def test_component_stats_match_brute_force_groups(rng):
-    # sizes largest first (ties in order of first appearance) and the
-    # far-left ball of each component, against groups found pair by pair
-    w = Box([0, 0], [6, 6])
-    for _ in range(40):
-        n = int(rng.integers(0, 30))
-        centers = np.round(w.sample_points(rng, n), 1)  # rounding makes ties
-        radii = np.round(rng.uniform(0.1, 0.8, n), 1)
-        cfg = Configuration.from_arrays(w, centers, radii)
-        ids = cfg.active_ids()
-        parent = list(range(n))
-        for a in range(n):
-            for b in range(a + 1, n):
-                diff = centers[a] - centers[b]
-                if diff @ diff <= (radii[a] + radii[b]) ** 2:
-                    ra, rb = a, b
-                    while parent[ra] != ra:
-                        ra = parent[ra]
-                    while parent[rb] != rb:
-                        rb = parent[rb]
-                    parent[max(ra, rb)] = min(ra, rb)
-        groups: dict = {}
-        for a in range(n):
-            root = a
-            while parent[root] != root:
-                root = parent[root]
-            groups.setdefault(root, []).append(ids[a])
-        comps = sorted(groups.values(), key=len, reverse=True)
-
-        def key(slot):
-            center, radius = cfg.index.balls[slot]
-            return (*center, radius, slot)
-
-        st = component_stats(cfg)
-        assert st.sizes == [len(c) for c in comps]
-        assert st.leftmost_slots == [min(c, key=key) for c in comps]
+    count, labels = components(*cfg.arrays()[:2])
+    sizes = np.bincount(labels, minlength=count)
+    assert sizes.size == count == count_components(cfg)
+    assert sizes.sum() == cfg.n and np.all(sizes > 0)

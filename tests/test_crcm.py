@@ -463,7 +463,10 @@ def test_gnz_array_statistics_match_ball_by_ball_loop():
         return [2.0 ** lab.insertion_increment(cfg, x, r)[0] for x, r in zip(xs, rs)]
 
     wp = wr.WrParams(30.0, 2, DiracRadius(0.08), UNIT)
-    colored = [wr.fk_colorize(cfg, 2, rng) for cfg in samples]
+    colored = [
+        Configuration.from_arrays(UNIT, c, r, wr.fk_colorize(c, r, 2, rng))
+        for c, r, _ in (cfg.arrays() for cfg in samples)
+    ]
 
     def wr_weigh(cfg, xs, rs, rng):
         ks = rng.integers(1, 3, size=len(xs))

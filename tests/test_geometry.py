@@ -3,32 +3,49 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from crcmlab import connectivity
+from crcmlab.connectivity import intersecting_pairs
 from crcmlab.geometry import (
     Box,
-    MarkedBall,
     SpatialIndex,
-    balls_intersect,
     default_cell_size,
     dilate,
     unit_ball_volume,
 )
+from crcmlab.model_core import Configuration
 
 
-def ball(*coords, r=1.0):
-    return MarkedBall(np.array(coords, dtype=float), r)
+def meets(a, b):
+    """Whether the closed balls a = (center, radius) and b meet, as the pair
+    kernel's dense pass, its strip sweep and a configuration's grid query
+    decide it; the three must agree."""
+    centers = np.array([a[0], b[0]], dtype=float)
+    radii = np.array([a[1], b[1]], dtype=float)
+    dense = intersecting_pairs(centers, radii)[0].size == 1
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(connectivity, "_DENSE_MAX", 1)
+        swept = intersecting_pairs(centers, radii)[0].size == 1
+    window = Box(centers.min(axis=0) - 1.0, centers.max(axis=0) + 1.0)
+    cfg = Configuration.from_arrays(window, centers[:1], radii[:1])
+    grid = cfg.intersectors(centers[1], radii[1]) == [0]
+    assert dense == swept == grid
+    return dense
 
 
-def test_tangent_closed_balls_intersect():
-    assert balls_intersect(ball(0, 0), ball(2, 0))
+def test_tangent_closed_balls_meet():
+    assert meets(((0, 0), 1.0), ((2, 0), 1.0))
 
 
 def test_separated_balls_do_not_intersect():
-    assert not balls_intersect(ball(0, 0), ball(2.0001, 0))
+    assert not meets(((0, 0), 1.0), ((2.0001, 0), 1.0))
 
 
-def test_concentric_balls_intersect():
-    assert balls_intersect(ball(0, 0, r=0.1), ball(0, 0, r=3.0))
-    assert balls_intersect(ball(0, 0, r=0.0), ball(0, 0, r=0.0))
+def test_concentric_balls_meet():
+    assert meets(((0, 0), 0.1), ((0, 0), 3.0))
+    assert meets(((0, 0), 0.0), ((0, 0), 0.0))
+    # 1e-244 apart the squared distance underflows to 0: the exact test counts
+    # the zero radii as meeting, and the strip sweep must find the pair too
+    assert meets(((0, 0), 0.0), ((0, 1e-244), 0.0))
 
 
 coords = st.floats(-50, 50)
@@ -39,9 +56,9 @@ radii = st.floats(0, 20)
     st.tuples(coords, coords, radii), st.tuples(coords, coords, radii)
 )
 def test_intersection_symmetry(a, b):
-    ba = ball(a[0], a[1], r=a[2])
-    bb = ball(b[0], b[1], r=b[2])
-    assert balls_intersect(ba, bb) == balls_intersect(bb, ba)
+    ba = (a[:2], a[2])
+    bb = (b[:2], b[2])
+    assert meets(ba, bb) == meets(bb, ba)
 
 
 def test_dilate_identity_and_shift():

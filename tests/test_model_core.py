@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from crcmlab.geometry import Box, MarkedBall, dilate
+from crcmlab.geometry import Box, dilate
 from crcmlab.model_core import (
     INFINITE,
     AssumptionAViolated,
@@ -92,6 +92,10 @@ def test_parse_law_round_trip():
         assert again.descriptor() == law.descriptor()
     with pytest.raises(ValueError):
         parse_law("cauchy:1")
+    for bad in ("dirac:nan", "dirac:inf", "uniform:0,inf", "uniform:nan,1", "tpareto:2,nan"):
+        with pytest.raises(ValueError, match="bad radius law"):
+            parse_law(bad)
+    assert parse_law("tpareto:2,inf").descriptor() == "pareto:2"  # inf is the untruncated law
 
 
 def test_untruncated_pareto_is_the_closed_form(rng):
@@ -129,6 +133,9 @@ def test_assumption_flag():
         ModelParams(0.0, 1.0, DiracRadius(1), UNIT)
     with pytest.raises(ValueError):
         ModelParams(1.0, -1.0, DiracRadius(1), UNIT)
+    for z, q in ((math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)):
+        with pytest.raises(ValueError, match="positive and finite"):
+            ModelParams(z, q, DiracRadius(1), UNIT)
 
 
 # -- Poisson Boolean sampling --------------------------------------------------
@@ -318,11 +325,7 @@ def test_configuration_round_trip(tmp_path, rng):
 
 def test_colored_round_trip(tmp_path):
     w = UNIT
-    balls = [
-        MarkedBall(np.array([0.2, 0.2]), 0.05, 1),
-        MarkedBall(np.array([0.8, 0.8]), 0.07, 3),
-    ]
-    cfg = Configuration.from_balls(w, balls)
+    cfg = Configuration.from_balls(w, [((0.2, 0.2), 0.05, 1), ((0.8, 0.8), 0.07, 3)])
     path = tmp_path / "colored.csv"
     save_configuration(w, cfg.arrays(), path)
     back = load_configuration(path)
@@ -414,6 +417,18 @@ def test_load_configuration_rejects_bad_header(tmp_path):
     path.write_text("# d=2 lo=0.0,0.0 hi=1.0,1.0 law= seed= colored=0\ny,x,radius\n0.5,0.5,0.1\n")
     with pytest.raises(ValueError, match="header"):
         load_configuration(path)
+    # an empty file, a meta line without d=, a meta line and nothing after it,
+    # a last row cut short
+    for text in (
+        "",
+        "# lo=0.0,0.0 hi=1.0,1.0\nx1,x2,radius\n",
+        "# d=2 lo=0.0,0.0 hi=1.0,1.0\n",
+        "# d=2 lo=0.0,0.0 hi=1.0,1.0\nx1,x2,radius\n0.5,0.5,0.1\n0.2,0.2\n",
+    ):
+        path.write_text(text)
+        with pytest.raises(ValueError, match="truncated") as info:
+            load_configuration(path)
+        assert str(path) in str(info.value)
 
 
 def _ball_by_ball(window, centers, radii, colors, cell_size):
@@ -432,14 +447,11 @@ def test_bulk_build_equals_ball_by_ball(rng, n, colored):
     colors = rng.integers(1, 4, size=n) if colored else None
     cell = 2.0
     want = _ball_by_ball(w, centers, radii, colors, cell)
-    balls = [
-        MarkedBall(centers[k], radii[k], None if colors is None else int(colors[k]))
-        for k in range(n)
-    ]
-    for got in (
-        Configuration.from_arrays(w, centers, radii, colors, cell_size=cell),
-        Configuration.from_balls(w, balls, cell_size=cell, colored=colored),
-    ):
+    rows = list(zip(centers, radii) if colors is None else zip(centers, radii, colors))
+    builds = [Configuration.from_arrays(w, centers, radii, colors, cell_size=cell)]
+    if rows:  # an empty row list carries no colors, so it builds uncolored
+        builds.append(Configuration.from_balls(w, rows, cell_size=cell))
+    for got in builds:
         assert got.active_ids() == want.active_ids() == list(range(n))
         assert got._free == want._free == []
         assert list(got._slot_pos.items()) == list(want._slot_pos.items())
@@ -460,11 +472,16 @@ def test_bulk_build_equals_ball_by_ball(rng, n, colored):
 def test_bulk_build_checks_window_and_colors():
     with pytest.raises(ValueError, match="outside window"):
         Configuration.from_arrays(UNIT, [[0.5, 0.5], [1.5, 0.5]], [0.1, 0.1])
-    with pytest.raises(ValueError, match="needs a color"):
-        Configuration.from_balls(
-            UNIT,
-            [MarkedBall(np.array([0.5, 0.5]), 0.1, 1), MarkedBall(np.array([0.2, 0.2]), 0.1)],
-        )
+    with pytest.raises(ValueError, match="outside window"):
+        Configuration.from_arrays(UNIT, [[math.nan, 0.5]], [0.1])
+    # rows are all (center, radius) or all (center, radius, color)
+    for rows in (
+        [((0.5, 0.5), 0.1, 1), ((0.2, 0.2), 0.1)],
+        [((0.5, 0.5), 0.1), ((0.2, 0.2), 0.1, 1)],
+        [((0.5, 0.5),)],
+    ):
+        with pytest.raises(ValueError, match="rows must all be"):
+            Configuration.from_balls(UNIT, rows)
 
 
 def test_bulk_build_rejects_mismatched_lengths_and_bad_radii():
@@ -476,7 +493,5 @@ def test_bulk_build_rejects_mismatched_lengths_and_bad_radii():
     for bad in (-0.1, math.nan, math.inf):
         with pytest.raises(ValueError, match="finite and nonnegative"):
             Configuration.from_arrays(UNIT, [[0.5, 0.5], [0.2, 0.2]], [0.1, bad])
-        with pytest.raises(ValueError, match="finite and nonnegative"):
-            MarkedBall(np.array([0.5, 0.5]), bad)
     empty = Configuration.from_arrays(UNIT, np.zeros((0, 2)), [], colors=[])
     assert empty.colored and empty.n == 0

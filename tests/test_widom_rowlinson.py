@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from crcmlab.geometry import Box, MarkedBall
+from crcmlab.geometry import Box
 from crcmlab.model_core import (
     Configuration,
     DiracRadius,
@@ -12,12 +12,11 @@ from crcmlab.model_core import (
     ParetoRadius,
     sample_poisson_boolean,
 )
-from crcmlab.connectivity import component_stats, count_components
+from crcmlab.connectivity import components, count_components
 from crcmlab.crcm import birth_ratio, death_ratio
 from crcmlab.widom_rowlinson import (
     WrParams,
     col_event,
-    color_blind,
     fk_colorize,
     fk_consistency_test,
     gnz_residual_wr,
@@ -37,11 +36,8 @@ def seeded(k):
 
 
 def colored(window, balls):
-    return Configuration.from_balls(
-        window,
-        [MarkedBall(np.array(c, dtype=float), r, col) for c, r, col in balls],
-        colored=True,
-    )
+    """A colored configuration from (center, radius, color) rows."""
+    return Configuration.from_balls(window, balls)
 
 
 # -- parameters and the allowed set ------------------------------------------------
@@ -84,13 +80,13 @@ def test_insertion_allowed_matches_global_check():
 
 
 def test_col_event():
-    assert not col_event(colored(BIG, []).arrays()[2])
+    assert not col_event(np.zeros(0, dtype=np.int64))
     assert not col_event(colored(BIG, [((0, 0), 1.0, 2), ((5, 5), 1.0, 2)]).arrays()[2])
     assert col_event(colored(BIG, [((0, 0), 1.0, 1), ((5, 5), 1.0, 2)]).arrays()[2])
 
 
 def test_color_predicates_refuse_uncolored_balls():
-    blind = Configuration.from_balls(BIG, [MarkedBall(np.zeros(2), 1.0)])
+    blind = Configuration.from_balls(BIG, [(np.zeros(2), 1.0)])
     with pytest.raises(ValueError):
         is_allowed(*blind.arrays())
     with pytest.raises(ValueError):
@@ -199,14 +195,11 @@ def test_single_color_reduction():
 
 
 def test_colorize_single_component_uniform():
-    chain = Configuration.from_balls(
-        BIG, [MarkedBall(np.array([2.0 * k, 0.0]), 1.0) for k in range(4)]
-    )
+    centers, radii = np.array([[2.0 * k, 0.0] for k in range(4)]), np.ones(4)
     rng = seeded(10)
     seen = {1: 0, 2: 0, 3: 0}
     for _ in range(3000):
-        out = fk_colorize(chain, 3, rng)
-        cols = {int(out.colors[s]) for s in out.active_ids()}
+        cols = set(fk_colorize(centers, radii, 3, rng).tolist())
         assert len(cols) == 1  # monochromatic component
         seen[cols.pop()] += 1
     freq = np.array(list(seen.values()))
@@ -216,16 +209,12 @@ def test_colorize_single_component_uniform():
 
 def test_colorize_singletons_iid_uniform():
     # k isolated balls: all q^k color patterns equally likely
-    pts = Configuration.from_balls(
-        BIG, [MarkedBall(np.array([4.0 * k, 0.0]), 0.5) for k in range(3)]
-    )
+    centers, radii = np.array([[4.0 * k, 0.0] for k in range(3)]), np.full(3, 0.5)
     rng = seeded(11)
     counts: dict = {}
     n_draws = 8000
     for _ in range(n_draws):
-        out = fk_colorize(pts, 2, rng)
-        ordered = sorted(out.active_ids(), key=lambda s: out.index.balls[s][0][0])
-        pattern = tuple(int(out.colors[s]) for s in ordered)
+        pattern = tuple(fk_colorize(centers, radii, 2, rng).tolist())
         counts[pattern] = counts.get(pattern, 0) + 1
     assert len(counts) == 8
     expected = n_draws / 8.0
@@ -236,56 +225,52 @@ def test_colorize_singletons_iid_uniform():
 def test_colorize_always_allowed(rng):
     params = ModelParams(40.0, 1.0, DiracRadius(0.06), UNIT)
     for k in range(20):
-        cfg = sample_poisson_boolean(params, seeded(100 + k))
-        out = fk_colorize(cfg, 2, rng)
-        assert is_allowed(*out.arrays())
+        centers, radii, _ = sample_poisson_boolean(params, seeded(100 + k)).arrays()
+        assert is_allowed(centers, radii, fk_colorize(centers, radii, 2, rng))
 
 
 def test_col_event_probability_from_component_count():
     # freshly colored: P(col) = 1 - q^(1-k) for k components
-    two = Configuration.from_balls(
-        BIG, [MarkedBall(np.array([0.0, 0.0]), 1.0), MarkedBall(np.array([5.0, 0.0]), 1.0)]
-    )
+    centers, radii = np.array([[0.0, 0.0], [5.0, 0.0]]), np.ones(2)
     rng = seeded(12)
-    hits = sum(col_event(fk_colorize(two, 2, rng).arrays()[2]) for _ in range(4000))
+    hits = sum(col_event(fk_colorize(centers, radii, 2, rng)) for _ in range(4000))
     phat = hits / 4000
     se = math.sqrt(0.5 * 0.5 / 4000)
     assert abs(phat - 0.5) < 4 * se
 
 
-def test_color_blind_round_trip(rng):
+def test_colorize_round_trip(rng):
+    # one color per ball, constant on each component; a configuration built
+    # with the colors gives back the balls, the colors and the component count
     params = ModelParams(30.0, 1.0, DiracRadius(0.08), UNIT)
-    cfg = sample_poisson_boolean(params, seeded(13))
-    out = fk_colorize(cfg, 3, rng)
-    blind = color_blind(out)
-    assert not blind.colored
-    assert blind.n == cfg.n
-    assert count_components(blind) == count_components(cfg)
-    assert sorted(component_stats(blind).sizes) == sorted(component_stats(cfg).sizes)
+    centers, radii, _ = sample_poisson_boolean(params, seeded(13)).arrays()
+    colors = fk_colorize(centers, radii, 3, rng)
+    count, labels = components(centers, radii)
+    assert colors.shape == radii.shape
+    assert all(np.unique(colors[labels == k]).size == 1 for k in range(count))
+    out = Configuration.from_arrays(UNIT, centers, radii, colors)
+    back_centers, back_radii, back_colors = out.arrays()
+    assert np.array_equal(back_centers, centers) and np.array_equal(back_radii, radii)
+    assert np.array_equal(back_colors, colors)
+    assert count_components(out) == count
 
 
 def test_recolorizing_a_projection_reproduces_the_color_law():
     # starting from uniformly colored components, project and recolor: the
     # color-pattern distribution on a fixed ball structure is unchanged
-    base = Configuration.from_balls(
-        BIG,
-        [MarkedBall(np.array([4.0 * k, 0.0]), 0.5) for k in range(2)]
-        + [MarkedBall(np.array([0.0, 4.0]), 0.5)],
-    )
+    centers, radii = np.array([[0.0, 0.0], [4.0, 0.0], [0.0, 4.0]]), np.full(3, 0.5)
     rng = seeded(99)
     n_draws = 6000
-
-    def pattern(cfg):
-        ordered = sorted(cfg.active_ids(), key=lambda s: cfg.index.balls[s][0])
-        return tuple(int(cfg.colors[s]) for s in ordered)
-
     direct: dict = {}
     rebuilt: dict = {}
     for _ in range(n_draws):
-        colored_cfg = fk_colorize(base, 2, rng)
-        direct[pattern(colored_cfg)] = direct.get(pattern(colored_cfg), 0) + 1
-        again = fk_colorize(color_blind(colored_cfg), 2, rng)
-        rebuilt[pattern(again)] = rebuilt.get(pattern(again), 0) + 1
+        colors = fk_colorize(centers, radii, 2, rng)
+        pattern = tuple(colors.tolist())
+        direct[pattern] = direct.get(pattern, 0) + 1
+        # the projection: the colored configuration's balls, colors dropped
+        blind = Configuration.from_arrays(BIG, centers, radii, colors).arrays()[:2]
+        again = tuple(fk_colorize(*blind, 2, rng).tolist())
+        rebuilt[again] = rebuilt.get(again, 0) + 1
     assert set(direct) == set(rebuilt) and len(direct) == 8
     table = np.array([[direct[p], rebuilt[p]] for p in sorted(direct)])
     _, p, _, _ = stats.chi2_contingency(table.T)
