@@ -249,6 +249,12 @@ def load_spec(subcommand: str, config_path: Optional[str], overrides: dict) -> E
     for key, least in MINIMUMS.items():
         if getattr(spec, key) < least:
             raise SpecInvalid(f"{key} must be at least {least}, got {getattr(spec, key)}")
+    # recorded sweeps (sweeps / thinning) a check needs per chain; np-decay pools its chains
+    least = {"gnz-check": 100, "fk-check": 2, "dlr-check": 2, "np-decay": 2}.get(subcommand, 0)
+    recorded = len(range(0, spec.sweeps, spec.thinning))
+    recorded *= spec.chains if subcommand == "np-decay" else 1
+    if recorded < least:
+        raise SpecInvalid(f"{subcommand} needs at least {least} recorded sweeps, got {recorded}")
     if not 0 <= spec.r0 < math.inf:
         raise SpecInvalid(f"r0 must be finite and nonnegative, got {spec.r0}")
     return spec
@@ -501,8 +507,6 @@ def cmd_gnz_check(spec: ExperimentSpec, out: Path) -> int:
     rng = chain_rng(spec.seed, 10_000)
     crcm_model = spec.model == "crcm"
     params = spec.model_params() if crcm_model else spec.wr_params()
-    if len(range(0, spec.sweeps, spec.thinning)) < 100:
-        raise SpecInvalid("gnz-check needs at least 100 recorded sweeps (sweeps / thinning)")
     rep = (run_chain if crcm_model else run_wr_chain)(
         params,
         chain_rng(spec.seed, 0),
@@ -551,10 +555,8 @@ def cmd_fk_check(spec: ExperimentSpec, out: Path) -> int:
         thin=spec.thinning,
         crcm_z=spec.z if spec.control == "mismatch" else None,
     )
-    rows = []
-    for s in range(report.p_values.shape[0]):
-        for t, stat_name in enumerate(report.statistics):
-            rows.append((s, stat_name, report.p_values[s, t]))
+    rows = [(s, name, p) for s, ps in enumerate(report.p_values)
+            for name, p in zip(report.statistics, ps)]
     expected_reject = spec.control == "mismatch"
     passed = report.rejected == expected_reject
     write_csv(
@@ -696,12 +698,11 @@ def cmd_localization(spec: ExperimentSpec, out: Path) -> int:
     w = params.window
     lam_box = Box(w.lo + 0.45 * w.sides, w.lo + 0.55 * w.sides)
     rows = []
-    failures_total = 0
+    passed = True
     for i, j in spec.ij_pairs():
         rng = chain_rng(spec.seed, int(1000 * i + j))
         ok = fails = tried = 0
-        target = spec.samples
-        while ok + fails < target and tried < 400 * target:
+        while ok + fails < spec.samples and tried < 400 * spec.samples:
             tried += 1
             centers, radii = poisson_balls(w, params.law, params.total_intensity, rng)
             try:
@@ -710,16 +711,16 @@ def cmd_localization(spec: ExperimentSpec, out: Path) -> int:
                 continue  # outside the conditioning events: not a sample
             ok += held
             fails += not held
-        failures_total += fails
+        passed = passed and fails == 0 and ok + fails == spec.samples  # no shortfall either
         rows.append((i, j, ok + fails, fails))
     write_csv(
         out / "localization.csv",
         {"subcommand": spec.subcommand, "spec_hash": spec.digest(),
-         "pass": int(failures_total == 0)},
+         "pass": int(passed)},
         ["i", "j", "conditioned_samples", "failures"],
         rows,
     )
-    return EXIT_OK if failures_total == 0 else EXIT_TEST
+    return EXIT_OK if passed else EXIT_TEST
 
 
 def cmd_shield(spec: ExperimentSpec, out: Path) -> int:
@@ -823,7 +824,7 @@ def cmd_coverage_probe(spec: ExperimentSpec, out: Path) -> int:
         {"subcommand": spec.subcommand, "z": spec.z, "law": spec.law, "trials": spec.trials,
          "spec_hash": spec.digest()},
         ["halo", "coverage_probability"],
-        list(zip(halos, probs)),
+        list(zip(sorted(halos), probs)),
     )
     return EXIT_OK
 

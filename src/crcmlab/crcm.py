@@ -66,23 +66,13 @@ class ChainState:
         return self.labeling.n_components
 
     def audit(self) -> None:
-        """Check that the grid index holds exactly the active balls, each
-        filed in the grid bucket or the overflow list that its center and
-        radius select; then recount components."""
+        """Check the grid index's filing of the active balls, then recount components."""
         cfg = self.config
-        idx, cs = cfg.index, cfg.index.cell_size
-        filed = [(s, key) for key, bucket in idx.cells.items() for s in bucket]
-        filed += [(s, None) for s in idx.oversized]
-        select = {(s, None if r > cs else idx._key(c)) for s, (c, r) in idx.balls.items()}
-        reach_ok = all(r <= idx.grid_radius or r > cs for _, r in idx.balls.values())
-        if not (idx.balls.keys() == set(cfg.active_ids()) and len(filed) == len(select)
-                and set(filed) == select and reach_ok):
+        if not cfg.index.files_exactly(cfg.active_ids()):
             raise RuntimeError("grid index differs from the configuration's active balls")
         fresh = count_components(cfg)
-        if fresh != self.labeling.n_components:
-            raise RuntimeError(
-                f"cached component count {self.labeling.n_components} != {fresh}"
-            )
+        if fresh != self.n_cc:
+            raise RuntimeError(f"cached component count {self.n_cc} != {fresh}")
 
     def maybe_audit(self) -> None:
         if self.audit_interval and self.step_count % self.audit_interval == 0:
@@ -102,19 +92,15 @@ def new_chain(params: ModelParams, rng: np.random.Generator) -> ChainState:
 
 def birth_ratio(lam: float, n: int, factor: float) -> float:
     """Unclipped Metropolis ratio for adding a ball, proposed uniformly at
-    intensity `lam` (z * |region|), to a region holding n balls.  `factor`
-    is the model's insertion factor of the new ball: q^(component increment)
-    for the cluster-weighted model; 1 for the hard-core-color model, 0 when
-    the ball touches another color."""
+    intensity `lam` (z * |region|), to a region holding n balls; `factor`
+    is the model's insertion factor of the ball (`ModelParams.insertion`)."""
     return lam * factor / (n + 1)
 
 
 def death_ratio(lam: float, n: int, factor: float) -> float:
     """Unclipped Metropolis ratio for deleting one of the region's n balls,
-    picked uniformly; the reciprocal of birth_ratio for adding it back.
-    `factor` is the reciprocal of that ball's insertion factor: q^(m - 1)
-    when its removal splits its component into m parts; 1 for the
-    hard-core-color model."""
+    picked uniformly: the reciprocal of birth_ratio for adding it back, with
+    the reciprocal insertion factor (`ModelParams.deletion`)."""
     return n * factor / lam
 
 
@@ -124,24 +110,24 @@ def metropolis(ratio: float, rng: np.random.Generator) -> bool:
     return ratio > 0 and (ratio >= 1.0 or rng.random() < ratio)
 
 
-def _birth_death(state: ChainState, p: ModelParams, slots: list[int]) -> Optional[tuple]:
-    """One cluster-weighted proposal in the window of `p`, whose balls are
-    `slots`: with equal odds a birth (uniform center, law radius) or a death
-    (uniform ball of `slots`); increments count the whole configuration.
-    Returns None when the move is rejected, else ("birth", new slot, None)
-    or ("death", freed slot, what `Configuration.remove` returned)."""
+def birth_death(state: ChainState, p: ModelParams, slots: list, birth: bool) -> Optional[tuple]:
+    """One proposal in the window of `p`, whose balls are `slots`: a birth
+    (uniform center, law radius) or a death (uniform ball of `slots`),
+    weighed by the model's factor `p.insertion` or `p.deletion`.  Returns
+    None when the move is rejected, else ("birth", new slot, None) or
+    ("death", freed slot, what `Configuration.remove` returned)."""
     rng = state.rng
     cfg = state.config
     lab = state.labeling
     lam = p.total_intensity
     n = len(slots)
-    if rng.random() < 0.5:
+    if birth:
         state.proposed["birth"] += 1
         center = p.window.sample_point(rng)
         radius = p.law.sample_scalar(rng)
-        delta, hits = lab.insertion_increment(cfg, center, radius)
-        if metropolis(birth_ratio(lam, n, p.q**delta), rng):
-            slot = cfg.add(center, radius)
+        factor, hits, color = p.insertion(cfg, lab, center, radius, rng)
+        if metropolis(birth_ratio(lam, n, factor), rng):
+            slot = cfg.add(center, radius, color)
             lab.apply_insertion(slot, hits)
             state.accepted["birth"] += 1
             return "birth", slot, None
@@ -149,8 +135,9 @@ def _birth_death(state: ChainState, p: ModelParams, slots: list[int]) -> Optiona
         state.proposed["death"] += 1
         if n > 0:
             slot = slots[int(rng.integers(n))]
-            groups = lab.removal_split(slot)
-            if metropolis(death_ratio(lam, n, p.q ** (len(groups) - 1)), rng):
+            factor, groups = p.deletion(lab, slot)
+            if metropolis(death_ratio(lam, n, factor), rng):
+                groups = lab.removal_split(slot) if groups is None else groups
                 moved = cfg.remove(slot)
                 lab.apply_removal(slot, groups)
                 state.accepted["death"] += 1
@@ -162,7 +149,7 @@ def bd_step(state: ChainState) -> ChainState:
     law radius) or death (uniform ball), Metropolis-accepted against the
     cluster-weighted density.  Mutates and returns the state."""
     state.step_count += 1
-    _birth_death(state, state.params, state.config.active_ids())
+    birth_death(state, state.params, state.config.active_ids(), state.rng.random() < 0.5)
     state.maybe_audit()
     return state
 
@@ -451,7 +438,7 @@ def _nested_box_chain(state: ChainState, box: Box, sweeps: int) -> ChainState:
     local = dataclasses.replace(state.params, window=box)
     inner = [s for s in cfg.active_ids() if box.contains_point(cfg.index.balls[s][0])]
     for _ in range(sweeps * sweep_size(local)):
-        move = _birth_death(state, local, inner)
+        move = birth_death(state, local, inner, state.rng.random() < 0.5)
         if move is None:
             continue
         kind, slot, moved = move
@@ -596,6 +583,8 @@ def domination_check(
     above (q >= 1) and the tilted-law Poisson process from below (radii
     bounded away from 0, q > 1).  Samples are (centers, radii, colors)
     tuples.  Flags violations beyond 3 SE."""
+    if len(samples) < 2:
+        raise ValueError("domination check needs at least 2 samples for a standard error")
     w = params.window
     d = w.dimension
     probe = Box(w.lo + 0.25 * w.sides, w.lo + 0.75 * w.sides)

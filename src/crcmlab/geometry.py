@@ -168,6 +168,17 @@ class SpatialIndex:
             if not bucket:
                 del self.cells[key]
 
+    def files_exactly(self, ids) -> bool:
+        """Whether the stored balls are exactly `ids`, each filed once, in the
+        grid bucket (radius within `grid_radius`) or the overflow list that
+        its center and radius select."""
+        cs = self.cell_size
+        filed = [(s, k) for k, bucket in self.cells.items() for s in bucket]
+        filed += [(s, None) for s in self.oversized]
+        select = {(s, None if r > cs else self._key(c)) for s, (c, r) in self.balls.items()}
+        return (self.balls.keys() == set(ids) and len(filed) == len(select) and set(filed) == select
+                and all(r <= self.grid_radius or r > cs for _, r in self.balls.values()))
+
     def candidates(self, center, radius: float) -> list[int]:
         """Ids of stored balls that may intersect B(center, radius).
 

@@ -289,6 +289,16 @@ class ModelParams:
         """Grid cell of a chain's configuration, from the law's median radius."""
         return default_cell_size(self.window, self.law.median())
 
+    def insertion(self, cfg, labeling, center, radius: float, rng) -> tuple:
+        """(q^(component increment), the slots it meets, no color) of a ball."""
+        delta, hits = labeling.insertion_increment(cfg, center, radius)
+        return self.q**delta, hits, None
+
+    def deletion(self, labeling, slot: int) -> tuple:
+        """(q^(m - 1), the m groups of `removal_split`) of deleting `slot`."""
+        groups = labeling.removal_split(slot)
+        return self.q ** (len(groups) - 1), groups
+
 
 # ---------------------------------------------------------------------------
 # Configurations
@@ -612,10 +622,10 @@ def coverage_escalation(
     rng: np.random.Generator,
     grid_per_axis: int = 64,
 ) -> list[float]:
-    """Empirical probability that balls centered within each dilated box fully
-    cover `box`.  One configuration per trial is sampled on the largest halo
-    and nested prefixes are reused, so the curve is nondecreasing by coupling.
-    """
+    """Empirical probability, halo by halo in increasing order, that balls
+    centered within each dilated box fully cover `box`.  One configuration per
+    trial is sampled on the largest halo and nested prefixes are reused, so
+    the curve is nondecreasing by coupling."""
     halos = sorted(halos)
     big = dilate(box, halos[-1])
     hits = np.zeros(len(halos), dtype=int)

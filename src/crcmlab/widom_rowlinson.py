@@ -18,10 +18,8 @@ from .crcm import (
     ChainState,
     GnzRow,
     SamplerReport,
-    birth_ratio,
-    death_ratio,
+    birth_death,
     gnz_residuals,
-    metropolis,
     run_chain,
 )
 
@@ -43,6 +41,17 @@ class WrParams(ModelParams):
         """The color-blind model at z is the cluster-weighted one at z/q,
         dominated by the q-thickened process: intensity z."""
         return self.total_intensity
+
+    def insertion(self, cfg, labeling, center, radius: float, rng) -> tuple:
+        """(allowed-set indicator, hits, color) of a ball in a uniform color."""
+        color = int(rng.integers(1, self.n_colors + 1))
+        hits = cfg.intersectors(center, radius)
+        return float(insertion_allowed(cfg, hits, color)), hits, color
+
+    def deletion(self, labeling, slot: int) -> tuple:
+        """(1, None): every deletion leaves the set allowed, and the kernel
+        finds the split only once a death is accepted."""
+        return 1.0, None
 
 
 # ---------------------------------------------------------------------------
@@ -84,44 +93,24 @@ def new_wr_chain(params: WrParams, rng: np.random.Generator) -> ChainState:
 
 
 def wr_step(state: ChainState) -> ChainState:
-    """One move of the hard-core-color chain: birth (uniform center, law
-    radius, uniform color; insertion factor 1, or 0 on any cross-color
-    contact), death (uniform ball), or a uniform new color for the component
-    of a uniform ball (always accepted: distinct components never touch, so
-    cross-component colors are free)."""
-    p = state.params
+    """One move of the hard-core-color chain: a birth or a death through
+    `birth_death` with WrParams' factors, or a uniform new color for the
+    component of a uniform ball (always accepted: distinct components never
+    touch, so cross-component colors are free)."""
     rng = state.rng
     cfg = state.config
-    lab = state.labeling
-    lam = p.total_intensity
     state.step_count += 1
     u = rng.random()
-    if u < 0.4:
-        state.proposed["birth"] += 1
-        center = cfg.window.sample_point(rng)
-        radius = p.law.sample_scalar(rng)
-        color = int(rng.integers(1, p.n_colors + 1))
-        hits = cfg.intersectors(center, radius)
-        if metropolis(birth_ratio(lam, cfg.n, float(insertion_allowed(cfg, hits, color))), rng):
-            lab.apply_insertion(cfg.add(center, radius, color), hits)
-            state.accepted["birth"] += 1
-    elif u < 0.8:
-        state.proposed["death"] += 1
-        if cfg.n > 0:
-            slot = cfg.random_active(rng)
-            if metropolis(death_ratio(lam, cfg.n, 1.0), rng):
-                groups = lab.removal_split(slot)
-                cfg.remove(slot)
-                lab.apply_removal(slot, groups)
-                state.accepted["death"] += 1
+    if u < 0.8:
+        birth_death(state, state.params, cfg.active_ids(), u < 0.4)
     elif cfg.n > 0:
         state.proposed["recolor"] += 1
         # the pick reads only the color-blind configuration and the move
         # order, which checkpoints keep, so this is a Gibbs update of one
         # component's color and resumed runs repeat it exactly
         slot = cfg.random_active(rng)
-        color = int(rng.integers(1, p.n_colors + 1))
-        members = [slot, *(s for g in lab.removal_split(slot) for s in g)]
+        color = int(rng.integers(1, state.params.n_colors + 1))
+        members = [slot, *(s for g in state.labeling.removal_split(slot) for s in g)]
         cfg.colors.update(dict.fromkeys(members, color))
         state.accepted["recolor"] += 1
     state.maybe_audit()

@@ -297,6 +297,11 @@ def test_unknown_subcommand_and_bad_set(tmp_path):
         ("fk-check", {"q": "inf"}),
         ("localization", {"r0": "nan"}),
         ("bounds-audit", {"r0": "inf"}),
+        # fewer than 2 recorded sweeps: no p-value or standard error to gate on
+        ("fk-check", {"sweeps": "1", "burn_in": "0", "thinning": "1"}),
+        ("dlr-check", {"sweeps": "2", "burn_in": "0", "thinning": "2"}),
+        ("np-decay", {"sweeps": "1", "thinning": "1"}),
+        ("np-decay", {"sweeps": "3", "thinning": "3", "chains": "1"}),
     ],
 )
 def test_malformed_spec_values_are_spec_errors(tmp_path, capsys, monkeypatch, sub, settings):
@@ -340,6 +345,38 @@ def test_coverage_probe_monotone(tmp_path):
     rows = (tmp_path / "coverage.csv").read_text().splitlines()[2:]
     probs = [float(r.split(",")[1]) for r in rows]
     assert all(b >= a for a, b in zip(probs, probs[1:]))
+
+
+def test_np_decay_pools_recorded_sweeps_over_its_chains():
+    spec = cli.load_spec("np-decay", None, {"sweeps": "1", "thinning": "1", "chains": "2"})
+    assert spec.chains == 2
+
+
+def test_coverage_probe_pairs_each_halo_with_its_probability(tmp_path):
+    # the halos are probed in increasing order whatever the spec's order
+    pairs = []
+    for grid in ("0.25,1,4,12", "12,4,1,0.25"):
+        out = tmp_path / grid
+        code = cli.main(["coverage-probe", "--seed", "0", "--out", str(out), "--set", "z=0.5",
+                         "--set", "law=pareto:2", "--set", "trials=200", "--set", f"h_grid={grid}"])
+        assert code == EXIT_OK
+        rows = (out / "coverage.csv").read_text().splitlines()[2:]
+        pairs.append(sorted(tuple(map(float, row.split(","))) for row in rows))
+    assert pairs[0] == pairs[1]
+    probs = [p for _, p in pairs[0]]
+    assert probs == sorted(probs) and probs[0] < probs[-1]
+
+
+def test_localization_fails_short_of_its_conditioned_samples(tmp_path):
+    # the conditioning events never hold here: no sample, so no PASS
+    out = tmp_path / "loc"
+    code = cli.main(["localization", "--out", str(out), "--set", "z=100",
+                     "--set", "law=dirac:0.05", "--set", "window=-3,-3:3,3", "--set", "r0=0.01",
+                     "--set", "ij=1:2", "--set", "samples=2"])
+    assert code == cli.EXIT_TEST
+    lines = (out / "localization.csv").read_text().splitlines()
+    assert " pass=0" in lines[0]
+    assert lines[2] == "1.0,2.0,0,0"
 
 
 def test_headers_record_what_ran(tmp_path):

@@ -86,7 +86,8 @@ def test_birth_acceptance_from_empty_state():
 
 
 def test_detailed_balance_product_is_one():
-    # birth ratio times the death ratio of the same ball is exactly 1
+    # birth ratio times the death ratio of the same ball is exactly 1, with
+    # the factors the chain runs: ModelParams.insertion and .deletion
     rng = seeded(3)
     params = ModelParams(4.0, 2.0, UniformRadius(0.05, 0.4), UNIT)
     lam = params.total_intensity
@@ -97,40 +98,48 @@ def test_detailed_balance_product_is_one():
         center = UNIT.sample_point(rng)
         radius = params.law.sample_scalar(rng)
         n = state.config.n
-        delta, hits = state.labeling.insertion_increment(state.config, center, radius)
-        r_birth = birth_ratio(lam, n, params.q**delta)
+        factor, hits, color = params.insertion(state.config, state.labeling, center, radius, rng)
+        assert color is None
+        r_birth = birth_ratio(lam, n, factor)
         slot = state.config.add(center, radius)
         state.labeling.apply_insertion(slot, hits)
-        groups = state.labeling.removal_split(slot)
-        r_death = death_ratio(lam, n + 1, params.q ** (len(groups) - 1))
+        back, groups = params.deletion(state.labeling, slot)
+        r_death = death_ratio(lam, n + 1, back)
         assert r_birth * r_death == pytest.approx(1.0, rel=1e-12)
-        assert 1 - len(groups) == delta
+        assert factor == params.q ** (1 - len(groups))
         state.config.remove(slot)
         state.labeling.apply_removal(slot, groups)
 
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """Counts calls of birth_ratio and death_ratio through every crcmlab
-    module that binds them, and of the color model's insertion factor."""
+    """Counts calls of the move kernel `birth_death`, by move type, through
+    every crcmlab module that binds it, and of the color model's allowed-set
+    factor."""
     calls = {"birth": 0, "death": 0, "allowed": 0}
-    for kind, fn, mods in (
-        ("birth", crcm.birth_ratio, (crcm, wr)),
-        ("death", crcm.death_ratio, (crcm, wr)),
-        ("allowed", wr.insertion_allowed, (wr,)),
-    ):
+    kernel, allowed = crcm.birth_death, wr.insertion_allowed
 
-        def counting(*args, _fn=fn, _kind=kind):
-            calls[_kind] += 1
-            return _fn(*args)
+    def counting_kernel(state, p, slots, birth):
+        calls["birth" if birth else "death"] += 1
+        return kernel(state, p, slots, birth)
 
-        for mod in mods:
-            assert getattr(mod, fn.__name__) is fn
-            monkeypatch.setattr(mod, fn.__name__, counting)
+    def counting_allowed(*args):
+        calls["allowed"] += 1
+        return allowed(*args)
+
+    for mod in (crcm, wr):
+        assert mod.birth_death is kernel
+        monkeypatch.setattr(mod, "birth_death", counting_kernel)
+    monkeypatch.setattr(wr, "insertion_allowed", counting_allowed)
     return calls
 
 
 def test_every_chain_move_goes_through_the_kernel(kernel_calls):
+    # one kernel call per birth or death proposal, in every chain flow; the
+    # ratios and the Metropolis test live in crcm only
+    for name in ("birth_ratio", "death_ratio", "metropolis"):
+        assert not hasattr(wr, name)
+
     def check(state, moves, factor_kinds=()):
         proposed, calls = dict(state.proposed), dict(kernel_calls)
         moves()
@@ -179,17 +188,17 @@ def test_nested_chain_keeps_inner_slots_in_move_order(monkeypatch, q, box):
     # active balls, so the trajectory is the one that recomputation gives
     params = ModelParams(60.0, q, DiracRadius(0.05), UNIT)
     state = new_chain(params, seeded(53))
-    move = crcm._birth_death
+    move = crcm.birth_death
     seen = []
 
-    def recomputed(state, p, slots):
+    def recomputed(state, p, slots, birth):
         cfg = state.config
         ids = np.asarray(cfg.active_ids(), dtype=np.intp)
         assert slots == ids[box.contains_points(cfg.arrays()[0])].tolist()
         seen.append(len(slots))
-        return move(state, p, slots)
+        return move(state, p, slots, birth)
 
-    monkeypatch.setattr(crcm, "_birth_death", recomputed)
+    monkeypatch.setattr(crcm, "birth_death", recomputed)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RejectionBudgetExceeded)
         conditional_resample(state, box, max_attempts=0, nested_sweeps=20)
@@ -503,6 +512,15 @@ def test_domination_upper_and_lower():
     lower = {r.statistic: r for r in rows if r.side == "lower"}
     # the tilted-mass floor for unit radii in the plane: z |box| / 2^9
     assert lower["count"].bound == pytest.approx(3.0 * 4.0 * 2**-9)
+
+
+def test_domination_check_needs_two_samples():
+    # one sample has no standard error: refused, not passed with se=inf
+    params = ModelParams(5.0, 2.0, DiracRadius(0.1), UNIT)
+    samples = [sample_poisson_boolean(params, seeded(2000 + i)).arrays() for i in range(2)]
+    with pytest.raises(ValueError, match="at least 2 samples"):
+        domination_check(samples[:1], params)
+    assert all(np.isfinite(r.se) for r in domination_check(samples, params))
 
 
 def test_domination_q1_collapses_to_poisson():

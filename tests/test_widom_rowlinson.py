@@ -121,24 +121,35 @@ def test_recolor_acceptance_is_one():
 
 
 def test_wr_detailed_balance_product():
+    # the factors are the ones the chain runs: WrParams.insertion and .deletion
     params = WrParams(8.0, 2, DiracRadius(0.1), UNIT)
     state = new_wr_chain(params, seeded(4))
     for _ in range(400):
         wr_step(state)
-    rng = state.rng
+    cfg, lab, rng = state.config, state.labeling, state.rng
     lam = params.total_intensity
+    blocked = 0
     for _ in range(50):
         c = UNIT.sample_point(rng)
         r = params.law.sample_scalar(rng)
-        k = int(rng.integers(1, 3))
-        allowed = insertion_allowed(state.config, state.config.intersectors(c, r), k)
-        n = state.config.n
-        forward = birth_ratio(lam, n, float(allowed))
-        if not allowed:
+        factor, hits, k = params.insertion(cfg, lab, c, r, rng)
+        assert sorted(hits) == sorted(cfg.intersectors(c, r))
+        assert factor == float(insertion_allowed(cfg, hits, k))
+        n = cfg.n
+        forward = birth_ratio(lam, n, factor)
+        if not factor:
             assert forward == 0.0
+            blocked += 1
             continue
-        backward = death_ratio(lam, n + 1, 1.0)
-        assert forward * backward == pytest.approx(1.0, rel=1e-12)
+        slot = cfg.add(c, r, k)
+        lab.apply_insertion(slot, hits)
+        back, groups = params.deletion(lab, slot)
+        assert groups is None  # the kernel splits only after an accepted death
+        assert forward * death_ratio(lam, n + 1, back) == pytest.approx(1.0, rel=1e-12)
+        groups = lab.removal_split(slot)
+        cfg.remove(slot)
+        lab.apply_removal(slot, groups)
+    assert 0 < blocked < 50
 
 
 def test_wr_tiny_z_matches_indicator_oracle():
