@@ -1,9 +1,10 @@
 """Connected components of ball configurations: one array kernel for every
-from-scratch count, union-find labeling with cheap local repair after
+from-scratch count, per-ball component ids with cheap local repair after
 deletions for chain moves, the stabilized local component count, single-ball
 increments, and the explicit upper/lower bounds on it."""
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -223,43 +224,23 @@ def label_any(labels: np.ndarray, flags: np.ndarray, count: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Union-find labeling
+# Component labeling
 # ---------------------------------------------------------------------------
 
 
 class ClusterLabeling:
-    """Union-find over configuration slots plus the intersection graph.
-
-    Union-find answers "which component" in near-constant time; the stored
-    adjacency lists make deletions cheap: removal re-clusters only the
-    deleted ball's component, by graph search, with no geometry queries.
-    """
+    """Component id per configuration slot plus the intersection graph:
+    `label` maps each active slot to its component's id, `members` each id
+    to its slots, and ids come from a counter, never reused.  Removal
+    re-searches only the deleted ball's component along the adjacency lists,
+    with no geometry queries, and relabels only the parts split off."""
 
     def __init__(self, cfg: Configuration):
         self.rebuild(cfg)
 
-    def find(self, i: int) -> int:
-        parent = self.parent
-        root = i
-        while parent[root] != root:
-            root = parent[root]
-        while parent[i] != root:  # path compression
-            parent[i], i = root, parent[i]
-        return root
-
-    def union(self, i: int, j: int) -> bool:
-        ri, rj = self.find(i), self.find(j)
-        if ri == rj:
-            return False
-        self.parent[rj] = ri
-        self.n_components -= 1
-        return True
-
     def rebuild(self, cfg: Configuration) -> None:
         """Recompute labeling and adjacency from scratch."""
         ids = cfg.active_ids()
-        self.parent = list(range(max(ids, default=-1) + 1))
-        self.n_components = len(ids)
         self.adj: dict[int, list[int]] = {i: [] for i in ids}
         centers, radii, _ = cfg.arrays()
         a, b = intersecting_pairs(centers, radii)
@@ -267,14 +248,27 @@ class ClusterLabeling:
             i, j = ids[i], ids[j]
             self.adj[i].append(j)
             self.adj[j].append(i)
-            self.union(i, j)
+        self.n_components, labels = label_components(len(ids), a, b)
+        self.label: dict[int, int] = dict(zip(ids, labels.tolist()))
+        self.members: dict[int, set[int]] = {c: set() for c in range(self.n_components)}
+        for i, c in self.label.items():
+            self.members[c].add(i)
+        self._ids = itertools.count(self.n_components)
 
-    def component_sizes(self, cfg: Configuration) -> dict[int, int]:
-        sizes: dict[int, int] = {}
-        for i in cfg.active_ids():
-            r = self.find(i)
-            sizes[r] = sizes.get(r, 0) + 1
-        return sizes
+    def component_sizes(self) -> dict[int, int]:
+        return {c: len(m) for c, m in self.members.items()}
+
+    def labels_exactly(self, cfg: Configuration) -> bool:
+        """Whether the labeled slots are the active slots of `cfg`, `members`
+        inverts `label`, and the ids split the balls as `components` does."""
+        ids = cfg.active_ids()
+        by_id: dict[int, set[int]] = {}
+        for i, c in self.label.items():
+            by_id.setdefault(c, set()).add(i)
+        count, labels = components(*cfg.arrays()[:2])
+        pairs = set(zip(map(self.label.get, ids), labels.tolist()))
+        return (self.label.keys() == set(ids) and by_id == self.members
+                and len(pairs) == len(by_id) == count)
 
     # -- incremental updates -------------------------------------------------
 
@@ -282,22 +276,25 @@ class ClusterLabeling:
         """Component-count change if B(center, radius) were added, plus the
         slots it would intersect.  Does not mutate."""
         hits = cfg.intersectors(center, radius)
-        if not hits:
-            return 1, hits
-        n_roots = len({self.find(i) for i in hits})
-        return 1 - n_roots, hits
+        return 1 - len({self.label[i] for i in hits}), hits
 
     def apply_insertion(self, slot: int, hits: list[int]) -> None:
-        """Register `slot` (already added to the configuration) and union it
-        with the balls it intersects."""
-        self.parent.extend(range(len(self.parent), slot + 1))
-        self.parent[slot] = slot
-        self.n_components += 1
-        nbrs = [j for j in hits if j != slot]
-        self.adj[slot] = nbrs
-        for j in nbrs:
+        """Register `slot`, just added to the configuration and meeting `hits`
+        (from insertion_increment), merging its components into the largest."""
+        self.adj[slot] = list(hits)
+        for j in hits:
             self.adj[j].append(slot)
-            self.union(slot, j)
+        joined = sorted({self.label[j] for j in hits}, key=lambda c: len(self.members[c]))
+        self.n_components += 1 - len(joined)
+        big = joined.pop() if joined else next(self._ids)  # the largest absorbs the rest
+        into = self.members.setdefault(big, set())
+        for c in joined:
+            part = self.members.pop(c)
+            into |= part
+            for i in part:
+                self.label[i] = big
+        into.add(slot)
+        self.label[slot] = big
 
     def removal_split(self, slot: int) -> list[list[int]]:
         """Sub-components of (component of slot) minus the ball itself,
@@ -324,15 +321,21 @@ class ClusterLabeling:
         return groups
 
     def apply_removal(self, slot: int, groups: list[list[int]]) -> None:
-        """Commit a removal previously analyzed by removal_split.  Call after
-        deleting the slot from the configuration."""
+        """Commit a removal analyzed by removal_split, after deleting the slot
+        from the configuration: the largest group keeps the component's id."""
         for j in self.adj.pop(slot):
             self.adj[j].remove(slot)
-        self.parent[slot] = slot
-        for grp in groups:
-            head = grp[0]
+        cid = self.label.pop(slot)
+        rest = self.members[cid]
+        rest.discard(slot)
+        for grp in sorted(groups, key=len)[:-1]:  # all but a largest group
+            rest.difference_update(grp)
+            new = next(self._ids)
+            self.members[new] = set(grp)
             for i in grp:
-                self.parent[i] = head
+                self.label[i] = new
+        if not rest:
+            del self.members[cid]
         self.n_components += len(groups) - 1
 
 

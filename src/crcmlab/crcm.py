@@ -46,7 +46,7 @@ class RejectionBudgetExceeded(UserWarning):
 @dataclass
 class ChainState:
     """One birth-death chain: configuration, the labeling it builds of it
-    (audited against a from-scratch recount), and its random stream (a
+    (audited against a from-scratch labeling), and its random stream (a
     `_stream.BlockStream` over the Generator while `sweep_loop` runs)."""
 
     params: ModelParams
@@ -66,13 +66,16 @@ class ChainState:
         return self.labeling.n_components
 
     def audit(self) -> None:
-        """Check the grid index's filing of the active balls, then recount components."""
+        """Check the grid index's filing of the active balls, then recount
+        components and compare the labeling's partition with them."""
         cfg = self.config
         if not cfg.index.files_exactly(cfg.active_ids()):
             raise RuntimeError("grid index differs from the configuration's active balls")
         fresh = count_components(cfg)
         if fresh != self.n_cc:
             raise RuntimeError(f"cached component count {self.n_cc} != {fresh}")
+        if not self.labeling.labels_exactly(cfg):
+            raise RuntimeError("component labels differ from the configuration's components")
 
     def maybe_audit(self) -> None:
         if self.audit_interval and self.step_count % self.audit_interval == 0:
@@ -179,14 +182,13 @@ TRACE_COLUMNS = ["sweep", "count", "n_cc", "largest_component", "accept_birth", 
 
 def trace_row(state: ChainState, sweep: int) -> tuple:
     """The state's TRACE_COLUMNS, with the acceptance rates so far."""
-    sizes = state.labeling.component_sizes(state.config)
     pb, ab = state.proposed["birth"], state.accepted["birth"]
     pd_, ad = state.proposed["death"], state.accepted["death"]
     return (
         sweep,
         state.config.n,
         state.n_cc,
-        max(sizes.values(), default=0),
+        max(state.labeling.component_sizes().values(), default=0),
         (ab / pb) if pb else 0.0,
         (ad / pd_) if pd_ else 0.0,
     )

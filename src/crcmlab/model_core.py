@@ -47,12 +47,12 @@ class RadiusLaw:
         return math.isfinite(self.moment(d))
 
     def sample(self, rng: np.random.Generator, size=None) -> np.ndarray:
-        raise NotImplementedError
+        return self.quantile(rng.random(() if size is None else size))
 
     def sample_scalar(self, rng) -> float:
         """One radius from one `rng.random()`: the value and draws of
         `float(sample(rng, size=()))`."""
-        raise NotImplementedError
+        return self.quantile(rng.random())
 
     def moment(self, k: float) -> float:
         """Integral of R^k against the law (may be INFINITE)."""
@@ -98,9 +98,7 @@ class DiracRadius(RadiusLaw):
         object.__setattr__(self, "max_radius", float(self.r0))
 
     def sample(self, rng, size=None):
-        if size is None:
-            size = ()
-        return np.full(size, self.r0, dtype=float)
+        return np.full(() if size is None else size, self.r0, dtype=float)
 
     def sample_scalar(self, rng):
         return float(self.r0)
@@ -131,14 +129,6 @@ class UniformRadius(RadiusLaw):
         object.__setattr__(self, "bounded_support", True)
         object.__setattr__(self, "min_radius", float(self.a))
         object.__setattr__(self, "max_radius", float(self.b))
-
-    def sample(self, rng, size=None):
-        if size is None:
-            size = ()
-        return self.a + (self.b - self.a) * rng.random(size)
-
-    def sample_scalar(self, rng):
-        return self.a + (self.b - self.a) * rng.random()
 
     def moment(self, k):
         return (self.b ** (k + 1) - self.a ** (k + 1)) / ((k + 1) * (self.b - self.a))
@@ -177,15 +167,6 @@ class ParetoRadius(RadiusLaw):
     def _norm(self) -> float:
         return 1.0 - self.r_max ** (1.0 - self.dim)
 
-    def sample(self, rng, size=None):
-        if size is None:
-            size = ()
-        u = rng.random(size) * self._norm
-        return (1.0 - u) ** (-1.0 / (self.dim - 1))
-
-    def sample_scalar(self, rng):
-        return (1.0 - rng.random() * self._norm) ** (-1.0 / (self.dim - 1))
-
     def moment(self, k):
         # (dim-1) * int_1^r_max R^{k-dim} dR / norm, INFINITE untruncated
         # once k >= dim - 1
@@ -209,8 +190,7 @@ class ParetoRadius(RadiusLaw):
         return val / self._norm
 
     def quantile(self, p):
-        u = p * self._norm
-        return float((1.0 - u) ** (-1.0 / (self.dim - 1)))
+        return (1.0 - p * self._norm) ** (-1.0 / (self.dim - 1))
 
     def descriptor(self):
         if self.bounded_support:
@@ -311,7 +291,7 @@ class Configuration:
     each active slot to its color (None when uncolored).
 
     Slots are stable integer ids: removal frees a slot for reuse without
-    renumbering survivors, so union-find labelings stay aligned.  A freed
+    renumbering survivors, so component labelings stay aligned.  A freed
     slot is reused last-in first-out, otherwise the lowest slot never used.
     """
 

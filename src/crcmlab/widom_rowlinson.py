@@ -110,8 +110,8 @@ def wr_step(state: ChainState) -> ChainState:
         # component's color and resumed runs repeat it exactly
         slot = cfg.random_active(rng)
         color = int(rng.integers(1, state.params.n_colors + 1))
-        members = [slot, *(s for g in state.labeling.removal_split(slot) for s in g)]
-        cfg.colors.update(dict.fromkeys(members, color))
+        lab = state.labeling
+        cfg.colors.update(dict.fromkeys(lab.members[lab.label[slot]], color))
         state.accepted["recolor"] += 1
     state.maybe_audit()
     return state

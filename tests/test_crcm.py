@@ -230,6 +230,22 @@ def test_audit_checks_the_grid_index_balls():
             state.audit()
 
 
+def test_audit_checks_the_component_partition():
+    # one ball's id and members entry moved to another component: every
+    # slot still has an id and the count is right, but the partition is wrong
+    state = new_chain(ModelParams(20.0, 2.0, DiracRadius(0.08), UNIT), seeded(4))
+    state.audit()
+    lab = state.labeling
+    slot = next(s for s in state.config.active_ids() if len(lab.members[lab.label[s]]) > 1)
+    other = next(c for c in lab.members if c != lab.label[slot])
+    lab.members[lab.label[slot]].remove(slot)
+    lab.members[other].add(slot)
+    lab.label[slot] = other
+    assert state.n_cc == count_components(state.config)
+    with pytest.raises(RuntimeError, match="component labels"):
+        state.audit()
+
+
 def brute_intersectors(cfg, center, radius):
     """Every active ball tested, hits in slot order (not the grid's order)."""
     ids = np.asarray(cfg.active_ids(), dtype=np.intp)

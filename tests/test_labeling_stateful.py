@@ -1,9 +1,12 @@
 """Random add/remove sequences on a configuration and its incremental
-labeling, checked after every step against two from-scratch counts, and
-every ball's removal split against its brute-force component (the members
-the hard-core-color chain recolors).  A second machine, in d = 2 and 3,
-checks after every add or remove that `intersectors` answers a probe ball
-exactly as `intersecting_pairs` does over all active balls, and that
+labeling, checked after every step against two from-scratch counts: the
+component ids against brute-force components up to renaming, and every
+ball's members (what the hard-core-color chain recolors) and removal split
+against its brute-force component.  A variant starts from one large
+component of touching lattice balls, so removals split it and insertions
+join it.  A second machine, in d = 2 and 3, checks after every add or
+remove that `intersectors` answers a probe ball exactly as
+`intersecting_pairs` does over all active balls, and that
 `arrays()` gives back the added balls in move order, float for float.
 Direct cases pin `intersectors`' distance screen to the exact in-order sum
 at and near tangency."""
@@ -12,7 +15,13 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import Phase, settings, strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
 from crcmlab.connectivity import ClusterLabeling, count_components, intersecting_pairs
 from crcmlab.geometry import Box
@@ -54,10 +63,6 @@ def brute_roots(cfg: Configuration) -> dict[int, int]:
     return {i: find(i) for i in ids}
 
 
-def brute_count(cfg: Configuration) -> int:
-    return len(set(brute_roots(cfg).values()))
-
-
 class IncrementalLabeling(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
@@ -90,17 +95,21 @@ class IncrementalLabeling(RuleBasedStateMachine):
         self.lab.rebuild(self.cfg)
 
     @invariant()
-    def counts_agree(self):
-        assert self.lab.n_components == count_components(self.cfg) == brute_count(self.cfg)
-        assert len({self.lab.find(i) for i in self.cfg.active_ids()}) == self.lab.n_components
-
-    @invariant()
-    def removal_split_spans_the_component(self):
+    def labels_and_splits_are_the_components(self):
+        # one brute-force pass: the count, the ids up to renaming, each
+        # slot's members (what the hard-core-color chain recolors) and its
+        # removal split all match the brute-force components
         root = brute_roots(self.cfg)
+        component = {r: {s for s, t in root.items() if t == r} for r in set(root.values())}
+        assert self.lab.n_components == count_components(self.cfg) == len(component)
+        renaming = set(zip(self.lab.label.values(), map(root.get, self.lab.label)))
+        assert len(renaming) == len(self.lab.members) == len(component)
         for slot in self.cfg.active_ids():
+            assert self.lab.members[self.lab.label[slot]] == component[root[slot]]
             members = [slot] + [s for g in self.lab.removal_split(slot) for s in g]
             assert len(members) == len(set(members))
-            assert set(members) == {s for s, r in root.items() if r == root[slot]}
+            assert set(members) == component[root[slot]]
+        assert self.lab.labels_exactly(self.cfg)
 
 
 IncrementalLabeling.TestCase.settings = settings(
@@ -112,6 +121,29 @@ IncrementalLabeling.TestCase.settings = settings(
     phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink],
 )
 TestIncrementalLabeling = IncrementalLabeling.TestCase
+
+
+class GiantComponentLabeling(IncrementalLabeling):
+    """The same rules from a start with one large component: a snake of
+    touching lattice balls, so removals split it and insertions (tpareto
+    radii among them) join its parts and merge other components into it."""
+
+    @initialize(length=st.integers(20, 70), row=st.integers(-6, 0))
+    def lay_a_snake(self, length, row):
+        for k in range(length):
+            y, x = divmod(k, 13)
+            self.add((float(x - 6 if y % 2 == 0 else 6 - x), float(row + y)), 0.5)
+        assert self.lab.n_components == 1
+
+
+GiantComponentLabeling.TestCase.settings = settings(
+    max_examples=30,
+    stateful_step_count=30,
+    deadline=None,
+    derandomize=True,
+    phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink],
+)
+TestGiantComponentLabeling = GiantComponentLabeling.TestCase
 
 
 def brute_hits(cfg: Configuration, center, r: float) -> list[int]:
