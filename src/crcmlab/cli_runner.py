@@ -79,22 +79,6 @@ def spec_checked(fn, *args):
         raise SpecInvalid(str(exc)) from exc
 
 
-SUBCOMMANDS = (
-    "sample-poisson",
-    "sample-crcm",
-    "sample-wr",
-    "gnz-check",
-    "fk-check",
-    "dlr-check",
-    "bounds-audit",
-    "localization",
-    "shield",
-    "entropy-bounds",
-    "np-decay",
-    "coverage-probe",
-)
-
-
 @dataclass
 class ExperimentSpec:
     """Everything a run needs; mirrored one-to-one by the config file."""
@@ -152,10 +136,7 @@ class ExperimentSpec:
         return box
 
     def radius_law(self):
-        try:
-            return parse_law(self.law)
-        except ValueError as exc:
-            raise SpecInvalid(str(exc)) from exc
+        return spec_checked(parse_law, self.law)
 
     def model_params(self) -> ModelParams:
         return spec_checked(ModelParams, self.z, self.q, self.radius_law(), self.window_box())
@@ -305,13 +286,34 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def write_csv(path: Path, meta: dict, columns: list[str], rows) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open_fresh(path) as fh:
-        fh.write("# " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n")
+def write_csv(
+    spec: ExperimentSpec, out: Path, name: str, meta: dict, columns: list[str], rows,
+    passed: Optional[bool] = None,
+) -> int:
+    """Write the table `out / name` under one header line: the subcommand,
+    `meta` in order, the spec hash (unless `meta` places it) and, for a
+    check, its verdict `pass`.  Returns the exit code of the verdict."""
+    head = {"subcommand": spec.subcommand, **meta}
+    head.setdefault("spec_hash", spec.digest())
+    if passed is not None:
+        head["pass"] = int(passed)
+    out.mkdir(parents=True, exist_ok=True)
+    with open_fresh(out / name) as fh:
+        fh.write("# " + " ".join(f"{k}={v}" for k, v in head.items()) + "\n")
         fh.write(",".join(columns) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
+    # not `passed is False`: a verdict may be a numpy bool
+    return EXIT_TEST if passed is not None and not passed else EXIT_OK
+
+
+def spec_chain(spec: ExperimentSpec, run, params: ModelParams, index: int, **kw):
+    """`run` (run_chain or run_wr_chain) of `params` on the spec's chain
+    stream `index` with the spec's burn-in, sweeps and thinning."""
+    return run(
+        params, chain_rng(spec.seed, index),
+        sweeps=spec.sweeps, burn_in=spec.burn_in, thin=spec.thinning, **kw,
+    )
 
 
 def write_manifest(out: Path, spec: ExperimentSpec, wall: float, outputs: list[str], extra=None):
@@ -433,33 +435,11 @@ def cmd_sample_poisson(spec: ExperimentSpec, out: Path) -> int:
         save_configuration(w, (centers, radii, None), out / f"config_{s:04d}.csv",
                            law_descriptor=spec.law, seed=spec.seed)
         rows.append((s, radii.size, components(centers, radii)[0]))
-    write_csv(
-        out / "summary.csv",
-        {"subcommand": spec.subcommand, "spec_hash": spec.digest()},
-        ["sample", "count", "n_cc"],
-        rows,
-    )
-    return EXIT_OK
+    return write_csv(spec, out, "summary.csv", {}, ["sample", "count", "n_cc"], rows)
 
 
-def _write_chain_outputs(spec: ExperimentSpec, out: Path, c: int, cfg: Configuration, trace):
-    write_csv(
-        out / f"trace_{c:03d}.csv",
-        {"subcommand": spec.subcommand, "chain": c, "seed": spec.seed,
-         "spec_hash": spec.digest()},
-        TRACE_COLUMNS,
-        trace,
-    )
-    save_configuration(
-        cfg.window,
-        cfg.arrays(),
-        out / f"final_config_{c:03d}.csv",
-        law_descriptor=spec.law,
-        seed=spec.seed,
-    )
-
-
-def cmd_sample_chain(spec: ExperimentSpec, out: Path, colored: bool) -> int:
+def cmd_sample_chain(spec: ExperimentSpec, out: Path) -> int:
+    colored = spec.subcommand == "sample-wr"
     resume_doc = None
     start_chain = 0
     if spec.resume:
@@ -495,7 +475,11 @@ def cmd_sample_chain(spec: ExperimentSpec, out: Path, colored: bool) -> int:
                 else None
             ),
         )
-        _write_chain_outputs(spec, out, c, state.config, trace)
+        write_csv(spec, out, f"trace_{c:03d}.csv", {"chain": c, "seed": spec.seed},
+                  TRACE_COLUMNS, trace)
+        cfg = state.config
+        save_configuration(cfg.window, cfg.arrays(), out / f"final_config_{c:03d}.csv",
+                           law_descriptor=spec.law, seed=spec.seed)
         if spec.checkpoint_every:
             save_checkpoint(None, c + 1)
     return EXIT_OK
@@ -507,14 +491,8 @@ def cmd_gnz_check(spec: ExperimentSpec, out: Path) -> int:
     rng = chain_rng(spec.seed, 10_000)
     crcm_model = spec.model == "crcm"
     params = spec.model_params() if crcm_model else spec.wr_params()
-    rep = (run_chain if crcm_model else run_wr_chain)(
-        params,
-        chain_rng(spec.seed, 0),
-        sweeps=spec.sweeps,
-        burn_in=spec.burn_in,
-        thin=spec.thinning,
-        keep_configs=True,
-    )
+    run = run_chain if crcm_model else run_wr_chain
+    rep = spec_chain(spec, run, params, 0, keep_configs=True)
     if crcm_model:
         rhs_q = (params.q + 1.0) if spec.control == "wrong-q" else None
         rows = gnz_residual_crcm(
@@ -525,29 +503,22 @@ def cmd_gnz_check(spec: ExperimentSpec, out: Path) -> int:
         rows = gnz_residual_wr(
             rep.samples, params, rng=rng, inner_points=spec.inner_points, drop_constraint=drop
         )
-    control = spec.control != "none"
-    if control:
+    if spec.control != "none":
         passed = max(r.residual for r in rows) > 4.0  # the corruption must be detected
     else:
         passed = all(r.residual < 4.0 for r in rows)
-    write_csv(
-        out / "gnz.csv",
-        {"subcommand": spec.subcommand, "model": spec.model, "control": spec.control,
-         "spec_hash": spec.digest(), "pass": int(passed)},
+    return write_csv(
+        spec, out, "gnz.csv", {"model": spec.model, "control": spec.control},
         ["statistic", "lhs", "rhs", "se", "residual"],
         [(r.name, r.lhs, r.rhs, r.se, r.residual) for r in rows],
+        passed,
     )
-    return EXIT_OK if passed else EXIT_TEST
 
 
 def cmd_fk_check(spec: ExperimentSpec, out: Path) -> int:
-    params = spec.wr_params()
     pairs = spec.chains if spec.chains > 1 else 8  # --chains 1, the default, runs 8 pairs
     report = fk_consistency_test(
-        params.z,
-        params.n_colors,
-        params.law,
-        params.window,
+        spec.wr_params(),
         rng_seed=spec.seed,
         pairs=pairs,
         sweeps=spec.sweeps,
@@ -557,17 +528,14 @@ def cmd_fk_check(spec: ExperimentSpec, out: Path) -> int:
     )
     rows = [(s, name, p) for s, ps in enumerate(report.p_values)
             for name, p in zip(report.statistics, ps)]
-    expected_reject = spec.control == "mismatch"
-    passed = report.rejected == expected_reject
-    write_csv(
-        out / "fk.csv",
-        {"subcommand": spec.subcommand, "control": spec.control, "pairs": pairs,
-         "threshold": report.threshold, "rejected": int(report.rejected),
-         "spec_hash": spec.digest(), "pass": int(passed)},
+    return write_csv(
+        spec, out, "fk.csv",
+        {"control": spec.control, "pairs": pairs, "threshold": report.threshold,
+         "rejected": int(report.rejected)},
         ["pair", "statistic", "p_value"],
         rows,
+        report.rejected == (spec.control == "mismatch"),
     )
-    return EXIT_OK if passed else EXIT_TEST
 
 
 def cmd_dlr_check(spec: ExperimentSpec, out: Path) -> int:
@@ -581,35 +549,20 @@ def cmd_dlr_check(spec: ExperimentSpec, out: Path) -> int:
     for k in range(2 ** w.dimension):
         upper = (k >> np.arange(w.dimension)) & 1 == 1
         quads.append(Box(np.where(upper, mid, w.lo), np.where(upper, w.hi, mid)))
-    hb = run_chain(
-        params,
-        chain_rng(spec.seed, 0),
-        sweeps=spec.sweeps,
-        burn_in=spec.burn_in,
-        thin=spec.thinning,
-        step=lambda state: heat_bath_sweep(state, quads),
-        per_sweep=1,
-    )
-    rep = run_chain(
-        params,
-        chain_rng(spec.seed, 1),
-        sweeps=spec.sweeps,
-        burn_in=spec.burn_in,
-        thin=spec.thinning,
-    )
+    hb = spec_chain(spec, run_chain, params, 0,
+                    step=lambda state: heat_bath_sweep(state, quads), per_sweep=1)
+    rep = spec_chain(spec, run_chain, params, 1)
     p_count = stats.ks_2samp(hb.counts, rep.counts, method="asymp").pvalue
     p_ncc = stats.ks_2samp(hb.n_cc, rep.n_cc, method="asymp").pvalue
-    passed = min(p_count, p_ncc) > 0.01 / 2
-    write_csv(
-        out / "dlr.csv",
-        {"subcommand": spec.subcommand, "spec_hash": spec.digest(), "pass": int(passed)},
+    return write_csv(
+        spec, out, "dlr.csv", {},
         ["statistic", "p_value", "heat_bath_mean", "bd_mean"],
         [
             ("count", p_count, float(hb.counts.mean()), float(rep.counts.mean())),
             ("n_cc", p_ncc, float(hb.n_cc.mean()), float(rep.n_cc.mean())),
         ],
+        min(p_count, p_ncc) > 0.01 / 2,
     )
-    return EXIT_OK if passed else EXIT_TEST
 
 
 def cmd_bounds_audit(spec: ExperimentSpec, out: Path) -> int:
@@ -682,15 +635,15 @@ def cmd_bounds_audit(spec: ExperimentSpec, out: Path) -> int:
             offset = compatibility_offset(*c.arrays()[:2], lam_box, outer, w)
             viol["compatibility"] += offset != local_cc(c, outer).value - local_cc(c, lam_box).value
     total_viol = sum(viol.values())
-    write_csv(
-        out / "bounds.csv",
-        {"subcommand": spec.subcommand, "configs": spec.samples, "spec_hash": spec.digest(),
-         "violations": total_viol, "pass": int(total_viol == 0)},
+    status = write_csv(
+        spec, out, "bounds.csv",
+        {"configs": spec.samples, "spec_hash": spec.digest(), "violations": total_viol},
         ["check", "violations"],
         sorted(viol.items()),
+        total_viol == 0,
     )
     print(f"bounds-audit: {total_viol} violations over {spec.samples} configurations")
-    return EXIT_OK if total_viol == 0 else EXIT_TEST
+    return status
 
 
 def cmd_localization(spec: ExperimentSpec, out: Path) -> int:
@@ -713,14 +666,10 @@ def cmd_localization(spec: ExperimentSpec, out: Path) -> int:
             fails += not held
         passed = passed and fails == 0 and ok + fails == spec.samples  # no shortfall either
         rows.append((i, j, ok + fails, fails))
-    write_csv(
-        out / "localization.csv",
-        {"subcommand": spec.subcommand, "spec_hash": spec.digest(),
-         "pass": int(passed)},
-        ["i", "j", "conditioned_samples", "failures"],
-        rows,
+    return write_csv(
+        spec, out, "localization.csv", {}, ["i", "j", "conditioned_samples", "failures"], rows,
+        passed,
     )
-    return EXIT_OK if passed else EXIT_TEST
 
 
 def cmd_shield(spec: ExperimentSpec, out: Path) -> int:
@@ -728,18 +677,17 @@ def cmd_shield(spec: ExperimentSpec, out: Path) -> int:
     geom = spec_checked(analysis.build_shield, spec.alpha, spec.k, w.dimension)
     rng = chain_rng(spec.seed, 0)
     bad_in, bad_out = analysis.shield_covering_trials(geom, spec.trials, rng)
-    passed = bad_in == 0 and bad_out == 0
-    write_csv(
-        out / "shield.csv",
-        {"subcommand": spec.subcommand, "spec_hash": spec.digest(), "pass": int(passed)},
+    status = write_csv(
+        spec, out, "shield.csv", {},
         ["alpha", "k", "dim", "d1", "d2", "trials", "inner_violations", "outer_violations"],
         [(geom.alpha, geom.k, geom.dim, geom.d1, geom.d2, spec.trials, bad_in, bad_out)],
+        bad_in == 0 and bad_out == 0,
     )
     print(
         f"shield d={geom.dim} alpha={geom.alpha} k={geom.k}: D1={geom.d1} D2={geom.d2} "
         f"covering test: {bad_in + bad_out} violations / {spec.trials}"
     )
-    return EXIT_OK if passed else EXIT_TEST
+    return status
 
 
 def cmd_entropy_bounds(spec: ExperimentSpec, out: Path) -> int:
@@ -760,14 +708,11 @@ def cmd_entropy_bounds(spec: ExperimentSpec, out: Path) -> int:
             upper = analysis.wr_entropy_upper(z, q, y, law, spec.n_pack, d)
             lower = analysis.mono_lower_bound(z, q)
             rows.append((y, phi, z_y, float(z), upper, lower, int(upper < lower)))
-    write_csv(
-        out / "entropy_bounds.csv",
-        {"subcommand": spec.subcommand, "q": q, "law": spec.law, "n_pack": spec.n_pack,
-         "spec_hash": spec.digest()},
+    return write_csv(
+        spec, out, "entropy_bounds.csv", {"q": q, "law": spec.law, "n_pack": spec.n_pack},
         ["y", "phi_y", "z_y", "z", "upper_bound", "mono_lower_bound", "separated"],
         rows,
     )
-    return EXIT_OK
 
 
 def cmd_np_decay(spec: ExperimentSpec, out: Path) -> int:
@@ -785,27 +730,18 @@ def cmd_np_decay(spec: ExperimentSpec, out: Path) -> int:
     for gi, (z, params, bound) in enumerate(zip(grid, models, bounds)):
         configs = []
         for c in range(spec.chains):
-            rep = run_chain(
-                params,
-                chain_rng(spec.seed, 100 * gi + c),
-                sweeps=spec.sweeps,
-                burn_in=spec.burn_in,
-                thin=spec.thinning,
-                keep_configs=True,
-            )
-            configs.extend(rep.samples)
+            configs.extend(spec_chain(spec, run_chain, params, 100 * gi + c,
+                                      keep_configs=True).samples)
         est = analysis.estimate_NP(configs, w, border)
         ok = est.value <= bound + 3.0 * est.se
         all_ok = all_ok and ok
         rows.append((z, est.value, est.se, bound, int(ok)))
-    write_csv(
-        out / "np_decay.csv",
-        {"subcommand": spec.subcommand, "q": spec.q, "law": spec.law, "border": border,
-         "spec_hash": spec.digest(), "pass": int(all_ok)},
+    return write_csv(
+        spec, out, "np_decay.csv", {"q": spec.q, "law": spec.law, "border": border},
         ["z", "np_hat", "se", "bound", "below_bound"],
         rows,
+        all_ok,
     )
-    return EXIT_OK if all_ok else EXIT_TEST
 
 
 def cmd_coverage_probe(spec: ExperimentSpec, out: Path) -> int:
@@ -819,20 +755,17 @@ def cmd_coverage_probe(spec: ExperimentSpec, out: Path) -> int:
     probs = coverage_escalation(
         params.window, params.z, params.law, halos, trials=spec.trials, rng=rng, grid_per_axis=48,
     )
-    write_csv(
-        out / "coverage.csv",
-        {"subcommand": spec.subcommand, "z": spec.z, "law": spec.law, "trials": spec.trials,
-         "spec_hash": spec.digest()},
+    return write_csv(
+        spec, out, "coverage.csv", {"z": spec.z, "law": spec.law, "trials": spec.trials},
         ["halo", "coverage_probability"],
         list(zip(sorted(halos), probs)),
     )
-    return EXIT_OK
 
 
 COMMANDS = {
     "sample-poisson": cmd_sample_poisson,
-    "sample-crcm": lambda spec, out: cmd_sample_chain(spec, out, colored=False),
-    "sample-wr": lambda spec, out: cmd_sample_chain(spec, out, colored=True),
+    "sample-crcm": cmd_sample_chain,
+    "sample-wr": cmd_sample_chain,
     "gnz-check": cmd_gnz_check,
     "fk-check": cmd_fk_check,
     "dlr-check": cmd_dlr_check,
@@ -851,7 +784,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="simulation and verification lab for cluster-weighted and "
         "hard-core-color ball models",
     )
-    parser.add_argument("subcommand", choices=SUBCOMMANDS)
+    parser.add_argument("subcommand", choices=COMMANDS)
     parser.add_argument("--config", help="flat key=value config file")
     parser.add_argument("--seed", type=int, help="master seed")
     parser.add_argument("--chains", type=int, help="number of chains / seed pairs")

@@ -17,7 +17,7 @@ from .geometry import Box, dilate, unit_ball_volume
 from .model_core import Configuration, ModelParams, poisson_balls, sample_poisson_boolean
 # re-exported: callers catch the constructor's check as crcm.AssumptionAViolated
 from .model_core import AssumptionAViolated  # noqa: F401
-from .connectivity import ClusterLabeling, components, count_components, local_count
+from .connectivity import ClusterLabeling, components, local_count
 # local_cc stays importable from this module: the tracer self-test in benchmarks/ relies on it
 from .connectivity import local_cc  # noqa: F401
 from .analysis import tilted_law
@@ -66,16 +66,16 @@ class ChainState:
         return self.labeling.n_components
 
     def audit(self) -> None:
-        """Check the grid index's filing of the active balls, then recount
-        components and compare the labeling's partition with them."""
+        """Check the grid index's filing of the active balls, then the
+        labeling's partition against the components, then the cached count."""
         cfg = self.config
         if not cfg.index.files_exactly(cfg.active_ids()):
             raise RuntimeError("grid index differs from the configuration's active balls")
-        fresh = count_components(cfg)
-        if fresh != self.n_cc:
-            raise RuntimeError(f"cached component count {self.n_cc} != {fresh}")
-        if not self.labeling.labels_exactly(cfg):
+        lab = self.labeling
+        if not lab.labels_exactly(cfg):
             raise RuntimeError("component labels differ from the configuration's components")
+        if self.n_cc != len(lab.members):
+            raise RuntimeError(f"cached component count {self.n_cc} != {len(lab.members)}")
 
     def maybe_audit(self) -> None:
         if self.audit_interval and self.step_count % self.audit_interval == 0:

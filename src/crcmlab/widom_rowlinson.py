@@ -11,7 +11,6 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy import stats
 
-from .geometry import Box
 from .model_core import Configuration, ModelParams
 from .connectivity import components, intersecting_pairs
 from .crcm import (
@@ -170,10 +169,7 @@ class FkReport:
 
 
 def fk_consistency_test(
-    z: float,
-    q: int,
-    law,
-    window: Box,
+    params: WrParams,
     rng_seed: int = 0,
     pairs: int = 8,
     sweeps: int = 300,
@@ -182,25 +178,18 @@ def fk_consistency_test(
     alpha: float = 0.01,
     crcm_z: Optional[float] = None,
 ) -> FkReport:
-    """Two-sampler cross-check: color-blind hard-core-color samples at
-    intensity z against cluster-weighted samples at intensity z/q, compared
+    """Two-sampler cross-check: color-blind samples of `params` (intensity
+    z, q colors) against cluster-weighted samples at intensity z/q, compared
     per seed pair on count, component count, and largest component size.
     Pass `crcm_z` to deliberately mismatch intensities (negative control)."""
-    z_crcm = z / q if crcm_z is None else crcm_z
+    z_crcm = params.z / params.q if crcm_z is None else crcm_z
+    cr_params = ModelParams(z_crcm, params.q, params.law, params.window)
     pvals = np.ones((pairs, 3))
     for s in range(pairs):
         wr_rng = np.random.default_rng(np.random.SeedSequence(entropy=rng_seed, spawn_key=(2 * s,)))
         cr_rng = np.random.default_rng(np.random.SeedSequence(entropy=rng_seed, spawn_key=(2 * s + 1,)))
-        wr = run_wr_chain(
-            WrParams(z, q, law, window), wr_rng, sweeps=sweeps, burn_in=burn_in, thin=thin
-        )
-        cr = run_chain(
-            ModelParams(z_crcm, float(q), law, window),
-            cr_rng,
-            sweeps=sweeps,
-            burn_in=burn_in,
-            thin=thin,
-        )
+        wr = run_wr_chain(params, wr_rng, sweeps=sweeps, burn_in=burn_in, thin=thin)
+        cr = run_chain(cr_params, cr_rng, sweeps=sweeps, burn_in=burn_in, thin=thin)
         for t, (a, b) in enumerate(
             [(wr.counts, cr.counts), (wr.n_cc, cr.n_cc), (wr.largest, cr.largest)]
         ):

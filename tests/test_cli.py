@@ -484,3 +484,50 @@ def test_chain_from_json_rejects_malformed_balls(corrupt):
     corrupt(doc)
     with pytest.raises(ValueError, match="radii"):
         cli.chain_from_json(doc, _chain_params(False))
+
+
+# -- table headers -----------------------------------------------------------------
+
+TABLES = [
+    ("sample-poisson", {"z": "40", "law": "dirac:0.05", "samples": "2"},
+     "summary.csv", "subcommand spec_hash"),
+    ("sample-crcm", FAST, "trace_000.csv", "subcommand chain seed spec_hash"),
+    ("sample-wr", FAST_WR, "trace_000.csv", "subcommand chain seed spec_hash"),
+    ("gnz-check", {"model": "wr", "z": "6", "q": "2", "law": "dirac:0.15", "sweeps": "300",
+                   "burn_in": "30", "thinning": "3", "inner_points": "16"},
+     "gnz.csv", "subcommand model control spec_hash pass"),
+    ("fk-check", {"z": "4", "q": "2", "law": "dirac:0.1", "chains": "2", "sweeps": "30",
+                  "burn_in": "5", "thinning": "3"},
+     "fk.csv", "subcommand control pairs threshold rejected spec_hash pass"),
+    ("dlr-check", {"z": "2", "q": "2", "law": "dirac:0.1", "sweeps": "30", "burn_in": "5",
+                   "thinning": "2"},
+     "dlr.csv", "subcommand spec_hash pass"),
+    ("bounds-audit", {"z": "0.1", "law": "uniform:0.2,1", "window": "-4,-4:4,4",
+                      "samples": "3", "r0": "1"},
+     "bounds.csv", "subcommand configs spec_hash violations pass"),
+    ("localization", {"z": "0.02", "q": "1", "law": "tpareto:2,30", "window": "-20,-20:20,20",
+                      "ij": "5:14", "r0": "2", "samples": "3"},
+     "localization.csv", "subcommand spec_hash pass"),
+    ("shield", {"alpha": "1", "k": "4", "trials": "500"},
+     "shield.csv", "subcommand spec_hash pass"),
+    ("entropy-bounds", {"q": "2", "law": "dirac:1", "y_grid": "10"},
+     "entropy_bounds.csv", "subcommand q law n_pack spec_hash"),
+    ("np-decay", {"q": "2", "law": "dirac:1", "window": "0,0:6,6", "z_grid": "0.2",
+                  "sweeps": "20", "burn_in": "5", "thinning": "2", "border": "1"},
+     "np_decay.csv", "subcommand q law border spec_hash pass"),
+    ("coverage-probe", {"z": "1", "law": "pareto:2", "h_grid": "0.5,2", "trials": "10"},
+     "coverage.csv", "subcommand z law trials spec_hash"),
+]
+
+
+@pytest.mark.parametrize("sub, settings, name, keys", TABLES, ids=[t[0] for t in TABLES])
+def test_table_header_keys_and_exit_code(tmp_path, sub, settings, name, keys):
+    code = cli.main([sub, "--seed", "3", "--out", str(tmp_path), *set_flags(settings)])
+    head = (tmp_path / name).read_text().splitlines()[0]
+    assert head.startswith("# ")
+    meta = dict(tok.split("=", 1) for tok in head[2:].split(" "))
+    assert list(meta) == keys.split()
+    assert meta["subcommand"] == sub
+    assert meta["spec_hash"] == json.loads((tmp_path / "manifest.json").read_text())["spec_hash"]
+    # the exit code is the table's verdict; a table without one exits 0
+    assert code == (EXIT_OK if meta.get("pass", "1") == "1" else cli.EXIT_TEST)

@@ -246,6 +246,15 @@ def test_audit_checks_the_component_partition():
         state.audit()
 
 
+def test_audit_checks_the_cached_component_count():
+    # the partition is right and only the cached count is stale
+    state = new_chain(ModelParams(20.0, 2.0, DiracRadius(0.08), UNIT), seeded(4))
+    state.audit()
+    state.labeling.n_components += 1
+    with pytest.raises(RuntimeError, match="cached component count"):
+        state.audit()
+
+
 def brute_intersectors(cfg, center, radius):
     """Every active ball tested, hits in slot order (not the grid's order)."""
     ids = np.asarray(cfg.active_ids(), dtype=np.intp)

@@ -293,14 +293,15 @@ def test_recolorizing_a_projection_reproduces_the_color_law():
 
 def test_fk_consistency_small():
     report = fk_consistency_test(
-        4.0, 2, DiracRadius(0.1), UNIT, rng_seed=77, pairs=4, sweeps=250, burn_in=120, thin=3
+        WrParams(4.0, 2, DiracRadius(0.1), UNIT), rng_seed=77, pairs=4,
+        sweeps=250, burn_in=120, thin=3,
     )
     assert not report.rejected
 
 
 def test_fk_consistency_negative_control():
     report = fk_consistency_test(
-        4.0, 2, DiracRadius(0.1), UNIT, rng_seed=78, pairs=3,
+        WrParams(4.0, 2, DiracRadius(0.1), UNIT), rng_seed=78, pairs=3,
         sweeps=250, burn_in=120, thin=3, crcm_z=4.0,
     )
     assert report.rejected
@@ -308,7 +309,7 @@ def test_fk_consistency_negative_control():
 
 def test_fk_consistency_three_colors():
     report = fk_consistency_test(
-        3.0, 3, DiracRadius(0.1), UNIT, rng_seed=79, pairs=3,
+        WrParams(3.0, 3, DiracRadius(0.1), UNIT), rng_seed=79, pairs=3,
         sweeps=250, burn_in=120, thin=3,
     )
     assert not report.rejected
