@@ -11,6 +11,7 @@ import json
 import math
 import sys
 import time
+import traceback
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -43,7 +44,7 @@ from .crcm import (
     TRACE_COLUMNS,
     ChainState,
     bd_step,
-    gnz_residual_crcm,
+    gnz_residuals,
     heat_bath_sweep,
     new_chain,
     run_chain,
@@ -53,7 +54,6 @@ from .crcm import (
 from .widom_rowlinson import (
     WrParams,
     fk_consistency_test,
-    gnz_residual_wr,
     new_wr_chain,
     run_wr_chain,
     wr_step,
@@ -193,8 +193,17 @@ MINIMUMS = {
 
 
 # defaults that differ by subcommand: each coverage-probe trial samples and
-# certifies a whole dilated box, so the shared 100,000 would take a minute
-SUBCOMMAND_DEFAULTS = {"coverage-probe": {"trials": 2000}}
+# certifies a whole dilated box, so the shared 100,000 would take a minute;
+# fk-check runs one seed pair per chain
+SUBCOMMAND_DEFAULTS = {"coverage-probe": {"trials": 2000}, "fk-check": {"chains": 8}}
+
+# the negative control each check accepts besides "none", by subcommand and,
+# for gnz-check, by model; a control passes when its check rejects
+CONTROLS = {
+    ("gnz-check", "crcm"): "wrong-q",
+    ("gnz-check", "wr"): "drop-constraint",
+    ("fk-check", None): "mismatch",
+}
 
 
 def load_spec(subcommand: str, config_path: Optional[str], overrides: dict) -> ExperimentSpec:
@@ -238,6 +247,13 @@ def load_spec(subcommand: str, config_path: Optional[str], overrides: dict) -> E
         raise SpecInvalid(f"{subcommand} needs at least {least} recorded sweeps, got {recorded}")
     if not 0 <= spec.r0 < math.inf:
         raise SpecInvalid(f"r0 must be finite and nonnegative, got {spec.r0}")
+    model = spec.model if subcommand == "gnz-check" else None
+    if model not in (None, "crcm", "wr"):
+        raise SpecInvalid(f"gnz-check model must be crcm or wr, got {model!r}")
+    allowed = sorted({"none", CONTROLS.get((subcommand, model), "none")})
+    if spec.control not in allowed:
+        what = f"{subcommand} model={model}" if model else subcommand
+        raise SpecInvalid(f"{what} takes control {' or '.join(allowed)}, got {spec.control!r}")
     return spec
 
 
@@ -316,8 +332,11 @@ def spec_chain(spec: ExperimentSpec, run, params: ModelParams, index: int, **kw)
     )
 
 
-def write_manifest(out: Path, spec: ExperimentSpec, wall: float, outputs: list[str], extra=None):
+def write_manifest(out: Path, spec: ExperimentSpec, wall: float, extra=None):
+    """`out / manifest.json`: the spec, its hash, versions, wall time, the
+    CSV tables in `out` and `extra`."""
     out.mkdir(parents=True, exist_ok=True)
+    outputs = [p.name for p in out.iterdir() if p.suffix == ".csv"]
     doc = {
         "subcommand": spec.subcommand,
         "spec": json.loads(spec.canonical()),
@@ -486,27 +505,22 @@ def cmd_sample_chain(spec: ExperimentSpec, out: Path) -> int:
 
 
 def cmd_gnz_check(spec: ExperimentSpec, out: Path) -> int:
-    if spec.model not in ("crcm", "wr"):
-        raise SpecInvalid(f"gnz-check model must be crcm or wr, got {spec.model!r}")
-    rng = chain_rng(spec.seed, 10_000)
-    crcm_model = spec.model == "crcm"
-    params = spec.model_params() if crcm_model else spec.wr_params()
-    run = run_chain if crcm_model else run_wr_chain
+    if spec.model == "crcm":
+        params, run = spec.model_params(), run_chain
+    else:
+        params, run = spec.wr_params(), run_wr_chain
     rep = spec_chain(spec, run, params, 0, keep_configs=True)
-    if crcm_model:
-        rhs_q = (params.q + 1.0) if spec.control == "wrong-q" else None
-        rows = gnz_residual_crcm(
-            rep.samples, params, rng=rng, inner_points=spec.inner_points, rhs_q=rhs_q
-        )
-    else:
-        drop = spec.control == "drop-constraint"
-        rows = gnz_residual_wr(
-            rep.samples, params, rng=rng, inner_points=spec.inner_points, drop_constraint=drop
-        )
-    if spec.control != "none":
-        passed = max(r.residual for r in rows) > 4.0  # the corruption must be detected
-    else:
-        passed = all(r.residual < 4.0 for r in rows)
+    # a negative control tests the same samples against a wrong model
+    tested = {
+        "none": params,
+        "wrong-q": dataclasses.replace(params, q=params.q + 1.0),
+        "drop-constraint": ModelParams(params.z, 1.0, params.law, params.window),
+    }[spec.control]
+    rows = gnz_residuals(rep.samples, tested, rng=chain_rng(spec.seed, 10_000),
+                         inner_points=spec.inner_points)
+    # the check passes below 4 standard errors, and a control passes when it rejects
+    worst = max(r.residual for r in rows)
+    passed = worst < 4.0 if spec.control == "none" else worst > 4.0
     return write_csv(
         spec, out, "gnz.csv", {"model": spec.model, "control": spec.control},
         ["statistic", "lhs", "rhs", "se", "residual"],
@@ -516,11 +530,10 @@ def cmd_gnz_check(spec: ExperimentSpec, out: Path) -> int:
 
 
 def cmd_fk_check(spec: ExperimentSpec, out: Path) -> int:
-    pairs = spec.chains if spec.chains > 1 else 8  # --chains 1, the default, runs 8 pairs
     report = fk_consistency_test(
         spec.wr_params(),
         rng_seed=spec.seed,
-        pairs=pairs,
+        pairs=spec.chains,
         sweeps=spec.sweeps,
         burn_in=spec.burn_in,
         thin=spec.thinning,
@@ -530,7 +543,7 @@ def cmd_fk_check(spec: ExperimentSpec, out: Path) -> int:
             for name, p in zip(report.statistics, ps)]
     return write_csv(
         spec, out, "fk.csv",
-        {"control": spec.control, "pairs": pairs, "threshold": report.threshold,
+        {"control": spec.control, "pairs": spec.chains, "threshold": report.threshold,
          "rejected": int(report.rejected)},
         ["pair", "statistic", "p_value"],
         rows,
@@ -819,20 +832,25 @@ def main(argv: Optional[list[str]] = None) -> int:
             return EXIT_SPEC
         k, _, v = item.partition("=")
         overrides[k.strip()] = v.strip()
+    out = None
     try:
         spec = load_spec(args.subcommand, args.config, overrides)
         out = Path(spec.out)
         out.mkdir(parents=True, exist_ok=True)
         start = time.time()
         status = COMMANDS[spec.subcommand](spec, out)
-        outputs = [p.name for p in out.iterdir() if p.suffix == ".csv"]
-        write_manifest(out, spec, time.time() - start, outputs, extra={"exit_status": status})
+        write_manifest(out, spec, time.time() - start, extra={"exit_status": status})
         return status
     except SpecInvalid as exc:
         print(f"spec error: {exc}", file=sys.stderr)
         return EXIT_SPEC
     except Exception as exc:  # runtime failure
-        print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        error = f"{type(exc).__name__}: {exc}"
+        print(f"runtime error: {error}", file=sys.stderr)
+        if out is not None and out.is_dir():  # leave the traceback and a manifest
+            (out / "error.txt").write_text(traceback.format_exc())
+            write_manifest(out, spec, time.time() - start,
+                           extra={"exit_status": EXIT_RUNTIME, "error": error})
         return EXIT_RUNTIME
 
 

@@ -15,8 +15,6 @@ import numpy as np
 
 from .geometry import Box, dilate, unit_ball_volume
 from .model_core import Configuration, ModelParams, poisson_balls, sample_poisson_boolean
-# re-exported: callers catch the constructor's check as crcm.AssumptionAViolated
-from .model_core import AssumptionAViolated  # noqa: F401
 from .connectivity import ClusterLabeling, components, local_count
 # local_cc stays importable from this module: the tracer self-test in benchmarks/ relies on it
 from .connectivity import local_cc  # noqa: F401
@@ -506,7 +504,6 @@ def default_test_functions(params: ModelParams):
 def gnz_residuals(
     samples: Sequence[tuple],
     params: ModelParams,
-    weigh: Callable,
     rng: Optional[np.random.Generator] = None,
     inner_points: int = 96,
 ) -> list[GnzRow]:
@@ -514,8 +511,9 @@ def gnz_residuals(
     integral lam * E[f(n, x, r) w(x, r)], Monte Carlo over `inner_points`
     insertions per sample shared by every test function.
     Each sample is (centers, radii, colors or None), as `run_chain` records
-    it; `weigh(centers, radii, colors, hits, rng)` returns the insertion
-    weights w, where hits[m, k] says whether insertion m meets ball k."""
+    it; the weights w are `params.insertion_weights`, the factor the chain
+    of `params` accepts a birth with.  Testing samples against other params
+    than those that drew them is a negative control."""
     if len(samples) < 100:
         raise ValueError("need at least 100 decorrelated samples")
     if rng is None:
@@ -530,7 +528,7 @@ def gnz_residuals(
         diff = centers[None, :, :] - xs[:, None, :]
         rsum = radii[None, :] + rs[:, None]
         hits = np.einsum("mkd,mkd->mk", diff, diff) <= rsum * rsum
-        weights = weigh(centers, radii, colors, hits, rng)
+        weights = params.insertion_weights((centers, radii, colors), hits, rng)
         for t, (_, f) in enumerate(tests):
             lhs[t, s] = f(radii.size - 1, centers, radii).sum()
             rhs[t, s] = lam * float(np.mean(f(radii.size, xs, rs) * weights))
@@ -542,29 +540,6 @@ def gnz_residuals(
         resid = abs(mean) / se if se > 0 else (0.0 if mean == 0 else math.inf)
         rows.append(GnzRow(name, float(lhs_t.mean()), float(rhs_t.mean()), se, resid))
     return rows
-
-
-def gnz_residual_crcm(
-    samples: Sequence[tuple],
-    params: ModelParams,
-    rng: Optional[np.random.Generator] = None,
-    inner_points: int = 96,
-    rhs_q: Optional[float] = None,
-) -> list[GnzRow]:
-    """Balance-equation residuals with insertions weighted by
-    q^(component increment), the increment being one minus the number of
-    distinct component labels an insertion meets.  `rhs_q` deliberately
-    mis-weights the insertion side for negative controls."""
-    q_rhs = float(params.q if rhs_q is None else rhs_q)
-
-    def weigh(centers, radii, colors, hits, rng):
-        count, labels = components(centers, radii)
-        met = np.zeros((hits.shape[0], count), dtype=bool)
-        m, k = np.nonzero(hits)
-        met[m, labels[k]] = True
-        return q_rhs ** (1 - met.sum(axis=1))
-
-    return gnz_residuals(samples, params, weigh, rng, inner_points)
 
 
 @dataclass

@@ -274,6 +274,18 @@ class ModelParams:
         delta, hits = labeling.insertion_increment(cfg, center, radius)
         return self.q**delta, hits, None
 
+    def insertion_weights(self, sample: tuple, hits: np.ndarray, rng) -> np.ndarray:
+        """`insertion`'s factor for m candidate balls against one recorded
+        `(centers, radii, colors)` sample, hits[m, k] saying whether
+        candidate m meets ball k: q^(1 - components met)."""
+        from .connectivity import components  # connectivity imports this module
+
+        count, labels = components(sample[0], sample[1])
+        met = np.zeros((hits.shape[0], count), dtype=bool)
+        m, k = np.nonzero(hits)
+        met[m, labels[k]] = True
+        return float(self.q) ** (1 - met.sum(axis=1))
+
     def deletion(self, labeling, slot: int) -> tuple:
         """(q^(m - 1), the m groups of `removal_split`) of deleting `slot`."""
         groups = labeling.removal_split(slot)
@@ -687,6 +699,4 @@ def load_configuration(path) -> Configuration:
         raise ValueError(f"{path}: truncated file or malformed line") from exc
     if header[:d] != [f"x{k + 1}" for k in range(d)]:
         raise ValueError(f"{path}: column header {lines[1]!r} does not start with x1..x{d}")
-    cfg = Configuration.from_arrays(Box(lo, hi), centers, radii, colors)
-    cfg.tags["law"] = meta.get("law", "")
-    return cfg
+    return Configuration.from_arrays(Box(lo, hi), centers, radii, colors)

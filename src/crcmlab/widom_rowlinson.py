@@ -6,7 +6,7 @@ the cluster-weighted model at intensity z/q."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from scipy import stats
@@ -46,6 +46,15 @@ class WrParams(ModelParams):
         color = int(rng.integers(1, self.n_colors + 1))
         hits = cfg.intersectors(center, radius)
         return float(insertion_allowed(cfg, hits, color)), hits, color
+
+    def insertion_weights(self, sample: tuple, hits: np.ndarray, rng) -> np.ndarray:
+        """`insertion`'s factor for m candidate balls against one recorded
+        `(centers, radii, colors)` sample: the allowed-set indicator, each
+        candidate in its own uniform color."""
+        colors = sample[2]
+        ks = rng.integers(1, self.n_colors + 1, size=hits.shape[0])
+        clash = hits & (colors[None, :] != ks[:, None])
+        return (~clash.any(axis=1)).astype(float)
 
     def deletion(self, labeling, slot: int) -> tuple:
         """(1, None): every deletion leaves the set allowed, and the kernel
@@ -203,24 +212,6 @@ def fk_consistency_test(
 # ---------------------------------------------------------------------------
 
 
-def gnz_residual_wr(
-    samples: Sequence[tuple],
-    params: WrParams,
-    rng: Optional[np.random.Generator] = None,
-    inner_points: int = 96,
-    drop_constraint: bool = False,
-) -> list[GnzRow]:
-    """Residuals of the balance equation for the hard-core-color model:
-    removal sums against insertion integrals weighted by the allowed-set
-    indicator for a uniform color.  `drop_constraint` omits the indicator
-    (negative control)."""
-    n_colors = int(params.q)
-
-    def weigh(centers, radii, colors, hits, rng):
-        ks = rng.integers(1, n_colors + 1, size=inner_points)
-        if drop_constraint:
-            return np.ones(inner_points)
-        clash = hits & (colors[None, :] != ks[:, None])
-        return (~clash.any(axis=1)).astype(float)
-
-    return gnz_residuals(samples, params, weigh, rng, inner_points)
+def gnz_residual_wr(samples, params: WrParams, rng=None, inner_points: int = 96) -> list[GnzRow]:
+    """`gnz_residuals`, under the name the benchmark tracer times."""
+    return gnz_residuals(samples, params, rng, inner_points)

@@ -140,14 +140,13 @@ def test_criterion_4_gnz_residuals():
     crep = crcm.run_chain(cp, seeded(4), sweeps=900, burn_in=150, thin=6, keep_configs=True)
     wp = wr.WrParams(6.0, 2, DiracRadius(0.15), UNIT)
     wrep = wr.run_wr_chain(wp, seeded(5), sweeps=900, burn_in=150, thin=6, keep_configs=True)
-    rows_c = crcm.gnz_residual_crcm(crep.samples, cp, rng=seeded(40), inner_points=128)
-    rows_w = wr.gnz_residual_wr(wrep.samples, wp, rng=seeded(41), inner_points=128)
-    ctrl_c = crcm.gnz_residual_crcm(
-        crep.samples, cp, rng=seeded(42), inner_points=128, rhs_q=3.0
-    )
-    ctrl_w = wr.gnz_residual_wr(
-        wrep.samples, wp, rng=seeded(43), inner_points=128, drop_constraint=True
-    )
+    rows_c = crcm.gnz_residuals(crep.samples, cp, rng=seeded(40), inner_points=128)
+    rows_w = crcm.gnz_residuals(wrep.samples, wp, rng=seeded(41), inner_points=128)
+    # negative controls: the same samples against a wrong model
+    wrong_q = ModelParams(3.0, 3.0, DiracRadius(0.12), UNIT)
+    ctrl_c = crcm.gnz_residuals(crep.samples, wrong_q, rng=seeded(42), inner_points=128)
+    no_constraint = ModelParams(6.0, 1.0, DiracRadius(0.15), UNIT)
+    ctrl_w = crcm.gnz_residuals(wrep.samples, no_constraint, rng=seeded(43), inner_points=128)
     wall = time.time() - t0
     max_main = max(r.residual for r in rows_c + rows_w)
     min_ctrl = min(max(r.residual for r in ctrl_c), max(r.residual for r in ctrl_w))

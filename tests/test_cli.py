@@ -302,6 +302,16 @@ def test_unknown_subcommand_and_bad_set(tmp_path):
         ("dlr-check", {"sweeps": "2", "burn_in": "0", "thinning": "2"}),
         ("np-decay", {"sweeps": "1", "thinning": "1"}),
         ("np-decay", {"sweeps": "3", "thinning": "3", "chains": "1"}),
+        # models and controls a check does not take
+        ("fk-check", {"control": "mismtach"}),  # a misspelling once ran the honest check
+        ("fk-check", {"control": "wrong-q"}),
+        ("gnz-check", {"model": "wr", "control": "wrong-q"}),  # once exited 2 after a run
+        ("gnz-check", {"model": "crcm", "control": "drop-constraint"}),
+        ("gnz-check", {"model": "crcm", "control": "mismatch"}),
+        ("gnz-check", {"model": "ising"}),
+        ("sample-crcm", {"control": "wrong-q"}),
+        ("dlr-check", {"control": "mismatch"}),
+        ("bounds-audit", {"control": "drop-constraint"}),
     ],
 )
 def test_malformed_spec_values_are_spec_errors(tmp_path, capsys, monkeypatch, sub, settings):
@@ -313,6 +323,30 @@ def test_malformed_spec_values_are_spec_errors(tmp_path, capsys, monkeypatch, su
     args = [sub, "--out", str(tmp_path), *set_flags({"q": "2", **settings})]
     assert cli.main(args) == EXIT_SPEC
     assert "spec error" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "sub, model, control",
+    [("gnz-check", "crcm", "wrong-q"), ("gnz-check", "wr", "drop-constraint"),
+     ("fk-check", "crcm", "mismatch"), ("shield", "wr", "none")],
+)
+def test_controls_each_check_takes(sub, model, control):
+    spec = load_spec(sub, None, {"model": model, "control": control})
+    assert (spec.model, spec.control) == (model, control)
+
+
+def test_runtime_error_leaves_traceback_and_manifest(tmp_path, capsys, monkeypatch):
+    def broken(spec, out):
+        raise ZeroDivisionError("injected")
+
+    monkeypatch.setitem(cli.COMMANDS, "shield", broken)
+    assert cli.main(["shield", "--out", str(tmp_path)]) == cli.EXIT_RUNTIME
+    assert capsys.readouterr().err == "runtime error: ZeroDivisionError: injected\n"
+    assert "in broken" in (tmp_path / "error.txt").read_text()
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["exit_status"] == cli.EXIT_RUNTIME
+    assert manifest["error"] == "ZeroDivisionError: injected"
 
 
 def test_shield_subcommand_report(tmp_path):
@@ -386,15 +420,16 @@ def test_headers_record_what_ran(tmp_path):
                      "--set", "law=pareto:2", "--set", "h_grid=0.5", "--set", "trials=600"])
     assert code == EXIT_OK
     assert " trials=600 " in (out / "coverage.csv").read_text().splitlines()[0]
-    # fk-check turns --chains 1 (the default) into 8 seed pairs and says so
-    out = tmp_path / "fk"
-    code = cli.main(["fk-check", "--seed", "3", "--out", str(out), "--set", "z=4",
-                     "--set", "q=2", "--set", "law=dirac:0.1", "--set", "sweeps=30",
-                     "--set", "burn_in=5", "--set", "thinning=3"])
-    assert code in (EXIT_OK, cli.EXIT_TEST)
-    lines = (out / "fk.csv").read_text().splitlines()
-    assert " pairs=8 " in lines[0]
-    assert {int(row.split(",")[0]) for row in lines[2:]} == set(range(8))
+    # fk-check runs one seed pair per chain, 8 by default, and says so
+    fk = ["fk-check", "--seed", "3", "--set", "z=4", "--set", "q=2", "--set", "law=dirac:0.1",
+          "--set", "sweeps=30", "--set", "burn_in=5", "--set", "thinning=3"]
+    for chains, pairs in ((None, 8), ("1", 1)):
+        out = tmp_path / f"fk{pairs}"
+        code = cli.main([*fk, "--out", str(out), *(["--chains", chains] if chains else [])])
+        assert code in (EXIT_OK, cli.EXIT_TEST)
+        lines = (out / "fk.csv").read_text().splitlines()
+        assert f" pairs={pairs} " in lines[0]
+        assert {int(row.split(",")[0]) for row in lines[2:]} == set(range(pairs))
 
 
 def test_bounds_audit_catches_a_wrong_compatibility_offset(tmp_path, monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -9,6 +10,7 @@ from crcmlab import crcm
 from crcmlab import widom_rowlinson as wr
 from crcmlab.geometry import Box
 from crcmlab.model_core import (
+    AssumptionAViolated,
     Configuration,
     DiracRadius,
     ModelParams,
@@ -18,7 +20,6 @@ from crcmlab.model_core import (
 )
 from crcmlab.connectivity import ClusterLabeling, components, count_components
 from crcmlab.crcm import (
-    AssumptionAViolated,
     ChainState,
     DegenerateWeights,
     RejectionBudgetExceeded,
@@ -28,7 +29,7 @@ from crcmlab.crcm import (
     death_ratio,
     domination_check,
     entropy_report,
-    gnz_residual_crcm,
+    gnz_residuals,
     importance_oracle,
     new_chain,
     run_chain,
@@ -446,31 +447,32 @@ def crcm_samples():
 def test_gnz_mecke_identity_q1():
     params = ModelParams(3.0, 1.0, DiracRadius(0.12), UNIT)
     samples = [sample_poisson_boolean(params, seeded(1000 + i)).arrays() for i in range(200)]
-    rows = gnz_residual_crcm(samples, params, rng=seeded(27))
+    rows = gnz_residuals(samples, params, rng=seeded(27))
     assert all(r.residual < 4.0 for r in rows)
 
 
 def test_gnz_residuals_small_on_chain_samples(crcm_samples):
     params, samples = crcm_samples
-    rows = gnz_residual_crcm(samples, params, rng=seeded(28), inner_points=128)
+    rows = gnz_residuals(samples, params, rng=seeded(28), inner_points=128)
     assert all(r.residual < 4.0 for r in rows)
 
 
 def test_gnz_wrong_q_detected(crcm_samples):
     params, samples = crcm_samples
-    rows = gnz_residual_crcm(samples, params, rng=seeded(29), inner_points=128, rhs_q=3.0)
+    wrong = dataclasses.replace(params, q=3.0)
+    rows = gnz_residuals(samples, wrong, rng=seeded(29), inner_points=128)
     assert max(r.residual for r in rows) > 4.0
 
 
 def test_gnz_needs_enough_samples(crcm_samples):
     params, samples = crcm_samples
     with pytest.raises(ValueError):
-        gnz_residual_crcm(samples[:50], params)
+        gnz_residuals(samples[:50], params)
 
 
-def ref_gnz(samples, params, rng, inner_points, weigh):
+def ref_gnz(samples, params, rng, inner_points, weights_of):
     """The former balance loop: scalar test functions called once per ball
-    and per insertion, `weigh(cfg, xs, rs, rng)` one weight per insertion."""
+    and per insertion, `weights_of(cfg, xs, rs, rng)` one weight per insertion."""
     lam = params.total_intensity
     mid = 0.5 * (params.window.lo[0] + params.window.hi[0])
     tests = [lambda n, c, r: 1.0, lambda n, c, r: math.exp(-n / lam),
@@ -479,7 +481,7 @@ def ref_gnz(samples, params, rng, inner_points, weigh):
     for cfg in samples:
         xs = params.window.sample_points(rng, inner_points)
         rs = params.law.sample(rng, inner_points)
-        w = weigh(cfg, xs, rs, rng)
+        w = weights_of(cfg, xs, rs, rng)
         for t, f in enumerate(tests):
             lhs = sum(f(cfg.n - 1, *cfg.index.balls[s]) for s in cfg.active_ids())
             rhs = lam * np.mean([f(cfg.n, x, r) * wk for x, r, wk in zip(xs, rs, w)])
@@ -492,7 +494,7 @@ def test_gnz_array_statistics_match_ball_by_ball_loop():
     rng = seeded(30)
     samples = [sample_poisson_boolean(params, rng) for _ in range(100)]
 
-    def crcm_weigh(cfg, xs, rs, rng):
+    def crcm_weights(cfg, xs, rs, rng):
         lab = ClusterLabeling(cfg)
         return [2.0 ** lab.insertion_increment(cfg, x, r)[0] for x, r in zip(xs, rs)]
 
@@ -502,7 +504,7 @@ def test_gnz_array_statistics_match_ball_by_ball_loop():
         for c, r, _ in (cfg.arrays() for cfg in samples)
     ]
 
-    def wr_weigh(cfg, xs, rs, rng):
+    def wr_weights(cfg, xs, rs, rng):
         ks = rng.integers(1, 3, size=len(xs))
         return [
             float(wr.insertion_allowed(cfg, cfg.intersectors(x, r), int(k)))
@@ -510,14 +512,72 @@ def test_gnz_array_statistics_match_ball_by_ball_loop():
         ]
 
     for rows, ref in (
-        (gnz_residual_crcm([c.arrays() for c in samples], params, rng=seeded(31)),
-         ref_gnz(samples, params, seeded(31), 96, crcm_weigh)),
+        (gnz_residuals([c.arrays() for c in samples], params, rng=seeded(31)),
+         ref_gnz(samples, params, seeded(31), 96, crcm_weights)),
         (wr.gnz_residual_wr([c.arrays() for c in colored], wp, rng=seeded(32)),
-         ref_gnz(colored, wp, seeded(32), 96, wr_weigh)),
+         ref_gnz(colored, wp, seeded(32), 96, wr_weights)),
     ):
         for row, (mean, se) in zip(rows, ref):
             assert row.lhs - row.rhs == pytest.approx(mean, rel=1e-9, abs=1e-9)
             assert row.se == pytest.approx(se, rel=1e-9)
+
+
+class Draws:
+    """Stands in for a generator in `WrParams.insertion`: `integers`
+    returns the given values in turn."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def integers(self, lo, hi, size=None):
+        return next(self.values)
+
+
+def checkerboard(colored):
+    """Balls of radius 1/8 on every other site of a lattice of spacing 1/4
+    in the unit square, all in binary fractions: no two balls touch, and a
+    ball of radius 1/8 at any empty site is exactly tangent to its (up to
+    four) neighbours."""
+    sites = [(0.125 + 0.25 * i, 0.125 + 0.25 * j) for i in range(4) for j in range(4)]
+    kept = [c for k, c in enumerate(sites) if (k + k // 4) % 2 == 0]
+    colors = [1 + k % 2 for k in range(len(kept))] if colored else None
+    cfg = Configuration.from_arrays(UNIT, kept, [0.125] * len(kept), colors)
+    return cfg, np.array(sites), np.full(len(sites), 0.125)
+
+
+def random_sample(colored, rng):
+    params = ModelParams(30.0, 1.0, UniformRadius(0.02, 0.1), UNIT)
+    centers, radii, _ = sample_poisson_boolean(params, rng).arrays()
+    colors = wr.fk_colorize(centers, radii, 3, rng) if colored else None
+    cfg = Configuration.from_arrays(UNIT, centers, radii, colors)
+    return cfg, UNIT.sample_points(rng, 60), params.law.sample(rng, 60)
+
+
+@pytest.mark.parametrize("build", [checkerboard, random_sample])
+@pytest.mark.parametrize("model", ["crcm", "wr"])
+def test_gnz_insertion_weights_are_the_chain_factors(build, model):
+    # the balance check weighs insertions by the factor the chain accepts a
+    # birth with: the array method against `insertion`, candidate by candidate
+    rng = seeded(33)
+    colored = model == "wr"
+    cfg, xs, rs = build(colored) if build is checkerboard else build(colored, rng)
+    params = (wr.WrParams(30.0, 3, DiracRadius(0.125), UNIT) if colored
+              else ModelParams(30.0, 2.5, DiracRadius(0.125), UNIT))
+    position = {slot: k for k, slot in enumerate(cfg.active_ids())}
+    hit_lists = [cfg.intersectors(x, r) for x, r in zip(xs, rs)]
+    hits = np.zeros((len(xs), cfg.n), dtype=bool)
+    for m, slots in enumerate(hit_lists):
+        hits[m, [position[s] for s in slots]] = True
+    assert hits.any()
+    weights = params.insertion_weights(cfg.arrays(), hits, seeded(34))
+    # the color model draws one color per candidate, in order, from its stream
+    ks = seeded(34).integers(1, params.n_colors + 1, size=len(xs)) if colored else None
+    lab = ClusterLabeling(cfg)
+    for m, (x, r) in enumerate(zip(xs, rs)):
+        factor, slots, _ = params.insertion(cfg, lab, x, r, Draws([ks[m]]) if colored else None)
+        assert sorted(slots) == sorted(hit_lists[m])
+        assert weights[m] == factor
+    assert len(set(weights.tolist())) > 1
 
 
 # -- domination and entropy ------------------------------------------------------------

@@ -13,7 +13,7 @@ from crcmlab.model_core import (
     sample_poisson_boolean,
 )
 from crcmlab.connectivity import components, count_components
-from crcmlab.crcm import birth_ratio, death_ratio
+from crcmlab.crcm import birth_ratio, death_ratio, gnz_residuals
 from crcmlab.widom_rowlinson import (
     WrParams,
     col_event,
@@ -333,7 +333,7 @@ def test_gnz_wr_residuals_small(wr_samples):
 
 def test_gnz_wr_dropped_constraint_detected(wr_samples):
     params, samples = wr_samples
-    rows = gnz_residual_wr(
-        samples, params, rng=seeded(16), inner_points=128, drop_constraint=True
-    )
+    # the same samples against the Poisson reference, which has no constraint
+    poisson = ModelParams(params.z, 1.0, params.law, params.window)
+    rows = gnz_residuals(samples, poisson, rng=seeded(16), inner_points=128)
     assert max(r.residual for r in rows) > 4.0
