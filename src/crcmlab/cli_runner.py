@@ -44,20 +44,14 @@ from .crcm import (
     TRACE_COLUMNS,
     ChainState,
     bd_step,
+    conditional_resample,
     gnz_residuals,
-    heat_bath_sweep,
     new_chain,
     run_chain,
     sweep_loop,
     sweep_size,
 )
-from .widom_rowlinson import (
-    WrParams,
-    fk_consistency_test,
-    new_wr_chain,
-    run_wr_chain,
-    wr_step,
-)
+from .widom_rowlinson import WrParams, fk_consistency_test
 from . import analysis
 
 EXIT_OK = 0
@@ -247,9 +241,9 @@ def load_spec(subcommand: str, config_path: Optional[str], overrides: dict) -> E
         raise SpecInvalid(f"{subcommand} needs at least {least} recorded sweeps, got {recorded}")
     if not 0 <= spec.r0 < math.inf:
         raise SpecInvalid(f"r0 must be finite and nonnegative, got {spec.r0}")
+    if spec.model not in ("crcm", "wr"):
+        raise SpecInvalid(f"model must be crcm or wr, got {spec.model!r}")
     model = spec.model if subcommand == "gnz-check" else None
-    if model not in (None, "crcm", "wr"):
-        raise SpecInvalid(f"gnz-check model must be crcm or wr, got {model!r}")
     allowed = sorted({"none", CONTROLS.get((subcommand, model), "none")})
     if spec.control not in allowed:
         what = f"{subcommand} model={model}" if model else subcommand
@@ -302,6 +296,10 @@ def _fmt(v) -> str:
     return str(v)
 
 
+# the files the running subcommand wrote, for its manifest; `main` empties it
+written: list[str] = []
+
+
 def write_csv(
     spec: ExperimentSpec, out: Path, name: str, meta: dict, columns: list[str], rows,
     passed: Optional[bool] = None,
@@ -319,14 +317,21 @@ def write_csv(
         fh.write(",".join(columns) + "\n")
         for row in rows:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
+    written.append(name)
     # not `passed is False`: a verdict may be a numpy bool
     return EXIT_TEST if passed is not None and not passed else EXIT_OK
 
 
-def spec_chain(spec: ExperimentSpec, run, params: ModelParams, index: int, **kw):
-    """`run` (run_chain or run_wr_chain) of `params` on the spec's chain
-    stream `index` with the spec's burn-in, sweeps and thinning."""
-    return run(
+def save_config(spec: ExperimentSpec, out: Path, name: str, window: Box, balls: tuple) -> None:
+    """`save_configuration` to `out / name`, tagged with the spec's law and seed."""
+    save_configuration(window, balls, out / name, law_descriptor=spec.law, seed=spec.seed)
+    written.append(name)
+
+
+def spec_chain(spec: ExperimentSpec, params: ModelParams, index: int, **kw):
+    """`run_chain` of `params` on the spec's chain stream `index` with the
+    spec's burn-in, sweeps and thinning."""
+    return run_chain(
         params, chain_rng(spec.seed, index),
         sweeps=spec.sweeps, burn_in=spec.burn_in, thin=spec.thinning, **kw,
     )
@@ -334,9 +339,7 @@ def spec_chain(spec: ExperimentSpec, run, params: ModelParams, index: int, **kw)
 
 def write_manifest(out: Path, spec: ExperimentSpec, wall: float, extra=None):
     """`out / manifest.json`: the spec, its hash, versions, wall time, the
-    CSV tables in `out` and `extra`."""
-    out.mkdir(parents=True, exist_ok=True)
-    outputs = [p.name for p in out.iterdir() if p.suffix == ".csv"]
+    files this subcommand wrote (`written`) and `extra`."""
     doc = {
         "subcommand": spec.subcommand,
         "spec": json.loads(spec.canonical()),
@@ -348,7 +351,7 @@ def write_manifest(out: Path, spec: ExperimentSpec, wall: float, extra=None):
             "python": sys.version.split()[0],
         },
         "wall_time_s": wall,
-        "outputs": sorted(outputs),
+        "outputs": sorted(written),
     }
     if extra:
         doc.update(extra)
@@ -416,8 +419,7 @@ def run_traced_chain(
     if resume_doc is not None:
         state, start_sweep, trace = chain_from_json(resume_doc, params)
     else:
-        rng = chain_rng(spec.seed, chain_index)
-        state = new_wr_chain(params, rng) if colored else new_chain(params, rng)
+        state = new_chain(params, chain_rng(spec.seed, chain_index))
         start_sweep, trace = 0, []
     total = spec.burn_in + spec.sweeps
 
@@ -427,7 +429,7 @@ def run_traced_chain(
 
     sweep_loop(
         state,
-        wr_step if colored else bd_step,
+        bd_step,
         sweep_size(params),
         spec.burn_in,
         spec.sweeps,
@@ -451,8 +453,7 @@ def cmd_sample_poisson(spec: ExperimentSpec, out: Path) -> int:
     for s in range(spec.samples):
         rng = chain_rng(spec.seed, s)
         centers, radii = poisson_balls(w, params.law, params.total_intensity, rng)
-        save_configuration(w, (centers, radii, None), out / f"config_{s:04d}.csv",
-                           law_descriptor=spec.law, seed=spec.seed)
+        save_config(spec, out, f"config_{s:04d}.csv", w, (centers, radii, None))
         rows.append((s, radii.size, components(centers, radii)[0]))
     return write_csv(spec, out, "summary.csv", {}, ["sample", "count", "n_cc"], rows)
 
@@ -496,20 +497,16 @@ def cmd_sample_chain(spec: ExperimentSpec, out: Path) -> int:
         )
         write_csv(spec, out, f"trace_{c:03d}.csv", {"chain": c, "seed": spec.seed},
                   TRACE_COLUMNS, trace)
-        cfg = state.config
-        save_configuration(cfg.window, cfg.arrays(), out / f"final_config_{c:03d}.csv",
-                           law_descriptor=spec.law, seed=spec.seed)
+        save_config(spec, out, f"final_config_{c:03d}.csv", state.config.window,
+                    state.config.arrays())
         if spec.checkpoint_every:
             save_checkpoint(None, c + 1)
     return EXIT_OK
 
 
 def cmd_gnz_check(spec: ExperimentSpec, out: Path) -> int:
-    if spec.model == "crcm":
-        params, run = spec.model_params(), run_chain
-    else:
-        params, run = spec.wr_params(), run_wr_chain
-    rep = spec_chain(spec, run, params, 0, keep_configs=True)
+    params = spec.model_params() if spec.model == "crcm" else spec.wr_params()
+    rep = spec_chain(spec, params, 0, keep_configs=True)
     # a negative control tests the same samples against a wrong model
     tested = {
         "none": params,
@@ -562,9 +559,14 @@ def cmd_dlr_check(spec: ExperimentSpec, out: Path) -> int:
     for k in range(2 ** w.dimension):
         upper = (k >> np.arange(w.dimension)) & 1 == 1
         quads.append(Box(np.where(upper, mid, w.lo), np.where(upper, w.hi, mid)))
-    hb = spec_chain(spec, run_chain, params, 0,
-                    step=lambda state: heat_bath_sweep(state, quads), per_sweep=1)
-    rep = spec_chain(spec, run_chain, params, 1)
+
+    def heat_bath(state: ChainState) -> ChainState:
+        for box in quads:
+            conditional_resample(state, box)
+        return state
+
+    hb = spec_chain(spec, params, 0, step=heat_bath, per_sweep=1)
+    rep = spec_chain(spec, params, 1)
     p_count = stats.ks_2samp(hb.counts, rep.counts, method="asymp").pvalue
     p_ncc = stats.ks_2samp(hb.n_cc, rep.n_cc, method="asymp").pvalue
     return write_csv(
@@ -743,8 +745,7 @@ def cmd_np_decay(spec: ExperimentSpec, out: Path) -> int:
     for gi, (z, params, bound) in enumerate(zip(grid, models, bounds)):
         configs = []
         for c in range(spec.chains):
-            configs.extend(spec_chain(spec, run_chain, params, 100 * gi + c,
-                                      keep_configs=True).samples)
+            configs.extend(spec_chain(spec, params, 100 * gi + c, keep_configs=True).samples)
         est = analysis.estimate_NP(configs, w, border)
         ok = est.value <= bound + 3.0 * est.se
         all_ok = all_ok and ok
@@ -837,6 +838,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         spec = load_spec(args.subcommand, args.config, overrides)
         out = Path(spec.out)
         out.mkdir(parents=True, exist_ok=True)
+        written.clear()
         start = time.time()
         status = COMMANDS[spec.subcommand](spec, out)
         write_manifest(out, spec, time.time() - start, extra={"exit_status": status})

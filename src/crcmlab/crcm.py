@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .geometry import Box, dilate, unit_ball_volume
-from .model_core import Configuration, ModelParams, poisson_balls, sample_poisson_boolean
+from .model_core import Configuration, ModelParams, poisson_balls
 from .connectivity import ClusterLabeling, components, local_count
 # local_cc stays importable from this module: the tracer self-test in benchmarks/ relies on it
 from .connectivity import local_cc  # noqa: F401
@@ -81,9 +81,8 @@ class ChainState:
 
 
 def new_chain(params: ModelParams, rng: np.random.Generator) -> ChainState:
-    """Chain started from an exact draw of the Poisson reference process."""
-    cfg = sample_poisson_boolean(params, rng)
-    return ChainState(params=params, config=cfg, rng=rng)
+    """Chain of either model, started from `params.start(rng)`."""
+    return ChainState(params=params, config=params.start(rng), rng=rng)
 
 
 # ---------------------------------------------------------------------------
@@ -146,11 +145,17 @@ def birth_death(state: ChainState, p: ModelParams, slots: list, birth: bool) -> 
 
 
 def bd_step(state: ChainState) -> ChainState:
-    """One birth-death proposal: equal-probability birth (uniform center,
-    law radius) or death (uniform ball), Metropolis-accepted against the
-    cluster-weighted density.  Mutates and returns the state."""
+    """One move of either model's chain, picked by one uniform u: below
+    the params' `move_share` a birth-death proposal through `birth_death` (a
+    birth below half the share), otherwise the params' `recolor` of a
+    nonempty configuration.  Mutates and returns the state."""
+    p = state.params
     state.step_count += 1
-    birth_death(state, state.params, state.config.active_ids(), state.rng.random() < 0.5)
+    u = state.rng.random()
+    if u < p.move_share:
+        birth_death(state, p, state.config.active_ids(), u < 0.5 * p.move_share)
+    elif state.config.n > 0:
+        p.recolor(state)
     state.maybe_audit()
     return state
 
@@ -452,13 +457,6 @@ def _nested_box_chain(state: ChainState, box: Box, sweeps: int) -> ChainState:
             inner[i] = inner.pop()
         else:
             del inner[i]
-    return state
-
-
-def heat_bath_sweep(state: ChainState, partition: Sequence[Box]) -> ChainState:
-    """One conditional resample of every box of a window partition."""
-    for box in partition:
-        conditional_resample(state, box)
     return state
 
 

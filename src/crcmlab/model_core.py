@@ -237,6 +237,7 @@ class ModelParams:
     q: float
     law: RadiusLaw
     window: Box
+    move_share = 1.0  # share of chain moves that are births or deaths; not a field
 
     def __post_init__(self):
         if not 0 < self.z < math.inf:
@@ -268,6 +269,10 @@ class ModelParams:
     def cell_size(self) -> float:
         """Grid cell of a chain's configuration, from the law's median radius."""
         return default_cell_size(self.window, self.law.median())
+
+    def start(self, rng) -> Configuration:
+        """A chain's first configuration: an exact Poisson reference draw."""
+        return sample_poisson_boolean(self, rng)
 
     def insertion(self, cfg, labeling, center, radius: float, rng) -> tuple:
         """(q^(component increment), the slots it meets, no color) of a ball."""

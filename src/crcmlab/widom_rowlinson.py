@@ -1,8 +1,8 @@
 """The q-color hard-core ball model: colored configurations where balls of
-different colors may never overlap (tangency included), its birth-death-
-recolor chain, the uniform component-coloring kernel on ball arrays, and
-the coupling consistency test tying the color-blind model at intensity z to
-the cluster-weighted model at intensity z/q."""
+different colors may never overlap (tangency included), the params of its
+birth-death-recolor chain, the uniform component-coloring kernel on ball
+arrays, and the coupling consistency test tying the color-blind model at
+intensity z to the cluster-weighted model at intensity z/q."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -17,14 +17,17 @@ from .crcm import (
     ChainState,
     GnzRow,
     SamplerReport,
-    birth_death,
+    bd_step,
     gnz_residuals,
+    new_chain,
     run_chain,
 )
 
 @dataclass
 class WrParams(ModelParams):
     """Model parameters with an integer number of colors q >= 2."""
+
+    move_share = 0.8  # the other fifth of the chain's moves recolor a component
 
     def __post_init__(self):
         super().__post_init__()
@@ -61,6 +64,25 @@ class WrParams(ModelParams):
         finds the split only once a death is accepted."""
         return 1.0, None
 
+    def start(self, rng) -> Configuration:
+        """The empty colored configuration, which is always allowed."""
+        return Configuration(self.window, cell_size=self.cell_size, colored=True)
+
+    def recolor(self, state: ChainState) -> None:
+        """A uniform new color for the component of a uniform ball, always
+        accepted: distinct components never touch."""
+        rng = state.rng
+        cfg = state.config
+        state.proposed["recolor"] += 1
+        # the pick reads only the color-blind configuration and the move
+        # order, which checkpoints keep, so this is a Gibbs update of one
+        # component's color and resumed runs repeat it exactly
+        slot = cfg.random_active(rng)
+        color = int(rng.integers(1, self.n_colors + 1))
+        lab = state.labeling
+        cfg.colors.update(dict.fromkeys(lab.members[lab.label[slot]], color))
+        state.accepted["recolor"] += 1
+
 
 # ---------------------------------------------------------------------------
 # The allowed set
@@ -94,35 +116,14 @@ def col_event(colors: Optional[np.ndarray]) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def new_wr_chain(params: WrParams, rng: np.random.Generator) -> ChainState:
-    """Empty-start chain (the empty configuration is always allowed)."""
-    cfg = Configuration(params.window, cell_size=params.cell_size, colored=True)
-    return ChainState(params=params, config=cfg, rng=rng)
+# `crcm.new_chain`, `bd_step` and `run_chain` run either model; this name
+# stays because benchmarks/workloads.py starts its color chains with it
+new_wr_chain = new_chain
 
 
 def wr_step(state: ChainState) -> ChainState:
-    """One move of the hard-core-color chain: a birth or a death through
-    `birth_death` with WrParams' factors, or a uniform new color for the
-    component of a uniform ball (always accepted: distinct components never
-    touch, so cross-component colors are free)."""
-    rng = state.rng
-    cfg = state.config
-    state.step_count += 1
-    u = rng.random()
-    if u < 0.8:
-        birth_death(state, state.params, cfg.active_ids(), u < 0.4)
-    elif cfg.n > 0:
-        state.proposed["recolor"] += 1
-        # the pick reads only the color-blind configuration and the move
-        # order, which checkpoints keep, so this is a Gibbs update of one
-        # component's color and resumed runs repeat it exactly
-        slot = cfg.random_active(rng)
-        color = int(rng.integers(1, state.params.n_colors + 1))
-        lab = state.labeling
-        cfg.colors.update(dict.fromkeys(lab.members[lab.label[slot]], color))
-        state.accepted["recolor"] += 1
-    state.maybe_audit()
-    return state
+    """`bd_step`, under the name benchmarks/tracer.py and workloads.py bind."""
+    return bd_step(state)
 
 
 def run_wr_chain(
@@ -133,17 +134,8 @@ def run_wr_chain(
     thin: int = 2,
     keep_configs: bool = False,
 ) -> SamplerReport:
-    state = new_wr_chain(params, rng)
-    return run_chain(
-        params,
-        rng,
-        sweeps=sweeps,
-        burn_in=burn_in,
-        thin=thin,
-        step=wr_step,
-        state=state,
-        keep_configs=keep_configs,
-    )
+    """`run_chain`, under the name benchmarks/tracer.py times."""
+    return run_chain(params, rng, sweeps, burn_in, thin, keep_configs=keep_configs)
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +189,7 @@ def fk_consistency_test(
     for s in range(pairs):
         wr_rng = np.random.default_rng(np.random.SeedSequence(entropy=rng_seed, spawn_key=(2 * s,)))
         cr_rng = np.random.default_rng(np.random.SeedSequence(entropy=rng_seed, spawn_key=(2 * s + 1,)))
-        wr = run_wr_chain(params, wr_rng, sweeps=sweeps, burn_in=burn_in, thin=thin)
+        wr = run_chain(params, wr_rng, sweeps=sweeps, burn_in=burn_in, thin=thin)
         cr = run_chain(cr_params, cr_rng, sweeps=sweeps, burn_in=burn_in, thin=thin)
         for t, (a, b) in enumerate(
             [(wr.counts, cr.counts), (wr.n_cc, cr.n_cc), (wr.largest, cr.largest)]

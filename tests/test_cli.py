@@ -312,6 +312,11 @@ def test_unknown_subcommand_and_bad_set(tmp_path):
         ("sample-crcm", {"control": "wrong-q"}),
         ("dlr-check", {"control": "mismatch"}),
         ("bounds-audit", {"control": "drop-constraint"}),
+        # every subcommand checks its model, not only gnz-check that reads it
+        ("sample-poisson", {"model": "isng", "samples": "1"}),  # once exited 0
+        ("sample-wr", {"model": "ising"}),
+        ("fk-check", {"model": "WR"}),
+        ("shield", {"model": ""}),
     ],
 )
 def test_malformed_spec_values_are_spec_errors(tmp_path, capsys, monkeypatch, sub, settings):
@@ -334,6 +339,18 @@ def test_malformed_spec_values_are_spec_errors(tmp_path, capsys, monkeypatch, su
 def test_controls_each_check_takes(sub, model, control):
     spec = load_spec(sub, None, {"model": model, "control": control})
     assert (spec.model, spec.control) == (model, control)
+
+
+def test_manifest_lists_only_what_this_run_wrote(tmp_path, capsys):
+    # a second run into the same directory once listed the first run's
+    # leftover chain files, whose headers name another seed and spec hash
+    base = ["sample-crcm", "--out", str(tmp_path), *FAST_CHAIN]
+    assert cli.main([*base, "--chains", "2"]) == EXIT_OK
+    assert (tmp_path / "trace_001.csv").is_file()
+    assert cli.main([*base, "--chains", "1", "--seed", "9"]) == EXIT_OK
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["seed"] == 9
+    assert manifest["outputs"] == ["final_config_000.csv", "trace_000.csv"]
 
 
 def test_runtime_error_leaves_traceback_and_manifest(tmp_path, capsys, monkeypatch):

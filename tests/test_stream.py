@@ -15,7 +15,6 @@ from crcmlab.crcm import (
     RejectionBudgetExceeded,
     bd_step,
     conditional_resample,
-    heat_bath_sweep,
     new_chain,
     run_chain,
     sweep_loop,
@@ -181,6 +180,14 @@ def raw_loop(state, step, per_sweep, burn_in, sweeps, thin):
     return trace
 
 
+def heat_bath(state):
+    """One heat-bath sweep as dlr-check runs it: a conditional resample of
+    every quadrant."""
+    for box in QUADS:
+        conditional_resample(state, box)
+    return state
+
+
 def assert_same_chain(a, b):
     for x, y in zip(a.config.arrays(), b.config.arrays()):
         assert (x is None and y is None) or x.tolist() == y.tolist()
@@ -218,11 +225,42 @@ def test_heat_bath_trajectory_is_pinned():
     # as in dlr-check: one heat-bath sweep over the quadrants per chain sweep
     params = ModelParams(20.0, 2.0, DiracRadius(0.1), UNIT)
     rep = run_chain(params, cli.chain_rng(5, 0), sweeps=8, burn_in=2, thin=2,
-                    step=lambda s: heat_bath_sweep(s, QUADS), per_sweep=1)
+                    step=heat_bath, per_sweep=1)
     raw = new_chain(params, cli.chain_rng(5, 0))
-    trace = raw_loop(raw, lambda s: heat_bath_sweep(s, QUADS), 1, 2, 8, 2)
+    trace = raw_loop(raw, heat_bath, 1, 2, 8, 2)
     assert rep.counts.tolist() == [r[1] for r in trace]
     assert_same_chain(rep.state, raw)
+
+
+# (count, n_cc, largest) trace rows and the final proposed and accepted
+# counts of `run_chain(params, chain_rng(7, 0), sweeps=8, burn_in=2, thin=2)`
+# at z=60, q=2 on the unit square, as the chains drew them before both models
+# shared one step; the color chain recolors in about a fifth of its moves
+FIXED_SEED_TRAJECTORIES = {
+    ("crcm", "dirac:0.05"): (
+        [(57, 31, 4), (63, 27, 12), (56, 35, 5), (72, 28, 10)],
+        {"birth": 607, "death": 593, "recolor": 0}, {"birth": 512, "death": 502, "recolor": 0}),
+    ("crcm", "uniform:0.02,0.08"): (
+        [(66, 39, 7), (55, 29, 5), (73, 34, 14), (69, 33, 14)],
+        {"birth": 612, "death": 588, "recolor": 0}, {"birth": 496, "death": 484, "recolor": 0}),
+    ("wr", "dirac:0.05"): (
+        [(34, 23, 4), (31, 21, 7), (32, 27, 4), (36, 27, 3)],
+        {"birth": 242, "death": 244, "recolor": 114}, {"birth": 168, "death": 121, "recolor": 114}),
+    ("wr", "uniform:0.02,0.08"): (
+        [(32, 20, 6), (38, 32, 4), (36, 31, 3), (49, 34, 3)],
+        {"birth": 262, "death": 239, "recolor": 99}, {"birth": 163, "death": 122, "recolor": 99}),
+}
+
+
+@pytest.mark.parametrize("model, law", list(FIXED_SEED_TRAJECTORIES))
+def test_chain_trajectory_at_a_fixed_seed_is_pinned(model, law):
+    # the tests above compare the stream with raw draws of the same code, so
+    # a changed move-type threshold passes them; this one does not
+    params = (WrParams if model == "wr" else ModelParams)(60.0, 2.0, parse_law(law), UNIT)
+    rep = run_chain(params, cli.chain_rng(7, 0), sweeps=8, burn_in=2, thin=2)
+    rows, proposed, accepted = FIXED_SEED_TRAJECTORIES[model, law]
+    assert list(zip(rep.counts.tolist(), rep.n_cc.tolist(), rep.largest.tolist())) == rows
+    assert (rep.state.proposed, rep.state.accepted) == (proposed, accepted)
 
 
 def test_nested_fallback_trajectory_is_pinned():
