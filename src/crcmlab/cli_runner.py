@@ -31,6 +31,7 @@ from .model_core import (
     poisson_balls,
     sample_poisson_boolean,
     save_configuration,
+    write_table,
 )
 from .connectivity import (
     ClusterLabeling,
@@ -264,36 +265,16 @@ def chain_rng(seed: int, chain_index: int) -> np.random.Generator:
     )
 
 
-def tmp_doc_default(doc):
-    """Plain-JSON view: numpy arrays become lists, numpy scalars plain
-    numbers, tuples lists."""
-    if isinstance(doc, (np.ndarray, np.generic)):
-        return doc.tolist()
-    if isinstance(doc, dict):
-        return {k: tmp_doc_default(x) for k, x in doc.items()}
-    if isinstance(doc, (list, tuple)):
-        return [tmp_doc_default(x) for x in doc]
-    return doc
-
-
 def rng_state_to_json(rng: np.random.Generator) -> dict:
-    return tmp_doc_default(rng.bit_generator.state)
+    """The state of any bit generator as plain JSON: the numpy arrays and
+    scalars in it become lists and Python numbers."""
+    return json.loads(json.dumps(rng.bit_generator.state, default=lambda v: v.tolist()))
 
 
 def rng_from_json(state: dict) -> np.random.Generator:
     bg = np.random.Philox()
     bg.state = state  # Philox takes its counter, key and buffer as lists
     return np.random.Generator(bg)
-
-
-def _fmt(v) -> str:
-    if isinstance(v, (bool, np.bool_)):
-        return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
 
 
 # the files the running subcommand wrote, for its manifest; `main` empties it
@@ -312,11 +293,7 @@ def write_csv(
     if passed is not None:
         head["pass"] = int(passed)
     out.mkdir(parents=True, exist_ok=True)
-    with open_fresh(out / name) as fh:
-        fh.write("# " + " ".join(f"{k}={v}" for k, v in head.items()) + "\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    write_table(out / name, head, columns, rows)
     written.append(name)
     # not `passed is False`: a verdict may be a numpy bool
     return EXIT_TEST if passed is not None and not passed else EXIT_OK
@@ -388,22 +365,33 @@ def chain_to_json(state: ChainState, sweep: int, trace: list) -> dict:
     return doc
 
 
+def _count(v) -> int:
+    """`v` if it is a nonnegative integer; ValueError otherwise."""
+    if type(v) is not int or v < 0:
+        raise ValueError(f"want a nonnegative integer, got {v!r}")
+    return v
+
+
 def chain_from_json(doc: dict, params: ModelParams) -> tuple[ChainState, int, list]:
     """Inverse of chain_to_json for a chain of `params`; raises ValueError
-    on a malformed ball list."""
-    colors = doc["colors"] if isinstance(params, WrParams) else None
-    cfg = Configuration.from_arrays(
-        params.window, doc["centers"], doc["radii"], colors, cell_size=params.cell_size
-    )
-    state = ChainState(
-        params=params,
-        config=cfg,
-        rng=rng_from_json(doc["rng"]),
-        step_count=doc["step_count"],
-        proposed={k: int(v) for k, v in doc["proposed"].items()},
-        accepted={k: int(v) for k, v in doc["accepted"].items()},
-    )
-    return state, doc["sweep"], [tuple(r) for r in doc["trace"]]
+    on any malformed field."""
+    try:
+        colors = doc["colors"] if isinstance(params, WrParams) else None
+        cfg = Configuration.from_arrays(
+            params.window, doc["centers"], doc["radii"], colors, cell_size=params.cell_size
+        )
+        moves = ("birth", "death", "recolor")
+        state = ChainState(
+            params=params,
+            config=cfg,
+            rng=rng_from_json(doc["rng"]),
+            step_count=_count(doc["step_count"]),
+            proposed={k: _count(doc["proposed"][k]) for k in moves},
+            accepted={k: _count(doc["accepted"][k]) for k in moves},
+        )
+        return state, _count(doc["sweep"]), [tuple(r) for r in doc["trace"]]
+    except (KeyError, TypeError, AttributeError, IndexError, OverflowError) as exc:
+        raise ValueError(f"malformed chain document: {type(exc).__name__}: {exc}") from exc
 
 
 def run_traced_chain(
@@ -417,7 +405,10 @@ def run_traced_chain(
     recorded trace is identical whether or not the run was interrupted."""
     params = spec.wr_params() if colored else spec.model_params()
     if resume_doc is not None:
-        state, start_sweep, trace = chain_from_json(resume_doc, params)
+        try:
+            state, start_sweep, trace = chain_from_json(resume_doc, params)
+        except ValueError as exc:
+            raise SpecInvalid(f"checkpoint {spec.resume} holds no chain: {exc}") from exc
     else:
         state = new_chain(params, chain_rng(spec.seed, chain_index))
         start_sweep, trace = 0, []
@@ -464,8 +455,7 @@ def cmd_sample_chain(spec: ExperimentSpec, out: Path) -> int:
     start_chain = 0
     if spec.resume:
         try:
-            with open(spec.resume) as fh:
-                doc = json.load(fh)
+            doc = json.loads(Path(spec.resume).read_text())
         except (OSError, ValueError) as exc:
             raise SpecInvalid(f"cannot read checkpoint {spec.resume}: {exc}") from exc
         if not isinstance(doc, dict) or not {"spec_hash", "next_chain"} <= doc.keys():
@@ -474,13 +464,14 @@ def cmd_sample_chain(spec: ExperimentSpec, out: Path) -> int:
             raise SpecInvalid("checkpoint belongs to a different experiment spec")
         resume_doc = doc.get("chain")  # None between chains
         start_chain = doc["next_chain"]
+        if type(start_chain) is not int or not 0 <= start_chain <= spec.chains:
+            raise SpecInvalid(f"{spec.resume}: next_chain {start_chain!r} is not in 0..{spec.chains}")
     ckpt = out / "checkpoint.json"
 
     def save_checkpoint(chain_doc, next_chain):
         doc = {"spec_hash": spec.digest(), "chain": chain_doc, "next_chain": next_chain}
         tmp = ckpt.with_suffix(".tmp")
-        with open(tmp, "w") as fh:
-            json.dump(tmp_doc_default(doc), fh)
+        tmp.write_text(json.dumps(doc))
         tmp.replace(ckpt)
 
     for c in range(start_chain, spec.chains):
@@ -489,11 +480,7 @@ def cmd_sample_chain(spec: ExperimentSpec, out: Path) -> int:
             c,
             colored,
             resume_doc=resume_doc if c == start_chain else None,
-            checkpoint_cb=(
-                (lambda chain_doc, _c=c: save_checkpoint(chain_doc, _c))
-                if spec.checkpoint_every
-                else None
-            ),
+            checkpoint_cb=lambda chain_doc: save_checkpoint(chain_doc, c),
         )
         write_csv(spec, out, f"trace_{c:03d}.csv", {"chain": c, "seed": spec.seed},
                   TRACE_COLUMNS, trace)

@@ -6,14 +6,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
 from .geometry import Box, dilate, unit_ball_volume
-from .model_core import Configuration
+
+if TYPE_CHECKING:
+    from .model_core import Configuration
 
 
 class LambdaNotInWindow(ValueError):

@@ -4,13 +4,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, count
 from pathlib import Path
 from typing import Callable, Iterable, Optional
 
 import numpy as np
 from scipy import integrate
 
+from .connectivity import components
 from .geometry import (
     Box,
     SpatialIndex,
@@ -283,8 +284,6 @@ class ModelParams:
         """`insertion`'s factor for m candidate balls against one recorded
         `(centers, radii, colors)` sample, hits[m, k] saying whether
         candidate m meets ball k: q^(1 - components met)."""
-        from .connectivity import components  # connectivity imports this module
-
         count, labels = components(sample[0], sample[1])
         met = np.zeros((hits.shape[0], count), dtype=bool)
         m, k = np.nonzero(hits)
@@ -307,9 +306,8 @@ class Configuration:
     index's `balls` is the only store of centers and radii; `colors` maps
     each active slot to its color (None when uncolored).
 
-    Slots are stable integer ids: removal frees a slot for reuse without
-    renumbering survivors, so component labelings stay aligned.  A freed
-    slot is reused last-in first-out, otherwise the lowest slot never used.
+    Slots are stable integer ids from a counter, never reused: removal
+    renumbers no survivor, so component labelings stay aligned.
     """
 
     def __init__(self, window: Box, cell_size: float, colored: bool = False):
@@ -317,7 +315,7 @@ class Configuration:
         self.colored = colored
         self.colors: Optional[dict[int, int]] = {} if colored else None
         self.index = SpatialIndex(cell_size)
-        self._free: list[int] = []             # freed slots, reused last first
+        self._ids = count()          # the slots `add` hands out
         self._active: list[int] = []           # active slots in move order
         self._slot_pos: dict[int, int] = {}    # active slot -> its position
         self.tags: dict = {}
@@ -370,6 +368,7 @@ class Configuration:
         cfg = cls(window, cell_size, colored=colors is not None)
         if colors is not None:
             cfg.colors = dict(enumerate(colors.tolist()))
+        cfg._ids = count(n)
         cfg._active = list(range(n))
         cfg._slot_pos = dict(enumerate(range(n)))
         cfg.index.insert_many(range(n), centers, radii)
@@ -396,7 +395,7 @@ class Configuration:
         return centers.reshape(n, d), radii, colors
 
     def add(self, center, radius: float, color: Optional[int] = None) -> int:
-        """Store a ball in the next free slot and return the slot.  Raises
+        """Store a ball in a new slot and return the slot.  Raises
         ValueError unless the center has the window's dimension and lies in
         the window, the radius is finite and nonnegative, and a colored
         configuration gets a color."""
@@ -409,8 +408,7 @@ class Configuration:
             raise ValueError("radius must be finite and nonnegative")
         if self.colored and color is None:
             raise ValueError("colored configuration needs a color")
-        # with no freed slot every slot ever used is active, so this one is new
-        slot = self._free.pop() if self._free else len(self._slot_pos)
+        slot = next(self._ids)
         self.index.insert(slot, center, radius)
         if self.colored:
             self.colors[slot] = int(color)
@@ -433,7 +431,6 @@ class Configuration:
         self.index.remove(slot)
         if self.colored:
             del self.colors[slot]
-        self._free.append(slot)
         return moved
 
     def random_active(self, rng: np.random.Generator) -> int:
@@ -652,6 +649,24 @@ def open_fresh(path):
     return open(path, "w")
 
 
+def _fmt(v) -> str:
+    if isinstance(v, (int, np.integer, np.bool_)):  # so a numpy verdict prints 1 or 0
+        return str(int(v))
+    if isinstance(v, (float, np.floating)):
+        return repr(float(v))
+    return str(v)
+
+
+def write_table(path, head: dict, columns: list[str], rows) -> None:
+    """The lab's one CSV format, written to `path` as a new file: a line
+    `# k=v ...` of `head`, a line of `columns`, then one line per row."""
+    with open_fresh(path) as fh:
+        fh.write("# " + " ".join(f"{k}={v}" for k, v in head.items()) + "\n")
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
+
+
 def save_configuration(
     window: Box,
     balls: tuple[np.ndarray, np.ndarray, Optional[np.ndarray]],
@@ -663,7 +678,7 @@ def save_configuration(
     `window` as CSV, one ball per row; `load_configuration` reads it back."""
     centers, radii, colors = balls
     d = window.dimension
-    meta = {
+    head = {
         "d": d,
         "lo": ",".join(repr(float(v)) for v in window.lo),
         "hi": ",".join(repr(float(v)) for v in window.hi),
@@ -671,17 +686,12 @@ def save_configuration(
         "seed": "" if seed is None else seed,
         "colored": int(colors is not None),
     }
-    cols = [f"x{k + 1}" for k in range(d)] + ["radius"]
+    columns = [f"x{k + 1}" for k in range(d)] + ["radius"]
+    rows = [center + [radius] for center, radius in zip(centers.tolist(), radii.tolist())]
     if colors is not None:
-        cols.append("color")
-    with open_fresh(path) as fh:
-        fh.write("# " + " ".join(f"{k}={v}" for k, v in meta.items()) + "\n")
-        fh.write(",".join(cols) + "\n")
-        for k, (center, radius) in enumerate(zip(centers.tolist(), radii.tolist())):
-            row = [repr(v) for v in center] + [repr(radius)]
-            if colors is not None:
-                row.append(str(int(colors[k])))
-            fh.write(",".join(row) + "\n")
+        columns.append("color")
+        rows = [row + [color] for row, color in zip(rows, colors.tolist())]
+    write_table(path, head, columns, rows)
 
 
 def load_configuration(path) -> Configuration:

@@ -424,7 +424,7 @@ def test_criterion_10_reproducibility(tmp_path):
         if doc["sweep"] == 25:
             payload = {"spec_hash": spec.digest(), "colored": False, "chain": doc,
                        "chain_index": 0, "next_chain": 0, "finished": {}}
-            (resumed / "checkpoint.json").write_text(json.dumps(cli.tmp_doc_default(payload)))
+            (resumed / "checkpoint.json").write_text(json.dumps(payload))
             raise Interrupt
 
     try:

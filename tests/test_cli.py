@@ -1,6 +1,8 @@
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,7 +166,7 @@ def check_resume_bitwise(tmp_path, subcommand: str, colored: bool, settings: dic
         resumed = tmp_path / f"resumed_{d['sweep']}"
         resumed.mkdir()
         doc = {"spec_hash": spec.digest(), "chain": d, "next_chain": 0}
-        (resumed / "checkpoint.json").write_text(json.dumps(cli.tmp_doc_default(doc)))
+        (resumed / "checkpoint.json").write_text(json.dumps(doc))
         code = cli.main([
             subcommand, "--seed", "11", "--chains", "2", "--out", str(resumed),
             *flags, "--set", "checkpoint_every=10",
@@ -233,7 +235,20 @@ def test_resume_from_a_file_that_is_not_a_checkpoint(tmp_path, capsys):
     manifest = out / "manifest.json"
     capsys.readouterr()
     (tmp_path / "notes.txt").write_text("not json\n")
-    for path in (manifest, tmp_path / "notes.txt", tmp_path / "missing.json"):
+    # checkpoints of this spec whose body is malformed
+    spec_hash = json.loads(manifest.read_text())["spec_hash"]
+    bad_radius = _chain_doc(False)
+    bad_radius["radii"][0] = -1.0
+    bodies = {
+        "no_balls.json": {"chain": {"sweep": 5}, "next_chain": 0},
+        "word_index.json": {"chain": None, "next_chain": "zero"},
+        "list_chain.json": {"chain": [1, 2], "next_chain": 0},
+        "bad_radius.json": {"chain": bad_radius, "next_chain": 0},
+    }
+    for name, body in bodies.items():
+        (tmp_path / name).write_text(json.dumps({"spec_hash": spec_hash, **body}))
+    for path in (manifest, tmp_path / "notes.txt", tmp_path / "missing.json",
+                 *(tmp_path / name for name in bodies)):
         assert cli.main([*args, "--resume", str(path)]) == EXIT_SPEC
         err = capsys.readouterr().err
         assert "spec error" in err and str(path) in err
@@ -507,7 +522,7 @@ def _chain_doc(colored: bool) -> dict:
     state = (new_wr_chain if colored else new_chain)(params, chain_rng(5, 0))
     for _ in range(300):
         (wr_step if colored else bd_step)(state)
-    return json.loads(json.dumps(cli.tmp_doc_default(cli.chain_to_json(state, 7, []))))
+    return json.loads(json.dumps(cli.chain_to_json(state, 7, [])))
 
 
 @pytest.mark.parametrize("colored", [False, True])
@@ -583,3 +598,50 @@ def test_table_header_keys_and_exit_code(tmp_path, sub, settings, name, keys):
     assert meta["spec_hash"] == json.loads((tmp_path / "manifest.json").read_text())["spec_hash"]
     # the exit code is the table's verdict; a table without one exits 0
     assert code == (EXIT_OK if meta.get("pass", "1") == "1" else cli.EXIT_TEST)
+
+
+# -- pinned outputs ----------------------------------------------------------------
+
+# sha256 (first 16 hex digits) of every table, configuration and checkpoint the
+# benchmark's `cli_suite` specs write at seed 3, and each exit code.  A change
+# that alters an output on purpose updates these values and says why.
+SUITE_PINS = {
+    "sample-poisson": (0, {
+        "config_0000.csv": "fed9f70120d618af", "config_0001.csv": "c31a88ff35597bbe",
+        "config_0002.csv": "1fdfabe6d7f9c7b2", "config_0003.csv": "9d3752c16bbc578c",
+        "config_0004.csv": "900332b55fb21eed", "config_0005.csv": "6217ebf33b17836c",
+        "config_0006.csv": "e1e8d2b4c0fc1df6", "config_0007.csv": "1c11bd4e0caf61e2",
+        "summary.csv": "013a837e5e22204d",
+    }),
+    "sample-crcm": (0, {
+        "checkpoint.json": "e663a3c8f456f611", "final_config_000.csv": "5ae85a11d17d040e",
+        "trace_000.csv": "8e86b3536e43b4c0",
+    }),
+    "sample-wr": (0, {
+        "final_config_000.csv": "7b9d55a5e30fae8d", "trace_000.csv": "e0c93cfff1c87dd8",
+    }),
+    "gnz-check": (0, {"gnz.csv": "2520025980106dc9"}),
+    "fk-check": (0, {"fk.csv": "6ddea3d1c0157957"}),
+    "dlr-check": (0, {"dlr.csv": "fd3d443606d40311"}),
+    "bounds-audit": (0, {"bounds.csv": "e1782d2cd8f2b832"}),
+    "localization": (0, {"localization.csv": "0ad7dc610b5077e2"}),
+    "shield": (0, {"shield.csv": "a64f0097abd91ef3"}),
+    "entropy-bounds": (0, {"entropy_bounds.csv": "59d9f81bfcee46d2"}),
+    "np-decay": (0, {"np_decay.csv": "a1c9e1915ec7c143"}),
+    "coverage-probe": (0, {"coverage.csv": "9ca33620b84d801c"}),
+}
+
+
+def test_cli_suite_outputs_are_pinned(tmp_path):
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
+    import workloads
+
+    got = {}
+    for sub, settings, _ in workloads.SUITE:
+        out = tmp_path / sub
+        code = cli.main(workloads.cli_args(sub, settings, 3, out))
+        got[sub] = (code, {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest()[:16]
+            for p in sorted(out.iterdir()) if p.suffix == ".csv" or p.name == "checkpoint.json"
+        })
+    assert got == SUITE_PINS

@@ -368,7 +368,7 @@ def test_arrays_follow_move_order():
     assert Configuration(UNIT, cell_size=0.25).arrays()[2] is None
 
 
-def test_add_remove_slots_reused():
+def test_add_remove_slots_never_reused():
     cfg = Configuration(UNIT, cell_size=0.25)
     s1 = cfg.add(np.array([0.5, 0.5]), 0.1)
     s2 = cfg.add(np.array([0.25, 0.25]), 0.1)
@@ -376,8 +376,8 @@ def test_add_remove_slots_reused():
     cfg.remove(s1)
     assert cfg.n == 1
     s3 = cfg.add(np.array([0.75, 0.75]), 0.1)
-    assert s3 == s1  # freed slot is reused
-    assert sorted(cfg.active_ids()) == sorted([s2, s3])
+    assert s3 not in (s1, s2)  # a freed slot is not handed out again
+    assert cfg.active_ids() == [s2, s3]  # the new ball is last in move order
     with pytest.raises(ValueError):
         cfg.add(np.array([2.0, 2.0]), 0.1)
 
@@ -453,7 +453,6 @@ def test_bulk_build_equals_ball_by_ball(rng, n, colored):
         builds.append(Configuration.from_balls(w, rows, cell_size=cell))
     for got in builds:
         assert got.active_ids() == want.active_ids() == list(range(n))
-        assert got._free == want._free == []
         assert list(got._slot_pos.items()) == list(want._slot_pos.items())
         for a, b, ref in zip(got.arrays(), want.arrays(), (centers, radii, colors)):
             assert (a is None) if ref is None else (a.dtype == b.dtype and np.array_equal(a, b))
@@ -465,6 +464,9 @@ def test_bulk_build_equals_ball_by_ball(rng, n, colored):
         assert got.index.oversized == want.index.oversized
         assert list(got.index.balls.items()) == list(want.index.balls.items())
         assert got.index.grid_radius == want.index.grid_radius
+        # both builds hand out slot n next
+        assert got.add((0.0, 0.0), 1.0, 1 if colored else None) == n
+    assert want.add((0.0, 0.0), 1.0, 1 if colored else None) == n
     if n:
         assert want.index.oversized  # the heavy tail reached the overflow list
 
