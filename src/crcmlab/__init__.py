@@ -30,6 +30,7 @@ from .model_core import (
     steiner_volume,
 )
 from .connectivity import (
+    BallGraph,
     BoundsReport,
     ClusterLabeling,
     LambdaNotInWindow,
@@ -41,6 +42,7 @@ from .connectivity import (
     count_components,
     local_cc,
     local_count,
+    probe_count,
 )
 
 __version__ = "0.1.0"

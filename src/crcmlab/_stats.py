@@ -1,4 +1,7 @@
-"""Small statistical helpers shared by the samplers and reports."""
+"""Small statistical helpers shared by the samplers and reports.  The
+scipy modules they need load on first use: importing scipy.stats (which
+imports scipy.integrate) takes about half a second, and most runs never
+call them."""
 from __future__ import annotations
 
 import math
@@ -47,6 +50,20 @@ def wilson_interval(successes: int, trials: int, confidence: float = 0.99):
     center = (p + z * z / (2 * trials)) / denom
     half = z * math.sqrt(p * (1 - p) / trials + z * z / (4 * trials * trials)) / denom
     return max(0.0, center - half), min(1.0, center + half)
+
+
+def ks_pvalue(a: np.ndarray, b: np.ndarray):
+    """Asymptotic p-value of the two-sample Kolmogorov-Smirnov test."""
+    from scipy import stats as _st
+
+    return _st.ks_2samp(a, b, method="asymp").pvalue
+
+
+def quad(f, lo: float, hi: float, limit: int) -> float:
+    """Adaptive quadrature of f over [lo, hi], by scipy.integrate.quad."""
+    from scipy import integrate as _int
+
+    return _int.quad(f, lo, hi, limit=limit)[0]
 
 
 def weighted_ratio_estimate(weights: np.ndarray, values: np.ndarray):

@@ -17,9 +17,9 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-from scipy import stats
 
 from . import __version__
+from ._stats import ks_pvalue
 from ._stream import generator
 from .geometry import Box
 from .model_core import (
@@ -34,12 +34,12 @@ from .model_core import (
     write_table,
 )
 from .connectivity import (
+    BallGraph,
     ClusterLabeling,
     check_bounds,
     compatibility_offset,
     components,
-    count_components,
-    local_cc,
+    probe_count,
 )
 from .crcm import (
     TRACE_COLUMNS,
@@ -168,7 +168,8 @@ class ExperimentSpec:
         return pairs
 
     def canonical(self) -> str:
-        d = dataclasses.asdict(self)
+        # every field is a str, int or float: no deep copy needed
+        d = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
         # identity of the trajectory only: where it runs, whether it pauses
         # and where artifacts land are not part
         d.pop("resume")
@@ -272,6 +273,18 @@ def rng_state_to_json(rng: np.random.Generator) -> dict:
 
 
 def rng_from_json(state: dict) -> np.random.Generator:
+    """The Philox stream `rng_state_to_json` wrote.  Raises ValueError unless
+    every field is in range: Philox.state itself takes a buffer position
+    outside 0..4, and the next draw then reads outside its buffer."""
+    words = {"counter": (state["state"]["counter"], 4), "key": (state["state"]["key"], 2),
+             "buffer": (state["buffer"], 4)}
+    for name, (value, size) in words.items():
+        if not (type(value) is list and len(value) == size
+                and all(type(w) is int and 0 <= w < 2**64 for w in value)):
+            raise ValueError(f"Philox {name} must be {size} words of 64 bits, got {value!r}")
+    for name, top in (("buffer_pos", 4), ("has_uint32", 1), ("uinteger", 2**32 - 1)):
+        if type(state[name]) is not int or not 0 <= state[name] <= top:
+            raise ValueError(f"Philox {name} must be an integer in 0..{top}, got {state[name]!r}")
     bg = np.random.Philox()
     bg.state = state  # Philox takes its counter, key and buffer as lists
     return np.random.Generator(bg)
@@ -289,7 +302,8 @@ def write_csv(
     `meta` in order, the spec hash (unless `meta` places it) and, for a
     check, its verdict `pass`.  Returns the exit code of the verdict."""
     head = {"subcommand": spec.subcommand, **meta}
-    head.setdefault("spec_hash", spec.digest())
+    if "spec_hash" not in head:
+        head["spec_hash"] = spec.digest()
     if passed is not None:
         head["pass"] = int(passed)
     out.mkdir(parents=True, exist_ok=True)
@@ -554,8 +568,8 @@ def cmd_dlr_check(spec: ExperimentSpec, out: Path) -> int:
 
     hb = spec_chain(spec, params, 0, step=heat_bath, per_sweep=1)
     rep = spec_chain(spec, params, 1)
-    p_count = stats.ks_2samp(hb.counts, rep.counts, method="asymp").pvalue
-    p_ncc = stats.ks_2samp(hb.n_cc, rep.n_cc, method="asymp").pvalue
+    p_count = ks_pvalue(hb.counts, rep.counts)
+    p_ncc = ks_pvalue(hb.n_cc, rep.n_cc)
     return write_csv(
         spec, out, "dlr.csv", {},
         ["statistic", "p_value", "heat_bath_mean", "bd_mean"],
@@ -592,7 +606,10 @@ def cmd_bounds_audit(spec: ExperimentSpec, out: Path) -> int:
     for s in range(spec.samples):
         rng = chain_rng(spec.seed, s)
         cfg = sample_poisson_boolean(params, rng)
-        rep = check_bounds(cfg, lam_box, r0)
+        # every from-scratch count of the sample reads this one pair list
+        graph = BallGraph.of(*cfg.arrays()[:2])
+        centers, radii = graph.centers, graph.radii
+        rep = check_bounds(graph, w, lam_box, r0)
         viol["upper"] += not rep.upper_ok
         viol["lower"] += not rep.lower_ok
         lab = ClusterLabeling(cfg)
@@ -604,7 +621,6 @@ def cmd_bounds_audit(spec: ExperimentSpec, out: Path) -> int:
         if r_lo > 0:
             viol["increment_below"] += delta < -c0 * ball_r**w.dimension
         # telescoping: increments summed over a uniform insertion order
-        centers, radii, _ = cfg.arrays()
         probe = Configuration(w, cell_size=cfg.index.cell_size)
         plab = ClusterLabeling(probe)
         total = 0
@@ -613,29 +629,31 @@ def cmd_bounds_audit(spec: ExperimentSpec, out: Path) -> int:
             plab.apply_insertion(probe.add(centers[k], radii[k]), hits)
             total += dlt
         viol["telescoping"] += total != lab.n_components
-        # deletion inverse on one random ball
+        # deletion inverse on one random ball; the ball goes back in, so the
+        # configuration's balls stay those of `graph`
         if cfg.n:
             slot = cfg.random_active(rng)
+            others = np.ones(cfg.n, dtype=bool)
+            others[cfg.active_ids().index(slot)] = False
             groups = lab.removal_split(slot)
             center, radius = cfg.index.balls[slot]
             cfg.remove(slot)
             lab.apply_removal(slot, groups)
-            viol["deletion_inverse"] += lab.n_components != count_components(cfg)
+            viol["deletion_inverse"] += lab.n_components != graph.count(others)
             back, hits = lab.insertion_increment(cfg, center, radius)
             viol["deletion_inverse"] += back != 1 - len(groups)
             lab.apply_insertion(cfg.add(center, radius), hits)
-        # compatibility offset: its closed form against the probe sequences of
-        # local_cc, on the sample and on one resample of the interior of lam_box
-        centers, radii, _ = cfg.arrays()
+        # compatibility offset: its closed form against the probe sequences
+        # (`probe_count`, as local_cc runs them), on the sample and on one
+        # resample of the interior of lam_box
         outside = ~lam_box.contains_points(centers)
         new_c, new_r = poisson_balls(lam_box, params.law, params.z * lam_box.volume, rng)
-        redone = Configuration.from_arrays(
-            w, np.vstack([centers[outside], new_c]), np.concatenate([radii[outside], new_r]),
-            cell_size=cfg.index.cell_size,
+        redone = BallGraph.of(
+            np.vstack([centers[outside], new_c]), np.concatenate([radii[outside], new_r])
         )
-        for c in (cfg, redone):
-            offset = compatibility_offset(*c.arrays()[:2], lam_box, outer, w)
-            viol["compatibility"] += offset != local_cc(c, outer).value - local_cc(c, lam_box).value
+        for g in (graph, redone):
+            offset = compatibility_offset(g, lam_box, outer, w)
+            viol["compatibility"] += offset != probe_count(g, outer)[0] - probe_count(g, lam_box)[0]
     total_viol = sum(viol.values())
     status = write_csv(
         spec, out, "bounds.csv",

@@ -244,8 +244,9 @@ class ClusterLabeling:
         """Recompute labeling and adjacency from scratch."""
         ids = cfg.active_ids()
         self.adj: dict[int, list[int]] = {i: [] for i in ids}
-        centers, radii, _ = cfg.arrays()
-        a, b = intersecting_pairs(centers, radii)
+        a = b = np.zeros(0, dtype=np.intp)  # fewer than two balls have no pairs to search for
+        if len(ids) > 1:
+            a, b = intersecting_pairs(*cfg.arrays()[:2])
         for i, j in zip(a.tolist(), b.tolist()):
             i, j = ids[i], ids[j]
             self.adj[i].append(j)
@@ -351,16 +352,43 @@ def count_components(cfg: Configuration) -> int:
     return components(*cfg.arrays()[:2])[0]
 
 
-def _ncc_outside(centers: np.ndarray, radii: np.ndarray, box: Box) -> int:
-    """Component count of the balls whose centers lie outside `box`."""
-    keep = ~box.contains_points(centers)
-    return components(centers[keep], radii[keep])[0]
+@dataclass(frozen=True)
+class BallGraph:
+    """Balls and their intersecting pairs, found once: the component count of
+    any subset of the balls reads the pairs with both ends in it."""
+
+    centers: np.ndarray
+    radii: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+
+    @classmethod
+    def of(cls, centers: np.ndarray, radii: np.ndarray) -> BallGraph:
+        centers, radii = np.asarray(centers, dtype=float), np.asarray(radii, dtype=float)
+        return cls(centers, radii, *intersecting_pairs(centers, radii))
+
+    def count(self, keep: Optional[np.ndarray] = None) -> int:
+        """Component count of the balls flagged `keep` (of all without it).
+        Labels all balls through the pairs whose ends are both kept, a
+        subsequence, so `i` stays nondecreasing; each dropped ball is then a
+        component of its own, and their number comes off the count."""
+        n = self.radii.size
+        if keep is None:
+            return label_components(n, self.i, self.j)[0]
+        kept = (keep[self.i] & keep[self.j]).nonzero()[0]
+        dropped = n - int(np.count_nonzero(keep))
+        return label_components(n, self.i.take(kept), self.j.take(kept))[0] - dropped
+
+    def outside(self, box: Box) -> int:
+        """Component count of the balls whose centers lie outside `box`."""
+        return self.count(~box.contains_points(self.centers))
 
 
 def local_count(centers: np.ndarray, radii: np.ndarray, box: Box) -> int:
     """Limit of the local component count of `box`: ncc(all balls) minus
     ncc(balls centered outside the box)."""
-    return components(centers, radii)[0] - _ncc_outside(centers, radii, box)
+    graph = BallGraph.of(centers, radii)
+    return graph.count() - graph.outside(box)
 
 
 @dataclass
@@ -375,16 +403,13 @@ def _probe_levels(centers: np.ndarray, box: Box, step: float) -> np.ndarray:
     """Smallest k with each center in dilate(box, k * step), decided by the
     same floating-point comparisons as Box.contains_points on that probe."""
 
-    def inside(k):
-        r = (k * step)[:, None]
-        return np.all(centers >= box.lo - r, axis=1) & np.all(centers <= box.hi + r, axis=1)
-
     gap = np.maximum(np.maximum(box.lo - centers, centers - box.hi), 0.0)
     # start one below the estimate (rounding may push it one too high) and
     # step up to the first level that passes the exact test
-    k = np.maximum(np.ceil(np.max(gap, axis=1) / step) - 1, 0).astype(np.int64)
+    k = np.maximum(np.ceil(gap.max(axis=1) / step) - 1, 0).astype(np.int64)
     while True:
-        short = ~inside(k)
+        r = (k * step)[:, None]
+        short = ~((centers >= box.lo - r).all(axis=1) & (centers <= box.hi + r).all(axis=1))
         if not short.any():
             return k
         k += short
@@ -397,7 +422,7 @@ def _counts_by_level(levels: np.ndarray, i: np.ndarray, j: np.ndarray, ks: np.nd
     nk = ks.size
     ball_at = np.searchsorted(ks, levels)
     edge_at = np.maximum(ball_at[i], ball_at[j])
-    merged = np.zeros(nk + 1, dtype=np.int64)
+    merged = [0] * (nk + 1)
     parent = list(range(levels.size))
     order = np.argsort(edge_at, kind="stable")
     for a, b, at in zip(i[order].tolist(), j[order].tolist(), edge_at[order].tolist()):
@@ -412,37 +437,42 @@ def _counts_by_level(levels: np.ndarray, i: np.ndarray, j: np.ndarray, ks: np.nd
     return np.cumsum(added[:nk]) - np.cumsum(merged[:nk])
 
 
-def local_cc(cfg: Configuration, box: Box, step: Optional[float] = None) -> LocalCCResult:
-    """Local number of connected components attached to `box`.
+def probe_count(graph: BallGraph, box: Box, step: Optional[float] = None) -> tuple[int, float]:
+    """Local number of connected components attached to `box`, by probes.
 
     c(D) = ncc(balls in D) - ncc(balls in D minus box) along the probe boxes
-    D_k = dilate(box, k * step), k = 0, 1, ...; returns the limiting value
-    and the first probe box from which c stays constant.  Every ball enters
-    the probes at one level, so one union-find pass per sequence (all balls,
-    balls centered outside the box) in order of entry gives every c(D_k).
+    D_k = dilate(box, k * step), k = 0, 1, ..., with step max(1, largest
+    radius) by default.  Every ball enters the probes at one level, so one
+    union-find pass per sequence (all balls, balls centered outside the box)
+    in order of entry gives every c(D_k).  Returns the limiting value and
+    the dilation k * step of the first probe from which c stays constant.
     """
-    if not cfg.window.contains_box(box):
-        raise LambdaNotInWindow("probe box must sit inside the window")
-    if not cfg.n:
-        return LocalCCResult(0, box)
-    centers, radii, _ = cfg.arrays()
+    if not graph.radii.size:
+        return 0, 0.0
     if step is None:
-        step = max(1.0, float(np.max(radii)))
+        step = max(1.0, float(np.max(graph.radii)))
     elif not step > 0:
         raise ValueError("probe step must be positive")
-    levels = _probe_levels(centers, box, step)
-    i, j = intersecting_pairs(centers, radii)
+    levels = _probe_levels(graph.centers, box, step)
     ks = np.unique(np.append(levels, 0))
     outside = np.where(levels > 0, levels, ks[-1] + 1)
+    i, j = graph.i, graph.j
     values = _counts_by_level(levels, i, j, ks) - _counts_by_level(outside, i, j, ks)
     moved = np.flatnonzero(values != values[-1])
     first = int(ks[moved[-1] + 1]) if moved.size else 0
-    return LocalCCResult(int(values[-1]), dilate(box, first * step))
+    return int(values[-1]), first * step
 
 
-def compatibility_offset(
-    centers: np.ndarray, radii: np.ndarray, inner: Box, outer: Box, window: Box
-) -> int:
+def local_cc(cfg: Configuration, box: Box, step: Optional[float] = None) -> LocalCCResult:
+    """`probe_count` of the configuration's balls, with the first stable
+    probe box as the witness of stabilization."""
+    if not cfg.window.contains_box(box):
+        raise LambdaNotInWindow("probe box must sit inside the window")
+    value, reach = probe_count(BallGraph.of(*cfg.arrays()[:2]), box, step)
+    return LocalCCResult(value, dilate(box, reach))
+
+
+def compatibility_offset(graph: BallGraph, inner: Box, outer: Box, window: Box) -> int:
     """Difference of local component counts for nested boxes in `window`,
     local(outer) - local(inner) = ncc(balls centered outside inner) -
     ncc(balls centered outside outer); depends only on the balls outside the
@@ -451,7 +481,7 @@ def compatibility_offset(
         raise NestingViolation("inner box must sit inside outer box")
     if not window.contains_box(outer):
         raise NestingViolation("outer box must sit inside the window")
-    return _ncc_outside(centers, radii, inner) - _ncc_outside(centers, radii, outer)
+    return graph.outside(inner) - graph.outside(outer)
 
 
 @dataclass
@@ -463,8 +493,9 @@ class BoundsReport:
     value: int
 
 
-def check_bounds(cfg: Configuration, box: Box, r0: float) -> BoundsReport:
-    """Audit the two explicit bounds on the local component count.
+def check_bounds(graph: BallGraph, window: Box, box: Box, r0: float) -> BoundsReport:
+    """Audit the two explicit bounds on the local component count of the
+    balls of `graph` in `window`.
 
     Upper: at most the number of centers in the box.  Lower: at least
     K - (centers in the dilated annulus), K = 1 - |box + B(0, r0+2)| / v_d,
@@ -472,14 +503,14 @@ def check_bounds(cfg: Configuration, box: Box, r0: float) -> BoundsReport:
     lower check is vacuous and flagged).  Raises LambdaNotInWindow unless
     the box sits inside the window.
     """
-    if not cfg.window.contains_box(box):
+    if not window.contains_box(box):
         raise LambdaNotInWindow("audited box must sit inside the window")
-    centers, radii, _ = cfg.arrays()
-    value = local_count(centers, radii, box)
+    centers, radii = graph.centers, graph.radii
     inside = box.contains_points(centers)
+    value = graph.count() - graph.count(~inside)  # the local count of the box
     n_in = int(np.count_nonzero(inside))
     big = dilate(box, r0 + 2.0)
-    k_const = 1.0 - big.volume / unit_ball_volume(cfg.window.dimension)
+    k_const = 1.0 - big.volume / unit_ball_volume(window.dimension)
     vacuous = bool(np.any(radii[inside] > r0))
     annulus = int(np.count_nonzero(big.contains_points(centers))) - n_in
     lower_ok = vacuous or value >= k_const - annulus

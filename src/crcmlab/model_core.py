@@ -9,8 +9,8 @@ from pathlib import Path
 from typing import Callable, Iterable, Optional
 
 import numpy as np
-from scipy import integrate
 
+from ._stats import quad
 from .connectivity import components
 from .geometry import (
     Box,
@@ -138,8 +138,7 @@ class UniformRadius(RadiusLaw):
         lo = max(self.a, lower)
         if lo >= self.b:
             return 0.0
-        val, _ = integrate.quad(f, lo, self.b, limit=200)
-        return val / (self.b - self.a)
+        return quad(f, lo, self.b, limit=200) / (self.b - self.a)
 
     def quantile(self, p):
         return self.a + p * (self.b - self.a)
@@ -187,8 +186,7 @@ class ParetoRadius(RadiusLaw):
         def integrand(r):
             return f(r) * (dm - 1.0) * r ** (-dm)
 
-        val, _ = integrate.quad(integrand, lo, self.r_max, limit=300)
-        return val / self._norm
+        return quad(integrand, lo, self.r_max, limit=300) / self._norm
 
     def quantile(self, p):
         return (1.0 - p * self._norm) ** (-1.0 / (self.dim - 1))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from crcmlab import cli_runner as cli
-from crcmlab import crcm
+from crcmlab import connectivity, crcm
 from crcmlab.connectivity import count_components
 from crcmlab.crcm import bd_step, new_chain
 from crcmlab.widom_rowlinson import new_wr_chain, wr_step
@@ -119,6 +119,28 @@ def test_rng_state_round_trip():
     assert all(isinstance(doc["state"][k], list) for k in ("counter", "key"))  # plain JSON
     clone = rng_from_json(doc)
     assert np.array_equal(rng.random(8), clone.random(8))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("buffer_pos", -1), ("buffer_pos", 5), ("buffer_pos", 2.0), ("has_uint32", 2),
+    ("uinteger", 2**32), ("buffer", [0, 0, 0]), ("counter", [0, 0, 0, -1]),
+    ("key", [0, 2**64]), ("key", [0, 1.5]),
+])
+def test_rng_from_json_rejects_a_state_out_of_range(field, value):
+    doc = rng_state_to_json(chain_rng(3, 2))
+    (doc["state"] if field in ("counter", "key") else doc)[field] = value
+    with pytest.raises(ValueError, match=field):
+        rng_from_json(doc)
+
+
+def test_importing_the_cli_leaves_scipy_stats_and_integrate_unloaded():
+    # both load on first use, through crcmlab._stats: every CLI process
+    # would otherwise pay about half a second to import them
+    code = ("import sys, crcmlab.cli_runner; "
+            "print([m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules])")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == "[]"
 
 
 # -- end-to-end subcommands ----------------------------------------------------------
@@ -245,6 +267,10 @@ def test_resume_from_a_file_that_is_not_a_checkpoint(tmp_path, capsys):
         "list_chain.json": {"chain": [1, 2], "next_chain": 0},
         "bad_radius.json": {"chain": bad_radius, "next_chain": 0},
     }
+    for pos in (-1, 5):  # Philox itself accepts both and then draws from outside its buffer
+        bad_stream = _chain_doc(False)
+        bad_stream["rng"]["buffer_pos"] = pos
+        bodies[f"buffer_pos_{pos}.json"] = {"chain": bad_stream, "next_chain": 0}
     for name, body in bodies.items():
         (tmp_path / name).write_text(json.dumps({"spec_hash": spec_hash, **body}))
     for path in (manifest, tmp_path / "notes.txt", tmp_path / "missing.json",
@@ -464,18 +490,57 @@ def test_headers_record_what_ran(tmp_path):
         assert {int(row.split(",")[0]) for row in lines[2:]} == set(range(pairs))
 
 
+AUDIT = {"z": "0.1", "law": "uniform:0.2,1", "window": "-4,-4:4,4", "r0": "1", "samples": "20"}
+
+
+def _audit_rows(out) -> dict[str, int]:
+    rows = (out / "bounds.csv").read_text().splitlines()[2:]
+    return {k: int(v) for k, v in (ln.split(",") for ln in rows)}
+
+
 def test_bounds_audit_catches_a_wrong_compatibility_offset(tmp_path, monkeypatch):
-    spec = load_spec("bounds-audit", None, {"z": "0.1", "law": "uniform:0.2,1",
-                                            "window": "-4,-4:4,4", "r0": "1", "samples": "20"})
+    spec = load_spec("bounds-audit", None, AUDIT)
     assert cli.cmd_bounds_audit(spec, tmp_path / "right") == EXIT_OK
     # the closed form with inner and outer swapped: wrong wherever the offset is not 0
     right = cli.compatibility_offset
     monkeypatch.setattr(cli, "compatibility_offset",
-                        lambda centers, radii, inner, outer, w: -right(centers, radii, inner, outer, w))
+                        lambda graph, inner, outer, w: -right(graph, inner, outer, w))
     assert cli.cmd_bounds_audit(spec, tmp_path / "wrong") == cli.EXIT_TEST
-    rows = dict(ln.split(",") for ln in (tmp_path / "wrong" / "bounds.csv").read_text().splitlines()[2:])
-    assert int(rows["compatibility"]) > 0
-    assert sum(int(v) for k, v in rows.items() if k != "compatibility") == 0
+    rows = _audit_rows(tmp_path / "wrong")
+    assert rows.pop("compatibility") > 0
+    assert sum(rows.values()) == 0
+
+
+def test_bounds_audit_catches_a_wrong_probe_count(tmp_path, monkeypatch):
+    spec = load_spec("bounds-audit", None, AUDIT)
+    lam = spec.lam_box_in(spec.window_box())
+    right = cli.probe_count
+
+    def off_by_one(graph, box, step=None):  # one component too many at the audited box
+        value, reach = right(graph, box, step)
+        return value + (np.array_equal(box.lo, lam.lo) and np.array_equal(box.hi, lam.hi)), reach
+
+    monkeypatch.setattr(cli, "probe_count", off_by_one)
+    assert cli.cmd_bounds_audit(spec, tmp_path) == cli.EXIT_TEST
+    rows = _audit_rows(tmp_path)
+    assert rows.pop("compatibility") == 2 * spec.samples  # the sample and its resample
+    assert sum(rows.values()) == 0
+
+
+def test_bounds_audit_finds_the_pairs_of_each_ball_set_once(tmp_path, monkeypatch):
+    sizes = []
+    right = connectivity.intersecting_pairs
+
+    def counted(centers, radii, groups=None):
+        sizes.append(len(radii))
+        return right(centers, radii, groups)
+
+    monkeypatch.setattr(connectivity, "intersecting_pairs", counted)
+    spec = load_spec("bounds-audit", None, {**AUDIT, "samples": "1", "seed": "4"})
+    assert cli.cmd_bounds_audit(spec, tmp_path) == EXIT_OK
+    assert min(sizes) >= 2  # a sample with pairs to find
+    # the labeling under test, the sample and its resample
+    assert len(sizes) <= 3
 
 
 def test_coverage_probe_requires_heavy_tail(tmp_path):

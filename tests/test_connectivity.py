@@ -9,6 +9,7 @@ from crcmlab.model_core import (
     sample_poisson_boolean,
 )
 from crcmlab.connectivity import (
+    BallGraph,
     ClusterLabeling,
     LambdaNotInWindow,
     NestingViolation,
@@ -76,7 +77,7 @@ def test_local_cc_requires_box_in_window():
     with pytest.raises(LambdaNotInWindow):
         local_cc(cfg, Box([-20, -20], [0, 0]))
     with pytest.raises(LambdaNotInWindow):
-        check_bounds(cfg, Box([-20, -20], [0, 0]), 1.0)
+        bounds(cfg, Box([-20, -20], [0, 0]), 1.0)
 
 
 def test_local_cc_stabilization_witness(rng):
@@ -185,7 +186,7 @@ def test_incremental_removal_matches_full_rebuild(rng):
 
 
 def offset(cfg, inner, outer):
-    return compatibility_offset(*cfg.arrays()[:2], inner, outer, cfg.window)
+    return compatibility_offset(BallGraph.of(*cfg.arrays()[:2]), inner, outer, cfg.window)
 
 
 def test_offset_trivial_cases(rng):
@@ -221,16 +222,20 @@ def test_offset_independent_of_interior(rng):
 # -- explicit bounds --------------------------------------------------------------
 
 
+def bounds(cfg, box, r0):
+    return check_bounds(BallGraph.of(*cfg.arrays()[:2]), cfg.window, box, r0)
+
+
 def test_bounds_on_empty_configuration():
     cfg = Configuration(BIG, cell_size=1.0)
-    rep = check_bounds(cfg, Box([0, 0], [1, 1]), r0=1.0)
+    rep = bounds(cfg, Box([0, 0], [1, 1]), r0=1.0)
     assert rep.upper_ok and rep.lower_ok
     assert rep.k_const < 0
 
 
 def test_k_constant_formula():
     cfg = Configuration(BIG, cell_size=1.0)
-    rep = check_bounds(cfg, Box([0, 0], [1, 1]), r0=1.0)
+    rep = bounds(cfg, Box([0, 0], [1, 1]), r0=1.0)
     # dilation by r0+2 = 3 of the unit square: side 7, area 49
     assert rep.k_const == pytest.approx(1 - 49.0 / np.pi)
 
@@ -240,14 +245,14 @@ def test_bounds_sweep_no_violations(rng):
     params = ModelParams(0.04, 1.0, UniformRadius(0.1, 1.0), BIG)
     for _ in range(300):
         cfg = sample_poisson_boolean(params, rng)
-        rep = check_bounds(cfg, lam, r0=1.0)
+        rep = bounds(cfg, lam, r0=1.0)
         assert rep.upper_ok and rep.lower_ok and not rep.lower_vacuous
 
 
 def test_bounds_vacuous_flag():
     lam = Box([-1, -1], [1, 1])
     cfg = mk(BIG, [((0, 0), 5.0)])
-    rep = check_bounds(cfg, lam, r0=1.0)
+    rep = bounds(cfg, lam, r0=1.0)
     assert rep.lower_vacuous and rep.lower_ok
 
 

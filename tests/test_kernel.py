@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from crcmlab import connectivity
 from crcmlab.connectivity import (
+    BallGraph,
     compatibility_offset,
     components,
     count_components,
@@ -15,6 +16,7 @@ from crcmlab.connectivity import (
     label_components,
     local_cc,
     local_count,
+    probe_count,
 )
 from crcmlab.geometry import Box, dilate
 from crcmlab.model_core import (
@@ -375,4 +377,40 @@ def test_compatibility_offset_is_difference_of_local_counts():
     for _ in range(200):
         cfg = sample_poisson_boolean(ModelParams(0.3, 1.0, UniformRadius(0.1, 1.0), w), rng)
         want = local_cc(cfg, outer).value - local_cc(cfg, inner).value
-        assert compatibility_offset(*cfg.arrays()[:2], inner, outer, w) == want
+        assert compatibility_offset(BallGraph.of(*cfg.arrays()[:2]), inner, outer, w) == want
+
+
+# -- one pair list per ball set: every subset count and probe reads it -----------------
+
+AUDIT_WINDOW = Box([-4, -4], [4, 4])
+# the bounds audit's boxes in this window: the middle half, and it grown by a
+# fifth of the window's side on every face
+AUDIT_BOXES = (Box([-2, -2], [2, 2]), Box([-3.6, -3.6], [3.6, 3.6]))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    balls=st.lists(
+        # half-integer centers and radii in quarters: exact tangencies and
+        # coincident points of radius zero are common
+        st.tuples(st.integers(-7, 7), st.integers(-7, 7), st.integers(0, 6)), max_size=8
+    ),
+    forced_sweep=st.booleans(),
+)
+def test_shared_pairs_count_every_subset(balls, forced_sweep):
+    centers = np.array([(x / 2, y / 2) for x, y, _ in balls], dtype=float).reshape(-1, 2)
+    radii = np.array([r / 4 for *_, r in balls], dtype=float)
+    with pytest.MonkeyPatch.context() as mp:
+        if forced_sweep:  # the strip sweep and csgraph, as on large inputs
+            mp.setattr(connectivity, "_DENSE_MAX", 1)
+            mp.setattr(connectivity, "_UNION_FIND_MAX", 0)
+        graph = BallGraph.of(centers, radii)
+        for keep in itertools.product([False, True], repeat=radii.size):
+            keep = np.array(keep, dtype=bool)
+            assert graph.count(keep) == components(centers[keep], radii[keep])[0]
+        assert graph.count() == components(centers, radii)[0]
+        cfg = Configuration.from_arrays(AUDIT_WINDOW, centers, radii)
+        lam, outer = AUDIT_BOXES
+        probes = [probe_count(graph, box)[0] for box in AUDIT_BOXES]
+        assert probes == [local_cc(cfg, box).value for box in AUDIT_BOXES]
+        assert compatibility_offset(graph, lam, outer, AUDIT_WINDOW) == probes[1] - probes[0]
