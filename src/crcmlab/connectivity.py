@@ -287,8 +287,10 @@ class ClusterLabeling:
         self.adj[slot] = list(hits)
         for j in hits:
             self.adj[j].append(slot)
-        joined = sorted({self.label[j] for j in hits}, key=lambda c: len(self.members[c]))
+        joined = {self.label[j] for j in hits}
         self.n_components += 1 - len(joined)
+        if len(joined) > 1:
+            joined = sorted(joined, key=lambda c: len(self.members[c]))
         big = joined.pop() if joined else next(self._ids)  # the largest absorbs the rest
         into = self.members.setdefault(big, set())
         for c in joined:
@@ -331,12 +333,13 @@ class ClusterLabeling:
         cid = self.label.pop(slot)
         rest = self.members[cid]
         rest.discard(slot)
-        for grp in sorted(groups, key=len)[:-1]:  # all but a largest group
-            rest.difference_update(grp)
-            new = next(self._ids)
-            self.members[new] = set(grp)
-            for i in grp:
-                self.label[i] = new
+        if len(groups) > 1:  # a split: all but a largest group get new ids
+            for grp in sorted(groups, key=len)[:-1]:
+                rest.difference_update(grp)
+                new = next(self._ids)
+                self.members[new] = set(grp)
+                for i in grp:
+                    self.label[i] = new
         if not rest:
             del self.members[cid]
         self.n_components += len(groups) - 1

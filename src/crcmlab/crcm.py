@@ -75,10 +75,6 @@ class ChainState:
         if self.n_cc != len(lab.members):
             raise RuntimeError(f"cached component count {self.n_cc} != {len(lab.members)}")
 
-    def maybe_audit(self) -> None:
-        if self.audit_interval and self.step_count % self.audit_interval == 0:
-            self.audit()
-
 
 def new_chain(params: ModelParams, rng: np.random.Generator) -> ChainState:
     """Chain of either model, started from `params.start(rng)`."""
@@ -156,7 +152,8 @@ def bd_step(state: ChainState) -> ChainState:
         birth_death(state, p, state.config.active_ids(), u < 0.5 * p.move_share)
     elif state.config.n > 0:
         p.recolor(state)
-    state.maybe_audit()
+    if state.audit_interval and state.step_count % state.audit_interval == 0:
+        state.audit()
     return state
 
 

@@ -55,7 +55,15 @@ class Box:
         return list(zip(self.lo.tolist(), self.hi.tolist(), self.sides.tolist()))
 
     def contains_point(self, x) -> bool:
-        return all(lo <= v <= hi for (lo, hi, _), v in zip(self._axes, x))
+        """Whether the point x lies in the box; ValueError unless x has the
+        box's dimension."""
+        axes = self._axes
+        if len(x) != len(axes):
+            raise ValueError(f"point needs {len(axes)} coordinates")
+        for (lo, hi, _), v in zip(axes, x):
+            if not lo <= v <= hi:
+                return False
+        return True
 
     def contains_points(self, xs: np.ndarray) -> np.ndarray:
         """Vectorized membership for an (n, d) array of points."""
@@ -86,7 +94,7 @@ class Box:
     def sample_point(self, rng: np.random.Generator) -> tuple[float, ...]:
         """Uniform point as a tuple of floats: the draws and values of
         sample_points(rng, 1)[0]."""
-        return tuple(lo + rng.random() * side for lo, _, side in self._axes)
+        return tuple([lo + rng.random() * side for lo, _, side in self._axes])
 
     def sample_points(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return self.lo + rng.random((n, self.dimension)) * self.sides
@@ -117,8 +125,9 @@ class SpatialIndex:
     (radius <= cell size) or in a flat overflow list scanned on every query.
     `balls` holds each stored ball's center and radius as Python floats, so
     one-ball queries need no array arithmetic; it is a Configuration's only
-    store of its balls.  Queries return a superset of the true intersectors
-    of the query ball, with no duplicates.
+    store of its balls.  `keys` holds each grid ball's cell key, so removal
+    finds its bucket without recomputing the key.  Queries read a superset
+    of the true intersectors of the query ball, with no duplicates.
     """
 
     def __init__(self, cell_size: float):
@@ -128,6 +137,7 @@ class SpatialIndex:
         self.cells: dict[tuple, list[int]] = {}
         self.oversized: list[int] = []
         self.balls: dict[int, tuple[tuple[float, ...], float]] = {}
+        self.keys: dict[int, tuple] = {}
         # largest radius ever stored in a cell; never lowered, so it bounds
         # every grid radius after removals too
         self.grid_radius = 0.0
@@ -147,22 +157,23 @@ class SpatialIndex:
             self._store(ball_id, tuple(center), radius, tuple(key))
 
     def _store(self, ball_id: int, center: tuple, radius: float, key: tuple) -> None:
+        """File a ball given as floats, with `key`, its center's cell key."""
         if ball_id in self.balls:
             raise ValueError(f"id {ball_id} already stored")
         self.balls[ball_id] = (center, radius)
         if radius > self.cell_size:
             self.oversized.append(ball_id)
         else:
+            self.keys[ball_id] = key
             self.cells.setdefault(key, []).append(ball_id)
             if radius > self.grid_radius:
                 self.grid_radius = radius
 
     def remove(self, ball_id: int) -> None:
-        center, radius = self.balls.pop(ball_id)
-        if radius > self.cell_size:
+        if self.balls.pop(ball_id)[1] > self.cell_size:
             self.oversized.remove(ball_id)
         else:
-            key = self._key(center)
+            key = self.keys.pop(ball_id)
             bucket = self.cells[key]
             bucket.remove(ball_id)
             if not bucket:
@@ -171,16 +182,24 @@ class SpatialIndex:
     def files_exactly(self, ids) -> bool:
         """Whether the stored balls are exactly `ids`, each filed once, in the
         grid bucket (radius within `grid_radius`) or the overflow list that
-        its center and radius select."""
+        its center and radius select, and each grid ball's kept key is the
+        key of that bucket."""
         cs = self.cell_size
         filed = [(s, k) for k, bucket in self.cells.items() for s in bucket]
         filed += [(s, None) for s in self.oversized]
-        select = {(s, None if r > cs else self._key(c)) for s, (c, r) in self.balls.items()}
-        return (self.balls.keys() == set(ids) and len(filed) == len(select) and set(filed) == select
+        select = {s: None if r > cs else self._key(c) for s, (c, r) in self.balls.items()}
+        return (self.balls.keys() == set(ids) and len(filed) == len(select)
+                and set(filed) == set(select.items())
+                and self.keys == {s: k for s, k in select.items() if k is not None}
                 and all(r <= self.grid_radius or r > cs for _, r in self.balls.values()))
 
-    def candidates(self, center, radius: float) -> list[int]:
-        """Ids of stored balls that may intersect B(center, radius).
+    def buckets(self, center, radius: float) -> list:
+        """The stored buckets a query for B(center, radius) reads, which
+        together hold each ball that may intersect it exactly once: the
+        overflow list, then the grid cells within reach in
+        `itertools.product` order, or `balls` alone when there are fewer
+        balls than those cells.  The buckets are the index's own, so read
+        them before the next insert or removal.
 
         Sound because grid-stored balls have radius <= grid_radius: their
         centers lie within radius + grid_radius of the query center.  The
@@ -199,15 +218,16 @@ class SpatialIndex:
             b = math.floor((c + reach) / cs)
             n_cells *= b - a + 1
             if n_cells >= len(self.balls):  # fewer balls than cells: take them all
-                return list(self.balls)
+                return [self.balls]
             ranges.append(range(a, b + 1))
-        out = list(self.oversized)
-        cells = self.cells
-        for key in itertools.product(*ranges):
-            bucket = cells.get(key)
-            if bucket:
-                out.extend(bucket)
+        out = [self.oversized]
+        out += filter(None, map(self.cells.get, itertools.product(*ranges)))
         return out
+
+    def candidates(self, center, radius: float) -> list[int]:
+        """Ids of stored balls that may intersect B(center, radius): the
+        contents of `buckets`, in order."""
+        return list(itertools.chain.from_iterable(self.buckets(center, radius)))
 
 
 def default_cell_size(window: Box, median_radius: float) -> float:

@@ -407,7 +407,8 @@ class Configuration:
         if self.colored and color is None:
             raise ValueError("colored configuration needs a color")
         slot = next(self._ids)
-        self.index.insert(slot, center, radius)
+        index = self.index
+        index._store(slot, center, radius, index._key(center))
         if self.colored:
             self.colors[slot] = int(color)
         self._slot_pos[slot] = len(self._active)
@@ -440,24 +441,27 @@ class Configuration:
         candidate farther than 1e-9 (r + radius) from tangency is decided
         by math.dist instead, which agrees there; the 1e-150 floor keeps
         zero radii off the screen, where squares underflow."""
-        x = tuple(map(float, center))
+        x = center if isinstance(center, tuple) else tuple(map(float, center))
         balls = self.index.balls
         dist = math.dist
         out = []
-        for j in self.index.candidates(center, radius):
-            c, r = balls[j]
-            r += radius
-            gap = dist(c, x) - r
-            tol = 1e-9 * r + 1e-150
-            if gap < -tol:
-                out.append(j)
-            elif gap <= tol:
-                d2 = 0.0
-                for a, b in zip(c, x):
-                    a -= b
-                    d2 += a * a
-                if d2 <= r * r:
+        for bucket in self.index.buckets(x, radius):
+            for j in bucket:
+                c, r = balls[j]
+                r += radius
+                gap = dist(c, x) - r
+                tol = 1e-9 * r + 1e-150
+                if gap > tol:
+                    continue
+                if gap < -tol:
                     out.append(j)
+                else:
+                    d2 = 0.0
+                    for a, b in zip(c, x):
+                        a -= b
+                        d2 += a * a
+                    if d2 <= r * r:
+                        out.append(j)
         return out
 
     def copy(self) -> "Configuration":

@@ -93,7 +93,11 @@ def insertion_allowed(cfg: Configuration, hits: list[int], color: int) -> bool:
     """May a ball of this color be added, given `hits`, the slots of the
     balls it meets (`cfg.intersectors`)?  Forbidden when any of them has
     another color: closed balls, so touching counts."""
-    return all(cfg.colors[j] == color for j in hits)
+    colors = cfg.colors
+    for j in hits:
+        if colors[j] != color:
+            return False
+    return True
 
 
 def is_allowed(centers: np.ndarray, radii: np.ndarray, colors: Optional[np.ndarray]) -> bool:

@@ -1,5 +1,11 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
+
+from crcmlab._stream import block_reads
+from crcmlab.crcm import bd_step, new_chain
 
 
 @pytest.fixture
@@ -9,3 +15,28 @@ def rng():
 
 def make_rng(seed):
     return np.random.default_rng(np.random.SeedSequence(seed))
+
+
+def fingerprint(params, seed, steps, step=bd_step):
+    """sha256 of a chain after `steps` calls of `step` from
+    `new_chain(params, make_rng(seed))`, run inside `block_reads` as
+    `sweep_loop` runs them.  It covers the final `arrays()`, the proposed
+    and accepted counts, `n_cc` and the Generator's state, so a digest
+    recorded before a change to the move path shows that every draw, hit
+    and trajectory stayed the same."""
+    state = new_chain(params, make_rng(seed))
+    with block_reads(state):
+        for _ in range(steps):
+            step(state)
+    centers, radii, colors = state.config.arrays()
+    h = hashlib.sha256()
+    for a in (centers, radii, colors):
+        h.update(b"none" if a is None else a.tobytes())
+    book = [state.proposed, state.accepted, state.n_cc, state.rng.bit_generator.state]
+    h.update(json.dumps(book, sort_keys=True).encode())
+    return h.hexdigest()
+
+
+@pytest.fixture
+def chain_fingerprint():
+    return fingerprint

@@ -8,7 +8,7 @@ from scipy import stats
 
 from crcmlab import crcm
 from crcmlab import widom_rowlinson as wr
-from crcmlab.geometry import Box
+from crcmlab.geometry import Box, SpatialIndex
 from crcmlab.model_core import (
     AssumptionAViolated,
     Configuration,
@@ -161,6 +161,49 @@ def test_every_chain_move_goes_through_the_kernel(kernel_calls):
     check(wr_state, lambda: [wr.wr_step(wr_state) for _ in range(300)], [("birth", "allowed")])
 
 
+@pytest.mark.parametrize(
+    "params",
+    [ModelParams(100.0, 2.0, DiracRadius(0.05), UNIT), wr.WrParams(100.0, 2, DiracRadius(0.05), UNIT)],
+    ids=["crcm", "wr"],
+)
+def test_moves_query_the_grid_once_and_removals_compute_no_key(monkeypatch, params):
+    # a birth proposal reads the index's buckets once and builds no flat
+    # candidate list; a death finds the ball's bucket from its kept key
+    calls = dict.fromkeys(("buckets", "candidates", "_key"), 0)
+    for name in calls:
+        def counted(self, *args, _name=name, _right=getattr(SpatialIndex, name)):
+            calls[_name] += 1
+            return _right(self, *args)
+
+        monkeypatch.setattr(SpatialIndex, name, counted)
+    state = new_chain(params, seeded(60))
+    for _ in range(300):
+        bd_step(state)
+    for birth in (True, False):
+        for _ in range(200):
+            calls.update(dict.fromkeys(calls, 0))
+            crcm.birth_death(state, params, state.config.active_ids(), birth)
+            assert (calls["buckets"], calls["candidates"]) == (birth, 0)
+            assert birth or calls["_key"] == 0
+    assert state.accepted["birth"] > 0 and state.accepted["death"] > 0
+
+
+@pytest.mark.parametrize(
+    "params, digest",
+    [
+        (wr.WrParams(400.0, 2, DiracRadius(0.03), UNIT),
+         "e4418a1098d7234261e6368b7139802470e33922130d5c98533a590b8cfc59e5"),
+        (ModelParams(200.0, 2.0, DiracRadius(0.03), UNIT),
+         "4b2f01a851f1058f27edcc010e2a33e050cd6853c3071abdcfe6917801408f8e"),
+    ],
+    ids=["wr", "crcm"],
+)
+def test_coupling_chains_are_pinned(chain_fingerprint, params, digest):
+    # the `coupling` benchmark's two chains, 20,000 moves each: a change to
+    # the move path that keeps every draw and hit keeps these digests
+    assert chain_fingerprint(params, 22, 20_000) == digest
+
+
 def test_nested_chain_q1_count_is_poisson_mean():
     # q = 1, box = window, empty exterior: the nested chain targets Poisson(z |box|)
     params = ModelParams(8.0, 1.0, DiracRadius(0.05), UNIT)
@@ -221,6 +264,8 @@ def test_audit_checks_the_grid_index_balls():
         lambda idx, slot: idx.balls.pop(slot),
         lambda idx, slot: idx.balls.__setitem__(slot, ((0.5, 0.5), 0.08)),
         lambda idx, slot: idx.balls.__setitem__(10**6, idx.balls[slot]),
+        # a grid ball's kept key names a cell other than its bucket's
+        lambda idx, slot: idx.keys.__setitem__(slot, tuple(k + 1 for k in idx.keys[slot])),
     ):
         state = new_chain(params, seeded(4))
         state.audit()

@@ -124,6 +124,15 @@ def test_unit_ball_volume_known_values():
     assert unit_ball_volume(0) == pytest.approx(1.0)
 
 
+def test_contains_point_needs_the_box_dimension():
+    b = Box([0, 0], [1, 1])
+    assert b.contains_point((0.5, 0.5)) and b.contains_point(np.array([1.0, 0.0]))
+    assert not b.contains_point((0.5, 1.5))
+    for x in ((0.5,), (0.5, 0.5, 7.0), ()):
+        with pytest.raises(ValueError, match="2 coordinates"):
+            b.contains_point(x)
+
+
 def test_index_empty_query():
     idx = SpatialIndex(cell_size=0.5)
     assert idx.candidates(np.zeros(2), 10.0) == []

@@ -462,6 +462,7 @@ def test_bulk_build_equals_ball_by_ball(rng, n, colored):
         )
         assert list(got.index.cells.items()) == list(want.index.cells.items())
         assert got.index.oversized == want.index.oversized
+        assert list(got.index.keys.items()) == list(want.index.keys.items())
         assert list(got.index.balls.items()) == list(want.index.balls.items())
         assert got.index.grid_radius == want.index.grid_radius
         # both builds hand out slot n next
