@@ -29,7 +29,6 @@ from .model_core import (
     open_fresh,
     parse_law,
     poisson_balls,
-    sample_poisson_boolean,
     save_configuration,
     write_table,
 )
@@ -605,14 +604,24 @@ def cmd_bounds_audit(spec: ExperimentSpec, out: Path) -> int:
     rng_ins = chain_rng(spec.seed, 90_001)
     for s in range(spec.samples):
         rng = chain_rng(spec.seed, s)
-        cfg = sample_poisson_boolean(params, rng)
+        centers, radii = poisson_balls(w, params.law, params.total_intensity, rng)
         # every from-scratch count of the sample reads this one pair list
-        graph = BallGraph.of(*cfg.arrays()[:2])
-        centers, radii = graph.centers, graph.radii
+        graph = BallGraph.of(centers, radii)
         rep = check_bounds(graph, w, lam_box, r0)
         viol["upper"] += not rep.upper_ok
         viol["lower"] += not rep.lower_ok
+        # the labeling under test, built ball by ball in a uniform order (slot
+        # k holds ball order[k]): its increments must telescope to the count
+        cfg = Configuration(w, params.cell_size)
         lab = ClusterLabeling(cfg)
+        order = rng.permutation(radii.size)
+        total = 0
+        for k in order:
+            dlt, hits = lab.insertion_increment(cfg, centers[k], radii[k])
+            lab.apply_insertion(cfg.add(centers[k], radii[k]), hits)
+            total += dlt
+        n_cc = graph.count()
+        viol["telescoping"] += total != n_cc or lab.n_components != n_cc
         # single-ball increment window and lower bound (radii >= min_radius)
         ball_c = w.sample_point(rng_ins)
         ball_r = params.law.sample_scalar(rng_ins)
@@ -620,29 +629,17 @@ def cmd_bounds_audit(spec: ExperimentSpec, out: Path) -> int:
         viol["increment_above"] += delta > 1
         if r_lo > 0:
             viol["increment_below"] += delta < -c0 * ball_r**w.dimension
-        # telescoping: increments summed over a uniform insertion order
-        probe = Configuration(w, cell_size=cfg.index.cell_size)
-        plab = ClusterLabeling(probe)
-        total = 0
-        for k in rng.permutation(cfg.n):
-            dlt, hits = plab.insertion_increment(probe, centers[k], radii[k])
-            plab.apply_insertion(probe.add(centers[k], radii[k]), hits)
-            total += dlt
-        viol["telescoping"] += total != lab.n_components
-        # deletion inverse on one random ball; the ball goes back in, so the
-        # configuration's balls stay those of `graph`
+        # deletion inverse on one random ball
         if cfg.n:
             slot = cfg.random_active(rng)
-            others = np.ones(cfg.n, dtype=bool)
-            others[cfg.active_ids().index(slot)] = False
+            others = np.arange(cfg.n) != order[slot]
             groups = lab.removal_split(slot)
             center, radius = cfg.index.balls[slot]
             cfg.remove(slot)
             lab.apply_removal(slot, groups)
             viol["deletion_inverse"] += lab.n_components != graph.count(others)
-            back, hits = lab.insertion_increment(cfg, center, radius)
+            back, _ = lab.insertion_increment(cfg, center, radius)
             viol["deletion_inverse"] += back != 1 - len(groups)
-            lab.apply_insertion(cfg.add(center, radius), hits)
         # compatibility offset: its closed form against the probe sequences
         # (`probe_count`, as local_cc runs them), on the sample and on one
         # resample of the interior of lam_box

@@ -251,12 +251,16 @@ class ClusterLabeling:
             i, j = ids[i], ids[j]
             self.adj[i].append(j)
             self.adj[j].append(i)
-        self.n_components, labels = label_components(len(ids), a, b)
+        count, labels = label_components(len(ids), a, b)
         self.label: dict[int, int] = dict(zip(ids, labels.tolist()))
-        self.members: dict[int, set[int]] = {c: set() for c in range(self.n_components)}
+        self.members: dict[int, set[int]] = {c: set() for c in range(count)}
         for i, c in self.label.items():
             self.members[c].add(i)
-        self._ids = itertools.count(self.n_components)
+        self._ids = itertools.count(count)
+
+    @property
+    def n_components(self) -> int:
+        return len(self.members)
 
     def component_sizes(self) -> dict[int, int]:
         return {c: len(m) for c, m in self.members.items()}
@@ -288,7 +292,6 @@ class ClusterLabeling:
         for j in hits:
             self.adj[j].append(slot)
         joined = {self.label[j] for j in hits}
-        self.n_components += 1 - len(joined)
         if len(joined) > 1:
             joined = sorted(joined, key=lambda c: len(self.members[c]))
         big = joined.pop() if joined else next(self._ids)  # the largest absorbs the rest
@@ -342,7 +345,6 @@ class ClusterLabeling:
                     self.label[i] = new
         if not rest:
             del self.members[cid]
-        self.n_components += len(groups) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -418,49 +420,27 @@ def _probe_levels(centers: np.ndarray, box: Box, step: float) -> np.ndarray:
         k += short
 
 
-def _counts_by_level(levels: np.ndarray, i: np.ndarray, j: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """Component count of the balls with level <= k, for each k of the sorted
-    array ks, from one union-find pass adding pairs as both ends appear.
-    Balls with a level above ks[-1] never appear."""
-    nk = ks.size
-    ball_at = np.searchsorted(ks, levels)
-    edge_at = np.maximum(ball_at[i], ball_at[j])
-    merged = [0] * (nk + 1)
-    parent = list(range(levels.size))
-    order = np.argsort(edge_at, kind="stable")
-    for a, b, at in zip(i[order].tolist(), j[order].tolist(), edge_at[order].tolist()):
-        while parent[a] != a:
-            a = parent[a]
-        while parent[b] != b:
-            b = parent[b]
-        if a != b:
-            parent[b] = a
-            merged[at] += 1
-    added = np.bincount(ball_at, minlength=nk + 1)
-    return np.cumsum(added[:nk]) - np.cumsum(merged[:nk])
-
-
 def probe_count(graph: BallGraph, box: Box, step: Optional[float] = None) -> tuple[int, float]:
     """Local number of connected components attached to `box`, by probes.
 
     c(D) = ncc(balls in D) - ncc(balls in D minus box) along the probe boxes
     D_k = dilate(box, k * step), k = 0, 1, ..., with step max(1, largest
-    radius) by default.  Every ball enters the probes at one level, so one
-    union-find pass per sequence (all balls, balls centered outside the box)
-    in order of entry gives every c(D_k).  Returns the limiting value and
-    the dilation k * step of the first probe from which c stays constant.
+    radius) by default; a given step must be positive and finite.  Every
+    ball enters the probes at one level, and c only changes at levels where
+    a ball enters, so `graph.count` is read at those levels alone.  Returns
+    the limiting value and the dilation k * step of the first probe from
+    which c stays constant.
     """
+    if step is not None and not 0 < step < np.inf:
+        raise ValueError("probe step must be positive and finite")
     if not graph.radii.size:
         return 0, 0.0
     if step is None:
         step = max(1.0, float(np.max(graph.radii)))
-    elif not step > 0:
-        raise ValueError("probe step must be positive")
     levels = _probe_levels(graph.centers, box, step)
     ks = np.unique(np.append(levels, 0))
-    outside = np.where(levels > 0, levels, ks[-1] + 1)
-    i, j = graph.i, graph.j
-    values = _counts_by_level(levels, i, j, ks) - _counts_by_level(outside, i, j, ks)
+    outside = levels > 0  # centered outside the box
+    values = np.array([graph.count(levels <= k) - graph.count((levels <= k) & outside) for k in ks])
     moved = np.flatnonzero(values != values[-1])
     first = int(ks[moved[-1] + 1]) if moved.size else 0
     return int(values[-1]), first * step

@@ -65,15 +65,12 @@ class ChainState:
 
     def audit(self) -> None:
         """Check the grid index's filing of the active balls, then the
-        labeling's partition against the components, then the cached count."""
+        labeling's partition against the components."""
         cfg = self.config
         if not cfg.index.files_exactly(cfg.active_ids()):
             raise RuntimeError("grid index differs from the configuration's active balls")
-        lab = self.labeling
-        if not lab.labels_exactly(cfg):
+        if not self.labeling.labels_exactly(cfg):
             raise RuntimeError("component labels differ from the configuration's components")
-        if self.n_cc != len(lab.members):
-            raise RuntimeError(f"cached component count {self.n_cc} != {len(lab.members)}")
 
 
 def new_chain(params: ModelParams, rng: np.random.Generator) -> ChainState:

@@ -539,8 +539,20 @@ def test_bounds_audit_finds_the_pairs_of_each_ball_set_once(tmp_path, monkeypatc
     spec = load_spec("bounds-audit", None, {**AUDIT, "samples": "1", "seed": "4"})
     assert cli.cmd_bounds_audit(spec, tmp_path) == EXIT_OK
     assert min(sizes) >= 2  # a sample with pairs to find
-    # the labeling under test, the sample and its resample
-    assert len(sizes) <= 3
+    # the sample and its resample; the labeling under test is built ball by ball
+    assert len(sizes) == 2
+
+
+def test_bounds_audit_catches_a_labeling_that_never_merges(tmp_path, monkeypatch):
+    right = connectivity.ClusterLabeling.apply_insertion
+
+    def no_merge(lab, slot, hits):  # every ball files as a component of its own
+        right(lab, slot, [])
+
+    monkeypatch.setattr(connectivity.ClusterLabeling, "apply_insertion", no_merge)
+    spec = load_spec("bounds-audit", None, AUDIT)
+    assert cli.cmd_bounds_audit(spec, tmp_path) == cli.EXIT_TEST
+    assert _audit_rows(tmp_path)["telescoping"] > 0
 
 
 def test_coverage_probe_requires_heavy_tail(tmp_path):

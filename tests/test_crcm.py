@@ -290,12 +290,15 @@ def test_audit_checks_the_component_partition():
         state.audit()
 
 
-def test_audit_checks_the_cached_component_count():
-    # the partition is right and only the cached count is stale
+def test_audit_catches_a_dropped_component():
+    # the component count is the number of `members` entries: losing one
+    # drops the count by one, and the partition check must see it
     state = new_chain(ModelParams(20.0, 2.0, DiracRadius(0.08), UNIT), seeded(4))
     state.audit()
-    state.labeling.n_components += 1
-    with pytest.raises(RuntimeError, match="cached component count"):
+    before = state.n_cc
+    del state.labeling.members[next(iter(state.labeling.members))]
+    assert state.n_cc == before - 1
+    with pytest.raises(RuntimeError, match="component labels"):
         state.audit()
 
 

@@ -370,6 +370,18 @@ def test_local_cc_rejects_nonpositive_step():
         local_cc(cfg, Box([-1, -1], [1, 1]), step=0.0)
 
 
+def test_probe_step_must_be_finite():
+    # 0 * inf is NaN: an infinite step would put no ball in the box's own probe
+    centers, radii = np.array([[0.0, 0.0], [3.0, 0.0]]), np.array([0.5, 0.5])
+    cfg = Configuration.from_arrays(Box([-5, -5], [5, 5]), centers, radii)
+    box = Box([-1, -1], [1, 1])
+    assert local_count(centers, radii, box) == local_cc(cfg, box).value == 1
+    with pytest.raises(ValueError, match="positive and finite"):
+        probe_count(BallGraph.of(centers, radii), box, np.inf)
+    with pytest.raises(ValueError, match="positive and finite"):
+        local_cc(cfg, box, np.inf)
+
+
 def test_compatibility_offset_is_difference_of_local_counts():
     rng = make_rng(77)
     w = Box([-6, -6], [6, 6])
