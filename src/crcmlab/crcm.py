@@ -127,7 +127,7 @@ def birth_death(state: ChainState, p: ModelParams, slots: list, birth: bool) -> 
     else:
         state.proposed["death"] += 1
         if n > 0:
-            slot = slots[int(rng.integers(n))]
+            slot = slots[int(rng.random() * n)]
             factor, groups = p.deletion(lab, slot)
             if metropolis(death_ratio(lam, n, factor), rng):
                 groups = lab.removal_split(slot) if groups is None else groups

@@ -433,7 +433,10 @@ class Configuration:
         return moved
 
     def random_active(self, rng: np.random.Generator) -> int:
-        return self._active[int(rng.integers(len(self._active)))]
+        n = len(self._active)
+        if not n:
+            raise ValueError("random_active: the configuration is empty")
+        return self._active[int(rng.random() * n)]
 
     def intersectors(self, center, radius: float) -> list[int]:
         """Slots of stored balls whose closed ball meets B(center, radius):

@@ -46,7 +46,7 @@ class WrParams(ModelParams):
 
     def insertion(self, cfg, labeling, center, radius: float, rng) -> tuple:
         """(allowed-set indicator, hits, color) of a ball in a uniform color."""
-        color = int(rng.integers(1, self.n_colors + 1))
+        color = 1 + int(rng.random() * self.n_colors)
         hits = cfg.intersectors(center, radius)
         return float(insertion_allowed(cfg, hits, color)), hits, color
 
@@ -55,7 +55,7 @@ class WrParams(ModelParams):
         `(centers, radii, colors)` sample: the allowed-set indicator, each
         candidate in its own uniform color."""
         colors = sample[2]
-        ks = rng.integers(1, self.n_colors + 1, size=hits.shape[0])
+        ks = 1 + (rng.random(hits.shape[0]) * self.n_colors).astype(np.int64)
         clash = hits & (colors[None, :] != ks[:, None])
         return (~clash.any(axis=1)).astype(float)
 
@@ -78,7 +78,7 @@ class WrParams(ModelParams):
         # order, which checkpoints keep, so this is a Gibbs update of one
         # component's color and resumed runs repeat it exactly
         slot = cfg.random_active(rng)
-        color = int(rng.integers(1, self.n_colors + 1))
+        color = 1 + int(rng.random() * self.n_colors)
         lab = state.labeling
         cfg.colors.update(dict.fromkeys(lab.members[lab.label[slot]], color))
         state.accepted["recolor"] += 1

@@ -1,11 +1,27 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from crcmlab._stream import block_reads
 from crcmlab.crcm import bd_step, new_chain
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def run_python(*args):
+    """`python *args` in a fresh interpreter that imports crcmlab from this
+    checkout's src/ whether or not PYTHONPATH names it (pytest's own
+    `pythonpath` setting reaches only the pytest process)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
 
 
 @pytest.fixture

@@ -3,14 +3,13 @@ line with the measured numbers.  Tolerances are fixed here, not tuned at
 runtime.  Run with `pytest -s tests/test_acceptance.py` to see the lines."""
 import json
 import math
-import subprocess
-import sys
 import time
 
 import numpy as np
 import pytest
 from scipy import optimize, stats
 
+from conftest import run_python
 from crcmlab.geometry import Box
 from crcmlab.model_core import (
     DiracRadius,
@@ -38,11 +37,7 @@ def report(name: str, ok: bool, detail: str) -> None:
 
 
 def run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "crcmlab.cli_runner", *args],
-        capture_output=True,
-        text=True,
-    )
+    return run_python("-m", "crcmlab.cli_runner", *args)
 
 
 # -- 1. q = 1 reduction ------------------------------------------------------------

@@ -1,12 +1,12 @@
 import hashlib
 import json
-import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import run_python
 from crcmlab import cli_runner as cli
 from crcmlab import connectivity, crcm
 from crcmlab.connectivity import count_components
@@ -25,11 +25,7 @@ from crcmlab.cli_runner import (
 
 
 def run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "crcmlab.cli_runner", *args],
-        capture_output=True,
-        text=True,
-    )
+    return run_python("-m", "crcmlab.cli_runner", *args)
 
 
 def set_flags(settings: dict) -> list[str]:
@@ -138,7 +134,7 @@ def test_importing_the_cli_leaves_scipy_stats_and_integrate_unloaded():
     # would otherwise pay about half a second to import them
     code = ("import sys, crcmlab.cli_runner; "
             "print([m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules])")
-    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    r = run_python("-c", code)
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == "[]"
 
@@ -691,20 +687,20 @@ SUITE_PINS = {
         "summary.csv": "013a837e5e22204d",
     }),
     "sample-crcm": (0, {
-        "checkpoint.json": "e663a3c8f456f611", "final_config_000.csv": "5ae85a11d17d040e",
-        "trace_000.csv": "8e86b3536e43b4c0",
+        "checkpoint.json": "e663a3c8f456f611", "final_config_000.csv": "66fe445290da074d",
+        "trace_000.csv": "7fcfc679b55373ee",
     }),
     "sample-wr": (0, {
-        "final_config_000.csv": "7b9d55a5e30fae8d", "trace_000.csv": "e0c93cfff1c87dd8",
+        "final_config_000.csv": "887ee38380eecd8e", "trace_000.csv": "1c1114f8f18d810d",
     }),
-    "gnz-check": (0, {"gnz.csv": "2520025980106dc9"}),
-    "fk-check": (0, {"fk.csv": "6ddea3d1c0157957"}),
-    "dlr-check": (0, {"dlr.csv": "fd3d443606d40311"}),
+    "gnz-check": (0, {"gnz.csv": "25348c2a4309b6fb"}),
+    "fk-check": (0, {"fk.csv": "b8c5eb8a48b6b13a"}),
+    "dlr-check": (0, {"dlr.csv": "43d685800fce6a66"}),
     "bounds-audit": (0, {"bounds.csv": "e1782d2cd8f2b832"}),
     "localization": (0, {"localization.csv": "0ad7dc610b5077e2"}),
     "shield": (0, {"shield.csv": "a64f0097abd91ef3"}),
     "entropy-bounds": (0, {"entropy_bounds.csv": "59d9f81bfcee46d2"}),
-    "np-decay": (0, {"np_decay.csv": "a1c9e1915ec7c143"}),
+    "np-decay": (0, {"np_decay.csv": "fdda7f402d4ac365"}),
     "coverage-probe": (0, {"coverage.csv": "9ca33620b84d801c"}),
 }
 

@@ -192,9 +192,9 @@ def test_moves_query_the_grid_once_and_removals_compute_no_key(monkeypatch, para
     "params, digest",
     [
         (wr.WrParams(400.0, 2, DiracRadius(0.03), UNIT),
-         "e4418a1098d7234261e6368b7139802470e33922130d5c98533a590b8cfc59e5"),
+         "e1bb7d095342120cfbd1520bcc9e390a17a907b260a9f271858797ce5a8d671c"),
         (ModelParams(200.0, 2.0, DiracRadius(0.03), UNIT),
-         "4b2f01a851f1058f27edcc010e2a33e050cd6853c3071abdcfe6917801408f8e"),
+         "837026fc9a806a5a4c7ba00da3757ee58aeed65b41309ea422d9589ee7451b9c"),
     ],
     ids=["wr", "crcm"],
 )
@@ -551,7 +551,7 @@ def test_gnz_array_statistics_match_ball_by_ball_loop():
     ]
 
     def wr_weights(cfg, xs, rs, rng):
-        ks = rng.integers(1, 3, size=len(xs))
+        ks = [1 + int(u * 2) for u in rng.random(len(xs))]
         return [
             float(wr.insertion_allowed(cfg, cfg.intersectors(x, r), int(k)))
             for x, r, k in zip(xs, rs, ks)
@@ -569,13 +569,13 @@ def test_gnz_array_statistics_match_ball_by_ball_loop():
 
 
 class Draws:
-    """Stands in for a generator in `WrParams.insertion`: `integers`
+    """Stands in for a generator in `WrParams.insertion`: `random`
     returns the given values in turn."""
 
     def __init__(self, values):
         self.values = iter(values)
 
-    def integers(self, lo, hi, size=None):
+    def random(self):
         return next(self.values)
 
 
@@ -616,11 +616,12 @@ def test_gnz_insertion_weights_are_the_chain_factors(build, model):
         hits[m, [position[s] for s in slots]] = True
     assert hits.any()
     weights = params.insertion_weights(cfg.arrays(), hits, seeded(34))
-    # the color model draws one color per candidate, in order, from its stream
-    ks = seeded(34).integers(1, params.n_colors + 1, size=len(xs)) if colored else None
+    # the color model draws one color per candidate, in order, from its stream:
+    # 1 + int(u * q) of one uniform each
+    us = seeded(34).random(len(xs)) if colored else None
     lab = ClusterLabeling(cfg)
     for m, (x, r) in enumerate(zip(xs, rs)):
-        factor, slots, _ = params.insertion(cfg, lab, x, r, Draws([ks[m]]) if colored else None)
+        factor, slots, _ = params.insertion(cfg, lab, x, r, Draws([us[m]]) if colored else None)
         assert sorted(slots) == sorted(hit_lists[m])
         assert weights[m] == factor
     assert len(set(weights.tolist())) > 1

@@ -412,6 +412,19 @@ def test_remove_reports_the_ball_moved_into_the_freed_position():
     assert cfg.remove(c) is None and cfg.n == 0
 
 
+def test_random_active_picks_by_one_uniform_and_refuses_an_empty_configuration():
+    cfg = Configuration(UNIT, cell_size=0.25)
+    rng = np.random.default_rng(8)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="empty"):
+        cfg.random_active(rng)
+    assert rng.bit_generator.state == before  # refused before any draw
+    slots = [cfg.add(np.array([x, 0.5]), 0.05) for x in (0.1, 0.3, 0.5, 0.7, 0.9)]
+    twin = np.random.default_rng(8)
+    for _ in range(50):
+        assert cfg.random_active(rng) == slots[int(twin.random() * len(slots))]
+
+
 def test_load_configuration_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("# d=2 lo=0.0,0.0 hi=1.0,1.0 law= seed= colored=0\ny,x,radius\n0.5,0.5,0.1\n")
