@@ -1,57 +1,50 @@
-"""A chain's uniforms read in blocks of its Generator's raw 64-bit words:
-every value, and the Generator's state once synced, is what the Generator
-itself would have produced.  A chain's discrete picks are `int(u * n)` of
-these uniforms: u = k * 2^-53, so each of the n values has probability
-within 2^-53 of 1/n, and (1 - 2^-53) * n rounds below n for n up to 2^53."""
+"""A chain's uniforms read in blocks of its Generator's own `random()`
+values: every value, and the Generator's state once synced, is what the
+Generator itself would have produced, whatever its bit generator.  A chain's
+discrete picks are `int(u * n)` of these uniforms: u = k * 2^-53, so each of
+the n values has probability within 2^-53 of 1/n, and (1 - 2^-53) * n
+rounds below n for n up to 2^53."""
 from __future__ import annotations
 
 from contextlib import contextmanager
 
 import numpy as np
 
-# bit generators whose double is one raw word, (word >> 11) * 2^-53;
-# MT19937 builds doubles from two 32-bit draws
-_WRAPPED = (np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64)
-_FIRST_BLOCK, _MAX_BLOCK = 16, 1024
+_BLOCK = 256
 
 
 class BlockStream:
-    """`random()` of a Generator, served from raw words.  Anything else
-    needs `generator()`, which syncs the Generator to the stream's position
-    and returns it.  Raw words leave the Generator's buffered 32-bit half
-    alone, so a half it left buffered is there again after the sync."""
+    """`random()` of a Generator, served from blocks of `Generator.random`.
+    Anything else needs `generator()`, which syncs the Generator to the
+    stream's position and returns it."""
 
-    __slots__ = ("_gen", "_words", "_pos", "_start", "_block")
+    __slots__ = ("_gen", "_values", "_pos", "_start")
 
     def __init__(self, gen: np.random.Generator):
         self._gen = gen
-        self._words: list[int] = []
+        self._values: list[float] = []
         self._pos = 0
         self._start = None  # bit generator state before the block; None when synced
-        self._block = _FIRST_BLOCK
 
-    def _refill(self) -> list[int]:
-        bg = self._gen.bit_generator
-        self._start = bg.state
-        self._words = bg.random_raw(self._block).tolist()
+    def _refill(self) -> list[float]:
+        self._start = self._gen.bit_generator.state
+        self._values = self._gen.random(_BLOCK).tolist()
         self._pos = 0
-        self._block = min(2 * self._block, _MAX_BLOCK)
-        return self._words
+        return self._values
 
     def generator(self) -> np.random.Generator:
         if self._start is not None:
-            bg = self._gen.bit_generator
-            bg.state = self._start
-            bg.random_raw(self._pos)
-            self._words, self._pos, self._start, self._block = [], 0, None, _FIRST_BLOCK
+            self._gen.bit_generator.state = self._start
+            self._gen.random(self._pos)
+            self._values, self._pos, self._start = [], 0, None
         return self._gen
 
     def random(self) -> float:
-        pos, words = self._pos, self._words
-        if pos == len(words):
-            pos, words = 0, self._refill()
+        pos, values = self._pos, self._values
+        if pos == len(values):
+            pos, values = 0, self._refill()
         self._pos = pos + 1
-        return (words[pos] >> 11) * 1.1102230246251565e-16  # 2^-53
+        return values[pos]
 
 
 def generator(rng) -> np.random.Generator:
@@ -62,10 +55,10 @@ def generator(rng) -> np.random.Generator:
 @contextmanager
 def block_reads(state):
     """Serve `state.rng`'s uniforms from a BlockStream for the body, then
-    put back the synced Generator.  Other bit generators, and a state whose
-    rng is already a stream, are left as they are."""
+    put back the synced Generator.  An rng that is not a Generator (a test
+    stub, or a stream already) is left as it is."""
     rng = state.rng
-    if type(rng) is not np.random.Generator or type(rng.bit_generator) not in _WRAPPED:
+    if type(rng) is not np.random.Generator:
         yield
         return
     stream = state.rng = BlockStream(rng)

@@ -407,6 +407,22 @@ def chain_from_json(doc: dict, params: ModelParams) -> tuple[ChainState, int, li
         raise ValueError(f"malformed chain document: {type(exc).__name__}: {exc}") from exc
 
 
+def check_trace(trace: list, recorded: range) -> None:
+    """ValueError unless `trace` holds one row per sweep in `recorded`:
+    that sweep, two counts and the largest component size (integers), then
+    two acceptance rates in [0, 1], as `trace_row` writes them."""
+    if len(trace) != len(recorded):
+        raise ValueError(f"{len(trace)} trace rows for {len(recorded)} recorded sweeps")
+    for row, sweep in zip(trace, recorded):
+        if (
+            len(row) != len(TRACE_COLUMNS)
+            or row[0] != sweep
+            or any(type(v) is not int or v < 0 for v in row[:4])
+            or any(type(v) not in (int, float) or not 0 <= v <= 1 for v in row[4:])
+        ):
+            raise ValueError(f"trace row {list(row)!r} is not a row of sweep {sweep}")
+
+
 def run_traced_chain(
     spec: ExperimentSpec,
     chain_index: int,
@@ -417,15 +433,18 @@ def run_traced_chain(
     """Burn-in + recorded sweeps with optional mid-run checkpoints; the
     recorded trace is identical whether or not the run was interrupted."""
     params = spec.wr_params() if colored else spec.model_params()
+    total = spec.burn_in + spec.sweeps
     if resume_doc is not None:
         try:
             state, start_sweep, trace = chain_from_json(resume_doc, params)
+            if start_sweep > total:
+                raise ValueError(f"sweep {start_sweep} is past the run's last sweep {total}")
+            check_trace(trace, range(spec.burn_in, start_sweep, spec.thinning))
         except ValueError as exc:
-            raise SpecInvalid(f"checkpoint {spec.resume} holds no chain: {exc}") from exc
+            raise SpecInvalid(f"checkpoint {spec.resume} holds no chain of this run: {exc}") from exc
     else:
         state = new_chain(params, chain_rng(spec.seed, chain_index))
         start_sweep, trace = 0, []
-    total = spec.burn_in + spec.sweeps
 
     def checkpoint(done: int, recorded: bool) -> None:
         if spec.checkpoint_every > 0 and done % spec.checkpoint_every == 0 and done < total:
@@ -667,9 +686,17 @@ def cmd_localization(spec: ExperimentSpec, out: Path) -> int:
     params = spec.model_params()
     w = params.window
     lam_box = Box(w.lo + 0.45 * w.sides, w.lo + 0.55 * w.sides)
+    pairs = spec.ij_pairs()
+    for _, j in pairs:
+        # a window inside [-j, j]^d makes A_ij and W_ij hold on every sample
+        if not (np.all(w.lo < -j) and np.all(w.hi > j)):
+            raise SpecInvalid(
+                f"window {spec.window!r} must strictly contain [-{j:g}, {j:g}]^{w.dimension} "
+                f"for j={j:g}"
+            )
     rows = []
     passed = True
-    for i, j in spec.ij_pairs():
+    for i, j in pairs:
         rng = chain_rng(spec.seed, int(1000 * i + j))
         ok = fails = tried = 0
         while ok + fails < spec.samples and tried < 400 * spec.samples:

@@ -217,7 +217,8 @@ def sweep_loop(
     trace_row to `trace`; then `on_sweep(sweeps done, row appended)` runs.
     Starting from a saved sweep and trace continues the same trajectory.
     Meanwhile `state.rng` is a `_stream.BlockStream` over the chain's
-    Generator (see `block_reads`), whose draws are the Generator's own."""
+    Generator, whatever its bit generator (see `block_reads`): it serves the
+    Generator's own `random()` values in fixed blocks."""
     with block_reads(state):
         for sweep in range(start, burn_in + sweeps):
             for _ in range(per_sweep):

@@ -146,12 +146,8 @@ class SpatialIndex:
         cs = self.cell_size
         return tuple([math.floor(c / cs) for c in center])
 
-    def insert(self, ball_id: int, center, radius: float) -> None:
-        center = tuple(map(float, center))
-        self._store(ball_id, center, float(radius), self._key(center))
-
     def insert_many(self, ids, centers: np.ndarray, radii: np.ndarray) -> None:
-        """`insert` of each ball in turn, with the cell keys from one array pass."""
+        """File each ball in turn, with the cell keys from one array pass."""
         keys = np.floor(centers / self.cell_size).astype(np.int64).tolist()
         for ball_id, center, radius, key in zip(ids, centers.tolist(), radii.tolist(), keys):
             self._store(ball_id, tuple(center), radius, tuple(key))

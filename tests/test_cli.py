@@ -267,6 +267,22 @@ def test_resume_from_a_file_that_is_not_a_checkpoint(tmp_path, capsys):
         bad_stream = _chain_doc(False)
         bad_stream["rng"]["buffer_pos"] = pos
         bodies[f"buffer_pos_{pos}.json"] = {"chain": bad_stream, "next_chain": 0}
+    # a sweep past the run, and traces that are not the rows of the sweeps
+    # recorded before the checkpoint's (burn-in 10, thinning 2)
+    row = [10, 5, 4, 2, 0.5, 0.25]
+    for name, sweep, trace in [
+        ("far_sweep", 10**6, []),
+        ("text_row", 11, [["x"]]),
+        ("short_row", 11, [[1, 2]]),
+        ("missing_rows", 13, [row]),
+        ("extra_row", 9, [row]),
+        ("wrong_sweep", 11, [[12, *row[1:]]]),
+        ("float_count", 11, [[10, 5.0, 4, 2, 0.5, 0.25]]),
+        ("rate_above_one", 11, [[*row[:4], 1.5, 0.25]]),
+    ]:
+        doc = _chain_doc(False)
+        doc.update(sweep=sweep, trace=trace)
+        bodies[f"{name}.json"] = {"chain": doc, "next_chain": 0}
     for name, body in bodies.items():
         (tmp_path / name).write_text(json.dumps({"spec_hash": spec_hash, **body}))
     for path in (manifest, tmp_path / "notes.txt", tmp_path / "missing.json",
@@ -295,6 +311,8 @@ def test_unknown_subcommand_and_bad_set(tmp_path):
         ("localization", {"ij": "4;9"}),
         ("localization", {"ij": "a:9"}),
         ("localization", {"ij": "9:4"}),  # i < j needed
+        ("localization", {}),  # the default window lies inside [-9, 9]^2: A_ij, W_ij always hold
+        ("localization", {"window": "-20,-20:20,20", "ij": "4:9;5:20"}),  # on the edge of j=20
         ("np-decay", {"z_grid": "0.2,x"}),
         ("entropy-bounds", {"y_grid": "10,ten"}),
         ("coverage-probe", {"law": "pareto:2", "h_grid": "0.5,2x"}),

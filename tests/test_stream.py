@@ -27,6 +27,8 @@ from crcmlab.model_core import DiracRadius, ModelParams, ParetoRadius, UniformRa
 from crcmlab.widom_rowlinson import WrParams, new_wr_chain, wr_step
 
 UNIT = Box([0.0, 0.0], [1.0, 1.0])
+BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64,
+                  np.random.MT19937]
 QUADS = [Box([0, 0], [0.5, 0.5]), Box([0.5, 0], [1, 0.5]),
          Box([0, 0.5], [0.5, 1]), Box([0.5, 0.5], [1, 1])]
 
@@ -64,7 +66,7 @@ def twin_draw(stream, twin, step):
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(
-    bit_generator=st.sampled_from([np.random.PCG64, np.random.Philox, np.random.SFC64]),
+    bit_generator=st.sampled_from(BIT_GENERATORS),
     seed=st.integers(0, 2**32 - 1),
     ops=st.lists(op, max_size=400),
 )
@@ -77,7 +79,7 @@ def test_stream_draws_what_the_generator_draws(bit_generator, seed, ops):
     assert plain_state(stream.generator()) == plain_state(twin)
 
 
-def test_stream_blocks_grow_and_the_half_word_carries_over():
+def test_stream_crosses_blocks_and_the_half_word_carries_over():
     # 3,000 draws cross many refills; a scalar integer on the synced
     # Generator leaves the high half of a word buffered, which the next
     # hand-off's integer takes after the stream's blocks in between
@@ -138,12 +140,8 @@ def test_sample_scalar_is_the_size_zero_sample(law):
 # -- which chains are wrapped --------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "bit_generator, wrapped",
-    [(np.random.PCG64, True), (np.random.PCG64DXSM, True), (np.random.Philox, True),
-     (np.random.SFC64, True), (np.random.MT19937, False)],
-)
-def test_sweep_loop_wraps_only_word_stream_generators(bit_generator, wrapped):
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda bg: bg.__name__)
+def test_sweep_loop_wraps_every_generator(bit_generator):
     params = ModelParams(20.0, 2.0, DiracRadius(0.05), UNIT)
     rng = np.random.Generator(bit_generator(3))
     seen = set()
@@ -153,7 +151,7 @@ def test_sweep_loop_wraps_only_word_stream_generators(bit_generator, wrapped):
         return bd_step(state)
 
     rep = run_chain(params, rng, sweeps=2, burn_in=0, thin=1, step=step)
-    assert seen == {BlockStream if wrapped else np.random.Generator}
+    assert seen == {BlockStream}
     assert rep.state.rng is rng
 
 
@@ -214,6 +212,20 @@ def test_bd_chain_trajectory_is_pinned(law, seed):
     assert rep.n_cc.tolist() == [r[2] for r in trace]
     assert rep.largest.tolist() == [r[3] for r in trace]
     assert_same_chain(rep.state, raw)
+
+
+@pytest.mark.parametrize("colored", [False, True])
+def test_mt19937_chain_trajectory_is_pinned(colored):
+    # MT19937 builds a double from two 32-bit draws; its chains are read
+    # through the stream as every other bit generator's are, here with a
+    # 32-bit half buffered before the chain starts
+    params = (WrParams if colored else ModelParams)(60.0, 2.0, DiracRadius(0.05), UNIT)
+    a, b = (np.random.Generator(np.random.MT19937(8)) for _ in range(2))
+    assert int(a.integers(5)) == int(b.integers(5))
+    sa, sb = new_chain(params, a), new_chain(params, b)
+    per_sweep = sweep_size(params)
+    assert sweep_loop(sa, bd_step, per_sweep, 3, 10, 2, []) == raw_loop(sb, bd_step, per_sweep, 3, 10, 2)
+    assert_same_chain(sa, sb)
 
 
 @pytest.mark.parametrize("law", ["dirac:0.04", "tpareto:2,4.0"])
