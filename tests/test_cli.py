@@ -311,8 +311,6 @@ def test_unknown_subcommand_and_bad_set(tmp_path):
         ("localization", {"ij": "4;9"}),
         ("localization", {"ij": "a:9"}),
         ("localization", {"ij": "9:4"}),  # i < j needed
-        ("localization", {}),  # the default window lies inside [-9, 9]^2: A_ij, W_ij always hold
-        ("localization", {"window": "-20,-20:20,20", "ij": "4:9;5:20"}),  # on the edge of j=20
         ("np-decay", {"z_grid": "0.2,x"}),
         ("entropy-bounds", {"y_grid": "10,ten"}),
         ("coverage-probe", {"law": "pareto:2", "h_grid": "0.5,2x"}),
@@ -372,6 +370,9 @@ def test_unknown_subcommand_and_bad_set(tmp_path):
         ("sample-wr", {"model": "ising"}),
         ("fk-check", {"model": "WR"}),
         ("shield", {"model": ""}),
+        # localization boxes that cannot say anything about the window
+        ("localization", {}),  # the default window lies inside [-9, 9]^2: A_ij, W_ij always hold
+        ("localization", {"window": "-20,-20:20,20", "ij": "4:9;5:20"}),  # on the edge of j=20
     ],
 )
 def test_malformed_spec_values_are_spec_errors(tmp_path, capsys, monkeypatch, sub, settings):
