@@ -42,7 +42,6 @@ from .connectivity import (
     count_components,
     local_cc,
     local_count,
-    probe_count,
 )
 
 __version__ = "0.1.0"

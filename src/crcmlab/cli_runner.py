@@ -38,7 +38,6 @@ from .connectivity import (
     check_bounds,
     compatibility_offset,
     components,
-    probe_count,
 )
 from .crcm import (
     TRACE_COLUMNS,
@@ -51,7 +50,7 @@ from .crcm import (
     sweep_loop,
     sweep_size,
 )
-from .widom_rowlinson import WrParams, fk_consistency_test
+from .widom_rowlinson import WrParams, fk_consistency_test, is_allowed
 from . import analysis
 
 EXIT_OK = 0
@@ -387,12 +386,17 @@ def _count(v) -> int:
 
 def chain_from_json(doc: dict, params: ModelParams) -> tuple[ChainState, int, list]:
     """Inverse of chain_to_json for a chain of `params`; raises ValueError
-    on any malformed field."""
+    on any malformed field, on colors outside 1..q or not allowed, and on
+    move counters no chain leaves (one proposal per step at most)."""
     try:
         colors = doc["colors"] if isinstance(params, WrParams) else None
+        if colors is not None and not all(type(c) is int and 0 < c <= params.q for c in colors):
+            raise ValueError(f"colors must be integers in 1..{params.n_colors}")
         cfg = Configuration.from_arrays(
             params.window, doc["centers"], doc["radii"], colors, cell_size=params.cell_size
         )
+        if colors is not None and not is_allowed(*cfg.arrays()):
+            raise ValueError("balls of different colors overlap")
         moves = ("birth", "death", "recolor")
         state = ChainState(
             params=params,
@@ -402,6 +406,10 @@ def chain_from_json(doc: dict, params: ModelParams) -> tuple[ChainState, int, li
             proposed={k: _count(doc["proposed"][k]) for k in moves},
             accepted={k: _count(doc["accepted"][k]) for k in moves},
         )
+        if any(state.accepted[k] > state.proposed[k] for k in moves):
+            raise ValueError(f"more moves accepted than proposed: {doc['accepted']!r}")
+        if sum(state.proposed.values()) > state.step_count:
+            raise ValueError(f"more moves proposed than steps taken: {state.step_count}")
         return state, _count(doc["sweep"]), [tuple(r) for r in doc["trace"]]
     except (KeyError, TypeError, AttributeError, IndexError, OverflowError) as exc:
         raise ValueError(f"malformed chain document: {type(exc).__name__}: {exc}") from exc
@@ -439,6 +447,8 @@ def run_traced_chain(
             state, start_sweep, trace = chain_from_json(resume_doc, params)
             if start_sweep > total:
                 raise ValueError(f"sweep {start_sweep} is past the run's last sweep {total}")
+            if state.step_count != start_sweep * sweep_size(params):
+                raise ValueError(f"{state.step_count} steps in {start_sweep} sweeps")
             check_trace(trace, range(spec.burn_in, start_sweep, spec.thinning))
         except ValueError as exc:
             raise SpecInvalid(f"checkpoint {spec.resume} holds no chain of this run: {exc}") from exc
@@ -607,19 +617,10 @@ def cmd_bounds_audit(spec: ExperimentSpec, out: Path) -> int:
     # the increment lower bound holds when every radius >= the law's minimum
     r_lo = params.law.min_radius
     c0 = (3.0 / r_lo) ** w.dimension if r_lo > 0 else math.inf
-    viol = {
-        "upper": 0,
-        "lower": 0,
-        "increment_above": 0,
-        "increment_below": 0,
-        "telescoping": 0,
-        "deletion_inverse": 0,
-        "compatibility": 0,
-    }
-    outer = Box(
-        np.maximum(w.lo, lam_box.lo - 0.2 * w.sides),
-        np.minimum(w.hi, lam_box.hi + 0.2 * w.sides),
-    )
+    viol = dict.fromkeys(["upper", "lower", "increment_above", "increment_below", "telescoping",
+                          "deletion_inverse", "compatibility"], 0)
+    grow = 0.2 * w.sides
+    outer = Box(np.maximum(w.lo, lam_box.lo - grow), np.minimum(w.hi, lam_box.hi + grow))
     rng_ins = chain_rng(spec.seed, 90_001)
     for s in range(spec.samples):
         rng = chain_rng(spec.seed, s)
@@ -629,18 +630,27 @@ def cmd_bounds_audit(spec: ExperimentSpec, out: Path) -> int:
         rep = check_bounds(graph, w, lam_box, r0)
         viol["upper"] += not rep.upper_ok
         viol["lower"] += not rep.lower_ok
-        # the labeling under test, built ball by ball in a uniform order (slot
-        # k holds ball order[k]): its increments must telescope to the count
+        # the labeling under test, built ball by ball in a uniform order taken
+        # zone by zone (slot k holds ball order[k]): balls centred outside
+        # outer, then outside lam_box, then in it; its increments must telescope
+        zone = outer.contains_points(centers).astype(np.int64) + lam_box.contains_points(centers)
+        order = rng.permutation(radii.size)
+        order = order[np.argsort(zone[order], kind="stable")]
         cfg = Configuration(w, params.cell_size)
         lab = ClusterLabeling(cfg)
-        order = rng.permutation(radii.size)
+        before = []  # its count as each zone begins: 0, ncc(outside outer), ncc(outside lam_box)
         total = 0
-        for k in order:
-            dlt, hits = lab.insertion_increment(cfg, centers[k], radii[k])
-            lab.apply_insertion(cfg.add(centers[k], radii[k]), hits)
-            total += dlt
+        for part in np.split(order, np.searchsorted(zone[order], [1, 2])):
+            before.append(lab.n_components)
+            for k in part:
+                dlt, hits = lab.insertion_increment(cfg, centers[k], radii[k])
+                lab.apply_insertion(cfg.add(centers[k], radii[k]), hits)
+                total += dlt
         n_cc = graph.count()
         viol["telescoping"] += total != n_cc or lab.n_components != n_cc
+        # compatibility offset: its closed form against the labeling's counts
+        offset = compatibility_offset(graph, lam_box, outer, w)
+        viol["compatibility"] += offset != before[2] - before[1]
         # single-ball increment window and lower bound (radii >= min_radius)
         ball_c = w.sample_point(rng_ins)
         ball_r = params.law.sample_scalar(rng_ins)
@@ -659,17 +669,13 @@ def cmd_bounds_audit(spec: ExperimentSpec, out: Path) -> int:
             viol["deletion_inverse"] += lab.n_components != graph.count(others)
             back, _ = lab.insertion_increment(cfg, center, radius)
             viol["deletion_inverse"] += back != 1 - len(groups)
-        # compatibility offset: its closed form against the probe sequences
-        # (`probe_count`, as local_cc runs them), on the sample and on one
-        # resample of the interior of lam_box
-        outside = ~lam_box.contains_points(centers)
+        # the offset reads only the balls outside lam_box (zone < 2): a
+        # resample of the interior of lam_box keeps it
         new_c, new_r = poisson_balls(lam_box, params.law, params.z * lam_box.volume, rng)
         redone = BallGraph.of(
-            np.vstack([centers[outside], new_c]), np.concatenate([radii[outside], new_r])
+            np.vstack([centers[zone < 2], new_c]), np.concatenate([radii[zone < 2], new_r])
         )
-        for g in (graph, redone):
-            offset = compatibility_offset(g, lam_box, outer, w)
-            viol["compatibility"] += offset != probe_count(g, outer)[0] - probe_count(g, lam_box)[0]
+        viol["compatibility"] += compatibility_offset(redone, lam_box, outer, w) != offset
     total_viol = sum(viol.values())
     status = write_csv(
         spec, out, "bounds.csv",

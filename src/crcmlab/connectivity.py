@@ -420,21 +420,24 @@ def _probe_levels(centers: np.ndarray, box: Box, step: float) -> np.ndarray:
         k += short
 
 
-def probe_count(graph: BallGraph, box: Box, step: Optional[float] = None) -> tuple[int, float]:
+def local_cc(cfg: Configuration, box: Box, step: Optional[float] = None) -> LocalCCResult:
     """Local number of connected components attached to `box`, by probes.
 
     c(D) = ncc(balls in D) - ncc(balls in D minus box) along the probe boxes
     D_k = dilate(box, k * step), k = 0, 1, ..., with step max(1, largest
     radius) by default; a given step must be positive and finite.  Every
     ball enters the probes at one level, and c only changes at levels where
-    a ball enters, so `graph.count` is read at those levels alone.  Returns
-    the limiting value and the dilation k * step of the first probe from
-    which c stays constant.
+    a ball enters, so the component counts are read at those levels alone.
+    Returns the limiting value and the first probe from which c stays
+    constant, the witness of stabilization.
     """
+    if not cfg.window.contains_box(box):
+        raise LambdaNotInWindow("probe box must sit inside the window")
     if step is not None and not 0 < step < np.inf:
         raise ValueError("probe step must be positive and finite")
+    graph = BallGraph.of(*cfg.arrays()[:2])
     if not graph.radii.size:
-        return 0, 0.0
+        return LocalCCResult(0, box)
     if step is None:
         step = max(1.0, float(np.max(graph.radii)))
     levels = _probe_levels(graph.centers, box, step)
@@ -443,16 +446,7 @@ def probe_count(graph: BallGraph, box: Box, step: Optional[float] = None) -> tup
     values = np.array([graph.count(levels <= k) - graph.count((levels <= k) & outside) for k in ks])
     moved = np.flatnonzero(values != values[-1])
     first = int(ks[moved[-1] + 1]) if moved.size else 0
-    return int(values[-1]), first * step
-
-
-def local_cc(cfg: Configuration, box: Box, step: Optional[float] = None) -> LocalCCResult:
-    """`probe_count` of the configuration's balls, with the first stable
-    probe box as the witness of stabilization."""
-    if not cfg.window.contains_box(box):
-        raise LambdaNotInWindow("probe box must sit inside the window")
-    value, reach = probe_count(BallGraph.of(*cfg.arrays()[:2]), box, step)
-    return LocalCCResult(value, dilate(box, reach))
+    return LocalCCResult(int(values[-1]), dilate(box, first * step))
 
 
 def compatibility_offset(graph: BallGraph, inner: Box, outer: Box, window: Box) -> int:

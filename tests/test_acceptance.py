@@ -179,7 +179,7 @@ def test_criterion_5_bounds_audit(tmp_path):
         "criterion 5 (bounds audit)",
         code == 0 and total == 0,
         f"upper/lower bounds, increments, telescoping, deletion inverse, "
-        f"compatibility (closed form against probes, sample and one resample): "
+        f"compatibility (closed form against the labeling and one resample): "
         f"{total} violations over 10000 configurations",
     )
 

@@ -13,7 +13,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
 import tracer  # noqa: E402
 
-from crcmlab import cli_runner, crcm  # noqa: E402
+from crcmlab import analysis, cli_runner, crcm  # noqa: E402
 from crcmlab import widom_rowlinson as wr  # noqa: E402
 from crcmlab.geometry import Box  # noqa: E402
 from crcmlab.model_core import DiracRadius, ModelParams  # noqa: E402
@@ -27,7 +27,8 @@ def test_traced_target_resolves(target):
 
 def test_names_the_benchmark_binds_outside_its_targets():
     # bindings the tracer self-test and the workloads read directly
-    assert crcm.local_cc is tracer._resolve(_target("connectivity.local_cc"))[3]
+    local_cc = tracer._resolve(_target("connectivity.local_cc"))[3]
+    assert crcm.local_cc is local_cc and analysis.local_cc is local_cc
     assert cli_runner.bd_step is crcm.bd_step
     params = inspect.signature(cli_runner.run_traced_chain).parameters
     assert list(params)[:3] == ["spec", "chain_index", "colored"]

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import sys
@@ -10,7 +11,7 @@ from conftest import run_python
 from crcmlab import cli_runner as cli
 from crcmlab import connectivity, crcm
 from crcmlab.connectivity import count_components
-from crcmlab.crcm import bd_step, new_chain
+from crcmlab.crcm import bd_step, new_chain, sweep_size
 from crcmlab.widom_rowlinson import new_wr_chain, wr_step
 from crcmlab.cli_runner import (
     EXIT_OK,
@@ -268,7 +269,9 @@ def test_resume_from_a_file_that_is_not_a_checkpoint(tmp_path, capsys):
         bad_stream["rng"]["buffer_pos"] = pos
         bodies[f"buffer_pos_{pos}.json"] = {"chain": bad_stream, "next_chain": 0}
     # a sweep past the run, and traces that are not the rows of the sweeps
-    # recorded before the checkpoint's (burn-in 10, thinning 2)
+    # recorded before the checkpoint's (burn-in 10, thinning 2), each with
+    # the step count of its sweep
+    per_sweep = sweep_size(_chain_params(False))
     row = [10, 5, 4, 2, 0.5, 0.25]
     for name, sweep, trace in [
         ("far_sweep", 10**6, []),
@@ -281,15 +284,46 @@ def test_resume_from_a_file_that_is_not_a_checkpoint(tmp_path, capsys):
         ("rate_above_one", 11, [[*row[:4], 1.5, 0.25]]),
     ]:
         doc = _chain_doc(False)
-        doc.update(sweep=sweep, trace=trace)
+        doc.update(sweep=sweep, trace=trace, step_count=sweep * per_sweep)
         bodies[f"{name}.json"] = {"chain": doc, "next_chain": 0}
-    for name, body in bodies.items():
-        (tmp_path / name).write_text(json.dumps({"spec_hash": spec_hash, **body}))
-    for path in (manifest, tmp_path / "notes.txt", tmp_path / "missing.json",
-                 *(tmp_path / name for name in bodies)):
-        assert cli.main([*args, "--resume", str(path)]) == EXIT_SPEC
-        err = capsys.readouterr().err
-        assert "spec error" in err and str(path) in err
+    # move counters no run leaves: more births accepted than proposed, fewer
+    # steps than proposals, and more steps than the checkpoint's 7 sweeps take
+    over, short, long = _chain_doc(False), _chain_doc(False), _chain_doc(False)
+    over["accepted"]["birth"] = 10**6
+    short["step_count"] = 3
+    long["step_count"] += 1
+    bodies["accepted_birth.json"] = {"chain": over, "next_chain": 0}
+    bodies["three_steps.json"] = {"chain": short, "next_chain": 0}
+    bodies["extra_step.json"] = {"chain": long, "next_chain": 0}
+    wr_args = ["sample-wr", "--seed", "11", "--out", str(tmp_path / "wr"), *set_flags(FAST_WR)]
+    wr_hash = load_spec("sample-wr", None, {"seed": "11", **FAST_WR}).digest()
+    # colors outside the model: outside 1..q, and ball 1 moved onto ball 0
+    # with another color
+    clash = _chain_doc(True)
+    clash["centers"][1] = clash["centers"][0]
+    clash["colors"][1] = clash["colors"][0] % 3 + 1
+    wr_bodies = {"color_clash.json": {"chain": clash, "next_chain": 0}}
+    for color in (7, 0):
+        doc = _chain_doc(True)
+        doc["colors"][1] = color
+        wr_bodies[f"color_{color}.json"] = {"chain": doc, "next_chain": 0}
+    for hash_, docs in ((spec_hash, bodies), (wr_hash, wr_bodies)):
+        for name, body in docs.items():
+            (tmp_path / name).write_text(json.dumps({"spec_hash": hash_, **body}))
+    # the documents these are made from resume
+    for run, colored in ((args, False), (wr_args, True)):
+        (tmp_path / "base.json").write_text(json.dumps(
+            {"spec_hash": wr_hash if colored else spec_hash,
+             "chain": _chain_doc(colored), "next_chain": 0}))
+        assert cli.main([*run, "--resume", str(tmp_path / "base.json")]) == EXIT_OK
+    capsys.readouterr()
+    for run, paths in ((args, [manifest, tmp_path / "notes.txt", tmp_path / "missing.json",
+                               *(tmp_path / name for name in bodies)]),
+                       (wr_args, [tmp_path / name for name in wr_bodies])):
+        for path in paths:
+            assert cli.main([*run, "--resume", str(path)]) == EXIT_SPEC
+            err = capsys.readouterr().err
+            assert "spec error" in err and str(path) in err
 
 
 def test_unknown_subcommand_and_bad_set(tmp_path):
@@ -526,20 +560,33 @@ def test_bounds_audit_catches_a_wrong_compatibility_offset(tmp_path, monkeypatch
     assert sum(rows.values()) == 0
 
 
-def test_bounds_audit_catches_a_wrong_probe_count(tmp_path, monkeypatch):
+_right_count = connectivity.BallGraph.count
+
+
+def _count_losing_a_pair(graph, keep=None):  # a subset count loses its last kept pair
+    if keep is None:
+        return _right_count(graph)
+    last = np.flatnonzero(keep[graph.i] & keep[graph.j])[-1:]
+    fewer = dataclasses.replace(graph, i=np.delete(graph.i, last), j=np.delete(graph.j, last))
+    return _right_count(fewer, keep)
+
+
+def _outside_taking_one_inside(graph, box):  # the first ball centred in the box counts too
+    out = ~box.contains_points(graph.centers)
+    out[np.argmin(out)] = True
+    return graph.count(out)
+
+
+@pytest.mark.parametrize(
+    "method, wrong", [("count", _count_losing_a_pair), ("outside", _outside_taking_one_inside)],
+    ids=["count", "outside"],
+)
+def test_bounds_audit_catches_a_wrong_subset_count(tmp_path, monkeypatch, method, wrong):
+    # the closed form's outside counts against the labeling's, which reads no subset count
+    monkeypatch.setattr(connectivity.BallGraph, method, wrong)
     spec = load_spec("bounds-audit", None, AUDIT)
-    lam = spec.lam_box_in(spec.window_box())
-    right = cli.probe_count
-
-    def off_by_one(graph, box, step=None):  # one component too many at the audited box
-        value, reach = right(graph, box, step)
-        return value + (np.array_equal(box.lo, lam.lo) and np.array_equal(box.hi, lam.hi)), reach
-
-    monkeypatch.setattr(cli, "probe_count", off_by_one)
     assert cli.cmd_bounds_audit(spec, tmp_path) == cli.EXIT_TEST
-    rows = _audit_rows(tmp_path)
-    assert rows.pop("compatibility") == 2 * spec.samples  # the sample and its resample
-    assert sum(rows.values()) == 0
+    assert _audit_rows(tmp_path)["compatibility"] > 0
 
 
 def test_bounds_audit_finds_the_pairs_of_each_ball_set_once(tmp_path, monkeypatch):
@@ -609,10 +656,10 @@ def _chain_params(colored: bool):
 
 
 def _chain_doc(colored: bool) -> dict:
-    """A chain's checkpoint document, through JSON, after 300 moves."""
+    """A chain's checkpoint document, through JSON, after 7 sweeps."""
     params = _chain_params(colored)
     state = (new_wr_chain if colored else new_chain)(params, chain_rng(5, 0))
-    for _ in range(300):
+    for _ in range(7 * sweep_size(params)):
         (wr_step if colored else bd_step)(state)
     return json.loads(json.dumps(cli.chain_to_json(state, 7, [])))
 

@@ -16,7 +16,6 @@ from crcmlab.connectivity import (
     label_components,
     local_cc,
     local_count,
-    probe_count,
 )
 from crcmlab.geometry import Box, dilate
 from crcmlab.model_core import (
@@ -377,8 +376,6 @@ def test_probe_step_must_be_finite():
     box = Box([-1, -1], [1, 1])
     assert local_count(centers, radii, box) == local_cc(cfg, box).value == 1
     with pytest.raises(ValueError, match="positive and finite"):
-        probe_count(BallGraph.of(centers, radii), box, np.inf)
-    with pytest.raises(ValueError, match="positive and finite"):
         local_cc(cfg, box, np.inf)
 
 
@@ -423,6 +420,6 @@ def test_shared_pairs_count_every_subset(balls, forced_sweep):
         assert graph.count() == components(centers, radii)[0]
         cfg = Configuration.from_arrays(AUDIT_WINDOW, centers, radii)
         lam, outer = AUDIT_BOXES
-        probes = [probe_count(graph, box)[0] for box in AUDIT_BOXES]
-        assert probes == [local_cc(cfg, box).value for box in AUDIT_BOXES]
+        probes = [local_cc(cfg, box).value for box in AUDIT_BOXES]
+        assert probes == [probe_loop_local_cc(cfg, box)[0] for box in AUDIT_BOXES]
         assert compatibility_offset(graph, lam, outer, AUDIT_WINDOW) == probes[1] - probes[0]
