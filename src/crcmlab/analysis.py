@@ -253,8 +253,8 @@ def shield_event_Wk(
 def phi_y(law: RadiusLaw, y: float, d: int) -> float:
     """Probability that a ball centered uniformly in a side-y cube lies
     entirely inside it: integral of max(0, (y-2R)/y)^d against the law."""
-    if y <= 0:
-        raise ValueError("y must be positive")
+    if not 0 < y < math.inf:
+        raise ValueError("y must be positive and finite")
     return law.integrate(lambda r: max(0.0, (y - 2.0 * r) / y) ** d)
 
 

@@ -111,9 +111,12 @@ class ExperimentSpec:
             lo_s, hi_s = text.split(":")
             lo = np.array([float(v) for v in lo_s.split(",")])
             hi = np.array([float(v) for v in hi_s.split(",")])
-            return Box(lo, hi)
+            box = Box(lo, hi)
         except Exception as exc:
             raise SpecInvalid(f"bad {key} {text!r} (want 'lo1,lo2:hi1,hi2')") from exc
+        if not np.all(box.sides > 0):
+            raise SpecInvalid(f"{key} {text!r} has no volume: every side must be positive")
+        return box
 
     def window_box(self) -> Box:
         return self._box("window")
@@ -148,9 +151,12 @@ class ExperimentSpec:
     def floats(self, key: str) -> list[float]:
         text = getattr(self, key)
         try:
-            return [float(v) for v in text.split(",") if v.strip()]
+            values = [float(v) for v in text.split(",") if v.strip()]
         except ValueError as exc:
             raise SpecInvalid(f"bad {key} {text!r} (want 'v1,v2,...')") from exc
+        if not all(map(math.isfinite, values)):
+            raise SpecInvalid(f"bad {key} {text!r}: every value must be finite")
+        return values
 
     def ij_pairs(self) -> list[tuple[float, float]]:
         pairs = []

@@ -385,7 +385,8 @@ def conditional_resample(
     For q >= 1 proposals come from the q-thickened Poisson process on the
     box and are accepted with probability q^(local count - box count) <= 1;
     for q < 1 (bounded radii) the acceptance exponent is bounded through the
-    explicit lower bound on the local count."""
+    explicit lower bound on the local count.  Raises RuntimeError on a draw
+    whose exponent breaks its bound, where q^exponent would exceed 1."""
     p = state.params
     if state.config.colored:
         raise ValueError("conditional resampling is for uncolored chains")
@@ -419,6 +420,8 @@ def conditional_resample(
         new_c, new_r = poisson_balls(box, p.law, mean, rng)
         local = local_count(np.vstack([ext_c, new_c]), np.concatenate([ext_r, new_r]), box)
         exponent = local - (new_r.size if floor_exp is None else floor_exp)
+        if (exponent > 0 if q > 1.0 else exponent < 0):
+            raise RuntimeError(f"heat-bath envelope broken: acceptance exponent {exponent}")
         if rng.random() < q**exponent:
             return commit(new_c, new_r)
 

@@ -146,21 +146,16 @@ class SpatialIndex:
         cs = self.cell_size
         return tuple([math.floor(c / cs) for c in center])
 
-    def insert_many(self, ids, centers: np.ndarray, radii: np.ndarray) -> None:
-        """File each ball in turn, with the cell keys from one array pass."""
-        keys = np.floor(centers / self.cell_size).astype(np.int64).tolist()
-        for ball_id, center, radius, key in zip(ids, centers.tolist(), radii.tolist(), keys):
-            self._store(ball_id, tuple(center), radius, tuple(key))
-
-    def _store(self, ball_id: int, center: tuple, radius: float, key: tuple) -> None:
-        """File a ball given as floats, with `key`, its center's cell key."""
+    def _store(self, ball_id: int, center: tuple, radius: float) -> None:
+        """File a ball given as floats: in the overflow list, or in the cell
+        that its center selects."""
         if ball_id in self.balls:
             raise ValueError(f"id {ball_id} already stored")
         self.balls[ball_id] = (center, radius)
         if radius > self.cell_size:
             self.oversized.append(ball_id)
         else:
-            self.keys[ball_id] = key
+            key = self.keys[ball_id] = self._key(center)
             self.cells.setdefault(key, []).append(ball_id)
             if radius > self.grid_radius:
                 self.grid_radius = radius

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, count
+from itertools import chain, count, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Optional
 
@@ -342,12 +342,12 @@ class Configuration:
         colors: Optional[np.ndarray] = None,
         cell_size: Optional[float] = None,
     ) -> "Configuration":
-        """The one bulk build: balls in slots 0..n-1 in input order, with the
-        slot positions and grid buckets that `add`ing them one by one would
-        leave; colored when `colors` is given.  The grid cell defaults to
-        twice the median radius.  Raises ValueError unless there is one
-        center (and one color, if given) per radius, every radius is finite
-        and nonnegative, and every center lies in the window."""
+        """A configuration of the given balls, each filed through `add` in
+        input order (so in slots 0..n-1); colored when `colors` is given.
+        The grid cell defaults to twice the median radius.  Raises
+        ValueError unless there is one center (and one color, if given) per
+        radius, every radius is finite and nonnegative, and every center
+        lies in the window."""
         centers = np.asarray(centers, dtype=float).reshape(-1, window.dimension)
         radii = np.asarray(radii, dtype=float).reshape(-1)
         n = radii.size
@@ -359,17 +359,12 @@ class Configuration:
             raise ValueError(f"ball arrays differ in length (centers, radii[, colors]): {lengths}")
         if not np.all((radii >= 0) & (radii < math.inf)):
             raise ValueError("radii must be finite and nonnegative")
-        if not np.all(window.contains_points(centers)):
-            raise ValueError("ball center outside window")
         if cell_size is None:
             cell_size = default_cell_size(window, float(np.median(radii)) if n else 0.0)
         cfg = cls(window, cell_size, colored=colors is not None)
-        if colors is not None:
-            cfg.colors = dict(enumerate(colors.tolist()))
-        cfg._ids = count(n)
-        cfg._active = list(range(n))
-        cfg._slot_pos = dict(enumerate(range(n)))
-        cfg.index.insert_many(range(n), centers, radii)
+        colors = repeat(None) if colors is None else colors.tolist()
+        for center, radius, color in zip(centers.tolist(), radii.tolist(), colors):
+            cfg.add(center, radius, color)
         return cfg
 
     # -- bookkeeping -------------------------------------------------------
@@ -407,8 +402,7 @@ class Configuration:
         if self.colored and color is None:
             raise ValueError("colored configuration needs a color")
         slot = next(self._ids)
-        index = self.index
-        index._store(slot, center, radius, index._key(center))
+        self.index._store(slot, center, radius)
         if self.colored:
             self.colors[slot] = int(color)
         self._slot_pos[slot] = len(self._active)

@@ -355,6 +355,9 @@ def test_phi_closed_form_and_edges():
     assert phi_y(DiracRadius(1.0), 1.5, 2) == 0.0
     # point grains always lie inside the cube: the atom at radius 0 counts
     assert phi_y(DiracRadius(0.0), 3.0, 2) == 1.0
+    for y in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            phi_y(DiracRadius(1.0), y, 2)
 
 
 def test_phi_monte_carlo_oracle():

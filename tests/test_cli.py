@@ -407,6 +407,15 @@ def test_unknown_subcommand_and_bad_set(tmp_path):
         # localization boxes that cannot say anything about the window
         ("localization", {}),  # the default window lies inside [-9, 9]^2: A_ij, W_ij always hold
         ("localization", {"window": "-20,-20:20,20", "ij": "4:9;5:20"}),  # on the edge of j=20
+        # boxes with no volume
+        ("dlr-check", {"window": "0,0:0,1"}),  # once passed on all-zero traces
+        ("gnz-check", {"window": "0,0:1,0"}),  # once a ZeroDivisionError
+        ("bounds-audit", {"lam_box": "0.5,0.5:0.5,0.5"}),  # once passed on empty samples
+        # grid values that are not finite
+        ("coverage-probe", {"law": "pareto:2", "h_grid": "0.5,nan"}),  # once a traceback
+        ("coverage-probe", {"law": "pareto:2", "h_grid": "inf"}),
+        ("entropy-bounds", {"y_grid": "nan"}),  # once wrote a row of NaN
+        ("entropy-bounds", {"y_grid": "inf"}),
     ],
 )
 def test_malformed_spec_values_are_spec_errors(tmp_path, capsys, monkeypatch, sub, settings):

@@ -465,9 +465,27 @@ def test_conditional_resample_q_below_one():
     params = ModelParams(6.0, 0.5, DiracRadius(0.15), UNIT)
     state = new_chain(params, seeded(24))
     box = Box([0.25, 0.25], [0.75, 0.75])
-    for _ in range(40):
-        conditional_resample(state, box)
+    with pytest.warns(RejectionBudgetExceeded):  # the nested-chain fallback is expected here
+        for _ in range(40):
+            conditional_resample(state, box)
     state.audit()
+
+
+@pytest.mark.parametrize("q", [2.0, 0.5])
+def test_conditional_resample_refuses_a_draw_past_its_envelope(monkeypatch, q):
+    # a local count past its bound would make q^exponent exceed 1: at q = 2
+    # one more than the balls centered in the box, at q = 0.5 far below the
+    # explicit lower bound
+    params = ModelParams(6.0, q, DiracRadius(0.15), UNIT)
+    state = new_chain(params, seeded(29))
+    box = Box([0.25, 0.25], [0.75, 0.75])
+
+    def broken(centers, radii, b):
+        return int(np.count_nonzero(b.contains_points(centers))) + 1 if q > 1 else -1000
+
+    monkeypatch.setattr(crcm, "local_count", broken)
+    with pytest.raises(RuntimeError, match="envelope"):
+        conditional_resample(state, box)
 
 
 def test_conditional_resample_budget_fallback_warns():

@@ -140,7 +140,7 @@ def test_index_empty_query():
 
 def test_index_finds_single_intersector():
     idx = SpatialIndex(cell_size=0.5)
-    idx.insert_many([7], np.array([[0.3, 0.3]]), np.array([0.2]))
+    idx._store(7, (0.3, 0.3), 0.2)
     got = idx.candidates(np.zeros(2), 0.3)
     assert 7 in got
 
@@ -148,7 +148,8 @@ def test_index_finds_single_intersector():
 def test_index_no_duplicates_and_removal():
     idx = SpatialIndex(cell_size=0.5)
     # ball 2 is oversized
-    idx.insert_many([1, 2], np.array([[0.1, 0.1], [0.1, 0.2]]), np.array([0.1, 3.0]))
+    idx._store(1, (0.1, 0.1), 0.1)
+    idx._store(2, (0.1, 0.2), 3.0)
     got = idx.candidates(np.array([0.0, 0.0]), 1.0)
     assert sorted(got) == [1, 2]
     assert len(got) == len(set(got))
@@ -166,7 +167,8 @@ def test_index_superset_of_bruteforce_oracle(seed):
     centers = rng.uniform(0, 10, size=(n, 2))
     radii = rng.pareto(1.5, size=n) * 0.05
     idx = SpatialIndex(cell_size=0.2)
-    idx.insert_many(range(n), centers, radii)
+    for k, (c, r) in enumerate(zip(centers.tolist(), radii.tolist())):
+        idx._store(k, tuple(c), r)
     for _ in range(50):
         q = rng.uniform(0, 10, size=2)
         qr = float(rng.pareto(1.5) * 0.2)
