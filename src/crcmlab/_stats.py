@@ -5,6 +5,7 @@ call them."""
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 
@@ -60,10 +61,13 @@ def ks_pvalue(a: np.ndarray, b: np.ndarray):
 
 
 def quad(f, lo: float, hi: float, limit: int) -> float:
-    """Adaptive quadrature of f over [lo, hi], by scipy.integrate.quad."""
+    """Adaptive quadrature of f over [lo, hi], by scipy.integrate.quad;
+    raises its IntegrationWarning (a divergent or inaccurate integral)."""
     from scipy import integrate as _int
 
-    return _int.quad(f, lo, hi, limit=limit)[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", _int.IntegrationWarning)
+        return _int.quad(f, lo, hi, limit=limit)[0]
 
 
 def weighted_ratio_estimate(weights: np.ndarray, values: np.ndarray):

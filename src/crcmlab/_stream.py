@@ -55,13 +55,8 @@ def generator(rng) -> np.random.Generator:
 @contextmanager
 def block_reads(state):
     """Serve `state.rng`'s uniforms from a BlockStream for the body, then
-    put back the synced Generator.  An rng that is not a Generator (a test
-    stub, or a stream already) is left as it is."""
-    rng = state.rng
-    if type(rng) is not np.random.Generator:
-        yield
-        return
-    stream = state.rng = BlockStream(rng)
+    put back the synced Generator."""
+    stream = state.rng = BlockStream(state.rng)
     try:
         yield
     finally:

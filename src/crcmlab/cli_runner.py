@@ -185,10 +185,10 @@ class ExperimentSpec:
         return hashlib.sha256(self.canonical().encode()).hexdigest()[:16]
 
 
-# least allowed value of each count field; burn-in and checkpoints may be off
+# least allowed value of each count field and the seed; burn-in and checkpoints may be off
 MINIMUMS = {
     "sweeps": 1, "thinning": 1, "chains": 1, "samples": 1, "trials": 1,
-    "inner_points": 1, "n_pack": 1, "burn_in": 0, "checkpoint_every": 0,
+    "inner_points": 1, "n_pack": 1, "burn_in": 0, "checkpoint_every": 0, "seed": 0,
 }
 
 
@@ -228,14 +228,12 @@ def load_spec(subcommand: str, config_path: Optional[str], overrides: dict) -> E
             raise SpecInvalid(f"unknown config key {key!r}")
         typ = fields[key].type
         try:
-            if typ == "int":
-                setattr(spec, key, int(val))
-            elif typ == "float":
-                setattr(spec, key, float(val))
-            else:
-                setattr(spec, key, str(val))
+            value = {"int": int, "float": float}.get(typ, str)(val)
         except ValueError as exc:
             raise SpecInvalid(f"bad value for {key}: {val!r}") from exc
+        if typ == "float" and not math.isfinite(value):
+            raise SpecInvalid(f"{key} must be finite, got {val!r}")
+        setattr(spec, key, value)
     for key, least in MINIMUMS.items():
         if getattr(spec, key) < least:
             raise SpecInvalid(f"{key} must be at least {least}, got {getattr(spec, key)}")
@@ -245,8 +243,8 @@ def load_spec(subcommand: str, config_path: Optional[str], overrides: dict) -> E
     recorded *= spec.chains if subcommand == "np-decay" else 1
     if recorded < least:
         raise SpecInvalid(f"{subcommand} needs at least {least} recorded sweeps, got {recorded}")
-    if not 0 <= spec.r0 < math.inf:
-        raise SpecInvalid(f"r0 must be finite and nonnegative, got {spec.r0}")
+    if spec.r0 < 0:
+        raise SpecInvalid(f"r0 must be nonnegative, got {spec.r0}")
     if spec.model not in ("crcm", "wr"):
         raise SpecInvalid(f"model must be crcm or wr, got {spec.model!r}")
     model = spec.model if subcommand == "gnz-check" else None

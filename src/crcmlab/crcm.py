@@ -36,6 +36,11 @@ class RejectionBudgetExceeded(UserWarning):
     """Conditional rejection sampling gave up; nested chain fallback used."""
 
 
+AUDIT_EVERY = 10_000  # bd_step audits the chain state every this many steps
+_REJECTION_ATTEMPTS = 400  # envelope draws before conditional_resample falls back
+_FALLBACK_SWEEPS = 60  # sweeps of the nested restricted chain it then runs
+
+
 # ---------------------------------------------------------------------------
 # Chain state
 # ---------------------------------------------------------------------------
@@ -51,7 +56,6 @@ class ChainState:
     config: Configuration
     rng: np.random.Generator
     step_count: int = 0
-    audit_interval: int = 10_000
     proposed: dict = field(default_factory=lambda: {"birth": 0, "death": 0, "recolor": 0})
     accepted: dict = field(default_factory=lambda: {"birth": 0, "death": 0, "recolor": 0})
     labeling: ClusterLabeling = field(init=False)
@@ -149,7 +153,7 @@ def bd_step(state: ChainState) -> ChainState:
         birth_death(state, p, state.config.active_ids(), u < 0.5 * p.move_share)
     elif state.config.n > 0:
         p.recolor(state)
-    if state.audit_interval and state.step_count % state.audit_interval == 0:
+    if state.step_count % AUDIT_EVERY == 0:
         state.audit()
     return state
 
@@ -372,12 +376,7 @@ def importance_oracle(
 # ---------------------------------------------------------------------------
 
 
-def conditional_resample(
-    state: ChainState,
-    box: Box,
-    max_attempts: int = 400,
-    nested_sweeps: int = 60,
-) -> ChainState:
+def conditional_resample(state: ChainState, box: Box) -> ChainState:
     """Replace the balls centered in `box` by an exact draw from their
     conditional law given the rest, via envelope rejection; falls back to a
     nested restricted birth-death run when the rejection budget runs out.
@@ -416,7 +415,7 @@ def conditional_resample(
         big = dilate(box, p.law.max_radius + 2.0)
         k_const = 1.0 - big.volume / unit_ball_volume(cfg.window.dimension)
         mean, floor_exp = p.z * vol, k_const - np.count_nonzero(big.contains_points(ext_c))
-    for _ in range(max_attempts):
+    for _ in range(_REJECTION_ATTEMPTS):
         new_c, new_r = poisson_balls(box, p.law, mean, rng)
         local = local_count(np.vstack([ext_c, new_c]), np.concatenate([ext_r, new_r]), box)
         exponent = local - (new_r.size if floor_exp is None else floor_exp)
@@ -429,7 +428,7 @@ def conditional_resample(
         "conditional rejection budget exceeded; running nested restricted chain",
         RejectionBudgetExceeded,
     )
-    return _nested_box_chain(state, box, nested_sweeps)
+    return _nested_box_chain(state, box, _FALLBACK_SWEEPS)
 
 
 def _nested_box_chain(state: ChainState, box: Box, sweeps: int) -> ChainState:
@@ -500,7 +499,7 @@ def default_test_functions(params: ModelParams):
 def gnz_residuals(
     samples: Sequence[tuple],
     params: ModelParams,
-    rng: Optional[np.random.Generator] = None,
+    rng: np.random.Generator,
     inner_points: int = 96,
 ) -> list[GnzRow]:
     """Balance-equation residuals: removal sums against the insertion
@@ -512,8 +511,6 @@ def gnz_residuals(
     than those that drew them is a negative control."""
     if len(samples) < 100:
         raise ValueError("need at least 100 decorrelated samples")
-    if rng is None:
-        rng = np.random.default_rng(0)
     tests = default_test_functions(params)
     lam = params.total_intensity
     lhs = np.zeros((len(tests), len(samples)))

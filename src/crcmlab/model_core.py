@@ -24,7 +24,7 @@ INFINITE = math.inf
 
 
 class NonIntegrableWithoutTruncation(ValueError):
-    """Raised when an operation needs a finite radius tail but none exists."""
+    """Raised when an operation needs bounded radii but the law's are unbounded."""
 
 
 class AssumptionAViolated(ValueError):
@@ -248,10 +248,6 @@ class ModelParams:
                 "q < 1 requires a radius law with bounded support: the partition "
                 "function diverges for unbounded radii below q=1"
             )
-
-    @property
-    def dimension(self) -> int:
-        return self.window.dimension
 
     @property
     def total_intensity(self) -> float:
@@ -517,60 +513,36 @@ def expected_hits(target: Box, z: float, law: RadiusLaw) -> float:
     return z * law.integrate(lambda r: steiner_volume(target, r))
 
 
-def halo_omitted_bound(observe: Box, z: float, law: RadiusLaw, h: float) -> float:
-    """Upper bound on the expected number of balls centered outside the
-    h-dilated box that still reach `observe`."""
-    if law.max_radius <= h:
-        return 0.0
-    base = steiner_volume(observe, h)
-    return z * law.integrate_tail(lambda r: steiner_volume(observe, r) - base, h)
-
-
 def sample_boolean_with_halo(
     observe: Box,
     params: ModelParams,
     rng: np.random.Generator,
-    tolerance: float = 1e-6,
     truncation_radius: Optional[float] = None,
 ) -> Configuration:
-    """Simulate the trace on `observe` of the whole-space Boolean model by
-    sampling on a dilated box whose omitted-ball mass is below `tolerance`.
+    """Trace on `observe` of the whole-space Boolean model, sampled on the
+    box dilated by the largest radius: no ball centered outside reaches it.
 
-    Laws without a finite d-moment have no valid halo; they require an
-    explicit truncation radius and the output is tagged biased.
+    Unbounded radii have no such halo; they require an explicit truncation
+    radius and the output is tagged biased.
     """
     z, law = params.z, params.law
-    d = observe.dimension
-    biased = False
-    if not law.finite_d_moment(d):
+    biased = not law.bounded_support
+    if biased:
         if truncation_radius is None:
             raise NonIntegrableWithoutTruncation(
-                "law has infinite d-moment: pass an explicit truncation_radius"
+                "law has unbounded radii: pass an explicit truncation_radius"
             )
         # Keep only radii <= truncation: a Poisson process with thinned
         # intensity and the conditioned radius law.
-        keep = 1.0 - law.tail_mass(truncation_radius)
-        z = z * keep
+        z = z * (1.0 - law.tail_mass(truncation_radius))
         law = ParetoRadius(law.dim, truncation_radius)  # type: ignore[attr-defined]
-        biased = True
 
-    if law.bounded_support:
-        h = law.max_radius
-        bound = 0.0
-    else:
-        h = max(law.quantile(0.99), 1e-6)
-        bound = halo_omitted_bound(observe, z, law, h)
-        while bound >= tolerance:
-            h *= 2.0
-            bound = halo_omitted_bound(observe, z, law, h)
-
+    h = law.max_radius
     sim_box = dilate(observe, h)
     centers, radii = poisson_balls(sim_box, law, z * sim_box.volume, rng)
     cell = default_cell_size(sim_box, law.median())
     cfg = Configuration.from_arrays(sim_box, centers, radii, cell_size=cell)
-    cfg.tags.update(
-        {"halo": h, "omitted_bound": bound, "observe": observe, "biased": biased}
-    )
+    cfg.tags.update({"halo": h, "observe": observe, "biased": biased})
     return cfg
 
 

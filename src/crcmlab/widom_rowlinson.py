@@ -173,6 +173,9 @@ class FkReport:
     statistics: tuple = ("count", "n_cc", "largest")
 
 
+FK_ALPHA = 0.01  # family-wise level of fk_consistency_test's KS tests
+
+
 def fk_consistency_test(
     params: WrParams,
     rng_seed: int = 0,
@@ -180,7 +183,6 @@ def fk_consistency_test(
     sweeps: int = 300,
     burn_in: int = 150,
     thin: int = 3,
-    alpha: float = 0.01,
     crcm_z: Optional[float] = None,
 ) -> FkReport:
     """Two-sampler cross-check: color-blind samples of `params` (intensity
@@ -199,8 +201,8 @@ def fk_consistency_test(
             [(wr.counts, cr.counts), (wr.n_cc, cr.n_cc), (wr.largest, cr.largest)]
         ):
             pvals[s, t] = ks_pvalue(a, b)
-    threshold = alpha / (pairs * 3)
-    return FkReport(pvals, alpha, threshold, bool((pvals < threshold).any()))
+    threshold = FK_ALPHA / (pairs * 3)
+    return FkReport(pvals, FK_ALPHA, threshold, bool((pvals < threshold).any()))
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +210,6 @@ def fk_consistency_test(
 # ---------------------------------------------------------------------------
 
 
-def gnz_residual_wr(samples, params: WrParams, rng=None, inner_points: int = 96) -> list[GnzRow]:
+def gnz_residual_wr(samples, params: WrParams, rng, inner_points: int = 96) -> list[GnzRow]:
     """`gnz_residuals`, under the name the benchmark tracer times."""
     return gnz_residuals(samples, params, rng, inner_points)

@@ -109,11 +109,11 @@ def test_criterion_3_fk_consistency():
     t0 = time.time()
     rep = wr.fk_consistency_test(
         wr.WrParams(4.0, 2, DiracRadius(0.1), UNIT), rng_seed=303, pairs=8,
-        sweeps=400, burn_in=150, thin=3, alpha=0.01,
+        sweeps=400, burn_in=150, thin=3,
     )
     control = wr.fk_consistency_test(
         wr.WrParams(4.0, 2, DiracRadius(0.1), UNIT), rng_seed=304, pairs=3,
-        sweeps=400, burn_in=150, thin=3, alpha=0.01, crcm_z=4.0,
+        sweeps=400, burn_in=150, thin=3, crcm_z=4.0,
     )
     wall = time.time() - t0
     ok = (not rep.rejected) and control.rejected and wall < 600.0

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from scipy import optimize
+from scipy.integrate import IntegrationWarning
 
 from crcmlab.geometry import Box, centered_box, dilate
 from crcmlab.model_core import (
@@ -100,6 +101,13 @@ def test_exterior_mass_zero_when_radii_cannot_reach():
     mc = big.volume * hit.mean()
     mc_se = big.volume * hit.std() / math.sqrt(len(pts))
     assert abs(mass - mc) < 4 * mc_se
+
+
+def test_exterior_mass_of_a_divergent_law_raises():
+    # the planar 2-moment of pareto:2 diverges, so the mass is infinite;
+    # the quadrature once returned about 4.5e5 with only a warning
+    with pytest.raises(IntegrationWarning):
+        exterior_hit_mass(4.0, 9.0, 0.1, ParetoRadius(2))
 
 
 # -- screening event ----------------------------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
 import tracer  # noqa: E402
+import workloads  # noqa: E402
 
 from crcmlab import analysis, cli_runner, crcm  # noqa: E402
 from crcmlab import widom_rowlinson as wr  # noqa: E402
@@ -63,6 +64,17 @@ def test_chain_calls_the_coupling_workload_makes():
                 b.counts.tolist(), b.n_cc.tolist(), b.largest.tolist())
             assert (a.state.proposed, a.state.accepted) == (b.state.proposed, b.state.accepted)
             assert rng.bit_generator.state == twin.bit_generator.state
+
+
+@pytest.mark.parametrize("name", list(workloads.WORKLOADS))
+def test_workload_runs_one_unit_as_the_harness_does(name, tmp_path):
+    # benchmarks/run.py builds a workload, warms it up, times `step(i)` and
+    # then calls `check()`; each call must reach the code it times
+    work = workloads.WORKLOADS[name](7, tmp_path)
+    work.warm_up()
+    step = work.step(0)
+    assert step.units >= 1 and step.failed == 0
+    assert work.check() == 0
 
 
 def _target(name):

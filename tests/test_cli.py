@@ -416,6 +416,10 @@ def test_unknown_subcommand_and_bad_set(tmp_path):
         ("coverage-probe", {"law": "pareto:2", "h_grid": "inf"}),
         ("entropy-bounds", {"y_grid": "nan"}),  # once wrote a row of NaN
         ("entropy-bounds", {"y_grid": "inf"}),
+        # a negative seed, and float values that are not finite
+        ("sample-poisson", {"seed": "-1", "samples": "1"}),  # once a traceback
+        ("np-decay", {"border": "nan"}),  # once ran with the default border
+        ("shield", {"z": "nan"}),  # once exited 0: shield never reads z
     ],
 )
 def test_malformed_spec_values_are_spec_errors(tmp_path, capsys, monkeypatch, sub, settings):

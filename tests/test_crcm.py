@@ -133,7 +133,7 @@ def kernel_calls(monkeypatch):
     return calls
 
 
-def test_every_chain_move_goes_through_the_kernel(kernel_calls):
+def test_every_chain_move_goes_through_the_kernel(kernel_calls, monkeypatch):
     # one kernel call per birth or death proposal, in every chain flow; the
     # ratios and the Metropolis test live in crcm only
     for name in ("birth_ratio", "death_ratio", "metropolis", "birth_death"):
@@ -150,9 +150,11 @@ def test_every_chain_move_goes_through_the_kernel(kernel_calls):
     state = new_chain(params, seeded(50))
     check(state, lambda: [bd_step(state) for _ in range(300)])
     # the nested fallback of conditional resampling, on the whole window
+    monkeypatch.setattr(crcm, "_REJECTION_ATTEMPTS", 0)
+    monkeypatch.setattr(crcm, "_FALLBACK_SWEEPS", 3)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RejectionBudgetExceeded)
-        check(state, lambda: conditional_resample(state, UNIT, max_attempts=0, nested_sweeps=3))
+        check(state, lambda: conditional_resample(state, UNIT))
     wr_params = wr.WrParams(30.0, 2, DiracRadius(0.05), UNIT)
     wr_state = wr.new_wr_chain(wr_params, seeded(51))
     for _ in range(2000):
@@ -241,18 +243,20 @@ def test_nested_chain_keeps_inner_slots_in_move_order(monkeypatch, q, box):
         return move(state, p, slots, birth)
 
     monkeypatch.setattr(crcm, "birth_death", recomputed)
+    monkeypatch.setattr(crcm, "_REJECTION_ATTEMPTS", 0)
+    monkeypatch.setattr(crcm, "_FALLBACK_SWEEPS", 20)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RejectionBudgetExceeded)
-        conditional_resample(state, box, max_attempts=0, nested_sweeps=20)
+        conditional_resample(state, box)
     assert len(seen) == 20 * crcm.sweep_size(ModelParams(60.0, q, DiracRadius(0.05), box))
     assert state.accepted["birth"] > 50 and state.accepted["death"] > 50
     state.audit()
 
 
-def test_cached_component_count_audited(rng):
+def test_cached_component_count_audited(monkeypatch):
     params = ModelParams(20.0, 2.0, DiracRadius(0.08), UNIT)
     state = new_chain(params, seeded(4))
-    state.audit_interval = 500
+    monkeypatch.setattr(crcm, "AUDIT_EVERY", 500)
     for _ in range(5000):
         bd_step(state)  # audit raises on any cache drift
     assert state.n_cc == count_components(state.config)
@@ -488,12 +492,14 @@ def test_conditional_resample_refuses_a_draw_past_its_envelope(monkeypatch, q):
         conditional_resample(state, box)
 
 
-def test_conditional_resample_budget_fallback_warns():
+def test_conditional_resample_budget_fallback_warns(monkeypatch):
     params = ModelParams(3.0, 2.0, DiracRadius(0.3), UNIT)
     state = new_chain(params, seeded(25))
+    monkeypatch.setattr(crcm, "_REJECTION_ATTEMPTS", 0)
+    monkeypatch.setattr(crcm, "_FALLBACK_SWEEPS", 5)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        conditional_resample(state, UNIT, max_attempts=0, nested_sweeps=5)
+        conditional_resample(state, UNIT)
     assert any(issubclass(w.category, RejectionBudgetExceeded) for w in caught)
     state.audit()
 
@@ -531,7 +537,7 @@ def test_gnz_wrong_q_detected(crcm_samples):
 def test_gnz_needs_enough_samples(crcm_samples):
     params, samples = crcm_samples
     with pytest.raises(ValueError):
-        gnz_residuals(samples[:50], params)
+        gnz_residuals(samples[:50], params, seeded(30))
 
 
 def ref_gnz(samples, params, rng, inner_points, weights_of):

@@ -261,29 +261,16 @@ def test_halo_dirac_exact(rng):
     params = ModelParams(2.0, 1.0, DiracRadius(0.3), Box([0, 0], [4, 4]))
     cfg = sample_boolean_with_halo(UNIT, params, rng)
     assert cfg.tags["halo"] == pytest.approx(0.3)
-    assert cfg.tags["omitted_bound"] == 0.0
     assert not cfg.tags["biased"]
-
-
-def test_halo_uniform_bound_below_tolerance(rng):
-    params = ModelParams(2.0, 1.0, UniformRadius(0, 1), Box([0, 0], [4, 4]))
-    cfg = sample_boolean_with_halo(UNIT, params, rng, tolerance=1e-9)
-    assert cfg.tags["omitted_bound"] < 1e-9
-    # tail-integral quadrature oracle: omitted mass at the chosen halo
-    h = cfg.tags["halo"]
-    law = UniformRadius(0, 1)
-    if h < 1.0:
-        base = steiner_volume(UNIT, h)
-        oracle, _ = integrate.quad(
-            lambda r: steiner_volume(UNIT, r) - base, h, 1.0
-        )
-        assert 2.0 * oracle == pytest.approx(cfg.tags["omitted_bound"], rel=1e-6)
 
 
 def test_halo_pareto_requires_truncation(rng):
     params = ModelParams(1.0, 2.0, ParetoRadius(2), Box([-5, -5], [5, 5]))
     with pytest.raises(NonIntegrableWithoutTruncation):
         sample_boolean_with_halo(UNIT, params, rng)
+    # a finite d-moment gives no halo either: every unbounded law needs a truncation
+    with pytest.raises(NonIntegrableWithoutTruncation):
+        sample_boolean_with_halo(UNIT, ModelParams(1.0, 2.0, ParetoRadius(4), params.window), rng)
     cfg = sample_boolean_with_halo(UNIT, params, rng, truncation_radius=10.0)
     assert cfg.tags["biased"]
     assert all(r <= 10.0 for _, r in cfg.index.balls.values())

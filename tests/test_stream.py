@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from crcmlab import cli_runner as cli
+from crcmlab import crcm
 from crcmlab._stream import BlockStream, block_reads, generator
 from crcmlab.crcm import (
     RejectionBudgetExceeded,
@@ -282,14 +283,15 @@ def test_chain_trajectory_at_a_fixed_seed_is_pinned(model, law):
     assert (rep.state.proposed, rep.state.accepted) == (proposed, accepted)
 
 
-def test_nested_fallback_trajectory_is_pinned():
+def test_nested_fallback_trajectory_is_pinned(monkeypatch):
     # q < 1 with one rejection attempt: each step draws from the Generator,
     # then the nested chain draws through the stream again
     params = ModelParams(80.0, 0.3, DiracRadius(0.06), UNIT)
+    monkeypatch.setattr(crcm, "_REJECTION_ATTEMPTS", 1)
+    monkeypatch.setattr(crcm, "_FALLBACK_SWEEPS", 2)
 
     def step(state):
-        return conditional_resample(state, QUADS[state.step_count % 4], max_attempts=1,
-                                    nested_sweeps=2)
+        return conditional_resample(state, QUADS[state.step_count % 4])
 
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", RejectionBudgetExceeded)
