@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from ._stats import ks_pvalue
-from ._stream import generator
+from ._stream import chain_rng, generator, rng_from_json, rng_state_to_json
 from .geometry import Box
 from .model_core import (
     Configuration,
@@ -167,8 +167,8 @@ class ExperimentSpec:
                     pairs.append((float(i_s), float(j_s)))
         except ValueError as exc:
             raise SpecInvalid(f"bad ij {self.ij!r} (want 'i1:j1;i2:j2')") from exc
-        if any(not i < j for i, j in pairs):
-            raise SpecInvalid(f"bad ij {self.ij!r}: need i < j in every pair")
+        if any(not 0 <= i < j for i, j in pairs):
+            raise SpecInvalid(f"bad ij {self.ij!r}: need 0 <= i < j in every pair")
         return pairs
 
     def canonical(self) -> str:
@@ -245,6 +245,8 @@ def load_spec(subcommand: str, config_path: Optional[str], overrides: dict) -> E
         raise SpecInvalid(f"{subcommand} needs at least {least} recorded sweeps, got {recorded}")
     if spec.r0 < 0:
         raise SpecInvalid(f"r0 must be nonnegative, got {spec.r0}")
+    if not (spec.border > 0 or spec.border == -1):
+        raise SpecInvalid(f"border must be positive or -1 (the 99% radius quantile), got {spec.border}")
     if spec.model not in ("crcm", "wr"):
         raise SpecInvalid(f"model must be crcm or wr, got {spec.model!r}")
     model = spec.model if subcommand == "gnz-check" else None
@@ -256,40 +258,8 @@ def load_spec(subcommand: str, config_path: Optional[str], overrides: dict) -> E
 
 
 # ---------------------------------------------------------------------------
-# Random streams, CSV and manifest plumbing
+# CSV and manifest plumbing
 # ---------------------------------------------------------------------------
-
-
-def chain_rng(seed: int, chain_index: int) -> np.random.Generator:
-    """Counter-based stream keyed by (seed, chain index): adding chains never
-    perturbs existing ones."""
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(chain_index,)))
-    )
-
-
-def rng_state_to_json(rng: np.random.Generator) -> dict:
-    """The state of any bit generator as plain JSON: the numpy arrays and
-    scalars in it become lists and Python numbers."""
-    return json.loads(json.dumps(rng.bit_generator.state, default=lambda v: v.tolist()))
-
-
-def rng_from_json(state: dict) -> np.random.Generator:
-    """The Philox stream `rng_state_to_json` wrote.  Raises ValueError unless
-    every field is in range: Philox.state itself takes a buffer position
-    outside 0..4, and the next draw then reads outside its buffer."""
-    words = {"counter": (state["state"]["counter"], 4), "key": (state["state"]["key"], 2),
-             "buffer": (state["buffer"], 4)}
-    for name, (value, size) in words.items():
-        if not (type(value) is list and len(value) == size
-                and all(type(w) is int and 0 <= w < 2**64 for w in value)):
-            raise ValueError(f"Philox {name} must be {size} words of 64 bits, got {value!r}")
-    for name, top in (("buffer_pos", 4), ("has_uint32", 1), ("uinteger", 2**32 - 1)):
-        if type(state[name]) is not int or not 0 <= state[name] <= top:
-            raise ValueError(f"Philox {name} must be an integer in 0..{top}, got {state[name]!r}")
-    bg = np.random.Philox()
-    bg.state = state  # Philox takes its counter, key and buffer as lists
-    return np.random.Generator(bg)
 
 
 # the files the running subcommand wrote, for its manifest; `main` empties it
@@ -321,11 +291,11 @@ def save_config(spec: ExperimentSpec, out: Path, name: str, window: Box, balls: 
     written.append(name)
 
 
-def spec_chain(spec: ExperimentSpec, params: ModelParams, index: int, **kw):
-    """`run_chain` of `params` on the spec's chain stream `index` with the
-    spec's burn-in, sweeps and thinning."""
+def spec_chain(spec: ExperimentSpec, params: ModelParams, key: tuple, **kw):
+    """`run_chain` of `params` on the spec's stream `key` with the spec's
+    burn-in, sweeps and thinning."""
     return run_chain(
-        params, chain_rng(spec.seed, index),
+        params, chain_rng(spec.seed, *key),
         sweeps=spec.sweeps, burn_in=spec.burn_in, thin=spec.thinning, **kw,
     )
 
@@ -539,14 +509,14 @@ def cmd_sample_chain(spec: ExperimentSpec, out: Path) -> int:
 
 def cmd_gnz_check(spec: ExperimentSpec, out: Path) -> int:
     params = spec.model_params() if spec.model == "crcm" else spec.wr_params()
-    rep = spec_chain(spec, params, 0, keep_configs=True)
+    rep = spec_chain(spec, params, (0,), keep_configs=True)
     # a negative control tests the same samples against a wrong model
     tested = {
         "none": params,
         "wrong-q": dataclasses.replace(params, q=params.q + 1.0),
         "drop-constraint": ModelParams(params.z, 1.0, params.law, params.window),
     }[spec.control]
-    rows = gnz_residuals(rep.samples, tested, rng=chain_rng(spec.seed, 10_000),
+    rows = gnz_residuals(rep.samples, tested, rng=chain_rng(spec.seed, 0, 0),
                          inner_points=spec.inner_points)
     # the check passes below 4 standard errors, and a control passes when it rejects
     worst = max(r.residual for r in rows)
@@ -598,8 +568,8 @@ def cmd_dlr_check(spec: ExperimentSpec, out: Path) -> int:
             conditional_resample(state, box)
         return state
 
-    hb = spec_chain(spec, params, 0, step=heat_bath, per_sweep=1)
-    rep = spec_chain(spec, params, 1)
+    hb = spec_chain(spec, params, (0,), step=heat_bath, per_sweep=1)
+    rep = spec_chain(spec, params, (1,))
     p_count = ks_pvalue(hb.counts, rep.counts)
     p_ncc = ks_pvalue(hb.n_cc, rep.n_cc)
     return write_csv(
@@ -625,7 +595,7 @@ def cmd_bounds_audit(spec: ExperimentSpec, out: Path) -> int:
                           "deletion_inverse", "compatibility"], 0)
     grow = 0.2 * w.sides
     outer = Box(np.maximum(w.lo, lam_box.lo - grow), np.minimum(w.hi, lam_box.hi + grow))
-    rng_ins = chain_rng(spec.seed, 90_001)
+    rng_ins = chain_rng(spec.seed, 0, 0)
     for s in range(spec.samples):
         rng = chain_rng(spec.seed, s)
         centers, radii = poisson_balls(w, params.law, params.total_intensity, rng)
@@ -706,8 +676,8 @@ def cmd_localization(spec: ExperimentSpec, out: Path) -> int:
             )
     rows = []
     passed = True
-    for i, j in pairs:
-        rng = chain_rng(spec.seed, int(1000 * i + j))
+    for k, (i, j) in enumerate(pairs):
+        rng = chain_rng(spec.seed, k)
         ok = fails = tried = 0
         while ok + fails < spec.samples and tried < 400 * spec.samples:
             tried += 1
@@ -784,7 +754,7 @@ def cmd_np_decay(spec: ExperimentSpec, out: Path) -> int:
     for gi, (z, params, bound) in enumerate(zip(grid, models, bounds)):
         configs = []
         for c in range(spec.chains):
-            configs.extend(spec_chain(spec, params, 100 * gi + c, keep_configs=True).samples)
+            configs.extend(spec_chain(spec, params, (gi, c), keep_configs=True).samples)
         est = analysis.estimate_NP(configs, w, border)
         ok = est.value <= bound + 3.0 * est.se
         all_ok = all_ok and ok

@@ -51,7 +51,7 @@ class Box:
 
     @cached_property
     def _axes(self) -> list[tuple[float, float, float]]:
-        """(lo, hi, side) of each axis as Python floats, for one-point work."""
+        """(lo, hi, side) of each axis as Python floats, for per-axis work."""
         return list(zip(self.lo.tolist(), self.hi.tolist(), self.sides.tolist()))
 
     def contains_point(self, x) -> bool:
@@ -97,7 +97,11 @@ class Box:
         return tuple([lo + rng.random() * side for lo, _, side in self._axes])
 
     def sample_points(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        return self.lo + rng.random((n, self.dimension)) * self.sides
+        points = rng.random((n, self.dimension))
+        for column, (lo, _, side) in zip(points.T, self._axes):
+            column *= side
+            column += lo
+        return points
 
     def __repr__(self):
         lo = ",".join(repr(float(v)) for v in self.lo)

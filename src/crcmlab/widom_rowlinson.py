@@ -11,6 +11,7 @@ from typing import Optional
 import numpy as np
 
 from ._stats import ks_pvalue
+from ._stream import chain_rng
 from .model_core import Configuration, ModelParams
 from .connectivity import components, intersecting_pairs
 from .crcm import (
@@ -193,10 +194,8 @@ def fk_consistency_test(
     cr_params = ModelParams(z_crcm, params.q, params.law, params.window)
     pvals = np.ones((pairs, 3))
     for s in range(pairs):
-        wr_rng = np.random.default_rng(np.random.SeedSequence(entropy=rng_seed, spawn_key=(2 * s,)))
-        cr_rng = np.random.default_rng(np.random.SeedSequence(entropy=rng_seed, spawn_key=(2 * s + 1,)))
-        wr = run_chain(params, wr_rng, sweeps=sweeps, burn_in=burn_in, thin=thin)
-        cr = run_chain(cr_params, cr_rng, sweeps=sweeps, burn_in=burn_in, thin=thin)
+        wr, cr = (run_chain(p, chain_rng(rng_seed, s, k), sweeps=sweeps, burn_in=burn_in, thin=thin)
+                  for k, p in enumerate((params, cr_params)))
         for t, (a, b) in enumerate(
             [(wr.counts, cr.counts), (wr.n_cc, cr.n_cc), (wr.largest, cr.largest)]
         ):

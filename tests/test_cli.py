@@ -9,7 +9,7 @@ import pytest
 
 from conftest import run_python
 from crcmlab import cli_runner as cli
-from crcmlab import connectivity, crcm
+from crcmlab import connectivity, crcm, widom_rowlinson
 from crcmlab.connectivity import count_components
 from crcmlab.crcm import bd_step, new_chain, sweep_size
 from crcmlab.widom_rowlinson import new_wr_chain, wr_step
@@ -107,6 +107,52 @@ def test_chain_streams_disjoint_and_stable():
     again = chain_rng(7, 0).random(4)
     assert not np.allclose(a, b)
     assert np.array_equal(a, again)
+
+
+@pytest.mark.parametrize("key", [(2**32,), (-1,), (), (1.0,), (0, 2**32)])
+def test_chain_rng_takes_keys_of_32_bit_words(key):
+    # SeedSequence splits 2^32 into two words: it would draw what (0, 1) draws
+    with pytest.raises(ValueError, match="stream key"):
+        chain_rng(5, *key)
+
+
+@pytest.fixture
+def stream_keys(monkeypatch):
+    """The key of every stream a run builds, in the order it builds them."""
+    keys = []
+
+    def recording(seed, *key):
+        keys.append(key)
+        return chain_rng(seed, *key)
+
+    for module in (cli, widom_rowlinson):
+        monkeypatch.setattr(module, "chain_rng", recording)
+    return keys
+
+
+@pytest.mark.parametrize("sub, settings, built", [
+    # chain 100 of the first z and chain 0 of the second were both stream 100
+    ("np-decay", {"q": "2", "chains": "101", "sweeps": "1", "thinning": "1", "burn_in": "0",
+                  "z_grid": "0.1,0.2"}, 202),
+    # pairs 1:2009 and 3:9 were both stream 3009
+    ("localization", {"ij": "1:2009;3:9", "window": "-2010,-2010:2010,2010", "z": "1e-7",
+                      "samples": "2"}, 2),
+])
+def test_the_streams_of_a_run_have_distinct_keys(tmp_path, capsys, stream_keys, sub, settings,
+                                                  built):
+    assert cli.main([sub, "--out", str(tmp_path), *set_flags(settings)]) in (EXIT_OK, cli.EXIT_TEST)
+    assert len(stream_keys) == built
+    assert len(set(stream_keys)) == built
+
+
+def test_every_cli_suite_run_has_distinct_stream_keys(tmp_path, capsys, stream_keys):
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
+    import workloads
+
+    for sub, settings, _ in workloads.SUITE:
+        stream_keys.clear()
+        cli.main(workloads.cli_args(sub, settings, 3, tmp_path / sub))
+        assert len(set(stream_keys)) == len(stream_keys), sub
 
 
 def test_rng_state_round_trip():
@@ -420,6 +466,10 @@ def test_unknown_subcommand_and_bad_set(tmp_path):
         ("sample-poisson", {"seed": "-1", "samples": "1"}),  # once a traceback
         ("np-decay", {"border": "nan"}),  # once ran with the default border
         ("shield", {"z": "nan"}),  # once exited 0: shield never reads z
+        # a negative i, and borders that once ran with the law's 99% quantile in their place
+        ("localization", {"ij": "-1:9", "window": "-20,-20:20,20"}),
+        ("np-decay", {"border": "0"}),
+        ("np-decay", {"border": "-2"}),
     ],
 )
 def test_malformed_spec_values_are_spec_errors(tmp_path, capsys, monkeypatch, sub, settings):
@@ -772,14 +822,14 @@ SUITE_PINS = {
     "sample-wr": (0, {
         "final_config_000.csv": "887ee38380eecd8e", "trace_000.csv": "1c1114f8f18d810d",
     }),
-    "gnz-check": (0, {"gnz.csv": "25348c2a4309b6fb"}),
-    "fk-check": (0, {"fk.csv": "b8c5eb8a48b6b13a"}),
+    "gnz-check": (0, {"gnz.csv": "8444e924750a097e"}),
+    "fk-check": (0, {"fk.csv": "96510f7d3e1d750e"}),
     "dlr-check": (0, {"dlr.csv": "43d685800fce6a66"}),
     "bounds-audit": (0, {"bounds.csv": "e1782d2cd8f2b832"}),
     "localization": (0, {"localization.csv": "0ad7dc610b5077e2"}),
     "shield": (0, {"shield.csv": "a64f0097abd91ef3"}),
     "entropy-bounds": (0, {"entropy_bounds.csv": "59d9f81bfcee46d2"}),
-    "np-decay": (0, {"np_decay.csv": "fdda7f402d4ac365"}),
+    "np-decay": (0, {"np_decay.csv": "9ec833e75595be40"}),
     "coverage-probe": (0, {"coverage.csv": "9ca33620b84d801c"}),
 }
 

@@ -3,13 +3,16 @@ Generator, and leaves it in exactly the state the Generator's own calls
 would; chains run through `sweep_loop` follow the trajectories they follow
 when every step draws from the Generator directly.  A chain's discrete
 picks are `int(u * n)` of those uniforms."""
+import ast
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import crcmlab
 from crcmlab import cli_runner as cli
 from crcmlab import crcm
 from crcmlab._stream import BlockStream, block_reads, generator
@@ -319,3 +322,29 @@ def test_mid_run_checkpoint_resumes_the_same_trajectory(colored):
         resumed, resumed_trace = cli.run_traced_chain(spec, 0, colored, resume_doc=doc)
         assert resumed_trace == trace
         assert_same_chain(resumed, straight)
+
+
+# -- one module builds every stream ---------------------------------------------------
+
+STREAM_BUILDERS = {"SeedSequence", "Philox", "PCG64", "MT19937", "default_rng"}
+
+
+def test_only_the_stream_module_names_a_bit_generator():
+    # every stream of a run comes from `chain_rng`, so a second keying rule
+    # cannot creep in beside it; docstrings may name them, code may not
+    named = set()
+    for path in sorted(Path(crcmlab.__file__).parent.glob("*.py")):
+        if path.name == "_stream.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):  # from numpy.random import ...
+                name = node.name
+            else:
+                continue
+            if name in STREAM_BUILDERS:
+                named.add(f"{path.name}:{node.lineno} {name}")
+    assert not named
