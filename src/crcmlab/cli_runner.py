@@ -14,7 +14,7 @@ import time
 import traceback
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -148,14 +148,17 @@ class ExperimentSpec:
             WrParams, self.z, float(self.n_colors()), self.radius_law(), self.window_box()
         )
 
-    def floats(self, key: str) -> list[float]:
+    def floats(self, key: str, zero_ok: bool = False) -> list[float]:
+        """The comma list `key`: one or more finite values, each positive,
+        or nonnegative where `zero_ok`."""
         text = getattr(self, key)
         try:
             values = [float(v) for v in text.split(",") if v.strip()]
         except ValueError as exc:
             raise SpecInvalid(f"bad {key} {text!r} (want 'v1,v2,...')") from exc
-        if not all(map(math.isfinite, values)):
-            raise SpecInvalid(f"bad {key} {text!r}: every value must be finite")
+        if not values or not all(0 < v < math.inf or zero_ok and v == 0 for v in values):
+            sign = "nonnegative" if zero_ok else "positive"
+            raise SpecInvalid(f"bad {key} {text!r}: want one or more finite {sign} values")
         return values
 
     def ij_pairs(self) -> list[tuple[float, float]]:
@@ -192,23 +195,11 @@ MINIMUMS = {
 }
 
 
-# defaults that differ by subcommand: each coverage-probe trial samples and
-# certifies a whole dilated box, so the shared 100,000 would take a minute;
-# fk-check runs one seed pair per chain
-SUBCOMMAND_DEFAULTS = {"coverage-probe": {"trials": 2000}, "fk-check": {"chains": 8}}
-
-# the negative control each check accepts besides "none", by subcommand and,
-# for gnz-check, by model; a control passes when its check rejects
-CONTROLS = {
-    ("gnz-check", "crcm"): "wrong-q",
-    ("gnz-check", "wr"): "drop-constraint",
-    ("fk-check", None): "mismatch",
-}
-
-
 def load_spec(subcommand: str, config_path: Optional[str], overrides: dict) -> ExperimentSpec:
-    spec = ExperimentSpec(subcommand=subcommand, **SUBCOMMAND_DEFAULTS.get(subcommand, {}))
-    fields = {f.name: f for f in dataclasses.fields(ExperimentSpec)}
+    """The spec of `subcommand`: its defaults, then the config file, then `overrides`."""
+    cmd = COMMANDS[subcommand]
+    spec = ExperimentSpec(subcommand=subcommand, **cmd.defaults)
+    takes = sorted({*cmd.keys, "seed", "out"})
     values: dict = {}
     if config_path:
         path = Path(config_path)
@@ -224,33 +215,30 @@ def load_spec(subcommand: str, config_path: Optional[str], overrides: dict) -> E
             values[key.strip()] = val.strip()
     values.update({k: v for k, v in overrides.items() if v is not None})
     for key, val in values.items():
-        if key not in fields:
-            raise SpecInvalid(f"unknown config key {key!r}")
-        typ = fields[key].type
+        if key not in takes:  # an unknown key too
+            raise SpecInvalid(f"{subcommand} does not read {key!r}: it takes {', '.join(takes)}")
+        typ = type(getattr(spec, key))
         try:
-            value = {"int": int, "float": float}.get(typ, str)(val)
+            value = typ(val)
         except ValueError as exc:
             raise SpecInvalid(f"bad value for {key}: {val!r}") from exc
-        if typ == "float" and not math.isfinite(value):
+        if typ is float and not math.isfinite(value):
             raise SpecInvalid(f"{key} must be finite, got {val!r}")
         setattr(spec, key, value)
     for key, least in MINIMUMS.items():
         if getattr(spec, key) < least:
             raise SpecInvalid(f"{key} must be at least {least}, got {getattr(spec, key)}")
-    # recorded sweeps (sweeps / thinning) a check needs per chain; np-decay pools its chains
-    least = {"gnz-check": 100, "fk-check": 2, "dlr-check": 2, "np-decay": 2}.get(subcommand, 0)
-    recorded = len(range(0, spec.sweeps, spec.thinning))
-    recorded *= spec.chains if subcommand == "np-decay" else 1
-    if recorded < least:
-        raise SpecInvalid(f"{subcommand} needs at least {least} recorded sweeps, got {recorded}")
+    recorded = len(range(0, spec.sweeps, spec.thinning)) * (spec.chains if cmd.pooled else 1)
+    if recorded < cmd.recorded:
+        raise SpecInvalid(f"{subcommand} needs at least {cmd.recorded} recorded sweeps, got {recorded}")
     if spec.r0 < 0:
         raise SpecInvalid(f"r0 must be nonnegative, got {spec.r0}")
     if not (spec.border > 0 or spec.border == -1):
         raise SpecInvalid(f"border must be positive or -1 (the 99% radius quantile), got {spec.border}")
-    if spec.model not in ("crcm", "wr"):
-        raise SpecInvalid(f"model must be crcm or wr, got {spec.model!r}")
-    model = spec.model if subcommand == "gnz-check" else None
-    allowed = sorted({"none", CONTROLS.get((subcommand, model), "none")})
+    model = spec.model if "model" in cmd.keys else None
+    if model is not None and model not in cmd.controls:
+        raise SpecInvalid(f"{subcommand} takes model {' or '.join(cmd.controls)}, got {model!r}")
+    allowed = sorted({"none", cmd.controls.get(model, "none")})
     if spec.control not in allowed:
         what = f"{subcommand} model={model}" if model else subcommand
         raise SpecInvalid(f"{what} takes control {' or '.join(allowed)}, got {spec.control!r}")
@@ -744,7 +732,7 @@ def cmd_np_decay(spec: ExperimentSpec, out: Path) -> int:
     w = spec.window_box()
     d = w.dimension
     border = spec.border if spec.border > 0 else law.quantile(0.99)
-    grid = spec.floats("z_grid") or [0.1, 0.2, 0.4, 0.7]
+    grid = spec.floats("z_grid") if spec.z_grid else [0.1, 0.2, 0.4, 0.7]
     # every value the estimate and its bound need, checked before any chain runs
     spec_checked(analysis.eroded_window, w, border)
     models = [spec_checked(ModelParams, z, spec.q, law, w) for z in grid]
@@ -771,9 +759,7 @@ def cmd_coverage_probe(spec: ExperimentSpec, out: Path) -> int:
     params = spec.model_params()
     if params.law.bounded_support:
         raise SpecInvalid("coverage-probe expects the heavy-tail law (pareto:d)")
-    halos = spec.floats("h_grid")
-    if not halos or min(halos) < 0:
-        raise SpecInvalid(f"h_grid {spec.h_grid!r} needs one or more nonnegative halos")
+    halos = spec.floats("h_grid", zero_ok=True)
     rng = chain_rng(spec.seed, 0)
     probs = coverage_escalation(
         params.window, params.z, params.law, halos, trials=spec.trials, rng=rng, grid_per_axis=48,
@@ -785,19 +771,43 @@ def cmd_coverage_probe(spec: ExperimentSpec, out: Path) -> int:
     )
 
 
+class Command(NamedTuple):
+    """A subcommand: what runs it, the spec keys it reads (it takes no other
+    but `seed` and `out`), its own defaults, its control besides "none" by
+    model (None: it reads no `model`) and the recorded sweeps it needs
+    (sweeps / thinning) per chain, or over its chains where `pooled`."""
+
+    run: Callable[[ExperimentSpec, Path], int]
+    keys: tuple[str, ...]
+    defaults: dict = {}
+    controls: dict = {}
+    recorded: int = 0
+    pooled: bool = False
+
+
+MODEL = ("z", "q", "law", "window")  # what `model_params` reads
+CHAIN = (*MODEL, "sweeps", "burn_in", "thinning")  # ... and `spec_chain`
+SAMPLE_CHAIN = (*CHAIN, "chains", "checkpoint_every", "resume")
+
+# each coverage-probe trial samples and certifies a whole dilated box, so the
+# shared 100,000 trials would take a minute; fk-check runs one seed pair per chain
 COMMANDS = {
-    "sample-poisson": cmd_sample_poisson,
-    "sample-crcm": cmd_sample_chain,
-    "sample-wr": cmd_sample_chain,
-    "gnz-check": cmd_gnz_check,
-    "fk-check": cmd_fk_check,
-    "dlr-check": cmd_dlr_check,
-    "bounds-audit": cmd_bounds_audit,
-    "localization": cmd_localization,
-    "shield": cmd_shield,
-    "entropy-bounds": cmd_entropy_bounds,
-    "np-decay": cmd_np_decay,
-    "coverage-probe": cmd_coverage_probe,
+    "sample-poisson": Command(cmd_sample_poisson, (*MODEL, "samples")),
+    "sample-crcm": Command(cmd_sample_chain, SAMPLE_CHAIN),
+    "sample-wr": Command(cmd_sample_chain, SAMPLE_CHAIN),
+    "gnz-check": Command(cmd_gnz_check, (*CHAIN, "model", "control", "inner_points"),
+                         controls={"crcm": "wrong-q", "wr": "drop-constraint"}, recorded=100),
+    "fk-check": Command(cmd_fk_check, (*CHAIN, "chains", "control"), defaults={"chains": 8},
+                        controls={None: "mismatch"}, recorded=2),
+    "dlr-check": Command(cmd_dlr_check, CHAIN, recorded=2),
+    "bounds-audit": Command(cmd_bounds_audit, (*MODEL, "samples", "lam_box", "r0")),
+    "localization": Command(cmd_localization, (*MODEL, "samples", "ij", "r0")),
+    "shield": Command(cmd_shield, ("window", "alpha", "k", "trials")),
+    "entropy-bounds": Command(cmd_entropy_bounds, ("q", "law", "window", "y_grid", "n_pack")),
+    "np-decay": Command(cmd_np_decay, (*CHAIN[1:], "chains", "z_grid", "border"),  # z: z_grid
+                        recorded=2, pooled=True),
+    "coverage-probe": Command(cmd_coverage_probe, (*MODEL, "h_grid", "trials"),
+                              defaults={"trials": 2000}),
 }
 
 
@@ -813,13 +823,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--chains", type=int, help="number of chains / seed pairs")
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--resume", help="checkpoint file to continue from")
-    parser.add_argument(
-        "--set",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="override any spec field",
-    )
+    parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
+                        help="set a spec key the subcommand reads")
     return parser
 
 
@@ -830,12 +835,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit:
         return EXIT_SPEC
-    overrides: dict = {
-        "seed": args.seed,
-        "chains": args.chains,
-        "out": args.out,
-        "resume": args.resume,
-    }
+    overrides = {k: getattr(args, k) for k in ("seed", "chains", "out", "resume")}
     for item in args.set:
         if "=" not in item:
             print(f"bad --set {item!r}: want KEY=VALUE", file=sys.stderr)
@@ -849,7 +849,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         written.clear()
         start = time.time()
-        status = COMMANDS[spec.subcommand](spec, out)
+        status = COMMANDS[spec.subcommand].run(spec, out)
         write_manifest(out, spec, time.time() - start, extra={"exit_status": status})
         return status
     except SpecInvalid as exc:

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -393,7 +394,7 @@ def test_unknown_subcommand_and_bad_set(tmp_path):
         ("localization", {"ij": "9:4"}),  # i < j needed
         ("np-decay", {"z_grid": "0.2,x"}),
         ("entropy-bounds", {"y_grid": "10,ten"}),
-        ("coverage-probe", {"law": "pareto:2", "h_grid": "0.5,2x"}),
+        ("coverage-probe", {"h_grid": "0.5,2x", "law": "pareto:2"}),
         ("entropy-bounds", {"q": "2.5"}),  # an integer color count
         ("fk-check", {"q": "2.5"}),
         # values that parse but are out of range
@@ -401,9 +402,11 @@ def test_unknown_subcommand_and_bad_set(tmp_path):
         ("shield", {"alpha": "0"}),
         ("entropy-bounds", {"y_grid": "0"}),
         ("np-decay", {"z_grid": "-1"}),
-        ("coverage-probe", {"law": "pareto:2", "h_grid": "-1"}),
-        ("np-decay", {"q": "0.5", "law": "pareto:2"}),  # q < 1 needs bounded radii
-        ("np-decay", {"q": "0.5", "law": "dirac:1"}),  # the bound tilts by q > 1
+        ("coverage-probe", {"h_grid": "-1", "law": "pareto:2"}),
+        # q < 1 needs bounded radii, and the bound tilts by q > 1: both cases
+        # once failed on the border instead
+        ("np-decay", {"q": "0.5", "law": "pareto:2", "window": "0,0:6,6", "border": "1"}),
+        ("np-decay", {"q": "0.5", "law": "dirac:1", "window": "0,0:6,6"}),
         ("np-decay", {"border": "3", "window": "0,0:6,6"}),  # nothing left after erosion
         ("gnz-check", {"sweeps": "10"}),  # fewer than 100 recorded samples
         # count fields below their floor
@@ -412,8 +415,8 @@ def test_unknown_subcommand_and_bad_set(tmp_path):
         ("dlr-check", {"thinning": "0"}),
         ("np-decay", {"thinning": "0"}),
         ("fk-check", {"thinning": "0"}),
-        ("coverage-probe", {"law": "pareto:2", "z": "-1"}),
-        ("coverage-probe", {"law": "pareto:2", "trials": "0"}),
+        ("coverage-probe", {"z": "-1", "law": "pareto:2"}),
+        ("coverage-probe", {"trials": "0", "law": "pareto:2"}),
         ("entropy-bounds", {"n_pack": "0"}),
         ("gnz-check", {"inner_points": "0"}),
         ("bounds-audit", {"samples": "0"}),
@@ -438,28 +441,29 @@ def test_unknown_subcommand_and_bad_set(tmp_path):
         # models and controls a check does not take
         ("fk-check", {"control": "mismtach"}),  # a misspelling once ran the honest check
         ("fk-check", {"control": "wrong-q"}),
-        ("gnz-check", {"model": "wr", "control": "wrong-q"}),  # once exited 2 after a run
-        ("gnz-check", {"model": "crcm", "control": "drop-constraint"}),
-        ("gnz-check", {"model": "crcm", "control": "mismatch"}),
+        ("gnz-check", {"control": "wrong-q", "model": "wr"}),  # once exited 2 after a run
+        ("gnz-check", {"control": "drop-constraint", "model": "crcm"}),
+        ("gnz-check", {"control": "mismatch", "model": "crcm"}),
         ("gnz-check", {"model": "ising"}),
         ("sample-crcm", {"control": "wrong-q"}),
         ("dlr-check", {"control": "mismatch"}),
         ("bounds-audit", {"control": "drop-constraint"}),
-        # every subcommand checks its model, not only gnz-check that reads it
+        # keys the subcommand does not take: only gnz-check reads model
         ("sample-poisson", {"model": "isng", "samples": "1"}),  # once exited 0
         ("sample-wr", {"model": "ising"}),
         ("fk-check", {"model": "WR"}),
         ("shield", {"model": ""}),
         # localization boxes that cannot say anything about the window
-        ("localization", {}),  # the default window lies inside [-9, 9]^2: A_ij, W_ij always hold
+        # the default window lies inside [-9, 9]^2: A_ij, W_ij always hold
+        ("localization", {"window": "0,0:1,1"}),
         ("localization", {"window": "-20,-20:20,20", "ij": "4:9;5:20"}),  # on the edge of j=20
         # boxes with no volume
         ("dlr-check", {"window": "0,0:0,1"}),  # once passed on all-zero traces
         ("gnz-check", {"window": "0,0:1,0"}),  # once a ZeroDivisionError
         ("bounds-audit", {"lam_box": "0.5,0.5:0.5,0.5"}),  # once passed on empty samples
         # grid values that are not finite
-        ("coverage-probe", {"law": "pareto:2", "h_grid": "0.5,nan"}),  # once a traceback
-        ("coverage-probe", {"law": "pareto:2", "h_grid": "inf"}),
+        ("coverage-probe", {"h_grid": "0.5,nan", "law": "pareto:2"}),  # once a traceback
+        ("coverage-probe", {"h_grid": "inf", "law": "pareto:2"}),
         ("entropy-bounds", {"y_grid": "nan"}),  # once wrote a row of NaN
         ("entropy-bounds", {"y_grid": "inf"}),
         # a negative seed, and float values that are not finite
@@ -470,6 +474,19 @@ def test_unknown_subcommand_and_bad_set(tmp_path):
         ("localization", {"ij": "-1:9", "window": "-20,-20:20,20"}),
         ("np-decay", {"border": "0"}),
         ("np-decay", {"border": "-2"}),
+        # the subcommand is no key: shield once ran sample-poisson under its own
+        # checks, and an unknown name once stopped with a KeyError (exit 3)
+        ("shield", {"subcommand": "sample-poisson"}),
+        ("shield", {"subcommand": "nope"}),
+        # grids with no value: entropy-bounds once wrote a header and no rows,
+        # np-decay once ran a default grid no header showed
+        ("entropy-bounds", {"y_grid": ""}),
+        ("np-decay", {"z_grid": ","}),
+        ("coverage-probe", {"h_grid": ",", "law": "pareto:2"}),
+        # keys a run once ignored, changing only the spec hash
+        ("dlr-check", {"alpha": "7"}),
+        ("dlr-check", {"h_grid": "1"}),
+        ("gnz-check", {"chains": "4"}),  # once ran one chain
     ],
 )
 def test_malformed_spec_values_are_spec_errors(tmp_path, capsys, monkeypatch, sub, settings):
@@ -478,20 +495,80 @@ def test_malformed_spec_values_are_spec_errors(tmp_path, capsys, monkeypatch, su
 
     for module in (crcm, cli):
         monkeypatch.setattr(module, "sweep_loop", no_chain)
-    args = [sub, "--out", str(tmp_path), *set_flags({"q": "2", **settings})]
+    # an integer color count, where the subcommand reads q
+    q = {"q": "2"} if "q" in cli.COMMANDS[sub].keys else {}
+    args = [sub, "--out", str(tmp_path), *set_flags({**q, **settings})]
     assert cli.main(args) == EXIT_SPEC
-    assert "spec error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("spec error: ")
+    # the error is about the case's first key, named before any list of the keys taken
+    assert re.search(rf"\b{next(iter(settings))}\b", err.split(": it takes ")[0]), err
     assert not list(tmp_path.glob("*.csv"))
+
+
+def test_keys_a_subcommand_does_not_read_are_refused_from_every_source(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("alpha = 7\n")
+    out = ["--out", str(tmp_path / "out")]
+    for key, args in [("resume", ["--resume", "/nonexistent"]), ("chains", ["--chains", "9"]),
+                      ("alpha", ["--config", str(cfgfile)])]:
+        assert cli.main(["dlr-check", *out, *args]) == EXIT_SPEC
+        err = capsys.readouterr().err
+        assert err.startswith(f"spec error: dlr-check does not read {key!r}: it takes "), err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
     "sub, model, control",
     [("gnz-check", "crcm", "wrong-q"), ("gnz-check", "wr", "drop-constraint"),
-     ("fk-check", "crcm", "mismatch"), ("shield", "wr", "none")],
+     ("fk-check", None, "mismatch")],  # fk-check reads no model
 )
 def test_controls_each_check_takes(sub, model, control):
     spec = load_spec(sub, None, {"model": model, "control": control})
-    assert (spec.model, spec.control) == (model, control)
+    assert (spec.model, spec.control) == (model or "crcm", control)
+
+
+def test_each_subcommand_reads_exactly_the_keys_it_takes(tmp_path, capsys, monkeypatch):
+    # every spec field a run of the pinned suite reads, outside `load_spec`
+    # and the spec's own hashing, against the keys its command declares
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "benchmarks"))
+    import workloads
+
+    fields = {f.name for f in dataclasses.fields(ExperimentSpec)}
+    reads, quiet = set(), []
+
+    def recording(spec, name):
+        if name in fields and not quiet:
+            reads.add(name)
+        return object.__getattribute__(spec, name)
+
+    def hushed(fn):
+        def run(*args, **kwargs):
+            quiet.append(fn)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                quiet.pop()
+        return run
+
+    monkeypatch.setattr(ExperimentSpec, "__getattribute__", recording)
+    monkeypatch.setattr(ExperimentSpec, "canonical", hushed(ExperimentSpec.canonical))
+    monkeypatch.setattr(cli, "load_spec", hushed(cli.load_spec))
+    for sub, settings, _ in workloads.SUITE:
+        reads.clear()
+        code = cli.main(workloads.cli_args(sub, settings, 3, tmp_path / sub))
+        assert code in (EXIT_OK, cli.EXIT_TEST), sub
+        # every subcommand takes seed and out; its name is no key
+        assert sorted(reads - {"seed", "out", "subcommand"}) == sorted(cli.COMMANDS[sub].keys), sub
+
+
+def test_readme_lists_the_keys_each_subcommand_takes():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Command line\n")[1].split("\n## ")[0]
+    rows = re.findall(r"^\| `([a-z-]+)` \| (.+) \|$", section, re.M)
+    assert {sub: sorted(re.findall(r"`(\w+)`", keys)) for sub, keys in rows} == {
+        sub: sorted(cmd.keys) for sub, cmd in cli.COMMANDS.items()
+    }
 
 
 def test_manifest_lists_only_what_this_run_wrote(tmp_path, capsys):
@@ -510,7 +587,7 @@ def test_runtime_error_leaves_traceback_and_manifest(tmp_path, capsys, monkeypat
     def broken(spec, out):
         raise ZeroDivisionError("injected")
 
-    monkeypatch.setitem(cli.COMMANDS, "shield", broken)
+    monkeypatch.setitem(cli.COMMANDS, "shield", cli.COMMANDS["shield"]._replace(run=broken))
     assert cli.main(["shield", "--out", str(tmp_path)]) == cli.EXIT_RUNTIME
     assert capsys.readouterr().err == "runtime error: ZeroDivisionError: injected\n"
     assert "in broken" in (tmp_path / "error.txt").read_text()
