@@ -41,7 +41,6 @@ from .connectivity import (
     components,
     count_components,
     local_cc,
-    local_count,
 )
 
 __version__ = "0.1.0"

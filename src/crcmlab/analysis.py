@@ -14,7 +14,7 @@ import numpy as np
 
 from .geometry import Box, centered_box, unit_ball_volume
 from .model_core import RadiusLaw
-from .connectivity import components, label_any, local_count
+from .connectivity import BallGraph, components, increment_c0, label_any
 # local_cc stays importable from this module: the tracer self-test in benchmarks/ relies on it
 from .connectivity import local_cc  # noqa: F401
 from ._stats import batch_means_se
@@ -78,7 +78,8 @@ def localization_check(
     if not (event_Aij(centers, radii, i, j) and event_Wij(centers, radii, box, r0, i, j)):
         raise PreconditionEventFailed("configuration outside the required events")
     kept = centered_box(j, centers.shape[1]).contains_points(centers)
-    return local_count(centers, radii, box) == local_count(centers[kept], radii[kept], box)
+    whole, cut = BallGraph.of(centers, radii), BallGraph.of(centers[kept], radii[kept])
+    return whole.local(box) == cut.local(box)
 
 
 def exterior_hit_mass(i: float, j: float, z: float, law: RadiusLaw) -> float:
@@ -284,7 +285,7 @@ def psi_root(q: int, y: float, phi: float, d: int) -> float:
     """Unique stationary point of the gap function; defined when
     phi > 8/(7q)."""
     if phi <= 8.0 / (7.0 * q):
-        raise RootUndefined("needs phi > 8/(7q); increase y")
+        raise RootUndefined(f"y={y:g} gives phi={phi:g}: needs phi > 8/(7q); increase y")
     yd = y**d
     return (q / (phi * yd)) * math.log((q - 1.0) / q / (1.0 - 7.0 * phi / 8.0))
 
@@ -309,23 +310,18 @@ def wr_entropy_upper(z: float, q: int, y: float, law: RadiusLaw, n: int, d: int)
 
 @dataclass
 class TiltedLaw:
-    """Radius measure reweighted by q^(-c0 R^d): sub-probability mass and a
-    finite d-moment even when the base law has none."""
+    """Radius measure reweighted by q^(-c0 R^d), c0 from `increment_c0`:
+    sub-probability mass and a finite d-moment even when the base law has none."""
 
-    base: RadiusLaw
-    q: float
-    r0: float
     c0: float
     mass: float
     d_moment: float
 
 
-def tilted_law(law: RadiusLaw, q: float, r0: float, d: int) -> TiltedLaw:
+def tilted_law(law: RadiusLaw, q: float, d: int) -> TiltedLaw:
     if q <= 1.0:
         raise ValueError("tilting needs q > 1")
-    if r0 <= 0 or law.min_radius < r0:
-        raise ValueError("law radii must be bounded below by r0 > 0")
-    c0 = (3.0 / r0) ** d
+    c0 = increment_c0(law.min_radius, d)
     lnq = math.log(q)
 
     def weight(r: float) -> float:
@@ -333,7 +329,7 @@ def tilted_law(law: RadiusLaw, q: float, r0: float, d: int) -> TiltedLaw:
 
     mass = law.integrate(weight)
     dmom = law.integrate(lambda r: r**d * weight(r))
-    return TiltedLaw(base=law, q=q, r0=r0, c0=c0, mass=mass, d_moment=dmom)
+    return TiltedLaw(c0=c0, mass=mass, d_moment=dmom)
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +371,8 @@ def estimate_NP(
     return ClusterDensityEstimate(float(per.mean()), se, per, eroded)
 
 
-def np_bound(z: float, q: float, law: RadiusLaw, r0: float, d: int) -> float:
+def np_bound(z: float, q: float, law: RadiusLaw, d: int) -> float:
     """Exponential decay bound on the cluster density:
     z q exp(-z v_d/2 * tilted d-moment)."""
-    tl = tilted_law(law, q, r0, d)
+    tl = tilted_law(law, q, d)
     return z * q * math.exp(-z * 0.5 * unit_ball_volume(d) * tl.d_moment)

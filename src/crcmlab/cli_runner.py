@@ -38,6 +38,7 @@ from .connectivity import (
     check_bounds,
     compatibility_offset,
     components,
+    increment_c0,
 )
 from .crcm import (
     TRACE_COLUMNS,
@@ -134,8 +135,9 @@ class ExperimentSpec:
     def radius_law(self):
         return spec_checked(parse_law, self.law)
 
-    def model_params(self) -> ModelParams:
-        return spec_checked(ModelParams, self.z, self.q, self.radius_law(), self.window_box())
+    def model_params(self, q: Optional[float] = None) -> ModelParams:
+        q = self.q if q is None else q
+        return spec_checked(ModelParams, self.z, q, self.radius_law(), self.window_box())
 
     def n_colors(self) -> int:
         """q as the integer number of colors the color model needs."""
@@ -251,7 +253,7 @@ def load_spec(subcommand: str, config_path: Optional[str], overrides: dict) -> E
 
 
 # the files the running subcommand wrote, for its manifest; `main` empties it
-written: list[str] = []
+written: set[str] = set()
 
 
 def write_csv(
@@ -268,7 +270,7 @@ def write_csv(
         head["pass"] = int(passed)
     out.mkdir(parents=True, exist_ok=True)
     write_table(out / name, head, columns, rows)
-    written.append(name)
+    written.add(name)
     # not `passed is False`: a verdict may be a numpy bool
     return EXIT_TEST if passed is not None and not passed else EXIT_OK
 
@@ -276,7 +278,7 @@ def write_csv(
 def save_config(spec: ExperimentSpec, out: Path, name: str, window: Box, balls: tuple) -> None:
     """`save_configuration` to `out / name`, tagged with the spec's law and seed."""
     save_configuration(window, balls, out / name, law_descriptor=spec.law, seed=spec.seed)
-    written.append(name)
+    written.add(name)
 
 
 def spec_chain(spec: ExperimentSpec, params: ModelParams, key: tuple, **kw):
@@ -442,7 +444,7 @@ def run_traced_chain(
 
 
 def cmd_sample_poisson(spec: ExperimentSpec, out: Path) -> int:
-    params = spec.model_params()
+    params = spec.model_params(q=1.0)
     w = params.window
     rows = []
     for s in range(spec.samples):
@@ -572,13 +574,11 @@ def cmd_dlr_check(spec: ExperimentSpec, out: Path) -> int:
 
 
 def cmd_bounds_audit(spec: ExperimentSpec, out: Path) -> int:
-    params = spec.model_params()
+    params = spec.model_params(q=1.0)
     w = params.window
     lam_box = spec.lam_box_in(w)
-    r0 = spec.r0
     # the increment lower bound holds when every radius >= the law's minimum
     r_lo = params.law.min_radius
-    c0 = (3.0 / r_lo) ** w.dimension if r_lo > 0 else math.inf
     viol = dict.fromkeys(["upper", "lower", "increment_above", "increment_below", "telescoping",
                           "deletion_inverse", "compatibility"], 0)
     grow = 0.2 * w.sides
@@ -589,7 +589,7 @@ def cmd_bounds_audit(spec: ExperimentSpec, out: Path) -> int:
         centers, radii = poisson_balls(w, params.law, params.total_intensity, rng)
         # every from-scratch count of the sample reads this one pair list
         graph = BallGraph.of(centers, radii)
-        rep = check_bounds(graph, w, lam_box, r0)
+        rep = check_bounds(graph, w, lam_box, spec.r0)
         viol["upper"] += not rep.upper_ok
         viol["lower"] += not rep.lower_ok
         # the labeling under test, built ball by ball in a uniform order taken
@@ -619,7 +619,7 @@ def cmd_bounds_audit(spec: ExperimentSpec, out: Path) -> int:
         delta, _ = lab.insertion_increment(cfg, ball_c, ball_r)
         viol["increment_above"] += delta > 1
         if r_lo > 0:
-            viol["increment_below"] += delta < -c0 * ball_r**w.dimension
+            viol["increment_below"] += delta < -increment_c0(r_lo, w.dimension) * ball_r**w.dimension
         # deletion inverse on one random ball
         if cfg.n:
             slot = cfg.random_active(rng)
@@ -708,13 +708,12 @@ def cmd_entropy_bounds(spec: ExperimentSpec, out: Path) -> int:
     q = spec.n_colors()
     ys = spec.floats("y_grid")
     phis = [spec_checked(analysis.phi_y, law, y, d) for y in ys]
+    try:
+        roots = [analysis.psi_root(q, y, phi, d) for y, phi in zip(ys, phis)]
+    except analysis.RootUndefined as exc:
+        raise SpecInvalid(f"bad y_grid {spec.y_grid!r}: {exc}") from exc
     rows = []
-    for y, phi in zip(ys, phis):
-        try:
-            z_y = analysis.psi_root(q, y, phi, d)
-        except analysis.RootUndefined:
-            rows.append((y, phi, float("nan"), float("nan"), float("nan"), float("nan"), 0))
-            continue
+    for y, phi, z_y in zip(ys, phis, roots):
         z_probes = np.linspace(z_y / 8, z_y, 8)
         for z in z_probes:
             upper = analysis.wr_entropy_upper(z, q, y, law, spec.n_pack, d)
@@ -736,7 +735,7 @@ def cmd_np_decay(spec: ExperimentSpec, out: Path) -> int:
     # every value the estimate and its bound need, checked before any chain runs
     spec_checked(analysis.eroded_window, w, border)
     models = [spec_checked(ModelParams, z, spec.q, law, w) for z in grid]
-    bounds = [spec_checked(analysis.np_bound, z, spec.q, law, law.min_radius, d) for z in grid]
+    bounds = [spec_checked(analysis.np_bound, z, spec.q, law, d) for z in grid]
     rows = []
     all_ok = True
     for gi, (z, params, bound) in enumerate(zip(grid, models, bounds)):
@@ -756,7 +755,7 @@ def cmd_np_decay(spec: ExperimentSpec, out: Path) -> int:
 
 
 def cmd_coverage_probe(spec: ExperimentSpec, out: Path) -> int:
-    params = spec.model_params()
+    params = spec.model_params(q=1.0)
     if params.law.bounded_support:
         raise SpecInvalid("coverage-probe expects the heavy-tail law (pareto:d)")
     halos = spec.floats("h_grid", zero_ok=True)
@@ -785,14 +784,15 @@ class Command(NamedTuple):
     pooled: bool = False
 
 
-MODEL = ("z", "q", "law", "window")  # what `model_params` reads
+POISSON = ("z", "law", "window")  # what `model_params(q=1.0)` reads
+MODEL = (*POISSON, "q")  # ... and `model_params()`
 CHAIN = (*MODEL, "sweeps", "burn_in", "thinning")  # ... and `spec_chain`
 SAMPLE_CHAIN = (*CHAIN, "chains", "checkpoint_every", "resume")
 
 # each coverage-probe trial samples and certifies a whole dilated box, so the
 # shared 100,000 trials would take a minute; fk-check runs one seed pair per chain
 COMMANDS = {
-    "sample-poisson": Command(cmd_sample_poisson, (*MODEL, "samples")),
+    "sample-poisson": Command(cmd_sample_poisson, (*POISSON, "samples")),
     "sample-crcm": Command(cmd_sample_chain, SAMPLE_CHAIN),
     "sample-wr": Command(cmd_sample_chain, SAMPLE_CHAIN),
     "gnz-check": Command(cmd_gnz_check, (*CHAIN, "model", "control", "inner_points"),
@@ -800,13 +800,13 @@ COMMANDS = {
     "fk-check": Command(cmd_fk_check, (*CHAIN, "chains", "control"), defaults={"chains": 8},
                         controls={None: "mismatch"}, recorded=2),
     "dlr-check": Command(cmd_dlr_check, CHAIN, recorded=2),
-    "bounds-audit": Command(cmd_bounds_audit, (*MODEL, "samples", "lam_box", "r0")),
+    "bounds-audit": Command(cmd_bounds_audit, (*POISSON, "samples", "lam_box", "r0")),
     "localization": Command(cmd_localization, (*MODEL, "samples", "ij", "r0")),
     "shield": Command(cmd_shield, ("window", "alpha", "k", "trials")),
     "entropy-bounds": Command(cmd_entropy_bounds, ("q", "law", "window", "y_grid", "n_pack")),
     "np-decay": Command(cmd_np_decay, (*CHAIN[1:], "chains", "z_grid", "border"),  # z: z_grid
                         recorded=2, pooled=True),
-    "coverage-probe": Command(cmd_coverage_probe, (*MODEL, "h_grid", "trials"),
+    "coverage-probe": Command(cmd_coverage_probe, (*POISSON, "h_grid", "trials"),
                               defaults={"trials": 2000}),
 }
 

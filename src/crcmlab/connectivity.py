@@ -388,12 +388,10 @@ class BallGraph:
         """Component count of the balls whose centers lie outside `box`."""
         return self.count(~box.contains_points(self.centers))
 
-
-def local_count(centers: np.ndarray, radii: np.ndarray, box: Box) -> int:
-    """Limit of the local component count of `box`: ncc(all balls) minus
-    ncc(balls centered outside the box)."""
-    graph = BallGraph.of(centers, radii)
-    return graph.count() - graph.outside(box)
+    def local(self, box: Box) -> int:
+        """Limit of the local component count of `box`: ncc(all balls) minus
+        ncc(balls centered outside the box)."""
+        return self.count() - self.outside(box)
 
 
 @dataclass
@@ -461,13 +459,30 @@ def compatibility_offset(graph: BallGraph, inner: Box, outer: Box, window: Box) 
     return graph.outside(inner) - graph.outside(outer)
 
 
+def local_floor(centers: np.ndarray, box: Box, r0: float) -> tuple[float, float]:
+    """K and the lower bound K - (centers outside `box` within r0 + 2 of it)
+    on the local component count of `box`, K = 1 - |box + B(0, r0 + 2)| / v_d,
+    valid when every ball centered in the box has radius <= r0."""
+    big = dilate(box, r0 + 2.0)
+    k_const = 1.0 - big.volume / unit_ball_volume(box.dimension)
+    near = big.contains_points(centers) & ~box.contains_points(centers)
+    return k_const, k_const - int(np.count_nonzero(near))
+
+
+def increment_c0(r_min: float, d: int) -> float:
+    """c0 = (3 / r_min)^d: when every radius is at least r_min > 0, adding a
+    ball of radius r changes the local component count by at least -c0 r^d."""
+    if not r_min > 0:
+        raise ValueError("law radii must be bounded below by r0 > 0")
+    return (3.0 / r_min) ** d
+
+
 @dataclass
 class BoundsReport:
     upper_ok: bool
     lower_ok: bool
     k_const: float
     lower_vacuous: bool
-    value: int
 
 
 def check_bounds(graph: BallGraph, window: Box, box: Box, r0: float) -> BoundsReport:
@@ -475,20 +490,15 @@ def check_bounds(graph: BallGraph, window: Box, box: Box, r0: float) -> BoundsRe
     balls of `graph` in `window`.
 
     Upper: at most the number of centers in the box.  Lower: at least
-    K - (centers in the dilated annulus), K = 1 - |box + B(0, r0+2)| / v_d,
-    valid when every ball centered in the box has radius <= r0 (else the
-    lower check is vacuous and flagged).  Raises LambdaNotInWindow unless
-    the box sits inside the window.
+    `local_floor`, valid when every ball centered in the box has radius
+    <= r0 (else the lower check is vacuous and flagged).  Raises
+    LambdaNotInWindow unless the box sits inside the window.
     """
     if not window.contains_box(box):
         raise LambdaNotInWindow("audited box must sit inside the window")
-    centers, radii = graph.centers, graph.radii
-    inside = box.contains_points(centers)
-    value = graph.count() - graph.count(~inside)  # the local count of the box
-    n_in = int(np.count_nonzero(inside))
-    big = dilate(box, r0 + 2.0)
-    k_const = 1.0 - big.volume / unit_ball_volume(window.dimension)
-    vacuous = bool(np.any(radii[inside] > r0))
-    annulus = int(np.count_nonzero(big.contains_points(centers))) - n_in
-    lower_ok = vacuous or value >= k_const - annulus
-    return BoundsReport(value <= n_in, lower_ok, k_const, vacuous, value)
+    inside = box.contains_points(graph.centers)
+    value = graph.local(box)
+    k_const, floor = local_floor(graph.centers, box, r0)
+    vacuous = bool(np.any(graph.radii[inside] > r0))
+    upper_ok = value <= int(np.count_nonzero(inside))
+    return BoundsReport(upper_ok, vacuous or value >= floor, k_const, vacuous)

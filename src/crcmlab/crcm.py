@@ -13,9 +13,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .geometry import Box, dilate, unit_ball_volume
+from .geometry import Box
 from .model_core import Configuration, ModelParams, poisson_balls
-from .connectivity import ClusterLabeling, components, local_count
+from .connectivity import BallGraph, ClusterLabeling, components, local_floor
 # local_cc stays importable from this module: the tracer self-test in benchmarks/ relies on it
 from .connectivity import local_cc  # noqa: F401
 from .analysis import tilted_law
@@ -383,9 +383,9 @@ def conditional_resample(state: ChainState, box: Box) -> ChainState:
 
     For q >= 1 proposals come from the q-thickened Poisson process on the
     box and are accepted with probability q^(local count - box count) <= 1;
-    for q < 1 (bounded radii) the acceptance exponent is bounded through the
-    explicit lower bound on the local count.  Raises RuntimeError on a draw
-    whose exponent breaks its bound, where q^exponent would exceed 1."""
+    for q < 1 (bounded radii) the exponent is the local count less its
+    `local_floor` at r0 = the largest radius.  Raises RuntimeError on a
+    draw whose exponent breaks its bound, where q^exponent would exceed 1."""
     p = state.params
     if state.config.colored:
         raise ValueError("conditional resampling is for uncolored chains")
@@ -412,12 +412,10 @@ def conditional_resample(state: ChainState, box: Box) -> ChainState:
     if q > 1.0:
         mean, floor_exp = p.z * q * vol, None
     else:
-        big = dilate(box, p.law.max_radius + 2.0)
-        k_const = 1.0 - big.volume / unit_ball_volume(cfg.window.dimension)
-        mean, floor_exp = p.z * vol, k_const - np.count_nonzero(big.contains_points(ext_c))
+        mean, floor_exp = p.z * vol, local_floor(ext_c, box, p.law.max_radius)[1]
     for _ in range(_REJECTION_ATTEMPTS):
         new_c, new_r = poisson_balls(box, p.law, mean, rng)
-        local = local_count(np.vstack([ext_c, new_c]), np.concatenate([ext_r, new_r]), box)
+        local = BallGraph.of(np.vstack([ext_c, new_c]), np.concatenate([ext_r, new_r])).local(box)
         exponent = local - (new_r.size if floor_exp is None else floor_exp)
         if (exponent > 0 if q > 1.0 else exponent < 0):
             raise RuntimeError(f"heat-bath envelope broken: acceptance exponent {exponent}")
@@ -575,7 +573,7 @@ def domination_check(
         add("count", "upper", counts, params.q * params.total_intensity, "upper")
         add("probe_count", "upper", probe_counts, params.q * params.z * probe.volume, "upper")
     if params.q > 1.0 and params.law.min_radius > 0:
-        tl = tilted_law(params.law, params.q, params.law.min_radius, d)
+        tl = tilted_law(params.law, params.q, d)
         add("count", "lower", counts, params.z * tl.mass * w.volume, "lower")
         add("probe_count", "lower", probe_counts, params.z * tl.mass * probe.volume, "lower")
     return rows

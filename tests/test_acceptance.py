@@ -362,7 +362,7 @@ def test_criterion_9_np_decay():
             )
             samples.extend(rep.samples)
         est = an.estimate_NP(samples, window, border)
-        bound = an.np_bound(z, 2.0, law, 1.0, 2)
+        bound = an.np_bound(z, 2.0, law, 2)
         below = below and est.value <= bound + 3 * est.se
         values.append(est.value)
         ses.append(max(est.se, 1e-6))

@@ -465,30 +465,30 @@ def test_separation_interval_exists():
 
 
 def test_tilted_dirac_mass_exact():
-    tl = tilted_law(DiracRadius(1.0), 2.0, 1.0, 2)
+    tl = tilted_law(DiracRadius(1.0), 2.0, 2)
     assert tl.c0 == 9.0
     assert tl.mass == pytest.approx(2.0**-9, rel=1e-12)
     assert tl.d_moment == pytest.approx(2.0**-9, rel=1e-12)
 
 
 def test_tilted_heavy_tail_has_finite_moment():
-    tl = tilted_law(ParetoRadius(2), 2.0, 1.0, 2)
+    tl = tilted_law(ParetoRadius(2), 2.0, 2)
     assert 0 < tl.mass < 1
     assert math.isfinite(tl.d_moment) and tl.d_moment > 0
 
 
 def test_tilted_mass_monotonicity():
-    masses_q = [tilted_law(DiracRadius(1.0), q, 1.0, 2).mass for q in (1.5, 2.0, 4.0)]
+    masses_q = [tilted_law(DiracRadius(1.0), q, 2).mass for q in (1.5, 2.0, 4.0)]
     assert all(b < a for a, b in zip(masses_q, masses_q[1:]))
     # larger r0 shrinks c0, so the weight grows
     masses_r0 = [
-        tilted_law(UniformRadius(r0, 2.0), 2.0, r0, 2).mass for r0 in (0.5, 1.0, 1.5)
+        tilted_law(UniformRadius(r0, 2.0), 2.0, 2).mass for r0 in (0.5, 1.0, 1.5)
     ]
     assert all(b > a for a, b in zip(masses_r0, masses_r0[1:]))
 
 
 def test_tilted_mass_tends_to_one_as_q_drops():
-    assert tilted_law(DiracRadius(1.0), 1.0 + 1e-9, 1.0, 2).mass == pytest.approx(
+    assert tilted_law(DiracRadius(1.0), 1.0 + 1e-9, 2).mass == pytest.approx(
         1.0, abs=1e-6
     )
 
@@ -570,10 +570,10 @@ def test_np_doubled_window_consistency():
 
 def test_np_bound_formula_and_decay():
     law = DiracRadius(1.0)
-    val = np_bound(1.0, 2.0, law, 1.0, 2)
+    val = np_bound(1.0, 2.0, law, 2)
     assert val == pytest.approx(2.0 * math.exp(-math.pi * 2.0**-10))
     # exponential decay wins far beyond the stationary point z = 1024/pi
     zs = np.linspace(500.0, 8000.0, 40)
-    bounds = [np_bound(float(z), 2.0, law, 1.0, 2) for z in zs]
+    bounds = [np_bound(float(z), 2.0, law, 2) for z in zs]
     assert all(b < a for a, b in zip(bounds, bounds[1:]))
     assert bounds[-1] < 1e-3

@@ -487,6 +487,13 @@ def test_unknown_subcommand_and_bad_set(tmp_path):
         ("dlr-check", {"alpha": "7"}),
         ("dlr-check", {"h_grid": "1"}),
         ("gnz-check", {"chains": "4"}),  # once ran one chain
+        # the Poisson-reference subcommands read no q: each once ran at q = 1
+        # and wrote a hash of the q given
+        ("sample-poisson", {"q": "3"}),
+        ("bounds-audit", {"q": "2"}),
+        ("coverage-probe", {"q": "0.5", "law": "pareto:2"}),
+        # a y whose phi_y leaves psi no root: once a row of NaN and exit 0
+        ("entropy-bounds", {"y_grid": "2,10", "law": "dirac:1"}),
     ],
 )
 def test_malformed_spec_values_are_spec_errors(tmp_path, capsys, monkeypatch, sub, settings):
@@ -772,6 +779,15 @@ def test_manifest_written_for_checks(tmp_path):
     assert manifest["spec"]["law"] == "dirac:0.1"
     assert "fk.csv" in manifest["outputs"]
     assert manifest["versions"]["crcmlab"]
+
+
+def test_written_names_each_file_once(tmp_path, capsys):
+    # a subcommand run in-process, without `main` emptying the record
+    spec = load_spec("bounds-audit", None, {"samples": "1", "out": str(tmp_path)})
+    cli.written.clear()
+    for _ in range(2):
+        cli.cmd_bounds_audit(spec, tmp_path)
+    assert sorted(cli.written) == ["bounds.csv"]
 
 
 def test_dlr_check_runs_on_a_3d_window(tmp_path):

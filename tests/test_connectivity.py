@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from crcmlab import analysis, connectivity, crcm
+from crcmlab import cli_runner as cli
 from crcmlab.geometry import Box
 from crcmlab.model_core import (
     Configuration,
+    DiracRadius,
     ModelParams,
     UniformRadius,
     sample_poisson_boolean,
@@ -254,6 +257,54 @@ def test_bounds_vacuous_flag():
     cfg = mk(BIG, [((0, 0), 5.0)])
     rep = bounds(cfg, lam, r0=1.0)
     assert rep.lower_vacuous and rep.lower_ok
+
+
+# -- one copy of each bound: a wrong value reaches every user ---------------------------
+
+
+def patch_shared(monkeypatch, name, users, wrong):
+    """Replace connectivity's function `name` by `wrong(real)` in it and in
+    every user, each of which must hold connectivity's own function."""
+    real = getattr(connectivity, name)
+    for module in (connectivity, *users):
+        assert getattr(module, name) is real
+        monkeypatch.setattr(module, name, wrong(real))
+
+
+def test_a_raised_floor_reaches_the_audit_and_the_heat_bath(monkeypatch):
+    # a box of side 0.1 and r0 = 0.05: K = 1 - 4.2^2 / pi = -4.6, so a floor
+    # 5 higher lies above 0, the local count of a box with no ball near it
+    box = Box([0.45, 0.45], [0.55, 0.55])
+    cfg = mk(BIG, [((-8, -8), 0.05)])
+    assert bounds(cfg, box, r0=0.05).lower_ok
+    params = ModelParams(1.0, 0.5, DiracRadius(0.05), Box([0, 0], [1, 1]))
+    state = crcm.ChainState(params, Configuration(params.window, 1.0), np.random.default_rng(5))
+
+    def raised(real):
+        def floor(centers, b, r0):
+            k_const, value = real(centers, b, r0)
+            return k_const, value + 5
+        return floor
+
+    patch_shared(monkeypatch, "local_floor", [crcm], raised)
+    rep = bounds(cfg, box, r0=0.05)
+    assert not rep.lower_ok and not rep.lower_vacuous
+    # q < 1: an empty draw's exponent 0 - (K + 5) is negative, past the envelope
+    with pytest.raises(RuntimeError, match="envelope"):
+        crcm.conditional_resample(state, box)
+
+
+def test_a_wrong_c0_reaches_the_tilted_law_and_the_audit(monkeypatch, tmp_path):
+    # doubling c0 loosens the audited bound; its negative puts -c0 r^d above 1,
+    # which no increment reaches
+    patch_shared(monkeypatch, "increment_c0", [analysis, cli],
+                 lambda real: lambda r_min, d: -real(r_min, d))
+    assert analysis.tilted_law(DiracRadius(1.0), 2.0, 2).c0 == -9.0
+    args = ["bounds-audit", "--out", str(tmp_path), "--set", "law=uniform:0.2,1",
+            "--set", "window=-4,-4:4,4", "--set", "z=0.1", "--set", "samples=3"]
+    assert cli.main(args) == cli.EXIT_TEST
+    rows = dict(line.split(",") for line in (tmp_path / "bounds.csv").read_text().splitlines()[2:])
+    assert rows["increment_below"] == "3"
 
 
 # -- component labels ------------------------------------------------------------

@@ -484,10 +484,10 @@ def test_conditional_resample_refuses_a_draw_past_its_envelope(monkeypatch, q):
     state = new_chain(params, seeded(29))
     box = Box([0.25, 0.25], [0.75, 0.75])
 
-    def broken(centers, radii, b):
-        return int(np.count_nonzero(b.contains_points(centers))) + 1 if q > 1 else -1000
+    def broken(graph, b):
+        return int(np.count_nonzero(b.contains_points(graph.centers))) + 1 if q > 1 else -1000
 
-    monkeypatch.setattr(crcm, "local_count", broken)
+    monkeypatch.setattr(crcm.BallGraph, "local", broken)
     with pytest.raises(RuntimeError, match="envelope"):
         conditional_resample(state, box)
 

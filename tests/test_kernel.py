@@ -15,7 +15,6 @@ from crcmlab.connectivity import (
     intersecting_pairs,
     label_components,
     local_cc,
-    local_count,
 )
 from crcmlab.geometry import Box, dilate
 from crcmlab.model_core import (
@@ -336,7 +335,7 @@ def test_local_cc_matches_probe_loop():
                 assert np.array_equal(got.stabilization_box.lo, stab.lo)
                 assert np.array_equal(got.stabilization_box.hi, stab.hi)
                 checked += 1
-        assert local_count(*cfg.arrays()[:2], boxes[0]) == local_cc(cfg, boxes[0]).value
+        assert BallGraph.of(*cfg.arrays()[:2]).local(boxes[0]) == local_cc(cfg, boxes[0]).value
     assert checked == 3000
 
 
@@ -359,7 +358,7 @@ def test_local_count_is_the_local_cc_value(law, seed, z, lo, sides):
     w = Box([-6, -6], [6, 6])
     cfg = sample_poisson_boolean(ModelParams(z, 1.0, PROPERTY_LAWS[law], w), make_rng(seed))
     box = Box(lo, np.minimum(np.add(lo, sides), 6.0))
-    assert local_cc(cfg, box).value == local_count(*cfg.arrays()[:2], box)
+    assert local_cc(cfg, box).value == BallGraph.of(*cfg.arrays()[:2]).local(box)
 
 
 def test_local_cc_rejects_nonpositive_step():
@@ -374,7 +373,7 @@ def test_probe_step_must_be_finite():
     centers, radii = np.array([[0.0, 0.0], [3.0, 0.0]]), np.array([0.5, 0.5])
     cfg = Configuration.from_arrays(Box([-5, -5], [5, 5]), centers, radii)
     box = Box([-1, -1], [1, 1])
-    assert local_count(centers, radii, box) == local_cc(cfg, box).value == 1
+    assert BallGraph.of(centers, radii).local(box) == local_cc(cfg, box).value == 1
     with pytest.raises(ValueError, match="positive and finite"):
         local_cc(cfg, box, np.inf)
 
