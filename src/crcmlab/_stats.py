@@ -60,6 +60,23 @@ def ks_pvalue(a: np.ndarray, b: np.ndarray):
     return _st.ks_2samp(a, b, method="asymp").pvalue
 
 
+# the gates of every check, written once; the rules below read them when called
+RESIDUAL_LIMIT = 4.0  # a balance residual passes below this many SEs
+BOUND_SLACK = 3.0  # an estimate may pass its bound by this many SEs
+KS_LEVEL = 0.01  # family-wise level of one check's KS tests
+
+
+def within(value: float, bound: float, se: float) -> bool:
+    """value <= bound + BOUND_SLACK * se; a lower bound is within(-value, -bound, se)."""
+    return value <= bound + BOUND_SLACK * se
+
+
+def ks_family(p_values: np.ndarray) -> tuple[float, bool]:
+    """The Bonferroni threshold KS_LEVEL / p_values.size, and whether any p-value is below it."""
+    threshold = KS_LEVEL / p_values.size
+    return threshold, bool((p_values < threshold).any())
+
+
 def quad(f, lo: float, hi: float, limit: int) -> float:
     """Adaptive quadrature of f over [lo, hi], by scipy.integrate.quad;
     raises its IntegrationWarning (a divergent or inaccurate integral)."""

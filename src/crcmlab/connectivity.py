@@ -473,7 +473,7 @@ def increment_c0(r_min: float, d: int) -> float:
     """c0 = (3 / r_min)^d: when every radius is at least r_min > 0, adding a
     ball of radius r changes the local component count by at least -c0 r^d."""
     if not r_min > 0:
-        raise ValueError("law radii must be bounded below by r0 > 0")
+        raise ValueError(f"law radii must have a positive minimum, got {r_min}")
     return (3.0 / r_min) ** d
 
 

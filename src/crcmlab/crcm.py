@@ -25,6 +25,7 @@ from ._stats import (
     effective_sample_size,
     integrated_autocorr_time,
     weighted_ratio_estimate,
+    within,
 )
 
 
@@ -550,7 +551,7 @@ def domination_check(
     central probe box of half its side: the q-thickened Poisson process from
     above (q >= 1) and the tilted-law Poisson process from below (radii
     bounded away from 0, q > 1).  Samples are (centers, radii, colors)
-    tuples.  Flags violations beyond 3 SE."""
+    tuples.  Flags violations beyond `_stats.BOUND_SLACK` SE."""
     if len(samples) < 2:
         raise ValueError("domination check needs at least 2 samples for a standard error")
     w = params.window
@@ -563,19 +564,19 @@ def domination_check(
     )
     rows: list[DominationRow] = []
 
-    def add(stat, side, emp_arr, bound, direction):
+    def add(stat, side, emp_arr, bound):
         se = batch_means_se(emp_arr)
         emp = float(emp_arr.mean())
-        ok = emp <= bound + 3 * se if direction == "upper" else emp >= bound - 3 * se
+        ok = within(emp, bound, se) if side == "upper" else within(-emp, -bound, se)
         rows.append(DominationRow(stat, side, emp, se, bound, ok))
 
     if params.q >= 1.0:
-        add("count", "upper", counts, params.q * params.total_intensity, "upper")
-        add("probe_count", "upper", probe_counts, params.q * params.z * probe.volume, "upper")
+        add("count", "upper", counts, params.q * params.total_intensity)
+        add("probe_count", "upper", probe_counts, params.q * params.z * probe.volume)
     if params.q > 1.0 and params.law.min_radius > 0:
         tl = tilted_law(params.law, params.q, d)
-        add("count", "lower", counts, params.z * tl.mass * w.volume, "lower")
-        add("probe_count", "lower", probe_counts, params.z * tl.mass * probe.volume, "lower")
+        add("count", "lower", counts, params.z * tl.mass * w.volume)
+        add("probe_count", "lower", probe_counts, params.z * tl.mass * probe.volume)
     return rows
 
 
@@ -610,8 +611,8 @@ def entropy_report(
     rate_se = (rel_se + abs(lnq) * se_ncc) / vol
     bound = params.z + max(lnq, 0.0) * e_count / vol
     bound_se = max(lnq, 0.0) * se_count / vol
-    ok = rate <= bound + 3.0 * (rate_se + bound_se)
-    floor_ok = ln_z_hat >= -params.total_intensity - 3.0 * rel_se
+    ok = within(rate, bound, rate_se + bound_se)
+    floor_ok = within(-ln_z_hat, params.total_intensity, rel_se)
     return EntropyReport(
         rate, rate_se, bound, bound_se, ok, ln_z_hat, e_ncc, e_count, floor_ok
     )

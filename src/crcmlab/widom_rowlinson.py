@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._stats import ks_pvalue
+from ._stats import ks_family, ks_pvalue
 from ._stream import chain_rng
 from .model_core import Configuration, ModelParams
 from .connectivity import components, intersecting_pairs
@@ -168,13 +168,9 @@ def fk_colorize(
 @dataclass
 class FkReport:
     p_values: np.ndarray  # (pairs, 3): count, components, largest
-    alpha: float
     threshold: float
     rejected: bool
     statistics: tuple = ("count", "n_cc", "largest")
-
-
-FK_ALPHA = 0.01  # family-wise level of fk_consistency_test's KS tests
 
 
 def fk_consistency_test(
@@ -200,8 +196,7 @@ def fk_consistency_test(
             [(wr.counts, cr.counts), (wr.n_cc, cr.n_cc), (wr.largest, cr.largest)]
         ):
             pvals[s, t] = ks_pvalue(a, b)
-    threshold = FK_ALPHA / (pairs * 3)
-    return FkReport(pvals, FK_ALPHA, threshold, bool((pvals < threshold).any()))
+    return FkReport(pvals, *ks_family(pvals))
 
 
 # ---------------------------------------------------------------------------

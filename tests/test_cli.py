@@ -494,6 +494,9 @@ def test_unknown_subcommand_and_bad_set(tmp_path):
         ("coverage-probe", {"q": "0.5", "law": "pareto:2"}),
         # a y whose phi_y leaves psi no root: once a row of NaN and exit 0
         ("entropy-bounds", {"y_grid": "2,10", "law": "dirac:1"}),
+        # radii with no positive minimum have no increment bound: the audit
+        # once skipped that row and passed it
+        ("bounds-audit", {"law": "uniform:0,1"}),
     ],
 )
 def test_malformed_spec_values_are_spec_errors(tmp_path, capsys, monkeypatch, sub, settings):
@@ -533,6 +536,33 @@ def test_keys_a_subcommand_does_not_read_are_refused_from_every_source(tmp_path,
 def test_controls_each_check_takes(sub, model, control):
     spec = load_spec(sub, None, {"model": model, "control": control})
     assert (spec.model, spec.control) == (model or "crcm", control)
+
+
+# the `cli_suite` specs of gnz-check and fk-check, and one where wrong-q has
+# power: at the `cli_suite` spec with model=crcm it rejected at 8 of seeds
+# 1000-1039, here at 37 of 40
+CONTROLLED = [
+    ("gnz-check", "gnz.csv", "drop-constraint",
+     {"model": "wr", "z": "6", "q": "2", "law": "dirac:0.15", "sweeps": "600", "burn_in": "60",
+      "thinning": "6", "inner_points": "32"}),
+    ("fk-check", "fk.csv", "mismatch",
+     {"z": "4", "q": "2", "law": "dirac:0.1", "chains": "2", "sweeps": "150", "burn_in": "30",
+      "thinning": "3"}),
+    ("gnz-check", "gnz.csv", "wrong-q",
+     {"model": "crcm", "z": "3", "q": "2", "law": "dirac:0.12", "sweeps": "450", "burn_in": "100",
+      "thinning": "3", "inner_points": "128"}),
+]
+
+
+@pytest.mark.parametrize("sub, name, control, settings", CONTROLLED, ids=[c[2] for c in CONTROLLED])
+def test_each_control_passes_where_its_check_passes(tmp_path, sub, name, control, settings):
+    # the check passes on the right model and its control on the wrong one
+    for ctl in ("none", control):
+        out = tmp_path / ctl
+        args = [sub, "--seed", "1000", "--out", str(out), *set_flags({**settings, "control": ctl})]
+        assert cli.main(args) == EXIT_OK, ctl
+        head = (out / name).read_text().split("\n", 1)[0].split()
+        assert f"control={ctl}" in head and "pass=1" in head
 
 
 def test_each_subcommand_reads_exactly_the_keys_it_takes(tmp_path, capsys, monkeypatch):
@@ -762,6 +792,19 @@ def test_bounds_audit_catches_a_labeling_that_never_merges(tmp_path, monkeypatch
     spec = load_spec("bounds-audit", None, AUDIT)
     assert cli.cmd_bounds_audit(spec, tmp_path) == cli.EXIT_TEST
     assert _audit_rows(tmp_path)["telescoping"] > 0
+
+
+def test_bounds_audit_fails_on_a_vacuous_lower_check(tmp_path, capsys):
+    # tpareto:2,20 draws radii in [1, 20]: at r0 = 1 a ball in lam_box leaves
+    # its floor unchecked, which is no pass; at r0 = 20 every floor is checked
+    for r0, code in (("1", cli.EXIT_TEST), ("20", EXIT_OK)):
+        out = tmp_path / r0
+        settings = {**AUDIT, "law": "tpareto:2,20", "samples": "10", "r0": r0}
+        assert cli.main(["bounds-audit", "--seed", "0", "--out", str(out), *set_flags(settings)]) == code
+        assert sum(_audit_rows(out).values()) == 0
+        vacuous = re.search(r"^bounds-audit: 0 violations over 10 configurations, (\d+) vacuous$",
+                            capsys.readouterr().out, re.M)
+        assert (int(vacuous[1]) > 0) == (code == cli.EXIT_TEST)
 
 
 def test_coverage_probe_requires_heavy_tail(tmp_path):
