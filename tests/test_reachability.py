@@ -111,8 +111,7 @@ def mentions(node: ast.AST) -> set[str]:
     return found
 
 
-def reached() -> set[str]:
-    defs = definitions()
+def reached(defs: dict) -> set[str]:
     # the roots: the module code of `cli_runner` (its imports bind names and
     # mention none) and the names of the entry points
     names = set(ROOTS)
@@ -127,7 +126,8 @@ def reached() -> set[str]:
             name = key.rsplit(".", 1)[1]
             if key in seen or (owner is not None and owner not in seen):
                 continue
-            if name in names or owner is not None and name.startswith("__"):
+            dunder = name.startswith("__") and name.endswith("__")
+            if name in names or owner is not None and dunder:
                 seen.add(key)
                 names |= mentions(node)
                 grew = True
@@ -137,7 +137,7 @@ def reached() -> set[str]:
 def unreached() -> set[str]:
     defs = definitions()
     return {key for key, (node, _) in defs.items()
-            if not isinstance(node, (ast.Assign, ast.AnnAssign))} - reached()
+            if not isinstance(node, (ast.Assign, ast.AnnAssign))} - reached(defs)
 
 
 def test_every_definition_is_reached_or_allowed():
