@@ -7,7 +7,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -288,30 +290,46 @@ def run_chain(
 # ---------------------------------------------------------------------------
 
 
-_DRAW_BLOCK = 2**15  # balls per labeling call in _reference_draws: bounds its peak memory
+_DRAW_BLOCK = 2**15  # balls labeled at once in _reference_draws: bounds its peak memory
 
 
 def _reference_draws(params: ModelParams, n_samples: int, rng: np.random.Generator):
     """Vectorized Poisson reference draws: per-sample counts and component
     counts.  The draws come in blocks (every count, then every center, then
-    every radius) and are labeled in runs of whole draws of about
-    `_DRAW_BLOCK` balls, one group per draw."""
+    every radius) and are labeled in runs of whole draws, one group per draw,
+    on one worker thread per usable CPU.  A run holds about
+    `_DRAW_BLOCK // workers` balls, so at most `_DRAW_BLOCK` balls are
+    labeled at once unless one draw outgrows its run, and each run writes its
+    own slice of the component counts: the result is the same for any
+    number of workers."""
     counts = rng.poisson(params.total_intensity, size=n_samples)
     total = int(counts.sum())
     centers = params.window.sample_points(rng, total)
     radii = np.asarray(params.law.sample(rng, total), dtype=float)
     ends = np.cumsum(counts)
     n_cc = np.zeros(n_samples, dtype=np.int64)
+    try:
+        workers = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        workers = os.cpu_count() or 1
+    runs = []  # (first draw, end draw, first ball, end ball)
     a = lo = 0  # first draw and first ball of the next run
     while a < n_samples:
-        b = max(int(np.searchsorted(ends, lo + _DRAW_BLOCK, "right")), a + 1)
+        b = max(int(np.searchsorted(ends, lo + _DRAW_BLOCK // workers, "right")), a + 1)
         hi = int(ends[b - 1])
+        runs.append((a, b, lo, hi))
+        a, lo = b, hi
+
+    def label(run):
+        a, b, lo, hi = run
         draw = np.repeat(np.arange(b - a), counts[a:b])
         n_comp, labels = components(centers[lo:hi], radii[lo:hi], draw)
         owner = np.zeros(n_comp, dtype=np.int64)
         owner[labels] = draw
         n_cc[a:b] = np.bincount(owner, minlength=b - a)
-        a, lo = b, hi
+
+    with ThreadPoolExecutor(max_workers=min(workers, len(runs))) as pool:
+        list(pool.map(label, runs))  # reading every result re-raises a run's error
     return counts.astype(np.int64), n_cc
 
 
@@ -356,7 +374,8 @@ def importance_oracle(
 ) -> OracleResult:
     """Self-normalized importance estimate of a statistic under the
     cluster-weighted law, from Poisson reference draws reweighted by
-    q^(component count).  `f` maps (counts, n_cc) arrays to per-sample values.
+    q^(component count).  `f` maps (counts, n_cc) arrays to one finite value
+    per sample (ValueError otherwise).
 
     Also returns the raw mean of the weights, an unbiased estimate of the
     normalizing constant, and its logarithm (z_hat is inf beyond the float
@@ -366,6 +385,8 @@ def importance_oracle(
     counts, n_cc = _reference_draws(params, n_samples, rng)
     w, ln_z, rel_se, ess = _log_weight_summary(n_cc.astype(float) * math.log(params.q), min_ess)
     vals = np.asarray(f(counts, n_cc), dtype=float)
+    if vals.shape != (n_samples,) or not np.isfinite(vals).all():
+        raise ValueError(f"the statistic must be one finite value per draw, shape ({n_samples},)")
     est, se = weighted_ratio_estimate(w, vals)
     z_hat = math.exp(ln_z) if ln_z < _LN_FLOAT_MAX else math.inf
     z_se = z_hat * rel_se if rel_se > 0 else 0.0
@@ -599,8 +620,11 @@ def entropy_report(
     """Entropy rate of the cluster-weighted law against the Poisson reference,
     estimated through the importance oracle, with its linear-in-intensity
     upper bound and the empty-configuration floor on the normalizer.  Raises
+    ValueError on fewer than 2 draws, which have no standard error, and
     DegenerateWeights, as the oracle does, when the weights' effective sample
     size is below `min_ess`."""
+    if n_oracle < 2:
+        raise ValueError("entropy report needs at least 2 draws for a standard error")
     counts, n_cc = _reference_draws(params, n_oracle, rng)
     lnq = math.log(params.q)
     w, ln_z_hat, rel_se, _ = _log_weight_summary(n_cc.astype(float) * lnq, min_ess)

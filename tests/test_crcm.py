@@ -1,5 +1,9 @@
 import dataclasses
+import itertools
 import math
+import os
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -748,26 +752,109 @@ def test_short_traces_raise_no_warnings(n):
             run_chain(TINY, seeded(35), sweeps=1, burn_in=0, thin=1)
 
 
+def _usable_cpus(monkeypatch, k):
+    """Have the oracle see k usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
+
+
 @pytest.mark.parametrize("block", [None, 40, 2**16])
 def test_reference_draws_blocks_count_each_draw_alone(monkeypatch, block):
     # the draws come as every count, then every center, then every radius;
-    # labeling them in blocks of whole draws must not mix two draws
+    # labeling them in runs of whole draws, on any number of worker threads,
+    # must not mix two draws
     params = ModelParams(50.0, 1.5, DiracRadius(0.05), UNIT)
     n_draws = 1500  # about 75k balls: three blocks at the module's 2^15, two at 2^16
-    at_module_block = crcm._reference_draws(params, n_draws, seeded(43))
+    _usable_cpus(monkeypatch, 1)
+    serial = crcm._reference_draws(params, n_draws, seeded(43))
     if block is not None:  # 40: many blocks, some draws larger than a block
         monkeypatch.setattr(crcm, "_DRAW_BLOCK", block)
-    counts, n_cc = crcm._reference_draws(params, n_draws, seeded(43))
-    assert np.array_equal(counts, at_module_block[0])
-    assert np.array_equal(n_cc, at_module_block[1])
     rng = seeded(43)
-    assert np.array_equal(counts, rng.poisson(params.total_intensity, size=n_draws))
+    counts = rng.poisson(params.total_intensity, size=n_draws)
     centers = UNIT.sample_points(rng, int(counts.sum()))
     radii = params.law.sample(rng, int(counts.sum()))
     assert counts.sum() > crcm._DRAW_BLOCK
     ends = np.cumsum(counts)
     want = [components(centers[e - c:e], radii[e - c:e])[0] for c, e in zip(counts, ends)]
-    assert n_cc.tolist() == want
+    labeled = []  # (balls, thread) per labeling call
+    in_flight, peak, lock = [0], [0], threading.Lock()
+
+    def spy(c, r, groups):
+        with lock:
+            labeled.append((r.size, threading.get_ident()))
+            in_flight[0] += r.size
+            peak[0] = max(peak[0], in_flight[0])
+        try:
+            return components(c, r, groups)
+        finally:
+            with lock:
+                in_flight[0] -= r.size
+
+    monkeypatch.setattr(crcm, "components", spy)
+    for cpus in (1, 2, 3, "no affinity call"):
+        if cpus == "no affinity call":
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 2)
+            cpus = 2
+        else:
+            _usable_cpus(monkeypatch, cpus)
+        labeled.clear()
+        peak[0] = 0
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # more thread switches: a lost count would show
+        try:
+            got = crcm._reference_draws(params, n_draws, seeded(43))
+        finally:
+            sys.setswitchinterval(switch)
+        for a, b in zip(got, serial):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert np.array_equal(got[0], counts) and got[1].tolist() == want
+        # a run holds _DRAW_BLOCK // cpus balls, or one larger draw
+        run_max = max(crcm._DRAW_BLOCK // cpus, int(counts.max()))
+        assert max(n for n, _ in labeled) <= run_max
+        assert peak[0] <= cpus * run_max
+        assert len({t for _, t in labeled}) <= cpus
+        assert sum(n for n, _ in labeled) == counts.sum()
+
+
+def test_reference_draws_pass_on_a_worker_error(monkeypatch):
+    # a run that fails reaches the caller, and every worker thread is joined
+    params = ModelParams(50.0, 1.5, DiracRadius(0.05), UNIT)
+    _usable_cpus(monkeypatch, 3)
+    calls = itertools.count()
+
+    def failing(c, r, groups):
+        if next(calls) == 2:
+            raise FloatingPointError("a run failed")
+        return components(c, r, groups)
+
+    monkeypatch.setattr(crcm, "components", failing)
+    before = threading.active_count()
+    with pytest.raises(FloatingPointError, match="a run failed"):
+        crcm._reference_draws(params, 1500, seeded(43))
+    assert next(calls) > 3  # several runs were labeled
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize(
+    "statistic",
+    [
+        lambda c, n: np.where(np.arange(n.size) == 5, np.nan, 1.0),
+        lambda c, n: np.where(np.arange(n.size) == 5, np.inf, 1.0),
+        lambda c, n: n[:, None].astype(float),
+        lambda c, n: n[:-1].astype(float),
+        lambda c, n: 1.0,
+    ],
+    ids=["nan", "inf", "column", "short", "scalar"],
+)
+def test_oracle_refuses_a_statistic_not_one_finite_value_per_draw(statistic):
+    with pytest.raises(ValueError, match="one finite value per draw"):
+        importance_oracle(TINY, statistic, 2000, seeded(8))
+
+
+@pytest.mark.parametrize("n_oracle", [0, 1])
+def test_entropy_report_needs_two_draws(n_oracle):
+    with pytest.raises(ValueError, match="at least 2 draws"):
+        entropy_report(TINY, n_oracle, seeded(40), min_ess=0.0)
 
 
 def test_entropy_report_survives_overflowing_weights():
