@@ -16,26 +16,20 @@ from .model_core import (
     Configuration,
     DiracRadius,
     ModelParams,
-    NonIntegrableWithoutTruncation,
     ParetoRadius,
     RadiusLaw,
-    TruncatedParetoRadius,
     UniformRadius,
-    expected_hits,
     load_configuration,
     parse_law,
     sample_boolean_with_halo,
     sample_poisson_boolean,
     save_configuration,
-    steiner_volume,
 )
 from .connectivity import (
     BallGraph,
     BoundsReport,
     ClusterLabeling,
-    LambdaNotInWindow,
     LocalCCResult,
-    NestingViolation,
     check_bounds,
     compatibility_offset,
     components,

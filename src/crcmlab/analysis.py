@@ -24,18 +24,6 @@ class PreconditionEventFailed(ValueError):
     pass
 
 
-class RootUndefined(ValueError):
-    pass
-
-
-class ErodedWindowEmpty(ValueError):
-    pass
-
-
-class InvalidParameters(ValueError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # Localization events
 # ---------------------------------------------------------------------------
@@ -165,9 +153,9 @@ def build_shield(alpha: int, k: int, d: int) -> ShieldGeometry:
     role for balls centered beyond the outer box reaching the guard box.
     """
     if not (isinstance(alpha, (int, np.integer)) and isinstance(k, (int, np.integer))):
-        raise InvalidParameters("alpha and k must be integers")
+        raise ValueError("alpha and k must be integers")
     if not (k >= alpha >= 1) or d < 2:
-        raise InvalidParameters("need k >= alpha >= 1 and dimension >= 2")
+        raise ValueError("need k >= alpha >= 1 and dimension >= 2")
     d1 = math.ceil(math.sqrt(d) * (2 * alpha + k) - k)
     p = alpha + k + d1 + 1  # near edge of the outer cubes
     d2 = max(1, math.ceil(((d - 1) * (p + k) ** 2 - 1) / 2.0 - k))
@@ -285,7 +273,7 @@ def psi_root(q: int, y: float, phi: float, d: int) -> float:
     """Unique stationary point of the gap function; defined when
     phi > 8/(7q)."""
     if phi <= 8.0 / (7.0 * q):
-        raise RootUndefined(f"y={y:g} gives phi={phi:g}: needs phi > 8/(7q); increase y")
+        raise ValueError(f"y={y:g} gives phi={phi:g}: needs phi > 8/(7q); increase y")
     yd = y**d
     return (q / (phi * yd)) * math.log((q - 1.0) / q / (1.0 - 7.0 * phi / 8.0))
 
@@ -346,11 +334,11 @@ class ClusterDensityEstimate:
 
 
 def eroded_window(window: Box, border: float) -> Box:
-    """`window` shrunk by `border` on every face; raises ErodedWindowEmpty
-    when nothing of positive volume is left."""
+    """`window` shrunk by `border` on every face; raises ValueError when
+    nothing of positive volume is left."""
     lo, hi = window.lo + border, window.hi - border
     if np.any(hi <= lo) or np.prod(hi - lo) <= 0:
-        raise ErodedWindowEmpty("border leaves no observation window")
+        raise ValueError("border leaves no observation window")
     return Box(lo, hi)
 
 

@@ -641,7 +641,8 @@ def cmd_bounds_audit(spec: ExperimentSpec, out: Path) -> int:
     print(f"bounds-audit: {total_viol} violations over {spec.samples} configurations, {vacuous} vacuous")
     return write_csv(
         spec, out, "bounds.csv",
-        {"configs": spec.samples, "spec_hash": spec.digest(), "violations": total_viol},
+        {"configs": spec.samples, "spec_hash": spec.digest(), "violations": total_viol,
+         "vacuous": vacuous},
         ["check", "violations"],
         sorted(viol.items()),
         total_viol == 0 and vacuous == 0,
@@ -706,7 +707,7 @@ def cmd_entropy_bounds(spec: ExperimentSpec, out: Path) -> int:
     phis = [spec_checked(analysis.phi_y, law, y, d) for y in ys]
     try:
         roots = [analysis.psi_root(q, y, phi, d) for y, phi in zip(ys, phis)]
-    except analysis.RootUndefined as exc:
+    except ValueError as exc:
         raise SpecInvalid(f"bad y_grid {spec.y_grid!r}: {exc}") from exc
     rows = []
     for y, phi, z_y in zip(ys, phis, roots):
@@ -726,7 +727,7 @@ def cmd_np_decay(spec: ExperimentSpec, out: Path) -> int:
     law = spec.radius_law()
     w = spec.window_box()
     border = spec.border if spec.border > 0 else law.quantile(0.99)
-    grid = spec.floats("z_grid") if spec.z_grid else [0.1, 0.2, 0.4, 0.7]
+    grid = spec.floats("z_grid")
     # every value the estimate and its bound need, checked before any chain runs
     spec_checked(analysis.eroded_window, w, border)
     models = [spec_checked(ModelParams, z, spec.q, law, w) for z in grid]
@@ -748,13 +749,15 @@ def cmd_np_decay(spec: ExperimentSpec, out: Path) -> int:
 
 def cmd_coverage_probe(spec: ExperimentSpec, out: Path) -> int:
     params = spec.model_params(q=1.0)
-    if params.law.bounded_support:
-        raise SpecInvalid("coverage-probe expects the heavy-tail law (pareto:d)")
+    d = params.window.dimension
+    # the paper's regime: radii not integrable, an infinite d-moment
+    if params.law.finite_d_moment(d):
+        raise SpecInvalid(f"coverage-probe needs a law with an infinite {d}-moment, "
+                          f"got law {spec.law!r}")
     halos = spec.floats("h_grid", zero_ok=True)
     rng = chain_rng(spec.seed, 0)
-    probs = coverage_escalation(
-        params.window, params.z, params.law, halos, trials=spec.trials, rng=rng, grid_per_axis=48,
-    )
+    probs = coverage_escalation(params.window, params.z, params.law, halos, trials=spec.trials,
+                                rng=rng)
     return write_csv(
         spec, out, "coverage.csv", {"z": spec.z, "law": spec.law, "trials": spec.trials},
         ["halo", "coverage_probability"],
@@ -797,7 +800,7 @@ COMMANDS = {
     "shield": Command(cmd_shield, ("window", "alpha", "k", "trials")),
     "entropy-bounds": Command(cmd_entropy_bounds, ("q", "law", "window", "y_grid", "n_pack")),
     "np-decay": Command(cmd_np_decay, (*CHAIN[1:], "chains", "z_grid", "border"),  # z: z_grid
-                        recorded=2, pooled=True),
+                        defaults={"z_grid": "0.1,0.2,0.4,0.7"}, recorded=2, pooled=True),
     "coverage-probe": Command(cmd_coverage_probe, (*POISSON, "h_grid", "trials"),
                               defaults={"trials": 2000}),
 }

@@ -18,14 +18,6 @@ if TYPE_CHECKING:
     from .model_core import Configuration
 
 
-class LambdaNotInWindow(ValueError):
-    pass
-
-
-class NestingViolation(ValueError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # Array kernel: intersecting pairs and component labels
 # ---------------------------------------------------------------------------
@@ -430,7 +422,7 @@ def local_cc(cfg: Configuration, box: Box, step: Optional[float] = None) -> Loca
     constant, the witness of stabilization.
     """
     if not cfg.window.contains_box(box):
-        raise LambdaNotInWindow("probe box must sit inside the window")
+        raise ValueError("probe box must sit inside the window")
     if step is not None and not 0 < step < np.inf:
         raise ValueError("probe step must be positive and finite")
     graph = BallGraph.of(*cfg.arrays()[:2])
@@ -453,9 +445,9 @@ def compatibility_offset(graph: BallGraph, inner: Box, outer: Box, window: Box) 
     ncc(balls centered outside outer); depends only on the balls outside the
     inner box."""
     if not outer.contains_box(inner):
-        raise NestingViolation("inner box must sit inside outer box")
+        raise ValueError("inner box must sit inside outer box")
     if not window.contains_box(outer):
-        raise NestingViolation("outer box must sit inside the window")
+        raise ValueError("outer box must sit inside the window")
     return graph.outside(inner) - graph.outside(outer)
 
 
@@ -492,10 +484,10 @@ def check_bounds(graph: BallGraph, window: Box, box: Box, r0: float) -> BoundsRe
     Upper: at most the number of centers in the box.  Lower: at least
     `local_floor`, valid when every ball centered in the box has radius
     <= r0 (else the lower check is vacuous and flagged).  Raises
-    LambdaNotInWindow unless the box sits inside the window.
+    ValueError unless the box sits inside the window.
     """
     if not window.contains_box(box):
-        raise LambdaNotInWindow("audited box must sit inside the window")
+        raise ValueError("audited box must sit inside the window")
     inside = box.contains_points(graph.centers)
     value = graph.local(box)
     k_const, floor = local_floor(graph.centers, box, r0)

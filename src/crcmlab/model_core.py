@@ -12,23 +12,9 @@ import numpy as np
 
 from ._stats import quad
 from .connectivity import components
-from .geometry import (
-    Box,
-    SpatialIndex,
-    default_cell_size,
-    dilate,
-    unit_ball_volume,
-)
+from .geometry import Box, SpatialIndex, default_cell_size, dilate
 
 INFINITE = math.inf
-
-
-class NonIntegrableWithoutTruncation(ValueError):
-    """Raised when an operation needs bounded radii but the law's are unbounded."""
-
-
-class AssumptionAViolated(ValueError):
-    """q < 1 with unbounded radii: the Gibbs weights are not normalizable."""
 
 
 # ---------------------------------------------------------------------------
@@ -38,13 +24,18 @@ class AssumptionAViolated(ValueError):
 
 class RadiusLaw:
     """Distribution of grain radii with the analytic metadata the lab needs:
-    support bounds, moments, tail integrals, and inverse-CDF sampling."""
+    support bounds, moments, integrals, and inverse-CDF sampling."""
 
-    bounded_support: bool
     min_radius: float
     max_radius: float  # math.inf when unbounded
 
+    @property
+    def bounded_support(self) -> bool:
+        return math.isfinite(self.max_radius)
+
     def finite_d_moment(self, d: int) -> bool:
+        """Whether the radii are integrable in dimension d: a finite
+        integral of R^d against the law."""
         return math.isfinite(self.moment(d))
 
     def sample(self, rng: np.random.Generator, size=None) -> np.ndarray:
@@ -62,15 +53,7 @@ class RadiusLaw:
     def integrate(self, f: Callable[[float], float]) -> float:
         """Integral of f(R) against the whole law (an atom at radius 0
         included), by quadrature unless atomic."""
-        return self.integrate_tail(f, -math.inf)
-
-    def integrate_tail(self, f: Callable[[float], float], lower: float) -> float:
-        """Integral of f(R) over radii strictly above `lower`."""
         raise NotImplementedError
-
-    def tail_mass(self, r: float) -> float:
-        """Probability of a radius strictly above r."""
-        return self.integrate_tail(lambda _: 1.0, r)
 
     def median(self) -> float:
         return self.quantile(0.5)
@@ -94,7 +77,6 @@ class DiracRadius(RadiusLaw):
     def __post_init__(self):
         if not 0 <= self.r0 < math.inf:
             raise ValueError("radius must be finite and nonnegative")
-        object.__setattr__(self, "bounded_support", True)
         object.__setattr__(self, "min_radius", float(self.r0))
         object.__setattr__(self, "max_radius", float(self.r0))
 
@@ -107,8 +89,8 @@ class DiracRadius(RadiusLaw):
     def moment(self, k):
         return float(self.r0**k)
 
-    def integrate_tail(self, f, lower):
-        return float(f(self.r0)) if self.r0 > lower else 0.0
+    def integrate(self, f):
+        return float(f(self.r0))
 
     def quantile(self, p):
         return float(self.r0)
@@ -127,18 +109,14 @@ class UniformRadius(RadiusLaw):
     def __post_init__(self):
         if not 0 <= self.a < self.b < math.inf:
             raise ValueError("need 0 <= a < b < inf")
-        object.__setattr__(self, "bounded_support", True)
         object.__setattr__(self, "min_radius", float(self.a))
         object.__setattr__(self, "max_radius", float(self.b))
 
     def moment(self, k):
         return (self.b ** (k + 1) - self.a ** (k + 1)) / ((k + 1) * (self.b - self.a))
 
-    def integrate_tail(self, f, lower):
-        lo = max(self.a, lower)
-        if lo >= self.b:
-            return 0.0
-        return quad(f, lo, self.b, limit=200) / (self.b - self.a)
+    def integrate(self, f):
+        return quad(f, self.a, self.b, limit=200) / (self.b - self.a)
 
     def quantile(self, p):
         return self.a + p * (self.b - self.a)
@@ -159,7 +137,6 @@ class ParetoRadius(RadiusLaw):
     def __post_init__(self):
         if self.dim < 2 or not self.r_max > 1.0:  # inf is the untruncated law
             raise ValueError("need dimension >= 2 and r_max > 1")
-        object.__setattr__(self, "bounded_support", math.isfinite(self.r_max))
         object.__setattr__(self, "min_radius", 1.0)
         object.__setattr__(self, "max_radius", float(self.r_max))
 
@@ -177,16 +154,13 @@ class ParetoRadius(RadiusLaw):
             raw = (dm - 1.0) * (1.0 - rm ** (k - dm + 1.0)) / (dm - 1.0 - k)
         return raw / self._norm
 
-    def integrate_tail(self, f, lower):
-        lo = max(1.0, lower)
-        if lo >= self.r_max:
-            return 0.0
+    def integrate(self, f):
         dm = self.dim
 
         def integrand(r):
             return f(r) * (dm - 1.0) * r ** (-dm)
 
-        return quad(integrand, lo, self.r_max, limit=300) / self._norm
+        return quad(integrand, 1.0, self.r_max, limit=300) / self._norm
 
     def quantile(self, p):
         return (1.0 - p * self._norm) ** (-1.0 / (self.dim - 1))
@@ -195,10 +169,6 @@ class ParetoRadius(RadiusLaw):
         if self.bounded_support:
             return f"tpareto:{self.dim},{self.r_max!r}"
         return f"pareto:{self.dim}"
-
-
-# the truncated case keeps its name: TruncatedParetoRadius(dim, r_max)
-TruncatedParetoRadius = ParetoRadius
 
 
 def parse_law(text: str) -> RadiusLaw:
@@ -229,8 +199,8 @@ def parse_law(text: str) -> RadiusLaw:
 @dataclass
 class ModelParams:
     """Intensity z, cluster weight q, radius law, and window.  Raises
-    AssumptionAViolated unless the partition function is finite: q >= 1 or
-    the law has bounded support."""
+    ValueError unless the partition function is finite (assumption A): q >= 1
+    or the law has bounded support."""
 
     z: float
     q: float
@@ -244,8 +214,8 @@ class ModelParams:
         if not 0 < self.q < math.inf:
             raise ValueError("cluster weight q must be positive and finite")
         if self.q < 1.0 and not self.law.bounded_support:
-            raise AssumptionAViolated(
-                "q < 1 requires a radius law with bounded support: the partition "
+            raise ValueError(
+                "assumption A: q < 1 requires a radius law with bounded support: the partition "
                 "function diverges for unbounded radii below q=1"
             )
 
@@ -312,7 +282,6 @@ class Configuration:
         self._ids = count()          # the slots `add` hands out
         self._active: list[int] = []           # active slots in move order
         self._slot_pos: dict[int, int] = {}    # active slot -> its position
-        self.tags: dict = {}
 
     # -- construction ------------------------------------------------------
 
@@ -458,9 +427,7 @@ class Configuration:
         return out
 
     def copy(self) -> "Configuration":
-        out = Configuration.from_arrays(self.window, *self.arrays(), self.index.cell_size)
-        out.tags = dict(self.tags)
-        return out
+        return Configuration.from_arrays(self.window, *self.arrays(), self.index.cell_size)
 
 
 # ---------------------------------------------------------------------------
@@ -486,64 +453,19 @@ def sample_poisson_boolean(params: ModelParams, rng: np.random.Generator) -> Con
     return Configuration.from_arrays(params.window, centers, radii, cell_size=params.cell_size)
 
 
-def steiner_volume(box: Box, r: float) -> float:
-    """Exact volume of box + B(0,r): sum over faces of elementary symmetric
-    side products times unit-ball sections."""
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
-    sides = box.sides
-    d = box.dimension
-    # e[m] = elementary symmetric polynomial of degree m in the side lengths
-    e = np.zeros(d + 1)
-    e[0] = 1.0
-    for s in sides:
-        e[1:] = e[1:] + s * e[:-1]
-    total = 0.0
-    for m in range(d + 1):
-        total += e[m] * unit_ball_volume(d - m) * r ** (d - m)
-    return total
-
-
-def expected_hits(target: Box, z: float, law: RadiusLaw) -> float:
-    """Poisson parameter of the number of balls (centered anywhere in space)
-    intersecting `target`; INFINITE exactly when the d-moment diverges."""
-    d = target.dimension
-    if not law.finite_d_moment(d):
-        return INFINITE
-    return z * law.integrate(lambda r: steiner_volume(target, r))
-
-
 def sample_boolean_with_halo(
-    observe: Box,
-    params: ModelParams,
-    rng: np.random.Generator,
-    truncation_radius: Optional[float] = None,
+    observe: Box, params: ModelParams, rng: np.random.Generator
 ) -> Configuration:
     """Trace on `observe` of the whole-space Boolean model, sampled on the
     box dilated by the largest radius: no ball centered outside reaches it.
-
-    Unbounded radii have no such halo; they require an explicit truncation
-    radius and the output is tagged biased.
-    """
-    z, law = params.z, params.law
-    biased = not law.bounded_support
-    if biased:
-        if truncation_radius is None:
-            raise NonIntegrableWithoutTruncation(
-                "law has unbounded radii: pass an explicit truncation_radius"
-            )
-        # Keep only radii <= truncation: a Poisson process with thinned
-        # intensity and the conditioned radius law.
-        z = z * (1.0 - law.tail_mass(truncation_radius))
-        law = ParetoRadius(law.dim, truncation_radius)  # type: ignore[attr-defined]
-
-    h = law.max_radius
-    sim_box = dilate(observe, h)
-    centers, radii = poisson_balls(sim_box, law, z * sim_box.volume, rng)
+    Raises ValueError for unbounded radii, which have no such halo."""
+    law = params.law
+    if not law.bounded_support:
+        raise ValueError(f"law {law.descriptor()} has unbounded radii, so no halo")
+    sim_box = dilate(observe, law.max_radius)
+    centers, radii = poisson_balls(sim_box, law, params.z * sim_box.volume, rng)
     cell = default_cell_size(sim_box, law.median())
-    cfg = Configuration.from_arrays(sim_box, centers, radii, cell_size=cell)
-    cfg.tags.update({"halo": h, "observe": observe, "biased": biased})
-    return cfg
+    return Configuration.from_arrays(sim_box, centers, radii, cell_size=cell)
 
 
 # ---------------------------------------------------------------------------
@@ -551,19 +473,17 @@ def sample_boolean_with_halo(
 # ---------------------------------------------------------------------------
 
 
-def box_covered(
-    centers: np.ndarray, radii: np.ndarray, box: Box, grid_per_axis: int = 512
-) -> bool:
+COVERAGE_GRID = 48  # grid points per axis of a coverage certificate
+
+
+def box_covered(centers: np.ndarray, radii: np.ndarray, box: Box) -> bool:
     """Conservative coverage certificate for the balls B(centers[k], radii[k]):
-    every grid point x is covered with slack, i.e. some ball contains
-    B(x, g*sqrt(d)/2) for grid pitch g."""
+    every point x of a `COVERAGE_GRID`-per-axis grid is covered with slack,
+    i.e. some ball contains B(x, g*sqrt(d)/2) for grid pitch g."""
     d = box.dimension
-    axes = [
-        np.linspace(box.lo[k], box.hi[k], grid_per_axis, endpoint=True)
-        for k in range(d)
-    ]
+    axes = [np.linspace(box.lo[k], box.hi[k], COVERAGE_GRID) for k in range(d)]
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, d)
-    pitch = float(np.max(box.sides)) / (grid_per_axis - 1)
+    pitch = float(np.max(box.sides)) / (COVERAGE_GRID - 1)
     slack = pitch * math.sqrt(d) / 2.0
     covered = np.zeros(len(pts), dtype=bool)
     for c, r in zip(centers, radii.tolist()):
@@ -585,7 +505,6 @@ def coverage_escalation(
     halos: list[float],
     trials: int,
     rng: np.random.Generator,
-    grid_per_axis: int = 64,
 ) -> list[float]:
     """Empirical probability, halo by halo in increasing order, that balls
     centered within each dilated box fully cover `box`.  One configuration per
@@ -600,7 +519,7 @@ def coverage_escalation(
         for hi, h in enumerate(halos):
             if not done:
                 keep = dilate(box, h).contains_points(centers)
-                done = box_covered(centers[keep], radii[keep], box, grid_per_axis)
+                done = box_covered(centers[keep], radii[keep], box)
             if done:
                 hits[hi] += 1
     return [h / trials for h in hits]

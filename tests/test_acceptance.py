@@ -14,7 +14,7 @@ from crcmlab.geometry import Box
 from crcmlab.model_core import (
     DiracRadius,
     ModelParams,
-    TruncatedParetoRadius,
+    ParetoRadius,
     sample_poisson_boolean,
 )
 from crcmlab.connectivity import count_components
@@ -213,7 +213,7 @@ def test_criterion_6_domination():
 def test_criterion_7_localization_and_shield():
     t0 = time.time()
     # localization on conditioned samples
-    law = TruncatedParetoRadius(2, 30.0)
+    law = ParetoRadius(2, 30.0)
     params = ModelParams(0.02, 1.0, law, Box([-20, -20], [20, 20]))
     lam_box = Box([-1.5, -1.5], [1.5, 1.5])
     r0, i, j = 2.0, 5.0, 14.0

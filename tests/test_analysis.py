@@ -17,10 +17,7 @@ from crcmlab.model_core import (
     sample_poisson_boolean,
 )
 from crcmlab.analysis import (
-    ErodedWindowEmpty,
-    InvalidParameters,
     PreconditionEventFailed,
-    RootUndefined,
     build_shield,
     estimate_NP,
     event_Aij,
@@ -277,11 +274,11 @@ def test_shield_constants_closed_form():
 
 
 def test_shield_invalid_parameters():
-    with pytest.raises(InvalidParameters):
+    with pytest.raises(ValueError, match="need k >= alpha >= 1 and dimension >= 2"):
         build_shield(3, 2, 2)  # k < alpha
-    with pytest.raises(InvalidParameters):
+    with pytest.raises(ValueError, match="need k >= alpha >= 1 and dimension >= 2"):
         build_shield(0, 2, 2)
-    with pytest.raises(InvalidParameters):
+    with pytest.raises(ValueError, match="alpha and k must be integers"):
         build_shield(1.5, 4, 2)
 
 
@@ -425,9 +422,9 @@ def test_psi_root_against_independent_solver():
 
 def test_psi_root_undefined_for_small_phi():
     # the root needs phi above 8/(7q) = 4/7
-    with pytest.raises(RootUndefined):
+    with pytest.raises(ValueError, match=r"y=10 gives phi=0.5: needs phi > 8/\(7q\)"):
         psi_root(2, 10.0, 0.5, 2)
-    with pytest.raises(RootUndefined):
+    with pytest.raises(ValueError, match=r"y=10 gives phi=0.55: needs phi > 8/\(7q\)"):
         psi_root(2, 10.0, 0.55, 2)
 
 
@@ -518,7 +515,7 @@ def test_np_translation_consistency():
 
 def test_np_eroded_window_empty():
     win = Box([0, 0], [2, 2])
-    with pytest.raises(ErodedWindowEmpty):
+    with pytest.raises(ValueError, match="border leaves no observation window"):
         estimate_NP([Configuration(win, cell_size=0.5).arrays()], win, 1.0)
 
 

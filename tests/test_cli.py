@@ -492,6 +492,8 @@ def test_unknown_subcommand_and_bad_set(tmp_path):
         ("sample-poisson", {"q": "3"}),
         ("bounds-audit", {"q": "2"}),
         ("coverage-probe", {"q": "0.5", "law": "pareto:2"}),
+        # radii with a finite 2-moment are integrable in the plane: once ran
+        ("coverage-probe", {"law": "pareto:4"}),
         # a y whose phi_y leaves psi no root: once a row of NaN and exit 0
         ("entropy-bounds", {"y_grid": "2,10", "law": "dirac:1"}),
         # radii with no positive minimum have no increment bound: the audit
@@ -796,21 +798,31 @@ def test_bounds_audit_catches_a_labeling_that_never_merges(tmp_path, monkeypatch
 
 def test_bounds_audit_fails_on_a_vacuous_lower_check(tmp_path, capsys):
     # tpareto:2,20 draws radii in [1, 20]: at r0 = 1 a ball in lam_box leaves
-    # its floor unchecked, which is no pass; at r0 = 20 every floor is checked
-    for r0, code in (("1", cli.EXIT_TEST), ("20", EXIT_OK)):
+    # its floor unchecked, which is no pass; at r0 = 20 every floor is checked.
+    # The CSV header says why a run failed: its vacuous count
+    for r0, code, count in (("1", cli.EXIT_TEST, 8), ("20", EXIT_OK, 0)):
         out = tmp_path / r0
         settings = {**AUDIT, "law": "tpareto:2,20", "samples": "10", "r0": r0}
         assert cli.main(["bounds-audit", "--seed", "0", "--out", str(out), *set_flags(settings)]) == code
         assert sum(_audit_rows(out).values()) == 0
         vacuous = re.search(r"^bounds-audit: 0 violations over 10 configurations, (\d+) vacuous$",
                             capsys.readouterr().out, re.M)
-        assert (int(vacuous[1]) > 0) == (code == cli.EXIT_TEST)
+        assert int(vacuous[1]) == count
+        head = (out / "bounds.csv").read_text().splitlines()[0]
+        assert f" violations=0 vacuous={count} pass={int(code == EXIT_OK)}" in head
 
 
 def test_coverage_probe_requires_heavy_tail(tmp_path):
     for law in ("dirac:1", "tpareto:2,20"):  # bounded laws, the truncated tail included
         r = run_cli("coverage-probe", "--out", str(tmp_path), "--set", f"law={law}")
         assert r.returncode == EXIT_SPEC
+    # radii with an infinite d-moment in the window's dimension d run: pareto:4
+    # is refused in the plane, where its 2-moment is finite, and runs in 3-D
+    for law, window in (("pareto:2", "0,0:1,1"), ("pareto:3", "0,0:1,1"),
+                        ("pareto:4", "0,0,0:1,1,1")):
+        args = ["coverage-probe", "--out", str(tmp_path), "--set", f"law={law}",
+                "--set", f"window={window}", "--set", "h_grid=0.5", "--set", "trials=2"]
+        assert cli.main(args) == EXIT_OK
 
 
 def test_manifest_written_for_checks(tmp_path):
@@ -909,7 +921,7 @@ TABLES = [
      "dlr.csv", "subcommand spec_hash pass"),
     ("bounds-audit", {"z": "0.1", "law": "uniform:0.2,1", "window": "-4,-4:4,4",
                       "samples": "3", "r0": "1"},
-     "bounds.csv", "subcommand configs spec_hash violations pass"),
+     "bounds.csv", "subcommand configs spec_hash violations vacuous pass"),
     ("localization", {"z": "0.02", "q": "1", "law": "tpareto:2,30", "window": "-20,-20:20,20",
                       "ij": "5:14", "r0": "2", "samples": "3"},
      "localization.csv", "subcommand spec_hash pass"),
@@ -961,7 +973,7 @@ SUITE_PINS = {
     "gnz-check": (0, {"gnz.csv": "8444e924750a097e"}),
     "fk-check": (0, {"fk.csv": "96510f7d3e1d750e"}),
     "dlr-check": (0, {"dlr.csv": "43d685800fce6a66"}),
-    "bounds-audit": (0, {"bounds.csv": "e1782d2cd8f2b832"}),
+    "bounds-audit": (0, {"bounds.csv": "c270fc2dfa53544a"}),  # header gained vacuous=
     "localization": (0, {"localization.csv": "0ad7dc610b5077e2"}),
     "shield": (0, {"shield.csv": "a64f0097abd91ef3"}),
     "entropy-bounds": (0, {"entropy_bounds.csv": "59d9f81bfcee46d2"}),

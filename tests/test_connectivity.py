@@ -14,8 +14,6 @@ from crcmlab.model_core import (
 from crcmlab.connectivity import (
     BallGraph,
     ClusterLabeling,
-    LambdaNotInWindow,
-    NestingViolation,
     check_bounds,
     compatibility_offset,
     components,
@@ -77,9 +75,9 @@ def test_local_cc_bridge_example_is_minus_one():
 
 def test_local_cc_requires_box_in_window():
     cfg = mk(BIG, [((0, 0), 1.0)])
-    with pytest.raises(LambdaNotInWindow):
+    with pytest.raises(ValueError, match="probe box must sit inside the window"):
         local_cc(cfg, Box([-20, -20], [0, 0]))
-    with pytest.raises(LambdaNotInWindow):
+    with pytest.raises(ValueError, match="audited box must sit inside the window"):
         bounds(cfg, Box([-20, -20], [0, 0]), 1.0)
 
 
@@ -198,9 +196,9 @@ def test_offset_trivial_cases(rng):
     assert offset(cfg, lam, lam) == 0
     empty_outside = mk(BIG, [((0, 0), 0.2)])
     assert offset(empty_outside, lam, Box([-2, -2], [2, 2])) == 0
-    with pytest.raises(NestingViolation):
+    with pytest.raises(ValueError, match="inner box must sit inside outer box"):
         offset(cfg, Box([-2, -2], [2, 2]), lam)
-    with pytest.raises(NestingViolation):
+    with pytest.raises(ValueError, match="outer box must sit inside the window"):
         offset(cfg, lam, Box([-20, -20], [20, 20]))
 
 

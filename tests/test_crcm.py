@@ -14,7 +14,6 @@ from crcmlab import crcm
 from crcmlab import widom_rowlinson as wr
 from crcmlab.geometry import Box, SpatialIndex
 from crcmlab.model_core import (
-    AssumptionAViolated,
     Configuration,
     DiracRadius,
     ModelParams,
@@ -348,7 +347,7 @@ def test_chains_do_not_depend_on_the_grid_query(monkeypatch, model, law, window,
 
 
 def test_assumption_violation_raises():
-    with pytest.raises(AssumptionAViolated):
+    with pytest.raises(ValueError, match="assumption A: q < 1 requires a radius law with bounded"):
         ModelParams(1.0, 0.5, ParetoRadius(2), UNIT)
 
 

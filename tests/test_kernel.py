@@ -21,7 +21,7 @@ from crcmlab.model_core import (
     Configuration,
     DiracRadius,
     ModelParams,
-    TruncatedParetoRadius,
+    ParetoRadius,
     UniformRadius,
     sample_poisson_boolean,
 )
@@ -75,7 +75,7 @@ def random_balls(rng, n, d, kind):
     centers = rng.uniform(0.0, 10.0, size=(n, d))
     if kind == "uniform":
         return centers, rng.uniform(0.05, 1.0 if d == 2 else 1.5, size=n)
-    return centers, TruncatedParetoRadius(d, 12.0).sample(rng, n) * 0.2
+    return centers, ParetoRadius(d, 12.0).sample(rng, n) * 0.2
 
 
 # the sweep case keeps the test id of the k-d tree it replaced, so recorded test names stay put
@@ -260,7 +260,7 @@ def test_label_components_paths_agree(monkeypatch, seed):
 def test_count_components_of_configuration_matches_brute_force():
     rng = make_rng(5)
     w = Box([-10, -10], [10, 10])
-    for law in (UniformRadius(0.2, 1.0), TruncatedParetoRadius(2, 8.0)):
+    for law in (UniformRadius(0.2, 1.0), ParetoRadius(2, 8.0)):
         cfg = sample_poisson_boolean(ModelParams(0.3, 1.0, law, w), rng)
         assert count_components(cfg) == len(brute_partition(*cfg.arrays()[:2]))
 
@@ -320,7 +320,7 @@ def probe_loop_local_cc(cfg, box, step=None):
 def test_local_cc_matches_probe_loop():
     rng = make_rng(2024)
     w = Box([-6, -6], [6, 6])
-    laws = [UniformRadius(0.1, 1.2), TruncatedParetoRadius(2, 5.0), DiracRadius(0.5)]
+    laws = [UniformRadius(0.1, 1.2), ParetoRadius(2, 5.0), DiracRadius(0.5)]
     boxes = [Box([-1, -1], [1, 1]), Box([-3, -2], [0.5, 2.5])]
     checked = 0
     for t in range(500):
@@ -342,7 +342,7 @@ def test_local_cc_matches_probe_loop():
 PROPERTY_LAWS = {
     "dirac": DiracRadius(0.5),
     "uniform": UniformRadius(0.1, 1.2),
-    "tpareto": TruncatedParetoRadius(2, 5.0),
+    "tpareto": ParetoRadius(2, 5.0),
 }
 
 

@@ -25,10 +25,10 @@ from hypothesis.stateful import (
 
 from crcmlab.connectivity import ClusterLabeling, count_components, intersecting_pairs
 from crcmlab.geometry import Box
-from crcmlab.model_core import Configuration, TruncatedParetoRadius
+from crcmlab.model_core import Configuration, ParetoRadius
 
 WINDOW = Box([-10, -10], [10, 10])
-TPARETO = TruncatedParetoRadius(2, 20.0)
+TPARETO = ParetoRadius(2, 20.0)
 
 # lattice centers spaced 1.0 with radius 0.5 are exactly tangent
 lattice = st.tuples(st.integers(-6, 6), st.integers(-6, 6)).map(

@@ -7,24 +7,19 @@ from scipy import integrate, stats
 from crcmlab.geometry import Box, dilate
 from crcmlab.model_core import (
     INFINITE,
-    AssumptionAViolated,
     Configuration,
     DiracRadius,
     ModelParams,
-    NonIntegrableWithoutTruncation,
     ParetoRadius,
-    TruncatedParetoRadius,
     UniformRadius,
     box_covered,
     coverage_escalation,
-    expected_hits,
     load_configuration,
     parse_law,
     poisson_balls,
     sample_boolean_with_halo,
     sample_poisson_boolean,
     save_configuration,
-    steiner_volume,
 )
 
 UNIT = Box([0, 0], [1, 1])
@@ -66,7 +61,7 @@ def test_d_moments():
 
 
 def test_truncated_pareto_moment_grows_without_bound():
-    vals = [TruncatedParetoRadius(2, rm).moment(2) for rm in (2, 8, 32, 128, 1024)]
+    vals = [ParetoRadius(2, rm).moment(2) for rm in (2, 8, 32, 128, 1024)]
     assert all(math.isfinite(v) for v in vals)
     assert all(b > a for a, b in zip(vals, vals[1:]))
     assert vals[-1] > 100
@@ -77,7 +72,7 @@ def test_law_metadata_flags():
     assert UniformRadius(0, 1).bounded_support
     p = ParetoRadius(2)
     assert not p.bounded_support and not p.finite_d_moment(2) and p.min_radius == 1.0
-    t = TruncatedParetoRadius(2, 50.0)
+    t = ParetoRadius(2, 50.0)
     assert t.bounded_support and t.finite_d_moment(2)
 
 
@@ -86,7 +81,7 @@ def test_parse_law_round_trip():
         DiracRadius(0.25),
         UniformRadius(0.0, 1.5),
         ParetoRadius(2),
-        TruncatedParetoRadius(3, 40.0),
+        ParetoRadius(3, 40.0),
     ):
         again = parse_law(law.descriptor())
         assert again.descriptor() == law.descriptor()
@@ -99,7 +94,7 @@ def test_parse_law_round_trip():
 
 
 def test_untruncated_pareto_is_the_closed_form(rng):
-    # r_max = inf gives the normalizer 1.0 exactly: draws, quantiles and tail
+    # r_max = inf gives the normalizer 1.0 exactly: draws, quantiles and
     # integrals are those of the plain law's closed forms
     law = ParetoRadius(3)
     assert law._norm == 1.0 and law.r_max == INFINITE and law.descriptor() == "pareto:3"
@@ -108,15 +103,14 @@ def test_untruncated_pareto_is_the_closed_form(rng):
     rng.bit_generator.state = state
     assert np.array_equal(draws, (1.0 - rng.random(1000)) ** (-1.0 / 2))
     assert law.quantile(0.9) == (1.0 - 0.9) ** (-1.0 / 2)
-    val, _ = integrate.quad(lambda r: 1.0 * 2.0 * r**-3.0, 2.0, np.inf, limit=300)
-    assert law.tail_mass(2.0) == val
+    val, _ = integrate.quad(lambda r: r * 2.0 * r**-3.0, 1.0, np.inf, limit=300)
+    assert law.integrate(lambda r: r) == val
     assert law.moment(1) == 2.0 and law.moment(2) == INFINITE
-    assert TruncatedParetoRadius is ParetoRadius
     assert ParetoRadius(2, 50.0).descriptor() == "tpareto:2,50.0"
 
 
 def test_pareto_truncated_sampling_range(rng):
-    law = TruncatedParetoRadius(2, 10.0)
+    law = ParetoRadius(2, 10.0)
     draws = law.sample(rng, 5000)
     assert np.all((draws >= 1.0) & (draws <= 10.0))
 
@@ -127,7 +121,7 @@ def test_pareto_truncated_sampling_range(rng):
 def test_assumption_flag():
     ModelParams(1, 0.5, DiracRadius(1), UNIT)
     ModelParams(1, 2.0, ParetoRadius(2), UNIT)
-    with pytest.raises(AssumptionAViolated):
+    with pytest.raises(ValueError, match="assumption A: q < 1 requires a radius law with bounded"):
         ModelParams(1, 0.5, ParetoRadius(2), UNIT)
     with pytest.raises(ValueError):
         ModelParams(0.0, 1.0, DiracRadius(1), UNIT)
@@ -206,45 +200,18 @@ def test_restriction_consistency(rng):
 # -- expected hits -------------------------------------------------------------
 
 
-def test_steiner_volume_square():
-    # unit square grown by 1: area 1 + perimeter*1 + pi*1^2
-    assert steiner_volume(UNIT, 1.0) == pytest.approx(1 + 4 + np.pi)
-    assert steiner_volume(UNIT, 0.0) == pytest.approx(1.0)
-
-
-def test_steiner_volume_monte_carlo_oracle(rng):
-    # MC volume of the true dilation {x : dist(x, box) <= R}
-    box = Box([0, 0], [1, 2])
-    r = 0.7
-    big = dilate(box, r)
-    pts = big.sample_points(rng, 200_000)
-    inside = np.array([box.distance_to_point(p) <= r for p in pts])
-    mc = big.volume * inside.mean()
-    se = big.volume * inside.std() / np.sqrt(len(pts))
-    assert abs(steiner_volume(box, r) - mc) < 4 * se
-
-
 def test_dirac_zero_integrates_its_atom():
     law = DiracRadius(0.0)
     assert law.integrate(lambda r: r + 2.0) == 2.0
-    assert law.tail_mass(0.0) == 0.0
-    # a point grain hits the target exactly when centered in it
-    assert expected_hits(Box([0, 0], [2, 3]), 1.5, law) == 1.5 * 6.0
-
-
-def test_expected_hits_values():
-    assert expected_hits(UNIT, 1.0, DiracRadius(0.0)) == pytest.approx(1.0)
-    assert expected_hits(UNIT, 1.0, ParetoRadius(2)) == INFINITE
-    # (1+2)^2 with rounded corners: 9 - (4 - pi)
-    assert expected_hits(UNIT, 1.0, DiracRadius(1.0)) == pytest.approx(9 - (4 - np.pi))
 
 
 def test_expected_hits_empirical(rng):
-    # empirical count of balls hitting the unit box under a halo simulation
+    # empirical count of balls hitting the unit box under a halo simulation,
+    # against z * E|target + B(0, R)| = 3 E[1 + 4R + pi R^2] for R ~ U(0, 0.5)
     law = UniformRadius(0.0, 0.5)
     target = Box([2, 2], [3, 3])
     params = ModelParams(3.0, 1.0, law, Box([0, 0], [5, 5]))
-    lam = expected_hits(target, 3.0, law)
+    lam = 3.0 * (2.0 + np.pi / 12.0)
     hits = []
     for _ in range(800):
         cfg = sample_boolean_with_halo(target, params, rng)
@@ -260,19 +227,21 @@ def test_expected_hits_empirical(rng):
 def test_halo_dirac_exact(rng):
     params = ModelParams(2.0, 1.0, DiracRadius(0.3), Box([0, 0], [4, 4]))
     cfg = sample_boolean_with_halo(UNIT, params, rng)
-    assert cfg.tags["halo"] == pytest.approx(0.3)
-    assert not cfg.tags["biased"]
+    halo = dilate(UNIT, 0.3)
+    assert np.array_equal(cfg.window.lo, halo.lo) and np.array_equal(cfg.window.hi, halo.hi)
 
 
 def test_halo_pareto_requires_truncation(rng):
     params = ModelParams(1.0, 2.0, ParetoRadius(2), Box([-5, -5], [5, 5]))
-    with pytest.raises(NonIntegrableWithoutTruncation):
+    with pytest.raises(ValueError, match="has unbounded radii, so no halo"):
         sample_boolean_with_halo(UNIT, params, rng)
-    # a finite d-moment gives no halo either: every unbounded law needs a truncation
-    with pytest.raises(NonIntegrableWithoutTruncation):
+    # a finite d-moment gives no halo either: every unbounded law is refused
+    with pytest.raises(ValueError, match="has unbounded radii, so no halo"):
         sample_boolean_with_halo(UNIT, ModelParams(1.0, 2.0, ParetoRadius(4), params.window), rng)
-    cfg = sample_boolean_with_halo(UNIT, params, rng, truncation_radius=10.0)
-    assert cfg.tags["biased"]
+    # the truncated law, tpareto:2,10, has the halo 10
+    truncated = ModelParams(1.0, 2.0, ParetoRadius(2, 10.0), params.window)
+    cfg = sample_boolean_with_halo(UNIT, truncated, rng)
+    assert np.array_equal(cfg.window.hi, dilate(UNIT, 10.0).hi)
     assert all(r <= 10.0 for _, r in cfg.index.balls.values())
 
 
@@ -280,15 +249,14 @@ def test_halo_pareto_requires_truncation(rng):
 
 
 def test_box_covered_detects_single_covering_ball():
-    assert box_covered(np.zeros((1, 2)), np.array([3.0]), UNIT, grid_per_axis=32)
-    assert not box_covered(np.zeros((1, 2)), np.array([0.4]), UNIT, grid_per_axis=32)
+    assert box_covered(np.zeros((1, 2)), np.array([3.0]), UNIT)
+    assert not box_covered(np.zeros((1, 2)), np.array([0.4]), UNIT)
 
 
 def test_pareto_coverage_escalates(rng):
     # nested-coupling curve: nondecreasing by construction, high for a deep halo
     probs = coverage_escalation(
-        UNIT, z=1.0, law=ParetoRadius(2), halos=[0.25, 1.0, 4.0, 12.0],
-        trials=60, rng=rng, grid_per_axis=24,
+        UNIT, z=1.0, law=ParetoRadius(2), halos=[0.25, 1.0, 4.0, 12.0], trials=60, rng=rng,
     )
     assert all(b >= a for a, b in zip(probs, probs[1:]))
     assert probs[-1] > 0.99
@@ -326,7 +294,7 @@ def test_colored_round_trip(tmp_path):
     [
         (UniformRadius(0, 0.2), UNIT, False),
         (UniformRadius(0, 0.2), UNIT, True),
-        (TruncatedParetoRadius(2, 20.0), Box([-20, -20], [20, 20]), False),
+        (ParetoRadius(2, 20.0), Box([-20, -20], [20, 20]), False),
     ],
 )
 def test_save_load_save_is_byte_identical(tmp_path, rng, law, window, colored):
@@ -443,7 +411,7 @@ def _ball_by_ball(window, centers, radii, colors, cell_size):
 def test_bulk_build_equals_ball_by_ball(rng, n, colored):
     w = Box([-20, -20], [20, 20])
     centers = w.sample_points(rng, n)
-    radii = TruncatedParetoRadius(2, 20.0).sample(rng, n)  # fills the overflow list
+    radii = ParetoRadius(2, 20.0).sample(rng, n)  # fills the overflow list
     colors = rng.integers(1, 4, size=n) if colored else None
     cell = 2.0
     want = _ball_by_ball(w, centers, radii, colors, cell)
