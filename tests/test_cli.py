@@ -492,13 +492,13 @@ def test_unknown_subcommand_and_bad_set(tmp_path):
         ("sample-poisson", {"q": "3"}),
         ("bounds-audit", {"q": "2"}),
         ("coverage-probe", {"q": "0.5", "law": "pareto:2"}),
-        # radii with a finite 2-moment are integrable in the plane: once ran
-        ("coverage-probe", {"law": "pareto:4"}),
         # a y whose phi_y leaves psi no root: once a row of NaN and exit 0
         ("entropy-bounds", {"y_grid": "2,10", "law": "dirac:1"}),
         # radii with no positive minimum have no increment bound: the audit
         # once skipped that row and passed it
         ("bounds-audit", {"law": "uniform:0,1"}),
+        # radii with a finite 2-moment are integrable in the plane: once ran
+        ("coverage-probe", {"law": "pareto:4"}),
     ],
 )
 def test_malformed_spec_values_are_spec_errors(tmp_path, capsys, monkeypatch, sub, settings):
